@@ -17,6 +17,12 @@ Subcommands
 Every command reads ``--config <file.json>`` (schema-validated, unknown keys
 rejected) and writes into ``--out <dir>`` (default: current directory).
 Floats are printed with 17 significant digits so outputs are byte-stable.
+
+Exit codes: 0 on success, 2 when a check fails (``medium check``,
+``crossval``), and 1 on any error, printed as one ``error:`` line on stderr.
+Errors include unreadable or invalid configs, bad meshes or media, and
+eigensolver failures (``EigenSolveError``: more modes requested than the
+mesh supports, a failed factorization, or a rejected eigenpair).
 """
 
 from __future__ import annotations
@@ -30,7 +36,7 @@ import numpy as np
 from jsonschema import Draft202012Validator
 
 from . import crossval, modes, vtkio
-from .eigensolve import SolveOptions
+from .eigensolve import EigenSolveError, SolveOptions
 from .medium import (
     VERDICT_INDEPENDENT,
     MediumError,
@@ -408,7 +414,8 @@ def main(argv=None) -> int:
         if args.command == "crossval":
             return cmd_crossval(config, out_dir)
         return cmd_fields(config, out_dir)
-    except (ConfigError, MeshError, MediumError, ValueError, OSError) as exc:
+    except (ConfigError, MeshError, MediumError, EigenSolveError, ValueError,
+            OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

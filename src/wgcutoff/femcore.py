@@ -292,6 +292,31 @@ def _restrict(matrix: sp.csr_matrix, rows: np.ndarray, cols: np.ndarray):
     return matrix[rows][:, cols].tocsr()
 
 
+# Imaginary parts at or below this fraction of the largest entry are rounding
+# noise: scalar TM leaves about 3e-17 where the gyrotropic terms cancel.
+_REAL_RTOL = 1e-14
+
+
+def _is_real(matrix: sp.csr_matrix) -> bool:
+    if not matrix.nnz:
+        return True
+    data = matrix.data
+    return np.abs(data.imag).max() <= _REAL_RTOL * np.abs(data).max()
+
+
+def _pencil(K, M, layout, primal_map, multiplier_map=None) -> HermitianPencil:
+    """Build a pencil, stored in float64 when both matrices are real.
+
+    Scalar TM under Dirichlet conditions and every medium with alpha = 0
+    give real pencils, which the eigensolvers then treat in real
+    arithmetic.
+    """
+    if _is_real(K) and _is_real(M):
+        K, M = K.real.tocsr(), M.real.tocsr()
+    return HermitianPencil(K=K, M=M, layout=layout, primal_map=primal_map,
+                           multiplier_map=multiplier_map)
+
+
 def assemble_scalar_te(mesh: Mesh, spec: MediumSpec) -> HermitianPencil:
     """Neumann-natural scalar TE pencil over all nodes.
 
@@ -300,10 +325,8 @@ def assemble_scalar_te(mesh: Mesh, spec: MediumSpec) -> HermitianPencil:
     nullspace, so the smallest eigenvalue is a spurious zero.
     """
     stiffness, mass = _scalar_matrices(mesh, spec.mu_t, spec.mu_zz)
-    return HermitianPencil(
-        K=stiffness, M=mass, layout=LAYOUT_PLAIN,
-        primal_map=_identity_map(KIND_NODAL_ALL, mesh.num_nodes),
-    )
+    return _pencil(stiffness, mass, LAYOUT_PLAIN,
+                   _identity_map(KIND_NODAL_ALL, mesh.num_nodes))
 
 
 def assemble_scalar_tm(mesh: Mesh, spec: MediumSpec) -> HermitianPencil:
@@ -314,12 +337,8 @@ def assemble_scalar_tm(mesh: Mesh, spec: MediumSpec) -> HermitianPencil:
                             "Dirichlet formulation")
     stiffness, mass = _scalar_matrices(mesh, spec.eps_t, spec.eps_zz)
     keep = np.flatnonzero(interior)
-    return HermitianPencil(
-        K=_restrict(stiffness, keep, keep),
-        M=_restrict(mass, keep, keep),
-        layout=LAYOUT_PLAIN,
-        primal_map=_subset_map(KIND_NODAL_INTERIOR, interior),
-    )
+    return _pencil(_restrict(stiffness, keep, keep), _restrict(mass, keep, keep),
+                   LAYOUT_PLAIN, _subset_map(KIND_NODAL_INTERIOR, interior))
 
 
 def _saddle(curl, mass, coupling, primal_map, multiplier_map) -> HermitianPencil:
@@ -332,8 +351,7 @@ def _saddle(curl, mass, coupling, primal_map, multiplier_map) -> HermitianPencil
         [[mass, sp.csr_matrix((p, m))], [sp.csr_matrix((m, p)), sp.csr_matrix((m, m))]],
         format="csr",
     ) if m else mass
-    return HermitianPencil(K=k, M=mm, layout=LAYOUT_SADDLE,
-                           primal_map=primal_map, multiplier_map=multiplier_map)
+    return _pencil(k, mm, LAYOUT_SADDLE, primal_map, multiplier_map)
 
 
 def assemble_vector_te(mesh: Mesh, spec: MediumSpec) -> HermitianPencil:

@@ -20,7 +20,7 @@ constant takes the decaying branch ``k_z = -j sqrt(k_t^2 - k^2)``.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -167,11 +167,7 @@ def _solve_formulation(mesh: Mesh, spec: MediumSpec, q: int,
         raise eigensolve.EigenSolveError(
             f"mesh supports only {capacity} modes, need {q + reserve}"
         )
-    spectrum = eigensolve.solve(pencil, eigensolve.SolveOptions(
-        num_modes=request, shift=opts.shift, residual_tol=opts.residual_tol,
-        infinite_cutoff=opts.infinite_cutoff, zero_frac=opts.zero_frac,
-        dense_cutoff=opts.dense_cutoff, seed=opts.seed,
-    ))
+    spectrum = eigensolve.solve(pencil, replace(opts, num_modes=request))
 
     if formulation is Formulation.SCALAR_TM:
         zero_idx = np.array([], dtype=int)
@@ -194,13 +190,14 @@ def _solve_formulation(mesh: Mesh, spec: MediumSpec, q: int,
     multipliers = None
     if formulation.is_vector and pencil.multiplier_dim:
         space = _GradientSpace(mesh, spec, formulation, pencil)
-        vectors = space.clean(vectors)
-        b_block = pencil.M[:pencil.primal_dim, :pencil.primal_dim]
-        norms = np.sqrt(np.abs(np.einsum("ij,ij->j", vectors.conj(),
-                                         b_block @ vectors)))
-        vectors = vectors / np.where(norms > 0, norms, 1.0)
-        vectors = _fix_phase(vectors)
-        multipliers = space.multipliers(eigenvalues, vectors)
+        with space.lu:
+            vectors = space.clean(vectors)
+            b_block = pencil.M[:pencil.primal_dim, :pencil.primal_dim]
+            norms = np.sqrt(np.abs(np.einsum("ij,ij->j", vectors.conj(),
+                                             b_block @ vectors)))
+            vectors = vectors / np.where(norms > 0, norms, 1.0)
+            vectors = _fix_phase(vectors)
+            multipliers = space.multipliers(eigenvalues, vectors)
     else:
         vectors = _fix_phase(vectors)
         if formulation.is_vector:  # unconstrained: no interior nodes
@@ -217,17 +214,6 @@ def _solve_formulation(mesh: Mesh, spec: MediumSpec, q: int,
         medium=spec,
         pencil=pencil,
     )
-
-
-def _fix_phase_with(columns: np.ndarray, reference: np.ndarray) -> np.ndarray:
-    """Apply to ``columns`` the phase that makes ``reference`` canonical."""
-    out = columns.astype(complex).copy()
-    for j in range(reference.shape[1]):
-        i = int(np.argmax(np.abs(reference[:, j])))
-        pivot = reference[i, j]
-        if abs(pivot) > 0:
-            out[:, j] *= np.conj(pivot) / abs(pivot)
-    return out
 
 
 class _GradientSpace:
@@ -250,8 +236,6 @@ class _GradientSpace:
     """
 
     def __init__(self, mesh, spec, formulation, pencil):
-        import scipy.sparse.linalg as spla
-
         tensor = (spec.mu_t.inverse()
                   if formulation is Formulation.VECTOR_TE
                   else spec.eps_t.inverse())
@@ -261,24 +245,16 @@ class _GradientSpace:
             gradient = gradient[pencil.primal_map.retained]
         self.gradient = gradient[:, nkeep].tocsr()
         stiffness = femcore.nodal_stiffness(mesh, tensor)
-        self.solve = spla.splu(stiffness[nkeep][:, nkeep].tocsc()).solve
-        self.constraint = pencil.constraint_block()
+        # the factor lives until the caller's ``with space.lu`` block ends
+        self.lu = eigensolve.HermitianLU(stiffness[nkeep][:, nkeep])
+        self.divergence = pencil.constraint_block().conj().T.tocsr()
 
     def clean(self, primal: np.ndarray) -> np.ndarray:
         """Remove discrete-gradient noise so modes are divergence-free."""
-        out = primal.copy()
-        for j in range(out.shape[1]):
-            div = self.constraint.conj().T @ out[:, j]
-            out[:, j] -= self.gradient @ self.solve(div)
-        return out
+        return primal - self.gradient @ self.lu.solve(self.divergence @ primal)
 
     def multipliers(self, eigenvalues, primal) -> np.ndarray:
-        out = np.empty((self.gradient.shape[1], primal.shape[1]),
-                       dtype=complex)
-        for j in range(primal.shape[1]):
-            div = self.constraint.conj().T @ primal[:, j]
-            out[:, j] = eigenvalues[j] * self.solve(div)
-        return out
+        return self.lu.solve(self.divergence @ primal) * eigenvalues[None, :]
 
 
 def solve_te_scalar(mesh, spec, q, options=None) -> ModeSolution:

@@ -154,6 +154,22 @@ class TestSolve:
         for flags in by_level.values():
             assert flags.count("true") == 1
 
+    def test_eigensolver_error_exits_one(self, tmp_path, capsys):
+        # a 2 x 2 rectangle holds 8 interior edges and 1 interior node, so
+        # vector TE has room for only 7 constrained modes
+        config = write_config(
+            tmp_path,
+            geometry={"kind": "rectangle", "a": 1e-3, "b": 1e-3,
+                      "nx": 2, "ny": 2},
+            formulations=["vector_te"], num_modes=10,
+        )
+        assert main(["solve", "--config", config,
+                     "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "modes" in err
+        assert "Traceback" not in err
+
 
 class TestCrossval:
     def test_fine_mesh_passes(self, tmp_path, capsys):

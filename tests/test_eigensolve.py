@@ -12,6 +12,7 @@ from wgcutoff import (
 )
 from wgcutoff.eigensolve import (
     EigenSolveError,
+    HermitianLU,
     SolveOptions,
     Spectrum,
     classify_near_zero,
@@ -47,6 +48,54 @@ def saddle_pencil(K, M, p):
         primal_map=DofMap(KIND_EDGE_ALL, np.arange(p), p),
         multiplier_map=DofMap(KIND_NODAL_ALL, np.arange(n - p), n - p),
     )
+
+
+class TestHermitianLU:
+    def test_arithmetic_chosen_per_pencil(self, gyro_medium,
+                                          isotropic_medium):
+        mesh = generate_rectangle(1.2e-3, 1.0e-3, 6, 5)
+        assert assemble_scalar_tm(mesh, gyro_medium).K.dtype == np.float64
+        assert assemble_scalar_tm(mesh, gyro_medium).M.dtype == np.float64
+        for assemble in (assemble_scalar_te, assemble_vector_te,
+                         assemble_vector_tm):
+            assert assemble(mesh, gyro_medium).M.dtype == np.complex128
+            # alpha = 0: every formulation is real
+            pencil = assemble(mesh, isotropic_medium)
+            assert pencil.K.dtype == pencil.M.dtype == np.float64
+        for assemble, dtype in ((assemble_scalar_tm, np.float64),
+                                (assemble_vector_te, np.complex128)):
+            pencil = assemble(mesh, gyro_medium)
+            with HermitianLU(pencil.K - 10.0 * pencil.M) as lu:
+                assert lu.dtype == dtype
+                assert lu.solve(np.ones(pencil.dim)).dtype == dtype
+
+    def test_real_spd_solve(self, gyro_medium):
+        mesh = generate_rectangle(1.2e-3, 1.0e-3, 12, 10)
+        pencil = assemble_scalar_tm(mesh, gyro_medium)
+        a = (pencil.K + 1e6 * pencil.M).tocsr()
+        b = np.random.default_rng(0).standard_normal((pencil.dim, 3))
+        with HermitianLU(a) as lu:
+            x = lu.solve(b)
+        residual = np.linalg.norm(a @ x - b) / np.linalg.norm(b)
+        assert residual <= 1e-10
+
+    def test_complex_hermitian_saddle_solve(self, gyro_medium):
+        mesh = generate_annulus(1e-3, 2e-3, 3, 24)
+        pencil = assemble_vector_tm(mesh, gyro_medium)
+        a = (pencil.K - 1e5 * pencil.M).tocsr()
+        rng = np.random.default_rng(1)
+        b = rng.standard_normal(pencil.dim) + 1j * rng.standard_normal(pencil.dim)
+        with HermitianLU(a) as lu:
+            x = lu.solve(b)
+        residual = (np.linalg.norm(a @ x - b)
+                    / (abs(a).sum(axis=1).max() * np.linalg.norm(x)))
+        assert residual <= 1e-10
+
+    def test_factor_released_on_exit(self):
+        with HermitianLU(sp.identity(3, format="csr")) as lu:
+            assert np.allclose(lu.solve(np.arange(3.0)), np.arange(3.0))
+        with pytest.raises(AttributeError):
+            lu.solve(np.arange(3.0))
 
 
 class TestSolveDefinite:
@@ -132,6 +181,19 @@ class TestSolveSaddle:
                                rtol=1e-8, atol=1e-8 * scale)
             assert np.allclose(brute, dense.eigenvalues,
                                rtol=1e-8, atol=1e-8 * scale)
+
+    def test_real_saddle_shift_invert_matches_bruteforce(self,
+                                                        isotropic_medium):
+        mesh = generate_annulus(1e-3, 2e-3, 2, 12)
+        for assemble in (assemble_vector_te, assemble_vector_tm):
+            pencil = assemble(mesh, isotropic_medium)
+            sparse = solve_saddle(pencil,
+                                  SolveOptions(num_modes=4, dense_cutoff=0))
+            brute = dense_saddle_bruteforce(pencil, SolveOptions(num_modes=4))
+            scale = max(abs(brute).max(), 1.0)
+            assert np.allclose(sparse.eigenvalues, brute,
+                               rtol=1e-8, atol=1e-8 * scale)
+            assert np.iscomplexobj(sparse.eigenvectors)
 
     def test_scaling_invariance(self, gyro_medium):
         mesh = generate_annulus(1e-3, 2e-3, 2, 12)

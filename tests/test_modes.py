@@ -22,6 +22,7 @@ from wgcutoff.medium import MediumError
 from wgcutoff.modes import (
     Formulation,
     ModeSolution,
+    constraint_residuals,
     multiplier_diagnostics,
     reconstruct_from_ez,
     reconstruct_from_hz,
@@ -308,3 +309,18 @@ class TestMultiplierDiagnostics:
     def test_scalar_solution_rejected(self, rect_mesh, gyro_medium):
         with pytest.raises(ValueError, match="vector"):
             multiplier_diagnostics(solve_te_scalar(rect_mesh, gyro_medium, 2))
+
+
+class TestFineCoaxVectorTm:
+    """Coax refined to L3 (pencil dim 49,919), where an inaccurate shifted
+    factorization once gave negative and spurious Ritz values."""
+
+    def test_matches_scalar_tm(self, gyro_medium):
+        mesh = generate_annulus(1e-3, 2e-3, 4, 48)
+        for _ in range(3):
+            mesh = refine_uniform(mesh)
+        vector = solve_tm_vector(mesh, gyro_medium, 6)
+        scalar = solve_tm_scalar(mesh, gyro_medium, 6)
+        assert vector.tem_count == 1
+        assert np.allclose(vector.nonzero_cutoffs, scalar.cutoffs, rtol=2e-3)
+        assert constraint_residuals(vector).max() <= 1e-8
