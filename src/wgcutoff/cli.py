@@ -149,7 +149,6 @@ CONFIG_SCHEMA = {
             "properties": {
                 "shift": _NUMBER,
                 "residual_tol": _NUMBER,
-                "infinite_cutoff": _NUMBER,
                 "zero_frac": _NUMBER,
                 "dense_cutoff": _COUNT,
                 "seed": {"type": "integer"},
@@ -265,9 +264,10 @@ def cmd_solve(config: dict, out_dir: Path) -> int:
     spec = _medium(config)
     num_modes = config.get("num_modes", 4)
     opts = solver_options(config, num_modes)
+    meshes = mesh_family(config)
     rows = ["formulation,mesh_h,mode_index,k_t_rad_per_m,is_tem"]
     for formulation in _formulations(config):
-        for mesh in mesh_family(config):
+        for mesh in meshes:
             solution = modes.SOLVERS[formulation](mesh, spec, num_modes, opts)
             for index, kt in enumerate(solution.cutoffs):
                 is_tem = "true" if index < solution.tem_count else "false"

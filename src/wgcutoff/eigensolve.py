@@ -1,19 +1,24 @@
-"""Generalized Hermitian eigensolvers for the assembled pencils.
+"""Generalized Hermitian eigensolver for the assembled pencils.
 
-Two pencil shapes occur: definite ones (positive definite mass) from the
-scalar formulations, and saddle ones from the mixed vector formulations,
-whose mass matrix vanishes on the multiplier block and therefore carries
-infinite eigenvalues that must be filtered out.
+Every pencil is solved as a saddle pencil: ``K = [[A, C], [C^H, 0]]``
+against ``M = [[B, 0], [0, 0]]`` with B positive definite.  The mixed
+vector formulations carry ``m`` Lagrange-multiplier rows, whose zero mass
+block puts infinite eigenvalues into the pencil that must be filtered out;
+the definite (plain) pencils of the scalar formulations are the case
+``m = 0``.  One :func:`solve` serves both layouts, and only the shift
+depends on the layout.
 
 The production strategy is shift-invert ARPACK on a factorization of
-``K - sigma*M``: a small negative shift for definite pencils (K may be
-singular), a small positive one for saddle pencils, retried with a ten times
-larger shift up to three times if the factorization is singular.  At small
-dimensions a dense path is used instead: ``scipy.linalg.eigh`` for definite
-pencils, and a nullspace reduction for saddle pencils (eigenvectors then
-satisfy the constraint to machine precision).  A brute-force dense QZ solve
-with explicit infinite-eigenvalue filtering is exposed separately as the
-oracle that every other path is tested against.
+``K - sigma*M``.  The automatic shift is ``-trace_scale`` for plain pencils
+(K may be singular, as in scalar TE) and ``+1e-3 * trace_scale`` for
+saddle pencils, where ``trace_scale = tr(A) / tr(B) / p`` over the primal
+block; it is retried with a ten times larger shift up to three times if the
+factorization fails.  At small dimensions a dense path is used instead: a
+nullspace reduction that solves ``scipy.linalg.eigh`` on the constrained
+space (on the whole pencil when ``m = 0``), so eigenvectors satisfy the
+constraint to machine precision.  A brute-force dense QZ solve with
+explicit infinite-eigenvalue filtering is exposed separately as the oracle
+that every other path is tested against.
 
 Every sparse LU (the shift-invert operator, each retry, the polishing
 step, and the gradient-space solves in :mod:`wgcutoff.modes`) goes through
@@ -50,7 +55,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.sparse.csgraph import reverse_cuthill_mckee
 
-from .femcore import LAYOUT_PLAIN, LAYOUT_SADDLE, HermitianPencil
+from .femcore import LAYOUT_PLAIN, HermitianPencil
 
 
 class EigenSolveError(RuntimeError):
@@ -62,16 +67,15 @@ class SolveOptions:
     """Eigensolver configuration.
 
     ``shift`` is a magnitude; 0 selects the automatic heuristic (the sign is
-    chosen per pencil shape).  ``infinite_cutoff`` 0 likewise selects the
-    automatic value, 1e12 times the median finite-eigenvalue estimate.
-    ``dense_cutoff`` is the dimension at or below which the dense path runs;
-    set it to 0 to force shift-invert.
+    chosen per pencil layout).  ``zero_frac`` is the fraction of the
+    reference cut-off below which a mode counts as near zero (a TEM mode or
+    scalar TE's constant).  ``dense_cutoff`` is the dimension at or below
+    which the dense path runs; set it to 0 to force shift-invert.
     """
 
     num_modes: int = 4
     shift: float = 0.0
     residual_tol: float = 1e-8
-    infinite_cutoff: float = 0.0
     zero_frac: float = 1e-3
     dense_cutoff: int = 400
     seed: int = 1357
@@ -81,15 +85,18 @@ class SolveOptions:
             raise ValueError("num_modes must be at least 1")
         if self.residual_tol <= 0:
             raise ValueError("residual_tol must be positive")
+        if not 0 < self.zero_frac < 1:
+            raise ValueError("zero_frac must lie strictly between 0 and 1")
+        if not self.shift >= 0:
+            raise ValueError("shift must be 0 (automatic) or positive")
 
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Ascending finite eigenvalues with primal/multiplier eigenvector parts."""
+    """Ascending finite eigenvalues with the primal eigenvector parts."""
 
     eigenvalues: np.ndarray           # (k,) real
     eigenvectors: np.ndarray          # (primal_dim, k) complex
-    multipliers: np.ndarray | None    # (multiplier_dim, k) complex
     residuals: np.ndarray             # (k,) relative residuals
 
 
@@ -200,55 +207,21 @@ def _check(w, residuals, opts, scale):
         )
 
 
-def _trace_scale(K, M, dim) -> float:
-    trk = float(K.diagonal().real.sum())
-    trm = float(M.diagonal().real.sum())
+def _trace_scale(K, M, p) -> float:
+    """``tr(A) / tr(B) / p`` over the leading ``p`` (primal) rows."""
+    trk = float(K.diagonal()[:p].real.sum())
+    trm = float(M.diagonal()[:p].real.sum())
     if trm <= 0 or trk <= 0:
         return 1.0
-    return trk / trm / dim
+    return trk / trm / p
 
 
-def _m_normalize(M, vecs) -> np.ndarray:
-    norms = np.sqrt(np.abs(np.einsum("ij,ij->j", vecs.conj(), M @ vecs)))
-    return vecs / np.where(norms > 0, norms, 1.0)
+def _filter_finite(alpha, beta) -> np.ndarray:
+    """Finite real eigenvalues of a Hermitian/PSD pencil from QZ output.
 
-
-def solve_definite(pencil: HermitianPencil, opts: SolveOptions) -> Spectrum:
-    """Smallest ``num_modes`` eigenpairs of a definite pencil.
-
-    Eigenvectors come back M-orthonormal.
+    Infinite eigenvalues are those with a negligible ``beta``, or beyond
+    1e12 times the median magnitude of the rest.
     """
-    if pencil.layout != LAYOUT_PLAIN:
-        raise ValueError("solve_definite expects a plain pencil")
-    K, M = pencil.K, pencil.M
-    n = pencil.dim
-    k = opts.num_modes
-    if k > n:
-        raise EigenSolveError(f"requested {k} modes from a pencil of dimension {n}")
-
-    if n <= opts.dense_cutoff or k > n - 2:
-        w, vecs = la.eigh(K.toarray(), M.toarray())
-        w, vecs = w[:k], vecs[:, :k]
-    else:
-        sigma = -(opts.shift if opts.shift > 0 else _trace_scale(K, M, n))
-        try:
-            w, vecs = _shift_invert(K, M, k, sigma, _start_vector(n, opts.seed))
-        except Exception as exc:
-            raise EigenSolveError(f"shift-invert failed at sigma={sigma}: {exc}") from exc
-
-    residuals = _residuals(K, M, w, vecs)
-    if (residuals > opts.residual_tol).any():
-        w, vecs = _polish(K, M, w, vecs, residuals, opts.residual_tol)
-        residuals = _residuals(K, M, w, vecs)
-    vecs = _m_normalize(M, vecs)
-    _check(w, residuals, opts, scale=max(abs(w).max(), _mat_norm(K) / max(_mat_norm(M), 1e-300)))
-    return Spectrum(eigenvalues=w.astype(float),
-                    eigenvectors=vecs.astype(complex, copy=False),
-                    multipliers=None, residuals=residuals)
-
-
-def _filter_finite(alpha, beta, opts) -> np.ndarray:
-    """Finite real eigenvalues of a Hermitian/PSD pencil from QZ output."""
     bmax = np.abs(beta).max()
     finite = np.abs(beta) > 1e-8 * max(bmax, 1e-300)
     lam = alpha[finite] / beta[finite]
@@ -257,9 +230,7 @@ def _filter_finite(alpha, beta, opts) -> np.ndarray:
     scale = np.median(np.abs(lam)) if lam.size else 1.0
     real = np.abs(lam.imag) <= 1e-8 * (scale + np.abs(lam.real))
     lam = lam.real[real]
-    cutoff = opts.infinite_cutoff
-    if cutoff <= 0:
-        cutoff = 1e12 * max(np.median(np.abs(lam)), 1e-300) if lam.size else np.inf
+    cutoff = 1e12 * max(np.median(np.abs(lam)), 1e-300) if lam.size else np.inf
     return np.sort(lam[np.abs(lam) <= cutoff])
 
 
@@ -272,59 +243,51 @@ def dense_saddle_bruteforce(pencil: HermitianPencil,
     """
     alpha, beta = la.eig(pencil.K.toarray(), pencil.M.toarray(),
                          homogeneous_eigvals=True)[0]
-    lam = _filter_finite(alpha, beta, opts)
-    return lam[: opts.num_modes] if opts.num_modes < lam.size else lam
+    return _filter_finite(alpha, beta)[: opts.num_modes]
 
 
-def _dense_saddle(pencil: HermitianPencil, opts: SolveOptions):
+def _dense_saddle(pencil: HermitianPencil, k: int):
     """Nullspace reduction: eigenvectors satisfy the constraint exactly."""
     p, m = pencil.primal_dim, pencil.multiplier_dim
     K, M = pencil.K.toarray(), pencil.M.toarray()
     A, B = K[:p, :p], M[:p, :p]
     if m == 0:
         w, x = la.eigh(A, B)
-        k = min(opts.num_modes, w.size)
-        return w[:k], x[:, :k], np.zeros((0, k), dtype=complex)
+        return w[:k], x[:, :k]
     C = K[:p, p:]
     Z = la.null_space(C.conj().T)
-    if Z.shape[1] < opts.num_modes:
-        raise EigenSolveError(
-            f"requested {opts.num_modes} modes but the constrained space has "
-            f"dimension {Z.shape[1]}"
-        )
     w, u = la.eigh(Z.conj().T @ A @ Z, Z.conj().T @ B @ Z)
-    k = opts.num_modes
     w, u = w[:k], u[:, :k]
     x = Z @ u
     rhs = A @ x - B @ x * w[None, :]
     zeta = -la.lstsq(C, rhs)[0]
-    return w, x, zeta
+    return w, np.vstack([x, zeta])
 
 
-def solve_saddle(pencil: HermitianPencil, opts: SolveOptions) -> Spectrum:
-    """Smallest ``num_modes`` finite eigenpairs of a saddle pencil.
+def solve(pencil: HermitianPencil, opts: SolveOptions) -> Spectrum:
+    """Smallest ``num_modes`` finite eigenpairs of a plain or saddle pencil.
 
-    Primal parts are normalized in the B-inner product; the returned pairs
-    satisfy the discrete constraint (checked via the pencil residual).
+    Primal parts are normalized in the B-inner product (M-orthonormal for a
+    plain pencil); the returned pairs satisfy the discrete constraint
+    (checked via the pencil residual).
     """
-    if pencil.layout != LAYOUT_SADDLE:
-        raise ValueError("solve_saddle expects a saddle pencil")
     K, M = pencil.K, pencil.M
     p, m = pencil.primal_dim, pencil.multiplier_dim
     n = pencil.dim
     k = opts.num_modes
     if k > p - m:
         raise EigenSolveError(
-            f"requested {k} modes but the pencil has only {p - m} finite "
-            "eigenvalues"
+            f"requested {k} modes but the pencil of dimension {n} has only "
+            f"{p - m} finite eigenvalues"
         )
 
     if n <= opts.dense_cutoff or k > n - 2:
-        w, x, zeta = _dense_saddle(pencil, opts)
-        vecs = np.vstack([x, zeta]) if m else x
+        w, vecs = _dense_saddle(pencil, k)
     else:
-        sigma0 = opts.shift if opts.shift > 0 else 1e-3 * _trace_scale(
-            K[:p, :p], M[:p, :p], p)
+        if pencil.layout == LAYOUT_PLAIN:  # K may be singular: shift below 0
+            sigma0 = -(opts.shift or _trace_scale(K, M, p))
+        else:
+            sigma0 = opts.shift or 1e-3 * _trace_scale(K, M, p)
         sigma = sigma0
         last = None
         for _ in range(4):
@@ -342,29 +305,18 @@ def solve_saddle(pencil: HermitianPencil, opts: SolveOptions) -> Spectrum:
 
     residuals = _residuals(K, M, w, vecs)
     if (residuals > opts.residual_tol).any():
-        w, vecs = _polish(K, M, np.asarray(w, dtype=float), vecs,
-                          residuals, opts.residual_tol)
+        w, vecs = _polish(K, M, w, vecs, residuals, opts.residual_tol)
         residuals = _residuals(K, M, w, vecs)
+    w = np.asarray(w, dtype=float)
     primal = vecs[:p]
     norms = np.sqrt(np.abs(np.einsum("ij,ij->j", primal.conj(),
                                      (M[:p, :p] @ primal))))
-    vecs = vecs / np.where(norms > 0, norms, 1.0)
-    scale = max(np.abs(w).max() if w.size else 1.0,
-                _mat_norm(K) / max(_mat_norm(M), 1e-300))
-    _check(np.asarray(w, dtype=float), residuals, opts, scale=scale)
-    return Spectrum(
-        eigenvalues=np.asarray(w, dtype=float),
-        eigenvectors=vecs[:p].astype(complex, copy=False),
-        multipliers=(vecs[p:].astype(complex, copy=False) if m
-                     else np.zeros((0, k), dtype=complex)),
-        residuals=residuals,
-    )
-
-
-def solve(pencil: HermitianPencil, opts: SolveOptions) -> Spectrum:
-    if pencil.layout == LAYOUT_PLAIN:
-        return solve_definite(pencil, opts)
-    return solve_saddle(pencil, opts)
+    primal = primal / np.where(norms > 0, norms, 1.0)
+    _check(w, residuals, opts,
+           scale=max(np.abs(w).max(), _mat_norm(K) / max(_mat_norm(M), 1e-300)))
+    return Spectrum(eigenvalues=w,
+                    eigenvectors=primal.astype(complex, copy=False),
+                    residuals=residuals)
 
 
 def classify_near_zero(spectrum: Spectrum, reference_scale: float | None = None,

@@ -114,22 +114,6 @@ class HermitianPencil:
 # element geometry
 
 
-@dataclass(frozen=True)
-class ElementContext:
-    """Per-triangle geometry: vertices, area, barycentric gradients, edges.
-
-    ``edge_local`` row ``l`` holds the local vertex indices ``(lo, hi)`` of
-    local edge ``l`` ordered by global node index.
-    """
-
-    vertices: np.ndarray    # (3, 2)
-    area: float
-    grads: np.ndarray       # (3, 2), rows sum to zero
-    edge_ids: np.ndarray    # (3,)
-    edge_signs: np.ndarray  # (3,)
-    edge_local: np.ndarray  # (3, 2) local (lo, hi) vertex indices
-
-
 _LOCAL_EDGES = np.array([[0, 1], [1, 2], [2, 0]])
 
 
@@ -151,75 +135,36 @@ def triangle_geometry(mesh: Mesh):
     return area, grads
 
 
-def _edge_local_lo_hi(mesh: Mesh) -> np.ndarray:
-    """(T, 3, 2) local vertex indices of each local edge, ordered lo -> hi."""
-    out = np.broadcast_to(_LOCAL_EDGES, (mesh.num_triangles, 3, 2)).copy()
-    flip = mesh.tri_edge_signs < 0
-    out[flip] = out[flip][:, ::-1]
-    return out
+def _cross(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """z-component of ``u x v`` for arrays of transverse vectors (..., 2)."""
+    return u[..., 0] * v[..., 1] - u[..., 1] * v[..., 0]
 
 
-def element_context(mesh: Mesh, t: int) -> ElementContext:
+def _edge_geometry(mesh: Mesh):
+    """Per-triangle geometry of the local edge basis functions.
+
+    Returns the areas (T,), the barycentric gradients (T, 3, 2), the local
+    ``(lo, hi)`` vertex indices of each local edge ordered by global node
+    index (T, 3, 2), ``grad(lam_hi) - grad(lam_lo)`` (T, 3, 2) and the
+    constant curl ``2 * cross(grad(lam_lo), grad(lam_hi))`` (T, 3).
+    """
     area, grads = triangle_geometry(mesh)
-    return ElementContext(
-        vertices=mesh.nodes[mesh.triangles[t]].copy(),
-        area=float(area[t]),
-        grads=grads[t].copy(),
-        edge_ids=mesh.tri_edges[t].copy(),
-        edge_signs=mesh.tri_edge_signs[t].copy(),
-        edge_local=_edge_local_lo_hi(mesh)[t].copy(),
-    )
+    lohi = np.broadcast_to(_LOCAL_EDGES, (mesh.num_triangles, 3, 2)).copy()
+    flip = mesh.tri_edge_signs < 0
+    lohi[flip] = lohi[flip][:, ::-1]
+    tidx = np.arange(mesh.num_triangles)[:, None]
+    g_lo, g_hi = grads[tidx, lohi[:, :, 0]], grads[tidx, lohi[:, :, 1]]
+    return area, grads, lohi, g_hi - g_lo, 2.0 * _cross(g_lo, g_hi)
 
 
 def _tensor_gram(tensor: TransverseTensor, grads: np.ndarray) -> np.ndarray:
-    """``G[i, j] = grad_i . (D grad_j)`` for D = [[d, ja], [-ja, d]].
+    """``G[t, i, j] = grad_i . (D grad_j)`` for D = [[d, ja], [-ja, d]].
 
     With real gradients this is ``d * dot(g_i, g_j) + j*a * cross(g_i, g_j)``.
-    Works on one triangle (3, 2) or batched (T, 3, 2).
     """
     dots = grads @ np.swapaxes(grads, -1, -2)
-    cross = (grads[..., :, None, 0] * grads[..., None, :, 1]
-             - grads[..., :, None, 1] * grads[..., None, :, 0])
+    cross = _cross(grads[:, :, None, :], grads[:, None, :, :])
     return tensor.d * dots + 1j * tensor.alpha * cross
-
-
-# ---------------------------------------------------------------------------
-# element matrices (single triangle; the global assembly mirrors these
-# formulas in batched form and is pinned to them by tests)
-
-
-def element_scalar_matrices(ctx: ElementContext, tensor: TransverseTensor,
-                            coeff: float):
-    """P1 stiffness ``|T| g_i.(D g_j)`` and mass ``c|T|/12 (1+delta)``."""
-    stiffness = ctx.area * _tensor_gram(tensor, ctx.grads)
-    mass = coeff * ctx.area / 12.0 * (np.ones((3, 3)) + np.eye(3))
-    return stiffness, mass.astype(complex)
-
-
-def element_edge_matrices(ctx: ElementContext, tensor_inv: TransverseTensor,
-                          coeff_inv: float):
-    """Edge-element curl, mass and edge-node coupling matrices.
-
-    curl[e, f]     = c_inv |T| curl(N_e) curl(N_f)
-    mass[e, f]     = int (D_inv N_f) . N_e
-    coupling[e, n] = int (D_inv N_e) . grad(lam_n)
-    """
-    gram = _tensor_gram(tensor_inv, ctx.grads)
-    lo = ctx.edge_local[:, 0]
-    hi = ctx.edge_local[:, 1]
-    cross = (ctx.grads[:, None, 0] * ctx.grads[None, :, 1]
-             - ctx.grads[:, None, 1] * ctx.grads[None, :, 0])
-    curls = 2.0 * cross[lo, hi]
-    curl = coeff_inv * ctx.area * np.multiply.outer(curls, curls).astype(complex)
-
-    lam = ctx.area / 12.0 * (np.ones((3, 3)) + np.eye(3))
-    mass = (lam[lo[:, None], lo[None, :]] * gram[hi[:, None], hi[None, :]]
-            - lam[lo[:, None], hi[None, :]] * gram[hi[:, None], lo[None, :]]
-            - lam[hi[:, None], lo[None, :]] * gram[lo[:, None], hi[None, :]]
-            + lam[hi[:, None], hi[None, :]] * gram[lo[:, None], lo[None, :]])
-
-    coupling = ctx.area / 3.0 * (gram[:, hi] - gram[:, lo]).T
-    return curl, mass, coupling
 
 
 # ---------------------------------------------------------------------------
@@ -246,15 +191,9 @@ def _scalar_matrices(mesh: Mesh, tensor: TransverseTensor, coeff: float):
 
 def _vector_matrices(mesh: Mesh, tensor_inv: TransverseTensor, coeff_inv: float):
     """Global curl-curl, edge mass and raw coupling ``int (D N_e).grad(phi_n)``."""
-    area, grads = triangle_geometry(mesh)
+    area, grads, lohi, _, curls = _edge_geometry(mesh)
     gram = _tensor_gram(tensor_inv, grads)        # (T, 3, 3)
-    lohi = _edge_local_lo_hi(mesh)                # (T, 3, 2)
     lo, hi = lohi[:, :, 0], lohi[:, :, 1]
-    tidx = np.arange(mesh.num_triangles)[:, None]
-
-    cross = (grads[:, :, None, 0] * grads[:, None, :, 1]
-             - grads[:, :, None, 1] * grads[:, None, :, 0])
-    curls = 2.0 * cross[tidx, lo, hi]             # (T, 3)
     a_vals = (coeff_inv * area)[:, None, None] * (curls[:, :, None]
                                                   * curls[:, None, :])
 
@@ -414,13 +353,7 @@ def assemble_vector_tm(mesh: Mesh, spec: MediumSpec,
 
 def edge_curls(mesh: Mesh) -> np.ndarray:
     """(T, 3) constant scalar curl of each local edge basis function."""
-    _, grads = triangle_geometry(mesh)
-    lohi = _edge_local_lo_hi(mesh)
-    lo, hi = lohi[:, :, 0], lohi[:, :, 1]
-    tidx = np.arange(mesh.num_triangles)[:, None]
-    cross = (grads[:, :, None, 0] * grads[:, None, :, 1]
-             - grads[:, :, None, 1] * grads[:, None, :, 0])
-    return 2.0 * cross[tidx, lo, hi]
+    return _edge_geometry(mesh)[4]
 
 
 def edge_basis_at_centroids(mesh: Mesh) -> np.ndarray:
@@ -429,10 +362,7 @@ def edge_basis_at_centroids(mesh: Mesh) -> np.ndarray:
     All barycentric coordinates equal 1/3 there, so
     ``N_e = (grad(lam_hi) - grad(lam_lo)) / 3``.
     """
-    _, grads = triangle_geometry(mesh)
-    lohi = _edge_local_lo_hi(mesh)
-    tidx = np.arange(mesh.num_triangles)[:, None]
-    return (grads[tidx, lohi[:, :, 1]] - grads[tidx, lohi[:, :, 0]]) / 3.0
+    return _edge_geometry(mesh)[3] / 3.0
 
 
 def gradient_incidence(mesh: Mesh) -> sp.csr_matrix:

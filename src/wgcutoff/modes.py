@@ -160,8 +160,7 @@ def _solve_formulation(mesh: Mesh, spec: MediumSpec, q: int,
         reserve = max(mesh.num_boundary_components - 1, 0)
 
     pencil = _ASSEMBLERS[formulation](mesh, spec)
-    capacity = (pencil.dim if pencil.layout == femcore.LAYOUT_PLAIN
-                else pencil.primal_dim - pencil.multiplier_dim)
+    capacity = pencil.primal_dim - pencil.multiplier_dim
     request = min(q + reserve + 2, capacity)
     if request < q + reserve:
         raise eigensolve.EigenSolveError(

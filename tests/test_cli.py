@@ -1,9 +1,11 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
-from wgcutoff.cli import main
+from wgcutoff.cli import CONFIG_SCHEMA, main
+from wgcutoff.eigensolve import SolveOptions
 
 GYRO = {"eps": {"d": 2, "alpha": -1, "zz": 1},
         "mu": {"d": 1, "alpha": 0.5, "zz": 2}}
@@ -154,6 +156,21 @@ class TestSolve:
         for flags in by_level.values():
             assert flags.count("true") == 1
 
+    def test_mesh_family_built_once(self, tmp_path, capsys, monkeypatch):
+        from wgcutoff import cli
+        built = []
+        build = cli.build_mesh
+        monkeypatch.setattr(cli, "build_mesh",
+                            lambda config: built.append(1) or build(config))
+        config = write_config(tmp_path, refinements=1,
+                              formulations=["scalar_te", "scalar_tm"])
+        assert main(["solve", "--config", config,
+                     "--out", str(tmp_path)]) == 0
+        assert len(built) == 1
+        rows = (tmp_path / "cutoffs.csv").read_text().strip().splitlines()[1:]
+        formulations = [row.split(",")[0] for row in rows]
+        assert formulations == ["scalar_te"] * 6 + ["scalar_tm"] * 6
+
     def test_eigensolver_error_exits_one(self, tmp_path, capsys):
         # a 2 x 2 rectangle holds 8 interior edges and 1 interior node, so
         # vector TE has room for only 7 constrained modes
@@ -169,6 +186,22 @@ class TestSolve:
         assert err.startswith("error: ")
         assert "modes" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("solver", [{"zero_frac": -1}, {"shift": -1.0}])
+    def test_out_of_range_solver_option_exits_one(self, tmp_path, capsys,
+                                                  solver):
+        config = write_config(tmp_path, solver=solver)
+        assert main(["solve", "--config", config,
+                     "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert next(iter(solver)) in err
+        assert not (tmp_path / "cutoffs.csv").exists()
+
+    def test_solver_schema_matches_solve_options(self):
+        schema = set(CONFIG_SCHEMA["properties"]["solver"]["properties"])
+        fields = {f.name for f in dataclasses.fields(SolveOptions)}
+        assert schema == fields - {"num_modes"}
 
 
 class TestCrossval:

@@ -17,8 +17,7 @@ from wgcutoff.eigensolve import (
     Spectrum,
     classify_near_zero,
     dense_saddle_bruteforce,
-    solve_definite,
-    solve_saddle,
+    solve,
 )
 from wgcutoff.femcore import (
     KIND_EDGE_ALL,
@@ -98,22 +97,53 @@ class TestHermitianLU:
             lu.solve(np.arange(3.0))
 
 
+class TestSolveOptions:
+    @pytest.mark.parametrize("zero_frac", [-1.0, 0.0, 1.0, 2.0, float("nan")])
+    def test_zero_frac_outside_unit_interval_rejected(self, zero_frac):
+        with pytest.raises(ValueError, match="zero_frac"):
+            SolveOptions(zero_frac=zero_frac)
+
+    @pytest.mark.parametrize("shift", [-1.0, -1e-12, float("nan")])
+    def test_negative_shift_rejected(self, shift):
+        with pytest.raises(ValueError, match="shift"):
+            SolveOptions(shift=shift)
+
+
+class TestOneSolvePath:
+    """A plain pencil is a saddle pencil with no multiplier rows."""
+
+    @pytest.mark.parametrize("assemble", [assemble_scalar_te,
+                                          assemble_scalar_tm])
+    @pytest.mark.parametrize("dense_cutoff", [400, 0])
+    def test_plain_matches_multiplier_free_saddle(self, gyro_medium,
+                                                  assemble, dense_cutoff):
+        mesh = generate_rectangle(1.2e-3, 1.0e-3, 6, 5)
+        plain = assemble(mesh, gyro_medium)
+        saddle = HermitianPencil(K=plain.K, M=plain.M, layout=LAYOUT_SADDLE,
+                                 primal_map=plain.primal_map)
+        assert saddle.multiplier_dim == 0
+        opts = SolveOptions(num_modes=4, dense_cutoff=dense_cutoff)
+        a = solve(plain, opts).eigenvalues
+        b = solve(saddle, opts).eigenvalues
+        assert np.allclose(a, b, rtol=1e-10, atol=1e-10 * abs(a).max())
+
+
 class TestSolveDefinite:
     def test_diagonal(self):
-        spectrum = solve_definite(plain_pencil(np.diag([0.0, 2.0]), np.eye(2)),
-                                  SolveOptions(num_modes=2))
+        spectrum = solve(plain_pencil(np.diag([0.0, 2.0]), np.eye(2)),
+                         SolveOptions(num_modes=2))
         assert np.allclose(spectrum.eigenvalues, [0.0, 2.0], atol=1e-12)
 
     def test_two_by_two(self):
         K = [[2.0, -1.0], [-1.0, 2.0]]
-        spectrum = solve_definite(plain_pencil(K, np.eye(2)),
-                                  SolveOptions(num_modes=2))
+        spectrum = solve(plain_pencil(K, np.eye(2)),
+                         SolveOptions(num_modes=2))
         assert np.allclose(spectrum.eigenvalues, [1.0, 3.0], atol=1e-12)
 
     def test_laplacian_smallest_mode_is_constant(self, gyro_medium):
         mesh = generate_rectangle(1.0, 1.0, 4, 4)
         pencil = assemble_scalar_te(mesh, gyro_medium)
-        spectrum = solve_definite(pencil, SolveOptions(num_modes=3))
+        spectrum = solve(pencil, SolveOptions(num_modes=3))
         lam = spectrum.eigenvalues
         assert abs(lam[0]) <= 1e-9 * lam[-1]
         vec = spectrum.eigenvectors[:, 0]
@@ -122,22 +152,21 @@ class TestSolveDefinite:
     def test_m_orthonormal(self, gyro_medium):
         mesh = generate_rectangle(1.0, 0.8, 4, 3)
         pencil = assemble_scalar_tm(mesh, gyro_medium)
-        spectrum = solve_definite(pencil, SolveOptions(num_modes=4))
+        spectrum = solve(pencil, SolveOptions(num_modes=4))
         v = spectrum.eigenvectors
         gram = v.conj().T @ (pencil.M @ v)
         assert np.allclose(gram, np.eye(4), atol=1e-10)
 
     def test_num_modes_exceeding_dimension_rejected(self):
         with pytest.raises(EigenSolveError, match="dimension"):
-            solve_definite(plain_pencil(np.eye(2), np.eye(2)),
-                           SolveOptions(num_modes=5))
+            solve(plain_pencil(np.eye(2), np.eye(2)),
+                  SolveOptions(num_modes=5))
 
     def test_sparse_path_matches_dense(self, gyro_medium):
         mesh = generate_rectangle(1.1e-3, 0.9e-3, 5, 5)
         pencil = assemble_scalar_tm(mesh, gyro_medium)
-        dense = solve_definite(pencil, SolveOptions(num_modes=4))
-        sparse = solve_definite(pencil,
-                                SolveOptions(num_modes=4, dense_cutoff=0))
+        dense = solve(pencil, SolveOptions(num_modes=4))
+        sparse = solve(pencil, SolveOptions(num_modes=4, dense_cutoff=0))
         assert np.allclose(sparse.eigenvalues, dense.eigenvalues, rtol=1e-10)
 
 
@@ -146,7 +175,7 @@ class TestSolveSaddle:
         K = [[2.0, 0.0, 1.0], [0.0, 3.0, 0.0], [1.0, 0.0, 0.0]]
         M = np.diag([1.0, 1.0, 0.0])
         pencil = saddle_pencil(K, M, p=2)
-        spectrum = solve_saddle(pencil, SolveOptions(num_modes=1))
+        spectrum = solve(pencil, SolveOptions(num_modes=1))
         assert np.allclose(spectrum.eigenvalues, [3.0], atol=1e-10)
         # the constraint row x1 = 0 holds for the returned pair
         assert abs(spectrum.eigenvectors[0, 0]) <= 1e-10
@@ -157,12 +186,12 @@ class TestSolveSaddle:
         K = [[2.0, 0.0, 1.0], [0.0, 3.0, 0.0], [1.0, 0.0, 0.0]]
         M = np.diag([1.0, 1.0, 0.0])
         with pytest.raises(EigenSolveError, match="finite"):
-            solve_saddle(saddle_pencil(K, M, p=2), SolveOptions(num_modes=3))
+            solve(saddle_pencil(K, M, p=2), SolveOptions(num_modes=3))
 
     def test_coax_tm_has_near_zero_mode(self, gyro_medium):
         mesh = generate_annulus(1e-3, 2e-3, 2, 16)
         pencil = assemble_vector_tm(mesh, gyro_medium)
-        spectrum = solve_saddle(pencil, SolveOptions(num_modes=4))
+        spectrum = solve(pencil, SolveOptions(num_modes=4))
         lam = spectrum.eigenvalues
         assert abs(lam[0]) <= 1e-6 * lam[1]
         assert (spectrum.residuals <= 1e-8).all()
@@ -172,9 +201,8 @@ class TestSolveSaddle:
         for assemble in (assemble_vector_te, assemble_vector_tm):
             pencil = assemble(mesh, gyro_medium)
             opts = SolveOptions(num_modes=4)
-            dense = solve_saddle(pencil, opts)
-            sparse = solve_saddle(pencil,
-                                  SolveOptions(num_modes=4, dense_cutoff=0))
+            dense = solve(pencil, opts)
+            sparse = solve(pencil, SolveOptions(num_modes=4, dense_cutoff=0))
             brute = dense_saddle_bruteforce(pencil, opts)
             scale = max(abs(dense.eigenvalues).max(), 1.0)
             assert np.allclose(sparse.eigenvalues, dense.eigenvalues,
@@ -187,8 +215,7 @@ class TestSolveSaddle:
         mesh = generate_annulus(1e-3, 2e-3, 2, 12)
         for assemble in (assemble_vector_te, assemble_vector_tm):
             pencil = assemble(mesh, isotropic_medium)
-            sparse = solve_saddle(pencil,
-                                  SolveOptions(num_modes=4, dense_cutoff=0))
+            sparse = solve(pencil, SolveOptions(num_modes=4, dense_cutoff=0))
             brute = dense_saddle_bruteforce(pencil, SolveOptions(num_modes=4))
             scale = max(abs(brute).max(), 1.0)
             assert np.allclose(sparse.eigenvalues, brute,
@@ -203,16 +230,16 @@ class TestSolveSaddle:
             layout=pencil.layout, primal_map=pencil.primal_map,
             multiplier_map=pencil.multiplier_map,
         )
-        a = solve_saddle(pencil, SolveOptions(num_modes=4)).eigenvalues
-        b = solve_saddle(scaled, SolveOptions(num_modes=4)).eigenvalues
+        a = solve(pencil, SolveOptions(num_modes=4)).eigenvalues
+        b = solve(scaled, SolveOptions(num_modes=4)).eigenvalues
         assert np.allclose(a, b, rtol=1e-10, atol=1e-10 * max(abs(a).max(), 1))
 
     def test_shift_choice_does_not_move_eigenvalues(self, gyro_medium):
         mesh = generate_annulus(1e-3, 2e-3, 2, 16)
         pencil = assemble_vector_tm(mesh, gyro_medium)
-        base = solve_saddle(pencil, SolveOptions(num_modes=4,
-                                                 dense_cutoff=0)).eigenvalues
-        shifted = solve_saddle(
+        base = solve(pencil, SolveOptions(num_modes=4,
+                                          dense_cutoff=0)).eigenvalues
+        shifted = solve(
             pencil, SolveOptions(num_modes=4, dense_cutoff=0,
                                  shift=0.3 * base[1])).eigenvalues
         assert np.allclose(base, shifted, rtol=1e-8,
@@ -222,8 +249,8 @@ class TestSolveSaddle:
         mesh = generate_annulus(1e-3, 2e-3, 2, 16)
         pencil = assemble_vector_tm(mesh, gyro_medium)
         opts = SolveOptions(num_modes=3, dense_cutoff=0)
-        a = solve_saddle(pencil, opts)
-        b = solve_saddle(pencil, opts)
+        a = solve(pencil, opts)
+        b = solve(pencil, opts)
         assert np.array_equal(a.eigenvalues, b.eigenvalues)
         assert np.array_equal(a.eigenvectors, b.eigenvectors)
 
@@ -250,13 +277,12 @@ class TestOracleEquivalence:
             assert pencil.dim <= 200
             k = min(4, (pencil.dim if pencil.layout == LAYOUT_PLAIN
                         else pencil.primal_dim - pencil.multiplier_dim))
-            sparse_opts = SolveOptions(num_modes=k, dense_cutoff=0)
+            got = solve(pencil, SolveOptions(num_modes=k,
+                                             dense_cutoff=0)).eigenvalues
             if pencil.layout == LAYOUT_PLAIN:
-                got = solve_definite(pencil, sparse_opts).eigenvalues
                 ref = la.eigh(pencil.K.toarray(), pencil.M.toarray(),
                               eigvals_only=True)[:k]
             else:
-                got = solve_saddle(pencil, sparse_opts).eigenvalues
                 ref = dense_saddle_bruteforce(pencil, SolveOptions(num_modes=k))
             scale = max(np.abs(ref).max(), 1.0)
             assert np.allclose(got, ref, rtol=1e-8, atol=1e-8 * scale)
@@ -267,7 +293,7 @@ class TestClassifyNearZero:
         lam = np.asarray(eigenvalues, dtype=float)
         return Spectrum(eigenvalues=lam,
                         eigenvectors=np.zeros((2, lam.size), dtype=complex),
-                        multipliers=None, residuals=np.zeros(lam.size))
+                        residuals=np.zeros(lam.size))
 
     def test_coax_vector_pattern(self):
         zero, nonzero = classify_near_zero(

@@ -17,9 +17,8 @@ from wgcutoff import (
 )
 from wgcutoff.femcore import (
     AssemblyError,
-    element_context,
-    element_edge_matrices,
-    element_scalar_matrices,
+    _scalar_matrices,
+    _vector_matrices,
     hermiticity_defect,
 )
 from conftest import random_structured_mesh, random_valid_medium
@@ -44,25 +43,36 @@ def p1_laplacian_reference(mesh):
     return out
 
 
+def one_triangle(assemble, mesh, tensor, coeff):
+    """Batched global matrices of a one-triangle mesh, as dense arrays.
+
+    On ``unit_triangle_mesh`` they are the element matrices: global node
+    order is the local vertex order, and the edge matrices differ from the
+    local ones only by a signed permutation of the three edges.
+    """
+    return [m.toarray() for m in assemble(mesh, tensor, coeff)]
+
+
 class TestElementScalar:
     def test_unit_triangle_stiffness(self, unit_triangle_mesh):
-        ctx = element_context(unit_triangle_mesh, 0)
-        stiffness, _ = element_scalar_matrices(ctx, TransverseTensor(1, 0), 1.0)
+        stiffness, _ = one_triangle(_scalar_matrices, unit_triangle_mesh,
+                                    TransverseTensor(1, 0), 1.0)
         expected = np.array([[1.0, -0.5, -0.5],
                              [-0.5, 0.5, 0.0],
                              [-0.5, 0.0, 0.5]])
         assert np.allclose(stiffness, expected, atol=1e-15)
 
     def test_unit_triangle_mass(self, unit_triangle_mesh):
-        ctx = element_context(unit_triangle_mesh, 0)
-        _, mass = element_scalar_matrices(ctx, TransverseTensor(1, 0), 1.0)
+        _, mass = one_triangle(_scalar_matrices, unit_triangle_mesh,
+                               TransverseTensor(1, 0), 1.0)
         expected = (np.ones((3, 3)) + np.eye(3)) / 24.0
         assert np.allclose(mass, expected, atol=1e-16)
 
     def test_gyro_part_is_imaginary_hermitian(self, unit_triangle_mesh):
-        ctx = element_context(unit_triangle_mesh, 0)
-        full, _ = element_scalar_matrices(ctx, TransverseTensor(2, -1), 1.0)
-        plain, _ = element_scalar_matrices(ctx, TransverseTensor(2, 0), 1.0)
+        full, _ = one_triangle(_scalar_matrices, unit_triangle_mesh,
+                               TransverseTensor(2, -1), 1.0)
+        plain, _ = one_triangle(_scalar_matrices, unit_triangle_mesh,
+                                TransverseTensor(2, 0), 1.0)
         gyro = full - plain
         assert np.allclose(gyro.real, 0.0, atol=1e-15)
         assert np.abs(gyro.imag).max() > 0
@@ -71,21 +81,21 @@ class TestElementScalar:
 
 class TestElementEdge:
     def test_unit_triangle_curl_matrix(self, unit_triangle_mesh):
-        ctx = element_context(unit_triangle_mesh, 0)
-        curl, _, _ = element_edge_matrices(ctx, TransverseTensor(1, 0), 3.0)
+        curl, _, _ = one_triangle(_vector_matrices, unit_triangle_mesh,
+                                  TransverseTensor(1, 0), 3.0)
         # every basis curl is +-2, area 1/2: all entries magnitude 2 * coeff
         assert np.allclose(np.abs(curl), 2.0 * 3.0, atol=1e-13)
 
     def test_edge_mass_positive_definite(self, unit_triangle_mesh):
-        ctx = element_context(unit_triangle_mesh, 0)
-        _, mass, _ = element_edge_matrices(ctx, TransverseTensor(2, -1), 1.0)
+        _, mass, _ = one_triangle(_vector_matrices, unit_triangle_mesh,
+                                  TransverseTensor(2, -1), 1.0)
         assert np.allclose(mass, mass.conj().T, atol=1e-15)
         assert np.linalg.eigvalsh(mass).min() > 0
 
     def test_coupling_rows_sum_to_zero(self, unit_triangle_mesh):
         # gradients of the barycentric coordinates sum to zero
-        ctx = element_context(unit_triangle_mesh, 0)
-        _, _, coupling = element_edge_matrices(ctx, TransverseTensor(1, 0), 1.0)
+        _, _, coupling = one_triangle(_vector_matrices, unit_triangle_mesh,
+                                      TransverseTensor(1, 0), 1.0)
         assert np.allclose(coupling.sum(axis=1), 0.0, atol=1e-15)
 
 
@@ -225,11 +235,11 @@ class TestAssemblyInvariance:
         perm = rng.permutation(mesh.num_nodes)
         renumbered = build_topology(mesh.nodes[np.argsort(perm)],
                                     perm[mesh.triangles])
-        from wgcutoff.eigensolve import SolveOptions, solve_saddle
+        from wgcutoff.eigensolve import SolveOptions, solve
         opts = SolveOptions(num_modes=3)
-        wa = solve_saddle(assemble_vector_tm(mesh, gyro_medium), opts).eigenvalues
-        wb = solve_saddle(assemble_vector_tm(renumbered, gyro_medium),
-                          opts).eigenvalues
+        wa = solve(assemble_vector_tm(mesh, gyro_medium), opts).eigenvalues
+        wb = solve(assemble_vector_tm(renumbered, gyro_medium),
+                   opts).eigenvalues
         assert np.allclose(wa, wb, rtol=1e-9, atol=1e-6 * max(abs(wa).max(), 1))
 
 
