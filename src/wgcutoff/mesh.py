@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NoReturn
 
 import numpy as np
 from scipy.sparse import coo_matrix
@@ -143,31 +144,73 @@ def _boundary_components(edges, boundary_edge, num_nodes) -> np.ndarray:
     return component
 
 
+#: Candidate (node, edge) pairs tested per batch by :func:`_check_hanging_nodes`.
+_PAIR_CHUNK = 1 << 16
+
+
 def _check_hanging_nodes(nodes, edges, boundary_edge, boundary_node):
     """A node in the interior of a boundary edge means a hanging node.
 
     Non-conformity always surfaces on boundary edges: a long edge facing two
     half edges is incident to only one triangle, so it gets classified as
     boundary and the mid node lies on it.
+
+    Only nodes inside an edge's extent along its longer axis can pass the
+    test, so each edge is tested against the boundary nodes that a binary
+    search finds there, widened by ``1e-3 * len``, far above the test's
+    ``1e-9 * len`` distance from the line.  The first offending pair in
+    (node, edge) index order is reported.
     """
     bidx = np.flatnonzero(boundary_edge)
     nidx = np.flatnonzero(boundary_node)
     if bidx.size == 0 or nidx.size == 0:
         return
     a = nodes[edges[bidx, 0]]
-    d = nodes[edges[bidx, 1]] - a
+    b = nodes[edges[bidx, 1]]
+    d = b - a
     lens2 = np.einsum("ij,ij->i", d, d)
     p = nodes[nidx]
-    w = p[:, None, :] - a[None, :, :]
-    t = np.einsum("nek,ek->ne", w, d) / lens2
-    cross = np.abs(w[:, :, 0] * d[None, :, 1] - w[:, :, 1] * d[None, :, 0])
-    on_open_segment = (cross <= 1e-9 * lens2) & (t > 1e-6) & (t < 1 - 1e-6)
-    if on_open_segment.any():
-        n, e = np.argwhere(on_open_segment)[0]
+
+    num_edges = bidx.size
+    axis = (np.abs(d[:, 1]) > np.abs(d[:, 0])).astype(np.intp)  # longer axis
+    along = (np.arange(num_edges), axis)
+    slop = 1e-3 * np.sqrt(lens2)
+    low = np.minimum(a, b)[along] - slop
+    high = np.maximum(a, b)[along] + slop
+    order = np.argsort(p, axis=0, kind="stable")
+    x, y = np.take_along_axis(p, order, axis=0).T
+    start = np.where(axis, y.searchsorted(low), x.searchsorted(low))
+    stop = np.where(axis, y.searchsorted(high, "right"),
+                    x.searchsorted(high, "right"))
+    counts = stop - start
+    ends = np.cumsum(counts)  # candidates of edge e are pairs ends[e-1]..ends[e]-1
+    total = int(ends[-1])
+
+    first = None
+    for s in range(0, total, _PAIR_CHUNK):
+        pair = np.arange(s, min(s + _PAIR_CHUNK, total))
+        e = np.searchsorted(ends, pair, side="right")
+        n = order[start[e] + pair - (ends[e] - counts[e]), axis[e]]
+        w = p[n] - a[e]
+        de = d[e]
+        t = (w[:, 0] * de[:, 0] + w[:, 1] * de[:, 1]) / lens2[e]
+        cross = np.abs(w[:, 0] * de[:, 1] - w[:, 1] * de[:, 0])
+        hit = (cross <= 1e-9 * lens2[e]) & (t > 1e-6) & (t < 1 - 1e-6)
+        if hit.any():
+            key = int((n[hit] * num_edges + e[hit]).min())
+            first = key if first is None else min(first, key)
+    if first is not None:
+        n, e = divmod(first, num_edges)
         raise MeshError(
             f"non-conforming mesh: node {nidx[n]} lies inside boundary "
             f"edge {edges[bidx[e], 0]}-{edges[bidx[e], 1]}"
         )
+
+
+def _has_equal_rows(a: np.ndarray) -> bool:
+    """Whether two rows of the 2-D array ``a`` compare equal elementwise."""
+    s = a[np.lexsort(a.T[::-1])]
+    return bool((s[1:] == s[:-1]).all(axis=1).any())
 
 
 def build_topology(nodes, triangles, *, area_eps: float = AREA_EPS) -> Mesh:
@@ -188,7 +231,8 @@ def build_topology(nodes, triangles, *, area_eps: float = AREA_EPS) -> Mesh:
         raise MeshError("mesh has no triangles")
     if tris.min() < 0 or tris.max() >= num_nodes:
         raise MeshError("triangle node index out of range")
-    if (np.diff(np.sort(tris, axis=1), axis=1) == 0).any():
+    key = np.sort(tris, axis=1)
+    if (np.diff(key, axis=1) == 0).any():
         raise MeshError("triangle with repeated node")
 
     areas = signed_areas(nodes, tris)
@@ -199,18 +243,14 @@ def build_topology(nodes, triangles, *, area_eps: float = AREA_EPS) -> Mesh:
             f"(signed area {areas[bad[0]]:.3e} m^2)"
         )
 
-    key = np.sort(tris, axis=1)
-    if np.unique(key, axis=0).shape[0] != tris.shape[0]:
+    if _has_equal_rows(key):
         raise MeshError("duplicate triangle")
 
     used = np.zeros(num_nodes, dtype=bool)
     used[tris] = True
     if not used.all():
         raise MeshError(f"node {np.flatnonzero(~used)[0]} not used by any triangle")
-    uniq, counts = np.unique(
-        nodes.view([("x", float), ("y", float)]).reshape(-1), return_counts=True
-    )
-    if (counts > 1).any():
+    if _has_equal_rows(nodes):  # -0.0 == 0.0, so those count as duplicates
         raise MeshError("duplicate node coordinates")
 
     # local edges (0,1), (1,2), (2,0); global edges stored lo < hi
@@ -488,15 +528,83 @@ def export_mesh(mesh: Mesh) -> str:
     Coordinates are written with :func:`repr`, the shortest representation
     that round-trips ``float`` exactly, so import/export is bit-faithful.
     """
+    xy = iter(mesh.nodes.ravel().tolist())
+    ijk = iter(mesh.triangles.ravel().tolist())
     lines = [f"nodes {mesh.num_nodes}"]
-    lines.extend(f"{float(x)!r} {float(y)!r}" for x, y in mesh.nodes)
+    lines.extend(f"{x!r} {y!r}" for x, y in zip(xy, xy))
     lines.append(f"triangles {mesh.num_triangles}")
-    lines.extend(f"{i} {j} {k}" for i, j, k in mesh.triangles)
+    lines.extend(f"{i} {j} {k}" for i, j, k in zip(ijk, ijk, ijk))
     return "\n".join(lines) + "\n"
 
 
+def _count(fields, name: str, what: str, remaining: int) -> int:
+    """The count of a ``<name> <count>`` header with ``remaining`` data lines
+    after it; raises ``ValueError`` with the message for the header line."""
+    if len(fields) != 2 or fields[0] != name:
+        raise ValueError(f"expected '{name} <count>'")
+    try:
+        count = int(fields[1])
+    except ValueError:
+        raise ValueError(f"bad {what} count {fields[1]!r}") from None
+    if count < 0:
+        raise ValueError(f"negative {what} count {count}")
+    if count > remaining:
+        raise ValueError(
+            f"{what} count {count} exceeds the {remaining} data lines that follow"
+        )
+    return count
+
+
+def _block(rows, dtype, width: int) -> np.ndarray:
+    """Parse whitespace-separated rows of exactly ``width`` numbers."""
+    if not rows:
+        return np.empty((0, width), dtype=dtype)
+    block = np.loadtxt(rows, dtype=dtype, comments=None, ndmin=2)
+    if block.shape[1] != width:
+        raise ValueError(f"expected {width} fields per row")
+    return block
+
+
 def import_mesh(text: str) -> Mesh:
-    """Parse the ASCII mesh format; errors carry 1-based line numbers."""
+    """Parse the ASCII mesh format; errors carry 1-based line numbers.
+
+    A file is a ``nodes <count>`` line, that many ``x y`` lines, a
+    ``triangles <count>`` line and that many ``i j k`` lines of 0-based node
+    indices.  ``#`` starts a comment, and blank lines are skipped anywhere.
+    """
+    try:
+        nodes, tris = _parse_blocks(text)
+    except (ValueError, IndexError):
+        _raise_first_error(text)
+    return build_topology(nodes, tris)
+
+
+def _parse_blocks(text: str):
+    """Node and triangle arrays of a well-formed file; any other file raises
+    ``ValueError`` or ``IndexError`` without saying where."""
+    lines = text.splitlines()
+    if "#" in text:
+        lines = [raw.split("#", 1)[0] for raw in lines]
+    rows = [body for body in lines if body and not body.isspace()]
+    num_nodes = _count(rows[0].split(), "nodes", "node", len(rows) - 1)
+    num_tris = _count(rows[num_nodes + 1].split(), "triangles", "triangle",
+                      len(rows) - num_nodes - 2)
+    if len(rows) != num_nodes + num_tris + 2:
+        raise ValueError("trailing content")
+    nodes = _block(rows[1:num_nodes + 1], float, 2)
+    tris = _block(rows[num_nodes + 2:], np.int64, 3)
+    if tris.size and (tris.min() < 0 or tris.max() >= num_nodes):
+        raise ValueError("node index out of range")
+    return nodes, tris
+
+
+def _raise_first_error(text: str) -> NoReturn:
+    """Re-scan a file that failed to parse, line by line, and raise a
+    :class:`MeshError` for the first offending line.
+
+    Tokens must be ASCII without ``_`` because the block parser accepts
+    only those, although ``float`` and ``int`` take more.
+    """
     tokens = []  # (line_number, fields)
     for ln, raw in enumerate(text.splitlines(), start=1):
         body = raw.split("#", 1)[0].strip()
@@ -513,41 +621,36 @@ def import_mesh(text: str) -> Mesh:
         pos += 1
         return item
 
-    ln, fields = take("header")
-    if len(fields) != 2 or fields[0] != "nodes":
-        raise MeshError(f"line {ln}: expected 'nodes <count>'")
-    try:
-        num_nodes = int(fields[1])
-    except ValueError:
-        raise MeshError(f"line {ln}: bad node count {fields[1]!r}") from None
-    nodes = np.empty((num_nodes, 2), dtype=float)
+    def header(name, what):
+        ln, fields = take("header")
+        try:
+            return _count(fields, name, what, len(tokens) - pos)
+        except ValueError as exc:
+            raise MeshError(f"line {ln}: {exc}") from None
+
+    def numbers(ln, fields, kind, message):
+        if not all(f.isascii() and "_" not in f for f in fields):
+            raise MeshError(f"line {ln}: {message}")
+        try:
+            return [kind(f) for f in fields]
+        except ValueError:
+            raise MeshError(f"line {ln}: {message}") from None
+
+    num_nodes = header("nodes", "node")
     for i in range(num_nodes):
         ln, fields = take(f"node {i}")
         if len(fields) != 2:
             raise MeshError(f"line {ln}: expected 'x y'")
-        try:
-            nodes[i] = [float(fields[0]), float(fields[1])]
-        except ValueError:
-            raise MeshError(f"line {ln}: bad coordinate") from None
+        numbers(ln, fields, float, "bad coordinate")
 
-    ln, fields = take("header")
-    if len(fields) != 2 or fields[0] != "triangles":
-        raise MeshError(f"line {ln}: expected 'triangles <count>'")
-    try:
-        num_tris = int(fields[1])
-    except ValueError:
-        raise MeshError(f"line {ln}: bad triangle count {fields[1]!r}") from None
-    tris = np.empty((num_tris, 3), dtype=np.int64)
+    num_tris = header("triangles", "triangle")
     for i in range(num_tris):
         ln, fields = take(f"triangle {i}")
         if len(fields) != 3:
             raise MeshError(f"line {ln}: expected 'i j k'")
-        try:
-            tris[i] = [int(f) for f in fields]
-        except ValueError:
-            raise MeshError(f"line {ln}: bad node index") from None
-        if tris[i].min() < 0 or tris[i].max() >= num_nodes:
+        index = numbers(ln, fields, int, "bad node index")
+        if min(index) < 0 or max(index) >= num_nodes:
             raise MeshError(f"line {ln}: node index out of range")
     if pos != len(tokens):
         raise MeshError(f"line {tokens[pos][0]}: trailing content")
-    return build_topology(nodes, tris)
+    raise MeshError("mesh file could not be parsed")

@@ -86,6 +86,15 @@ class TestMeshCommands:
         assert main(["mesh", "info", "--config", config2]) == 0
         assert json.loads(capsys.readouterr().out)["nodes"] == 42
 
+    @pytest.mark.parametrize("header", ["nodes -1", "nodes 10000000000000"])
+    def test_bad_node_count_exits_one(self, tmp_path, capsys, header):
+        path = tmp_path / "mesh.txt"
+        path.write_text(f"{header}\n0 0\n1 0\n0 1\ntriangles 1\n0 1 2\n")
+        config = write_config(tmp_path, geometry={"kind": "file",
+                                                  "path": str(path)})
+        assert main(["mesh", "info", "--config", config]) == 1
+        assert capsys.readouterr().err.startswith("error: line 1: ")
+
 
 class TestSolve:
     def test_csv_shape_and_header(self, tmp_path, capsys):

@@ -1,4 +1,7 @@
+import hashlib
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -15,6 +18,7 @@ from wgcutoff import (
     import_mesh,
     refine_uniform,
 )
+from wgcutoff import mesh as mesh_module
 from wgcutoff.mesh import signed_areas
 
 
@@ -244,6 +248,21 @@ class TestMeshIO:
         with pytest.raises(MeshError, match="line 3"):
             import_mesh(text)
 
+    @pytest.mark.parametrize("text, message", [
+        ("nodes -1\n0 0\ntriangles 0\n", "line 1: negative node count -1"),
+        ("nodes 3\n0 0\n1 0\n0 1\ntriangles -2\n",
+         "line 5: negative triangle count -2"),
+        ("nodes 10000000000000\n0 0\n1 0\n0 1\ntriangles 1\n0 1 2\n",
+         "line 1: node count 10000000000000 exceeds the 5 data lines that follow"),
+        ("nodes 3\n0 0\n1 0\n0 1\ntriangles 10000000000000\n0 1 2\n",
+         "line 5: triangle count 10000000000000 exceeds the 1 data lines that "
+         "follow"),
+    ])
+    def test_bad_count_reports_line_before_allocating(self, text, message):
+        with pytest.raises(MeshError) as info:
+            import_mesh(text)
+        assert str(info.value) == message
+
 
 @given(st.integers(0, 10_000))
 @settings(max_examples=30, deadline=None)
@@ -257,3 +276,337 @@ def test_random_generator_invariants(seed):
     counts = np.bincount(m.tri_edges.ravel(), minlength=m.num_edges)
     assert set(np.unique(counts)) <= {1, 2}
     assert ((counts == 1) == m.boundary_edge).all()
+
+
+def hanging_oracle(nodes, edges, boundary_edge, boundary_node):
+    """The all-pairs broadcast check that ``_check_hanging_nodes`` replaced:
+    its error message, or None when it accepts."""
+    bidx = np.flatnonzero(boundary_edge)
+    nidx = np.flatnonzero(boundary_node)
+    if bidx.size == 0 or nidx.size == 0:
+        return None
+    a = nodes[edges[bidx, 0]]
+    d = nodes[edges[bidx, 1]] - a
+    lens2 = np.einsum("ij,ij->i", d, d)
+    p = nodes[nidx]
+    w = p[:, None, :] - a[None, :, :]
+    t = np.einsum("nek,ek->ne", w, d) / lens2
+    cross = np.abs(w[:, :, 0] * d[None, :, 1] - w[:, :, 1] * d[None, :, 0])
+    on_open_segment = (cross <= 1e-9 * lens2) & (t > 1e-6) & (t < 1 - 1e-6)
+    if not on_open_segment.any():
+        return None
+    n, e = np.argwhere(on_open_segment)[0]
+    return (f"non-conforming mesh: node {nidx[n]} lies inside boundary "
+            f"edge {edges[bidx[e], 0]}-{edges[bidx[e], 1]}")
+
+
+def hanging_message(*args):
+    try:
+        mesh_module._check_hanging_nodes(*args)
+    except MeshError as exc:
+        return str(exc)
+    return None
+
+
+def topology_and_oracle(nodes, tris):
+    """``build_topology``'s error (None if it accepts) and the oracle's
+    verdict on the arrays its hanging-node check received."""
+    seen = []
+    check = mesh_module._check_hanging_nodes
+
+    def spy(*args):
+        seen.append(hanging_oracle(*args))
+        check(*args)
+
+    with mock.patch.object(mesh_module, "_check_hanging_nodes", spy):
+        try:
+            build_topology(nodes, tris)
+            got = None
+        except MeshError as exc:
+            got = str(exc)
+    assert len(seen) == 1, got  # no earlier check may reject the mesh
+    return got, seen[0]
+
+
+def random_parity_mesh(rng):
+    """A rectangle, annulus, disc or L-shaped polygon, refined 0-2 times."""
+    kind = rng.integers(0, 4)
+    if kind == 0:
+        mesh = generate_rectangle(float(rng.uniform(0.5, 2.0)),
+                                  float(rng.uniform(0.5, 2.0)),
+                                  int(rng.integers(1, 6)), int(rng.integers(1, 6)))
+    elif kind in (1, 2):
+        inner = float(rng.uniform(0.2, 0.8)) if kind == 1 else 0.0
+        mesh = generate_annulus(inner, float(rng.uniform(1.0, 2.0)),
+                                int(rng.integers(1, 4)), int(rng.integers(3, 13)))
+    else:
+        w, h = rng.integers(2, 6, size=2)
+        wx, hy = rng.integers(1, w), rng.integers(1, h)
+        verts = [(0, 0), (w, 0), (w, hy), (wx, hy), (wx, h), (0, h)]
+        scale = float(rng.uniform(0.1, 3.0))
+        mesh = generate_rectilinear_polygon(
+            [(scale * x, scale * y) for x, y in verts], scale)
+    for _ in range(int(rng.integers(0, 3))):
+        mesh = refine_uniform(mesh)
+    return mesh
+
+
+def with_t_junctions(mesh, edge_ids, rng):
+    """Split one triangle of each interior edge in ``edge_ids`` at the edge's
+    midpoint; the triangle across the edge keeps it whole."""
+    nodes = [tuple(p) for p in mesh.nodes]
+    tris = mesh.triangles.tolist()
+    split = set()
+    for e in edge_ids:
+        owners = np.flatnonzero((mesh.tri_edges == e).any(axis=1))
+        t = int(rng.choice(owners))
+        if t in split:
+            continue
+        split.add(t)
+        k = list(mesh.tri_edges[t]).index(e)
+        a, b, c = (tris[t][(k + i) % 3] for i in range(3))
+        nodes.append(tuple(0.5 * (mesh.nodes[a] + mesh.nodes[b])))
+        tris[t] = [a, len(nodes) - 1, c]
+        tris.append([len(nodes) - 1, b, c])
+    return nodes, tris
+
+
+class TestHangingNodeParity:
+    """The sorted-slab hanging-node check against the all-pairs oracle."""
+
+    def test_random_meshes_and_t_junctions(self):
+        rng = np.random.default_rng(2016)
+        rejected = 0
+        for _ in range(60):
+            mesh = random_parity_mesh(rng)
+            assert hanging_message(mesh.nodes, mesh.edges, mesh.boundary_edge,
+                                   mesh.boundary_node) is None
+            interior = np.flatnonzero(~mesh.boundary_edge)
+            if interior.size == 0:
+                continue
+            picked = rng.permutation(interior)[:int(rng.integers(1, 4))]
+            got, expected = topology_and_oracle(*with_t_junctions(mesh, picked, rng))
+            assert got == expected
+            rejected += got is not None
+        assert rejected > 40
+
+    @pytest.mark.parametrize("angle", [0.0, 90.0, 45.0, 30.0, 180.0])
+    def test_constructed_t_junction(self, angle):
+        # angle 0 / 180: horizontal long edge, 90: vertical, 30 / 45: diagonal
+        nodes = np.array([(0, 0), (1, 0), (0.5, 0.0), (0.0, 1.0), (0.5, -1.0)])
+        tris = [(0, 1, 3), (0, 4, 2), (2, 4, 1)]
+        c, s = math.cos(math.radians(angle)), math.sin(math.radians(angle))
+        rotated = 1e-3 * nodes @ np.array([[c, s], [-s, c]]) + [2e-3, -5e-3]
+        got, expected = topology_and_oracle(rotated, tris)
+        assert got == expected
+        assert got == "non-conforming mesh: node 2 lies inside boundary edge 0-1"
+
+    def test_t_junction_on_inner_loop_of_annulus(self):
+        # split a triangle across a radial edge that starts on the inner circle
+        mesh = generate_annulus(1e-3, 2e-3, 2, 12)
+        on_inner = np.hypot(*mesh.nodes.T) < 1.5e-3
+        radial = np.flatnonzero(~mesh.boundary_edge
+                                & (on_inner[mesh.edges[:, 0]]
+                                   != on_inner[mesh.edges[:, 1]]))
+        rng = np.random.default_rng(3)
+        for e in radial[:6]:
+            got, expected = topology_and_oracle(*with_t_junctions(mesh, [e], rng))
+            assert got == expected
+            assert got is not None and f"node {mesh.num_nodes} " in got
+
+    def test_point_soup_first_pair(self):
+        # nodes placed at the test's tolerances around random edges, so
+        # several pairs hit and the first one in (node, edge) order counts
+        rng = np.random.default_rng(11)
+        for _ in range(40):
+            num_edges = int(rng.integers(1, 25))
+            scale = 10.0 ** rng.uniform(-4, 2)
+            a = rng.uniform(-1, 1, (num_edges, 2)) * scale
+            d = rng.uniform(-1, 1, (num_edges, 2)) * scale
+            axis_aligned = rng.integers(0, 3, num_edges)  # 0 free, 1 x, 2 y
+            d[axis_aligned == 1, 1] = 0.0
+            d[axis_aligned == 2, 0] = 0.0
+            d[np.abs(d).sum(axis=1) == 0] = (scale, 0.0)
+            placed = []
+            for _ in range(int(rng.integers(0, 3 * num_edges))):
+                e = int(rng.integers(num_edges))
+                t = rng.choice([0.5, rng.uniform(), 1e-6 * 1.01, 1e-6 * 0.99,
+                                1 - 1e-6 * 1.01, 1 - 1e-6 * 0.99])
+                off = rng.choice([0.0, 1e-10, 0.99e-9, 1.01e-9, 1e-8, 1e-3])
+                normal = np.array([-d[e, 1], d[e, 0]])
+                placed.append(a[e] + t * d[e] + off * rng.choice([-1, 1]) * normal)
+            nodes = np.concatenate([a, a + d, np.reshape(placed, (-1, 2)),
+                                    rng.uniform(-1, 1, (5, 2)) * scale])
+            perm = rng.permutation(len(nodes))
+            nodes = nodes[perm]
+            where = np.argsort(perm)
+            edges = np.column_stack([where[:num_edges],
+                                     where[num_edges:2 * num_edges]])
+            boundary_edge = rng.random(num_edges) < 0.9
+            boundary_node = rng.random(len(nodes)) < 0.9
+            args = (nodes, edges, boundary_edge, boundary_node)
+            expected = hanging_oracle(*args)
+            assert hanging_message(*args) == expected
+            with mock.patch.object(mesh_module, "_PAIR_CHUNK", 5):
+                assert hanging_message(*args) == expected
+
+
+def reference_parse(text):
+    """Today's reader, token by token: the arrays a valid file gives."""
+    rows = [raw.split("#", 1)[0].split() for raw in text.splitlines()]
+    rows = [r for r in rows if r]
+    n = int(rows[0][1])
+    nodes = np.array([[float(v) for v in r] for r in rows[1:n + 1]], dtype=float)
+    tris = np.array([[int(v) for v in r] for r in rows[n + 2:]], dtype=np.int64)
+    return nodes.reshape(-1, 2), tris.reshape(-1, 3)
+
+
+SQUARE = "nodes 4\n0 0\n1 0\n1 1\n0 1\ntriangles 2\n0 1 2\n0 2 3\n"
+
+#: File text -> the message the line-by-line reader gave before the block
+#: parser existed (None where it parsed the file).
+IMPORT_CASES = {
+    "# head\nnodes 4 # count\n0 0\n1 0 # x\n# mid\n1 1\n0 1\ntriangles 2\n"
+    "0 1 2 #t\n0 2 3\n# tail\n": None,
+    "\n\nnodes 4\n0 0\n\n1 0\n1 1\n   \n0 1\n\t\ntriangles 2\n\n0 1 2\n0 2 3\n\n":
+        None,
+    SQUARE.replace("\n", "\r\n"): None,
+    SQUARE.replace("\n", "\r"): None,
+    SQUARE.replace("1 0\n", "1 0\x0c"): None,
+    SQUARE.replace("0 1\n", "0\xa01\n"): None,
+    SQUARE.replace("1 1\n", "+1 1.\n").replace("0 0\n", "-0 -0.0\n"): None,
+    SQUARE + "7 8 9\n": "line 9: trailing content",
+    SQUARE + "end\n": "line 9: trailing content",
+    SQUARE.replace("1 0\n", "1 0 5\n"): "line 3: expected 'x y'",
+    SQUARE.replace("0 1 2\n", "0 1\n"): "line 7: expected 'i j k'",
+    SQUARE.replace("1 0\n1 1\n", "1 0 1\n1\n"): "line 3: expected 'x y'",
+    SQUARE.replace("0 1 2\n0 2 3\n", "0 1 2 0\n2 3\n"): "line 7: expected 'i j k'",
+    "nodes 3\n0 0 0\n1 0 0\n0 1 0\ntriangles 1\n0 1 2\n": "line 2: expected 'x y'",
+    SQUARE.replace("0 1 2\n0 2 3", "0 1 2 0\n0 2 3 0"): "line 7: expected 'i j k'",
+    SQUARE.replace("1 0\n", "1 x\n"): "line 3: bad coordinate",
+    SQUARE.replace("0 2 3", "0 two 3"): "line 8: bad node index",
+    SQUARE.replace("0 2 3", "0 2.0 3"): "line 8: bad node index",
+    SQUARE.replace("0 2 3", "0 2 4"): "line 8: node index out of range",
+    SQUARE.replace("0 2 3", "0 -2 3"): "line 8: node index out of range",
+    SQUARE.replace("triangles 2\n", ""): "line 6: expected 'triangles <count>'",
+    "triangles 2\n0 1 2\n": "line 1: expected 'nodes <count>'",
+    "nodes 4 5\n0 0\n": "line 1: expected 'nodes <count>'",
+    "nodes four\n0 0\n": "line 1: bad node count 'four'",
+    SQUARE.replace("triangles 2", "triangles 2.5"): "line 6: bad triangle count '2.5'",
+    "": "unexpected end of file while reading header",
+    "# nothing\n\n": "unexpected end of file while reading header",
+    SQUARE.replace("nodes 4", "nodes 5"): "line 6: bad coordinate",
+    SQUARE.replace("nodes 4", "nodes 3"): "line 5: expected 'triangles <count>'",
+    SQUARE.replace("triangles 2", "triangles 1"): "line 8: trailing content",
+}
+
+#: Tokens at the edge of what ``float``/``int`` and the block parser accept.
+ODD_TOKENS = ["inf", "-Infinity", "nan", "1e500", "1e-400", "-0", "+1", "01",
+              ".5", "5.", "1e5", "1E+05", "1_0", "١", "0x10", "1d5", "1.5e",
+              "nan(1)", "9223372036854775807", "9223372036854775808", "\x00"]
+
+
+class TestImportParity:
+    """The block parser against the line-by-line re-scan."""
+
+    @staticmethod
+    def parse(text):
+        """The arrays ``import_mesh`` hands to ``build_topology``, or the
+        re-scan's message."""
+        with mock.patch.object(mesh_module, "build_topology",
+                               lambda nodes, tris: (nodes, tris)):
+            try:
+                return import_mesh(text)
+            except MeshError as exc:
+                return str(exc)
+
+    @staticmethod
+    def rescan(text):
+        with pytest.raises(MeshError) as info:
+            mesh_module._raise_first_error(text)
+        message = str(info.value)
+        return None if message == "mesh file could not be parsed" else message
+
+    @pytest.mark.parametrize("text", list(IMPORT_CASES))
+    def test_cases_keep_their_result(self, text):
+        got = self.parse(text)
+        expected = IMPORT_CASES[text]
+        if expected is None:
+            nodes, tris = got
+            ref_nodes, ref_tris = reference_parse(text)
+            assert nodes.tobytes() == ref_nodes.tobytes()
+            assert np.array_equal(tris, ref_tris)
+        else:
+            assert got == expected
+        assert self.rescan(text) == expected
+
+    @pytest.mark.parametrize("token", ODD_TOKENS)
+    def test_odd_tokens_parse_alike(self, token):
+        for text in (SQUARE.replace("1 1\n", f"{token} 1\n"),
+                     SQUARE.replace("0 2 3", f"0 {token} 3")):
+            got = self.parse(text)
+            assert isinstance(got, tuple) == (self.rescan(text) is None)
+            if isinstance(got, tuple):
+                ref_nodes, ref_tris = reference_parse(text)
+                assert got[0].tobytes() == ref_nodes.tobytes()
+                assert np.array_equal(got[1], ref_tris)
+
+
+MESH_ARRAYS = ("nodes", "triangles", "edges", "tri_edges", "tri_edge_signs",
+               "boundary_node", "boundary_edge", "boundary_component")
+
+
+def mesh_digest(mesh):
+    digest = hashlib.sha256()
+    for attr in MESH_ARRAYS:
+        a = getattr(mesh, attr)
+        digest.update(f"{attr} {a.dtype.str} {a.shape}\n".encode())
+        digest.update(a.tobytes())
+    digest.update(repr(mesh.h).encode())
+    return digest.hexdigest()
+
+
+class TestMeshLayerScaling:
+    #: Taken with the all-pairs hanging-node check, ``np.unique`` duplicate
+    #: checks and the line-by-line reader; the coordinates come from
+    #: ``np.cos``/``np.sin``, so another NumPy build may change them.
+    COAX = ["4c547e29c8774c0100835e3008c7fc2f3488a4b41734109addbd1e4fffcc59b0",
+            "d22fe6cff71f06b96186876567b6ce776778b254f91b33b152b66d045c3afd4b",
+            "c4cccf0fa8177acfffde1597bc355cd03bf86156604d23e0e84399a787fff750",
+            "6d930cad0517c81d3bcac3743285cbcb3a29f3bb6faa9ee1059e11abdbc69fdf"]
+    COAX_L3_EXPORT = (
+        "f107b0e588019f751b6191e3a1f4e920c82e4683a2ce532f689ca3ae5a14179b")
+    RECT_48 = "7dd1fcbb19d42f823408b47f6fb6a49e72aeb6276f926293c53781d23f993b0a"
+
+    #: Bound on the traced peak, in units of the L5 mesh's array bytes
+    #: (about 45 MB).  Refining and the text round trip need about 4.4; an
+    #: all-pairs hanging-node check alone needs about 17.
+    PEAK_PER_ARRAY_BYTE = 6.0
+
+    def test_arrays_and_export_bit_identical(self):
+        mesh = generate_annulus(1e-3, 2e-3, 4, 48)
+        for level, expected in enumerate(self.COAX):
+            if level:
+                mesh = refine_uniform(mesh)
+            assert mesh_digest(mesh) == expected, f"coax L{level}"
+        text = export_mesh(mesh)
+        assert hashlib.sha256(text.encode()).hexdigest() == self.COAX_L3_EXPORT
+        assert mesh_digest(import_mesh(text)) == self.COAX[3]
+        rect = generate_rectangle(1.2e-3, 1.0e-3, 48, 48)
+        assert mesh_digest(rect) == self.RECT_48
+
+    def test_refine_and_round_trip_memory_is_linear(self):
+        mesh = generate_annulus(1e-3, 2e-3, 4, 48)
+        for _ in range(4):
+            mesh = refine_uniform(mesh)
+        tracemalloc.start()
+        try:
+            fine = refine_uniform(mesh)
+            back = import_mesh(export_mesh(fine))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        array_bytes = sum(getattr(fine, attr).nbytes for attr in MESH_ARRAYS)
+        assert fine.num_nodes == 198_144
+        assert mesh_digest(back) == mesh_digest(fine)
+        assert peak < self.PEAK_PER_ARRAY_BYTE * array_bytes
