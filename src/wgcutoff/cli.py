@@ -20,9 +20,10 @@ Floats are printed with 17 significant digits so outputs are byte-stable.
 
 Exit codes: 0 on success, 2 when a check fails (``medium check``,
 ``crossval``), and 1 on any error, printed as one ``error:`` line on stderr.
-Errors include unreadable or invalid configs, bad meshes or media, and
+Errors include unreadable or invalid configs, bad meshes or media,
 eigensolver failures (``EigenSolveError``: more modes requested than the
-mesh supports, a failed factorization, or a rejected eigenpair).
+mesh supports, a failed factorization, or a rejected eigenpair), and a
+``MemoryError`` from a mesh or a solve too large for the machine.
 """
 
 from __future__ import annotations
@@ -415,8 +416,8 @@ def main(argv=None) -> int:
             return cmd_crossval(config, out_dir)
         return cmd_fields(config, out_dir)
     except (ConfigError, MeshError, MediumError, EigenSolveError, ValueError,
-            OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+            OSError, MemoryError) as exc:
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return EXIT_ERROR
 
 

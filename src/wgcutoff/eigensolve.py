@@ -47,6 +47,7 @@ Results are deterministic: the ARPACK start vector is seeded.
 
 from __future__ import annotations
 
+import gc
 from dataclasses import dataclass
 
 import numpy as np
@@ -160,6 +161,11 @@ def _shift_invert(K, M, k, sigma, v0):
         op = spla.LinearOperator(K.shape, matvec=lu.solve, dtype=lu.dtype)
         w, vecs = spla.eigsh(K, k=k, M=M, sigma=sigma, which="LM", v0=v0,
                              OPinv=op)
+    # SciPy's complex ARPACK wrapper (_UnsymmetricArpackParams) keeps the
+    # operators and the ARPACK workspace in a reference cycle.  It is still
+    # in the young generations here, so a cheap collection frees it now
+    # rather than at the next full collection.
+    gc.collect(1)
     order = np.argsort(w)
     return w[order], vecs[:, order]
 

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -94,6 +95,19 @@ class ModeSolution:
     @property
     def nonzero_cutoffs(self) -> np.ndarray:
         return self.cutoffs[self.tem_count:]
+
+    @cached_property
+    def centroid_basis(self) -> np.ndarray:
+        """(T, 3, 2) basis values that turn a mode into per-triangle vectors.
+
+        The P1 hat gradients for scalar formulations (giving the gradient
+        of the solved field) and the edge basis at the centroids for vector
+        ones (giving the field itself).  Computed on first use and kept, so
+        the fields of every mode of a solution need one geometry pass.
+        """
+        if self.formulation.is_vector:
+            return femcore.edge_basis_at_centroids(self.mesh)
+        return femcore.triangle_geometry(self.mesh)[1]
 
 
 @dataclass(frozen=True)
@@ -302,10 +316,10 @@ def _phase_constant(spec, omega, kt) -> complex:
     return -1j * np.sqrt(kt * kt - k * k)  # decay toward +z below cut-off
 
 
-def _nodal_gradients(mesh: Mesh, nodal: np.ndarray) -> np.ndarray:
+def _nodal_gradients(solution: ModeSolution, nodal: np.ndarray) -> np.ndarray:
     """Per-triangle constant gradient of a P1 field given on all nodes."""
-    _, grads = femcore.triangle_geometry(mesh)
-    return np.einsum("tl,tlk->tk", nodal[mesh.triangles], grads)
+    return np.einsum("tl,tlk->tk", nodal[solution.mesh.triangles],
+                     solution.centroid_basis)
 
 
 def _scalar_mode(solution: ModeSolution, mode_index: int):
@@ -329,7 +343,7 @@ def reconstruct_from_hz(solution: ModeSolution, mode_index: int, omega: float):
         raise ValueError("omega must be positive")
     kt, hz = _scalar_mode(solution, mode_index)
     kz = _phase_constant(solution.medium, omega, kt)
-    grad = _nodal_gradients(solution.mesh, hz)
+    grad = _nodal_gradients(solution, hz)
     mu_abs = VACUUM_PERMEABILITY
     et = (1j * omega / kt**2) * _zcross(
         mu_abs * _apply_tensor(solution.medium.mu_t, grad))
@@ -353,7 +367,7 @@ def reconstruct_from_ez(solution: ModeSolution, mode_index: int, omega: float):
         raise ValueError("omega must be positive")
     kt, ez = _scalar_mode(solution, mode_index)
     kz = _phase_constant(solution.medium, omega, kt)
-    grad = _nodal_gradients(solution.mesh, ez)
+    grad = _nodal_gradients(solution, ez)
     eps_abs = VACUUM_PERMITTIVITY
     et = (-1j * kz / kt**2) * grad
     ht = (-1j * omega / kt**2) * _zcross(
@@ -370,8 +384,8 @@ def transverse_field(solution: ModeSolution, mode_index: int) -> np.ndarray:
         raise ValueError("expected a vector-formulation solution")
     full = solution.pencil.primal_map.scatter(
         solution.dof_vectors[:, mode_index])
-    basis = femcore.edge_basis_at_centroids(solution.mesh)
-    return np.einsum("tl,tlk->tk", full[solution.mesh.tri_edges], basis)
+    return np.einsum("tl,tlk->tk", full[solution.mesh.tri_edges],
+                     solution.centroid_basis)
 
 
 def transverse_companion(solution: ModeSolution, mode_index: int,

@@ -196,6 +196,18 @@ class TestSolve:
         assert "modes" in err
         assert "Traceback" not in err
 
+    def test_memory_error_exits_one(self, tmp_path, capsys, monkeypatch):
+        from wgcutoff import cli
+
+        def too_large(*args):
+            raise MemoryError("Unable to allocate 7.28 TiB")
+
+        monkeypatch.setattr(cli, "generate_rectangle", too_large)
+        config = write_config(tmp_path)
+        assert main(["mesh", "info", "--config", config]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: Unable to allocate 7.28 TiB\n"
+
     @pytest.mark.parametrize("solver", [{"zero_frac": -1}, {"shift": -1.0}])
     def test_out_of_range_solver_option_exits_one(self, tmp_path, capsys,
                                                   solver):
@@ -284,6 +296,24 @@ class TestFields:
         radii = np.hypot(*points[tris].mean(axis=1)[:, :2].T)
         mags = np.hypot(field[:, 0], field[:, 1])
         assert mags[radii > 1.67e-3].max() < mags[radii < 1.33e-3].max()
+
+    def test_geometry_once_per_solution(self, tmp_path, capsys, monkeypatch):
+        from wgcutoff import femcore
+        calls = []
+        geometry = femcore.triangle_geometry
+        monkeypatch.setattr(femcore, "triangle_geometry",
+                            lambda mesh: calls.append(1) or geometry(mesh))
+        counts = []
+        for num_modes in (1, 3):
+            config = write_config(tmp_path, num_modes=num_modes, omega=2e12,
+                                  formulations=["scalar_te", "vector_tm"])
+            calls.clear()
+            assert main(["fields", "--config", config,
+                         "--out", str(tmp_path)]) == 0
+            counts.append(len(calls))
+        # per solution: one for assembly, one for the gradient-space
+        # stiffness (vector only), one for the fields of all its modes
+        assert counts == [5, 5]
 
     def test_missing_omega_exits_one(self, tmp_path, capsys):
         config = write_config(tmp_path, formulations=["scalar_te"])

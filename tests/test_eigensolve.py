@@ -1,3 +1,5 @@
+import gc
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -95,6 +97,22 @@ class TestHermitianLU:
             assert np.allclose(lu.solve(np.arange(3.0)), np.arange(3.0))
         with pytest.raises(AttributeError):
             lu.solve(np.arange(3.0))
+
+    def test_complex_solve_leaves_no_arpack_cycle(self, gyro_medium):
+        # SciPy's complex ARPACK wrapper keeps its workspace in a reference
+        # cycle; the solve frees it without waiting for the collector
+        mesh = generate_rectangle(1.2e-3, 1.0e-3, 6, 5)
+        pencil = assemble_vector_te(mesh, gyro_medium)
+        assert pencil.K.dtype == np.complex128
+        gc.collect()
+        gc.disable()
+        try:
+            solve(pencil, SolveOptions(num_modes=3, dense_cutoff=0))
+            left = [o for o in gc.get_objects()
+                    if type(o).__name__ == "_UnsymmetricArpackParams"]
+        finally:
+            gc.enable()
+        assert left == []
 
 
 class TestSolveOptions:

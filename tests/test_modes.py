@@ -150,10 +150,12 @@ class TestReconstructScalar:
         ratio = et2.k_z / et1.k_z
         assert np.allclose(et2.samples, ratio * et1.samples, rtol=1e-12)
 
-    def test_constant_field_has_zero_gradient(self, unit_square_mesh):
+    def test_constant_field_has_zero_gradient(self, unit_square_mesh,
+                                              gyro_medium):
         from wgcutoff.modes import _nodal_gradients
-        grad = _nodal_gradients(unit_square_mesh,
-                                np.full(4, 3.7, dtype=complex))
+        solution = synthetic_scalar_tm(unit_square_mesh, gyro_medium,
+                                       np.full(4, 3.7), 1.0)
+        grad = _nodal_gradients(solution, solution.dof_vectors[:, 0])
         assert np.abs(grad).max() <= 1e-14
 
     def test_isotropic_fields_orthogonal(self, gyro_medium, isotropic_medium):

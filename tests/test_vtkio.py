@@ -1,0 +1,171 @@
+import hashlib
+import json
+
+import numpy as np
+import pytest
+
+from wgcutoff import generate_annulus, generate_rectangle, refine_uniform
+from wgcutoff.cli import main
+from wgcutoff.vtkio import write_vtk
+
+
+def line_by_line_vtk(mesh, title, point_scalars, cell_vectors, cell_scalars):
+    """Reference writer: every value formatted on its own line."""
+    def fmt(x):
+        return f"{x:.17g}"
+
+    lines = [
+        "# vtk DataFile Version 3.0",
+        title,
+        "ASCII",
+        "DATASET UNSTRUCTURED_GRID",
+        f"POINTS {mesh.num_nodes} double",
+    ]
+    lines.extend(f"{fmt(x)} {fmt(y)} 0" for x, y in mesh.nodes)
+    lines.append(f"CELLS {mesh.num_triangles} {4 * mesh.num_triangles}")
+    lines.extend(f"3 {i} {j} {k}" for i, j, k in mesh.triangles)
+    lines.append(f"CELL_TYPES {mesh.num_triangles}")
+    lines.extend(["5"] * mesh.num_triangles)
+    if cell_vectors or cell_scalars:
+        lines.append(f"CELL_DATA {mesh.num_triangles}")
+        for name, values in cell_vectors.items():
+            lines.append(f"VECTORS {name} double")
+            lines.extend(f"{fmt(vx)} {fmt(vy)} 0" for vx, vy in values)
+        for name, values in cell_scalars.items():
+            lines.append(f"SCALARS {name} double 1")
+            lines.append("LOOKUP_TABLE default")
+            lines.extend(fmt(v) for v in values)
+    if point_scalars:
+        lines.append(f"POINT_DATA {mesh.num_nodes}")
+        for name, values in point_scalars.items():
+            lines.append(f"SCALARS {name} double 1")
+            lines.append("LOOKUP_TABLE default")
+            lines.extend(fmt(v) for v in values)
+    return "\n".join(lines) + "\n"
+
+
+SPECIALS = np.array([-0.0, 0.0, 5e-324, -5e-324, 1.7976931348623157e308,
+                     -1.7976931348623157e308, np.nan, np.inf, -np.inf,
+                     3.0, -42.0, 2.0**53, 1e16, 0.1, -1 / 3])
+
+
+def field_values(rng, size):
+    """Random doubles over many decades with every special value mixed in."""
+    values = rng.standard_normal(size) * 10.0 ** rng.integers(-300, 300, size)
+    spots = rng.permutation(size)[:SPECIALS.size]
+    values[spots] = SPECIALS[:spots.size]
+    return values
+
+
+def one_triangle():
+    from wgcutoff import build_topology
+    return build_topology([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)], [(0, 1, 2)])
+
+
+MESHES = {
+    "rectangle": lambda: generate_rectangle(1.2e-3, 1.0e-3, 7, 5),
+    "refined_annulus": lambda: refine_uniform(
+        generate_annulus(1e-3, 2e-3, 2, 12)),
+    "one_triangle": one_triangle,
+}
+
+
+@pytest.mark.parametrize("kind", sorted(MESHES))
+def test_matches_line_by_line_writer(kind):
+    mesh = MESHES[kind]()
+    rng = np.random.default_rng(7)
+    v, t = mesh.num_nodes, mesh.num_triangles
+    point_scalars = {"Re_%s {0} x": field_values(rng, v),
+                     "100%": field_values(rng, v)}
+    cell_vectors = {"e t %d": field_values(rng, 2 * t).reshape(t, 2),
+                    "{}": field_values(rng, 2 * t).reshape(t, 2)}
+    cell_scalars = {"%%s {name}": field_values(rng, t)}
+    title = "vector_te mode 0 %s %d %% {} {0} k_t=1 rad/m"
+    text = write_vtk(mesh, title, point_scalars, cell_vectors, cell_scalars)
+    assert text == line_by_line_vtk(mesh, title, point_scalars, cell_vectors,
+                                    cell_scalars)
+    for name in (*point_scalars, *cell_vectors, *cell_scalars):
+        assert f" {name} double" in text
+    assert text.splitlines()[1] == title
+
+
+def test_special_values_written_like_format():
+    mesh = generate_rectangle(1.0, 1.0, len(SPECIALS), 1)
+    values = np.resize(SPECIALS, mesh.num_nodes)
+    text = write_vtk(mesh, point_scalars={"s": values})
+    rows = text.splitlines()[-mesh.num_nodes:]
+    assert rows == [f"{x:.17g}" for x in values]
+    assert {"-0", "4.9406564584124654e-324", "nan", "inf", "-inf",
+            "1.7976931348623157e+308", "3", "9007199254740992"} <= set(rows)
+
+
+def test_integer_and_list_arrays_match_reference():
+    mesh = generate_rectangle(1.0, 2.0, 2, 3)
+    point_scalars = {"ints": np.arange(mesh.num_nodes) - 4}
+    cell_vectors = {"lists": [[float(i), -0.5 * i]
+                              for i in range(mesh.num_triangles)]}
+    text = write_vtk(mesh, "t", point_scalars, cell_vectors)
+    assert text == line_by_line_vtk(mesh, "t", point_scalars, cell_vectors, {})
+
+
+@pytest.mark.parametrize("empty", [None, {}])
+def test_mesh_only_when_no_arrays(empty):
+    mesh = refine_uniform(generate_annulus(1e-3, 2e-3, 2, 12))
+    text = write_vtk(mesh, point_scalars=empty, cell_vectors=empty,
+                     cell_scalars=empty)
+    assert text == line_by_line_vtk(mesh, "wgcutoff fields", {}, {}, {})
+    assert "CELL_DATA" not in text and "POINT_DATA" not in text
+    assert text.endswith("\n5\n")
+
+
+@pytest.mark.parametrize("argument, shape, message", [
+    ("point_scalars", (3,), "point scalar 'bad'"),
+    ("cell_vectors", (2,), "cell vector 'bad'"),
+    ("cell_vectors", (2, 3), "cell vector 'bad'"),
+    ("cell_scalars", (2, 1), "cell scalar 'bad'"),
+])
+def test_wrong_shape_rejected(unit_square_mesh, argument, shape, message):
+    with pytest.raises(ValueError, match=message):
+        write_vtk(unit_square_mesh, **{argument: {"bad": np.zeros(shape)}})
+
+
+# SHA-256 of the files that `wgcutoff fields` wrote for this config before the
+# writer formatted whole blocks.  vector_tm is left out: on this annulus its
+# dense null-space solve differs in the last bits with the BLAS thread count.
+FIELDS_CONFIG = {
+    "medium": {"eps": {"d": 2, "alpha": -1, "zz": 1},
+               "mu": {"d": 1, "alpha": 0.5, "zz": 2}},
+    "geometry": {"kind": "annulus", "r1": 1e-3, "r2": 2e-3,
+                 "nr": 2, "ntheta": 12},
+    "formulations": ["scalar_te", "scalar_tm", "vector_te"],
+    "num_modes": 2,
+    "omega": 6.5e10,
+}
+FIELDS_SHA256 = {
+    "fields_scalar_te_0.vtk":
+        "364ef21d3f662270fae3464c6911d8b6c128001e6107201c5f715182356fef41",
+    "fields_scalar_te_1.vtk":
+        "4f5f91dfadb13a2ff94369c66fc578f6ce7b940fc33d14c42b6e09283d29f0b0",
+    "fields_scalar_tm_0.vtk":
+        "e25249b0363dec5eee6b27ff5e1b7c1edaa55e27f64a9411de3771a74ed756a5",
+    "fields_scalar_tm_1.vtk":
+        "21746c1a6d73387b11a919d684cbf53b733016264140f5a6829670b297fc6a5e",
+    "fields_vector_te_0.vtk":
+        "21791b90b961a2f6b5a7ea77c091dcfc797199ceb4ddd29e4460bd20f8a4e674",
+    "fields_vector_te_1.vtk":
+        "e5fe5c99900bbbc6456e980aa40505fc7d7ebded9ed390ca5c2f9730b0ee1b21",
+    "fields_vector_te_2.vtk":
+        "0b7c55830fa3389c6123f06d260633b1ceee68a95ff075f5406f7c5a1f83c1f8",
+}
+
+
+def test_fields_files_are_pinned(tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(FIELDS_CONFIG), encoding="utf-8")
+    assert main(["fields", "--config", str(config),
+                 "--out", str(tmp_path)]) == 0
+    written = json.loads(capsys.readouterr().out)["written"]
+    assert sorted(written) == sorted(FIELDS_SHA256)
+    for name, digest in FIELDS_SHA256.items():
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() \
+            == digest, name
