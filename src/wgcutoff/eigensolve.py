@@ -1,40 +1,42 @@
 """Generalized Hermitian eigensolver for the assembled pencils.
 
-Every pencil is solved as a saddle pencil: ``K = [[A, C], [C^H, 0]]``
-against ``M = [[B, 0], [0, 0]]`` with B positive definite.  The mixed
-vector formulations carry ``m`` Lagrange-multiplier rows, whose zero mass
-block puts infinite eigenvalues into the pencil that must be filtered out;
-the definite (plain) pencils of the scalar formulations are the case
-``m = 0``.  One :func:`solve` serves both layouts, and only the shift
-depends on the layout.
+Every pencil is a plain Hermitian pencil ``(A, B) = (K, M)``, B positive
+definite.  A vector pencil is constrained to ``C^H x = 0`` with ``C = B G``
+(see :class:`~wgcutoff.femcore.HermitianPencil`); its gradients ``range(G)``
+are removed by the B-orthogonal projector ``P = I - G S^{-1} C^H``,
+``S = C^H G``.  This is the projected eigensolver of Arbenz & Geus (Appl.
+Numer. Math. 54, 2005) for Kikuchi's mixed formulation (Boffi, Acta
+Numerica 19, 2010).  No saddle pencil is formed, so results do not depend
+on the absolute length scale.
 
-The production strategy is shift-invert ARPACK on a factorization of
-``K - sigma*M``.  The automatic shift is ``-trace_scale`` for plain pencils
-(K may be singular, as in scalar TE) and ``+1e-3 * trace_scale`` for
-saddle pencils, where ``trace_scale = tr(A) / tr(B) / p`` over the primal
-block; it is retried with a ten times larger shift up to three times if the
-factorization fails.  At small dimensions a dense path is used instead: a
-nullspace reduction that solves ``scipy.linalg.eigh`` on the constrained
-space (on the whole pencil when ``m = 0``), so eigenvectors satisfy the
-constraint to machine precision.  A brute-force dense QZ solve with
-explicit infinite-eigenvalue filtering is exposed separately as the oracle
-that every other path is tested against.
+Shift-invert ARPACK runs on ``P (A - sigma B)^{-1} B`` from a projected
+start vector, with ``sigma = -(shift or trace_scale)`` and ``trace_scale =
+tr(A) / tr(B) / p`` for every pencil: A is singular (scalar TE's constant,
+the gradients), ``A - sigma B`` is positive definite.  A failed
+factorization is retried with a ten times larger shift up to three times.
+The multipliers are ``zeta = lambda S^{-1} C^H x``.  Pencils with ``p`` at
+most ``dense_cutoff`` run dense ``eigh`` instead, on the nullspace of
+``C^H`` for a vector pencil.  A dense QZ solve of the saddle pencil is
+exposed as the oracle the tests check every path against.  Every pair is
+gated on ``|A x + C zeta - lambda B x| / ((|A| + |lambda| |B|) |x|)``,
+whose terms all scale alike.
 
 Every sparse LU (the shift-invert operator, each retry, the polishing
-step, and the gradient-space solves in :mod:`wgcutoff.modes`) goes through
+step, and the gradient stiffness S) goes through
 :class:`HermitianLU`, which is handed to ARPACK as ``OPinv`` so SciPy never
 factors on its own.  Each part of its recipe is needed (factor time and
 L+U nonzeros of the shifted pencil, one BLAS thread):
 
 * minimum degree on ``A^T + A`` with symmetric-mode pivoting instead of
-  SciPy's default COLAMD: 128 x 128 rectangle vector TE 4.0 s / 15.4 M
-  becomes 1.4 s / 9.1 M;
-* a 0.1 diagonal pivot threshold instead of full partial pivoting: at 1.0
-  the rectangle's vector TM takes 22 s / 27 M instead of 0.9 s / 6.2 M;
+  SciPy's default COLAMD: 128 x 128 rectangle vector TE 0.49 s / 4.1 M
+  becomes 0.30 s / 2.4 M, vector TM 0.49 s / 4.3 M becomes 0.25 s / 1.6 M;
 * the reverse Cuthill-McKee pre-permutation: minimum degree alone is
-  erratic, 5.7 s / 8.7 M instead of 0.07 s / 0.70 M on scalar TE of the
-  coax refined three times, and it takes rectangle vector TE on down to
-  1.0 s / 6.4 M.
+  erratic, 5.0 s instead of 0.07 s / 0.67 M on scalar TE of the coax
+  refined three times.
+
+The shifted pencils are positive definite, so the 0.1 diagonal pivot
+threshold changes nothing on them; it is kept for the indefinite matrices
+of the polishing step.
 
 Pencils whose matrices are real (scalar TM, any medium with alpha = 0) are
 stored in float64 by :mod:`wgcutoff.femcore`; they are factored in real
@@ -56,7 +58,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.sparse.csgraph import reverse_cuthill_mckee
 
-from .femcore import LAYOUT_PLAIN, HermitianPencil
+from .femcore import HermitianPencil
 
 
 class EigenSolveError(RuntimeError):
@@ -67,11 +69,12 @@ class EigenSolveError(RuntimeError):
 class SolveOptions:
     """Eigensolver configuration.
 
-    ``shift`` is a magnitude; 0 selects the automatic heuristic (the sign is
-    chosen per pencil layout).  ``zero_frac`` is the fraction of the
-    reference cut-off below which a mode counts as near zero (a TEM mode or
-    scalar TE's constant).  ``dense_cutoff`` is the dimension at or below
-    which the dense path runs; set it to 0 to force shift-invert.
+    ``shift`` is the magnitude of the negative shift ``sigma = -shift``; 0
+    selects ``trace_scale``, the mean diagonal ratio of the pencil over its
+    dimension.  ``zero_frac`` is the fraction of the reference cut-off
+    below which a mode counts as near zero (a TEM mode or scalar TE's
+    constant).  ``dense_cutoff`` is the field dimension at or below which
+    the dense path runs; set it to 0 to force shift-invert.
     """
 
     num_modes: int = 4
@@ -94,23 +97,31 @@ class SolveOptions:
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Ascending finite eigenvalues with the primal eigenvector parts."""
+    """Ascending eigenvalues with B-normalized field eigenvectors.
+
+    ``multipliers`` holds ``zeta = lambda S^{-1} C^H x`` for each mode of a
+    vector pencil; :func:`solve` gives it no rows for a plain pencil.
+    """
 
     eigenvalues: np.ndarray           # (k,) real
     eigenvectors: np.ndarray          # (primal_dim, k) complex
     residuals: np.ndarray             # (k,) relative residuals
+    multipliers: np.ndarray | None = None  # (multiplier_dim, k) complex
 
 
 def _mat_norm(m: sp.spmatrix) -> float:
     return float(abs(m).sum(axis=1).max()) if m.nnz else 0.0
 
 
-def _residuals(K, M, w, vecs) -> np.ndarray:
+def _residuals(K, M, w, vecs, coupling=None, zeta=None) -> np.ndarray:
+    """``|K x + C zeta - lambda M x| / ((|K| + |lambda| |M|) |x|)`` per pair."""
     kn, mn = _mat_norm(K), _mat_norm(M)
     out = np.empty(w.shape[0])
     for i, lam in enumerate(w):
         x = vecs[:, i]
         r = K @ x - lam * (M @ x)
+        if coupling is not None:
+            r = r + coupling @ zeta[:, i]
         out[i] = np.linalg.norm(r) / ((kn + abs(lam) * mn)
                                       * max(np.linalg.norm(x), 1e-300))
     return out
@@ -155,12 +166,48 @@ class HermitianLU:
         self._lu = None
 
 
-def _shift_invert(K, M, k, sigma, v0):
-    """ARPACK on ``(K - sigma M)^{-1} M``; pairs come back ascending."""
+class _GradientProjector:
+    """``P = I - G S^{-1} C^H`` and the multipliers of a vector pencil.
+
+    ``S = C^H G`` is factored once, on entry, and freed when the block
+    exits.  For a pencil without multipliers P is the identity (it returns
+    its argument itself) and there are no multipliers.
+    """
+
+    def __init__(self, pencil: HermitianPencil):
+        self.gradient = pencil.gradient if pencil.multiplier_dim else None
+        self.coupling = None
+        self._lu = None
+        if self.gradient is not None:
+            self.coupling = pencil.constraint_block()
+            self._divergence = self.coupling.conj().T.tocsr()
+            self._lu = HermitianLU(self._divergence @ self.gradient)
+
+    def __call__(self, x: np.ndarray) -> np.ndarray:
+        if self._lu is None:
+            return x
+        return x - self.gradient @ self._lu.solve(self._divergence @ x)
+
+    def multipliers(self, w: np.ndarray, vecs: np.ndarray) -> np.ndarray:
+        """``zeta = lambda S^{-1} C^H x``, from ``S zeta = lambda C^H x``."""
+        if self._lu is None:
+            return np.zeros((0, w.size), dtype=vecs.dtype)
+        return self._lu.solve(self._divergence @ vecs) * w[None, :]
+
+    def __enter__(self) -> "_GradientProjector":
+        return self
+
+    def __exit__(self, *exc_info):
+        self._lu = None
+
+
+def _shift_invert(K, M, k, sigma, v0, project, ncv):
+    """ARPACK on ``P (K - sigma M)^{-1} M``; pairs come back ascending."""
     with HermitianLU(K - sigma * M) as lu:
-        op = spla.LinearOperator(K.shape, matvec=lu.solve, dtype=lu.dtype)
-        w, vecs = spla.eigsh(K, k=k, M=M, sigma=sigma, which="LM", v0=v0,
-                             OPinv=op)
+        op = spla.LinearOperator(
+            K.shape, matvec=lambda b: project(lu.solve(b)), dtype=lu.dtype)
+        w, vecs = spla.eigsh(K, k=k, M=M, sigma=sigma, which="LM",
+                             v0=project(v0), ncv=ncv, OPinv=op)
     # SciPy's complex ARPACK wrapper (_UnsymmetricArpackParams) keeps the
     # operators and the ARPACK workspace in a reference cycle.  It is still
     # in the young generations here, so a cheap collection frees it now
@@ -170,10 +217,10 @@ def _shift_invert(K, M, k, sigma, v0):
     return w[order], vecs[:, order]
 
 
-def _polish(K, M, w, vecs, residuals, tol):
+def _polish(K, M, w, vecs, residuals, tol, project):
     """Shifted inverse iteration on any pair whose residual misses ``tol``.
 
-    One application of ``(K - sigma M)^{-1} M`` with sigma just below the
+    One application of ``P (K - sigma M)^{-1} M`` with sigma just below the
     Ritz value contracts the error sharply; the eigenvalue is refreshed
     from the Rayleigh quotient.  Pairs already within tolerance are left
     untouched, keeping results deterministic.
@@ -186,7 +233,7 @@ def _polish(K, M, w, vecs, residuals, tol):
                  else -1e-7 * scale)
         try:
             with HermitianLU(K - sigma * M) as lu:
-                y = lu.solve(M @ vecs[:, i])
+                y = project(lu.solve(M @ vecs[:, i]))
         except Exception:
             continue
         norm = np.linalg.norm(y)
@@ -213,13 +260,13 @@ def _check(w, residuals, opts, scale):
         )
 
 
-def _trace_scale(K, M, p) -> float:
-    """``tr(A) / tr(B) / p`` over the leading ``p`` (primal) rows."""
-    trk = float(K.diagonal()[:p].real.sum())
-    trm = float(M.diagonal()[:p].real.sum())
+def _trace_scale(K, M) -> float:
+    """``tr(K) / tr(M) / p``: the size of the low end of the spectrum."""
+    trk = float(K.diagonal().real.sum())
+    trm = float(M.diagonal().real.sum())
     if trm <= 0 or trk <= 0:
         return 1.0
-    return trk / trm / p
+    return trk / trm / K.shape[0]
 
 
 def _filter_finite(alpha, beta) -> np.ndarray:
@@ -242,87 +289,88 @@ def _filter_finite(alpha, beta) -> np.ndarray:
 
 def dense_saddle_bruteforce(pencil: HermitianPencil,
                             opts: SolveOptions) -> np.ndarray:
-    """Oracle path: full QZ on the pencil, infinite eigenvalues filtered.
+    """Oracle path: full QZ on the saddle pencil, infinite eigenvalues filtered.
 
-    Returns the ascending finite eigenvalues (no eigenvectors); intended for
+    A vector pencil is expanded to ``[[A, C], [C^H, 0]]`` against
+    ``[[B, 0], [0, 0]]``; a plain one is taken as it is.  Returns the
+    ascending finite eigenvalues (no eigenvectors); intended for
     cross-checking the production paths at small dimension.
     """
-    alpha, beta = la.eig(pencil.K.toarray(), pencil.M.toarray(),
-                         homogeneous_eigvals=True)[0]
+    K, M = pencil.K, pencil.M
+    if pencil.multiplier_dim:
+        C = pencil.constraint_block()
+        K = sp.bmat([[K, C], [C.conj().T, None]])
+        M = sp.block_diag([M, sp.csr_matrix(2 * (pencil.multiplier_dim,))])
+    alpha, beta = la.eig(K.toarray(), M.toarray(), homogeneous_eigvals=True)[0]
     return _filter_finite(alpha, beta)[: opts.num_modes]
 
 
-def _dense_saddle(pencil: HermitianPencil, k: int):
-    """Nullspace reduction: eigenvectors satisfy the constraint exactly."""
-    p, m = pencil.primal_dim, pencil.multiplier_dim
-    K, M = pencil.K.toarray(), pencil.M.toarray()
-    A, B = K[:p, :p], M[:p, :p]
-    if m == 0:
+def _dense(pencil: HermitianPencil, k: int):
+    """Dense ``eigh``, on the nullspace of ``C^H`` for a vector pencil."""
+    A, B = pencil.K.toarray(), pencil.M.toarray()
+    if not pencil.multiplier_dim:
         w, x = la.eigh(A, B)
         return w[:k], x[:, :k]
-    C = K[:p, p:]
-    Z = la.null_space(C.conj().T)
+    Z = la.null_space(pencil.constraint_block().toarray().conj().T)
     w, u = la.eigh(Z.conj().T @ A @ Z, Z.conj().T @ B @ Z)
-    w, u = w[:k], u[:, :k]
-    x = Z @ u
-    rhs = A @ x - B @ x * w[None, :]
-    zeta = -la.lstsq(C, rhs)[0]
-    return w, np.vstack([x, zeta])
+    return w[:k], Z @ u[:, :k]
 
 
 def solve(pencil: HermitianPencil, opts: SolveOptions) -> Spectrum:
-    """Smallest ``num_modes`` finite eigenpairs of a plain or saddle pencil.
+    """Smallest ``num_modes`` eigenpairs, divergence-free for a vector pencil.
 
-    Primal parts are normalized in the B-inner product (M-orthonormal for a
-    plain pencil); the returned pairs satisfy the discrete constraint
-    (checked via the pencil residual).
+    Eigenvectors are normalized in the M-inner product; the returned pairs
+    and their multipliers are checked via the pencil residual.
     """
     K, M = pencil.K, pencil.M
     p, m = pencil.primal_dim, pencil.multiplier_dim
-    n = pencil.dim
     k = opts.num_modes
     if k > p - m:
         raise EigenSolveError(
-            f"requested {k} modes but the pencil of dimension {n} has only "
+            f"requested {k} modes but the pencil of dimension {p} has only "
             f"{p - m} finite eigenvalues"
         )
 
-    if n <= opts.dense_cutoff or k > n - 2:
-        w, vecs = _dense_saddle(pencil, k)
-    else:
-        if pencil.layout == LAYOUT_PLAIN:  # K may be singular: shift below 0
-            sigma0 = -(opts.shift or _trace_scale(K, M, p))
+    with _GradientProjector(pencil) as project:
+        if p <= opts.dense_cutoff or k > p - m - 2:
+            w, vecs = _dense(pencil, k)
         else:
-            sigma0 = opts.shift or 1e-3 * _trace_scale(K, M, p)
-        sigma = sigma0
-        last = None
-        for _ in range(4):
-            try:
-                w, vecs = _shift_invert(K, M, k, sigma,
-                                        _start_vector(n, opts.seed))
-                break
-            except Exception as exc:  # singular factorization: grow the shift
-                last = exc
-                sigma *= 10.0
-        else:
-            raise EigenSolveError(
-                f"shift-invert failed for shifts {sigma0}..{sigma / 10}: {last}"
-            )
+            # the Krylov space lies in range(P), of dimension p - m
+            ncv = min(max(2 * k + 1, 20), p - m)
+            sigma0 = -(opts.shift or _trace_scale(K, M))
+            sigma = sigma0
+            last = None
+            for _ in range(4):
+                try:
+                    w, vecs = _shift_invert(K, M, k, sigma,
+                                            _start_vector(p, opts.seed),
+                                            project, ncv)
+                    break
+                except Exception as exc:  # singular factorization: grow the shift
+                    last = exc
+                    sigma *= 10.0
+            else:
+                raise EigenSolveError(
+                    f"shift-invert failed for shifts {sigma0}..{sigma / 10}: {last}"
+                )
 
-    residuals = _residuals(K, M, w, vecs)
-    if (residuals > opts.residual_tol).any():
-        w, vecs = _polish(K, M, w, vecs, residuals, opts.residual_tol)
-        residuals = _residuals(K, M, w, vecs)
+        zeta = project.multipliers(w, vecs)
+        residuals = _residuals(K, M, w, vecs, project.coupling, zeta)
+        if (residuals > opts.residual_tol).any():
+            w, vecs = _polish(K, M, w, vecs, residuals, opts.residual_tol,
+                              project)
+            zeta = project.multipliers(w, vecs)
+            residuals = _residuals(K, M, w, vecs, project.coupling, zeta)
     w = np.asarray(w, dtype=float)
-    primal = vecs[:p]
-    norms = np.sqrt(np.abs(np.einsum("ij,ij->j", primal.conj(),
-                                     (M[:p, :p] @ primal))))
-    primal = primal / np.where(norms > 0, norms, 1.0)
+    norms = np.sqrt(np.abs(np.einsum("ij,ij->j", vecs.conj(), M @ vecs)))
+    norms = np.where(norms > 0, norms, 1.0)
+    vecs, zeta = vecs / norms, zeta / norms
     _check(w, residuals, opts,
            scale=max(np.abs(w).max(), _mat_norm(K) / max(_mat_norm(M), 1e-300)))
     return Spectrum(eigenvalues=w,
-                    eigenvectors=primal.astype(complex, copy=False),
-                    residuals=residuals)
+                    eigenvectors=vecs.astype(complex, copy=False),
+                    residuals=residuals,
+                    multipliers=zeta.astype(complex, copy=False))
 
 
 def classify_near_zero(spectrum: Spectrum, reference_scale: float | None = None,

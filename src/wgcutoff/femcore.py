@@ -3,7 +3,10 @@
 Scalar formulations use linear nodal (P1) elements; vector formulations use
 lowest-order edge elements with constant tangential / linear normal traces,
 paired with P1 Lagrange multipliers that enforce the discrete divergence-free
-constraint.  All integrands are polynomials of degree at most two against
+constraint.  Every pencil is a plain Hermitian pencil ``(A, B)``; a vector
+pencil also carries the gradient incidence ``G`` from its multiplier nodes
+to its edges, and its coupling block is ``C = B G`` exactly (the P1 hat
+gradients lie in the edge space).  All integrands are polynomials of degree at most two against
 constant tensors, so every integral below is closed-form exact
 (``int lam_a lam_b = |T|/12 (1 + delta)``, ``int lam_a = |T|/3``).
 
@@ -29,9 +32,6 @@ import scipy.sparse as sp
 
 from .medium import MediumSpec, TransverseTensor
 from .mesh import Mesh
-
-LAYOUT_PLAIN = "plain"
-LAYOUT_SADDLE = "saddle"
 
 KIND_NODAL_ALL = "nodal_all"
 KIND_NODAL_INTERIOR = "nodal_interior"
@@ -75,19 +75,20 @@ def _subset_map(kind: str, keep: np.ndarray) -> DofMap:
 
 @dataclass(frozen=True)
 class HermitianPencil:
-    """Generalized eigenproblem ``K x = lambda M x`` with Hermitian K, M.
+    """Generalized eigenproblem ``K x = lambda M x``, K Hermitian, M definite.
 
-    ``plain`` layout: M positive definite.  ``saddle`` layout: the leading
-    ``primal_dim`` rows are field dofs, the trailing ``multiplier_dim`` rows
-    are Lagrange multipliers, and M is ``[[B, 0], [0, 0]]`` with B positive
-    definite, so the pencil carries infinite eigenvalues that solvers must
-    filter.
+    A vector pencil also carries ``gradient``, the incidence G from the
+    ``multiplier_dim`` retained multiplier nodes to the ``primal_dim``
+    retained edges.  Its eigenpairs are those of ``(K, M)`` restricted to
+    the discretely divergence-free fields, ``C^H x = 0`` with the coupling
+    ``C = M G``; the gradients ``range(G)`` are the other eigenvectors of
+    ``(K, M)``, all with eigenvalue zero (``K G = 0``).
     """
 
     K: sp.csr_matrix
     M: sp.csr_matrix
-    layout: str
     primal_map: DofMap
+    gradient: sp.csr_matrix | None = None
     multiplier_map: DofMap | None = None
 
     @property
@@ -100,14 +101,13 @@ class HermitianPencil:
 
     @property
     def multiplier_dim(self) -> int:
-        return 0 if self.multiplier_map is None else self.multiplier_map.count
+        return 0 if self.gradient is None else self.gradient.shape[1]
 
     def constraint_block(self) -> sp.csr_matrix:
-        """Upper-right block C of a saddle pencil (primal x multiplier)."""
-        if self.layout != LAYOUT_SADDLE:
-            raise ValueError("constraint block only exists for saddle pencils")
-        p = self.primal_dim
-        return self.K[:p, p:].tocsr()
+        """Coupling ``C = M G`` (primal x multiplier) of a vector pencil."""
+        if self.gradient is None:
+            raise ValueError("constraint block only exists for vector pencils")
+        return (self.M @ self.gradient).tocsr()
 
 
 # ---------------------------------------------------------------------------
@@ -190,7 +190,7 @@ def _scalar_matrices(mesh: Mesh, tensor: TransverseTensor, coeff: float):
 
 
 def _vector_matrices(mesh: Mesh, tensor_inv: TransverseTensor, coeff_inv: float):
-    """Global curl-curl, edge mass and raw coupling ``int (D N_e).grad(phi_n)``."""
+    """Global curl-curl and edge mass matrices."""
     area, grads, lohi, _, curls = _edge_geometry(mesh)
     gram = _tensor_gram(tensor_inv, grads)        # (T, 3, 3)
     lo, hi = lohi[:, :, 0], lohi[:, :, 1]
@@ -210,21 +210,12 @@ def _vector_matrices(mesh: Mesh, tensor_inv: TransverseTensor, coeff_inv: float)
         + lam[he, hf] * gram[t3, le, lf]
     )
 
-    # c_vals[t, e, n] = area/3 * (gram[n, hi_e] - gram[n, lo_e])
-    c_vals = (area / 3.0)[:, None, None] * (
-        np.take_along_axis(gram, hi[:, None, :], axis=2)
-        - np.take_along_axis(gram, lo[:, None, :], axis=2)
-    ).swapaxes(1, 2)
-
     e = mesh.num_edges
-    n = mesh.num_nodes
     erows = np.repeat(mesh.tri_edges[:, :, None], 3, axis=2)
     ecols = np.repeat(mesh.tri_edges[:, None, :], 3, axis=1)
     curl = _assemble(erows, ecols, a_vals.astype(complex), (e, e))
     mass = _assemble(erows, ecols, b_vals, (e, e))
-    ncols = np.repeat(mesh.triangles[:, None, :], 3, axis=1)
-    coupling = _assemble(erows, ncols, c_vals, (e, n))
-    return curl, mass, coupling
+    return curl, mass
 
 
 def _restrict(matrix: sp.csr_matrix, rows: np.ndarray, cols: np.ndarray):
@@ -243,7 +234,8 @@ def _is_real(matrix: sp.csr_matrix) -> bool:
     return np.abs(data.imag).max() <= _REAL_RTOL * np.abs(data).max()
 
 
-def _pencil(K, M, layout, primal_map, multiplier_map=None) -> HermitianPencil:
+def _pencil(K, M, primal_map, gradient=None,
+            multiplier_map=None) -> HermitianPencil:
     """Build a pencil, stored in float64 when both matrices are real.
 
     Scalar TM under Dirichlet conditions and every medium with alpha = 0
@@ -252,7 +244,7 @@ def _pencil(K, M, layout, primal_map, multiplier_map=None) -> HermitianPencil:
     """
     if _is_real(K) and _is_real(M):
         K, M = K.real.tocsr(), M.real.tocsr()
-    return HermitianPencil(K=K, M=M, layout=layout, primal_map=primal_map,
+    return HermitianPencil(K=K, M=M, primal_map=primal_map, gradient=gradient,
                            multiplier_map=multiplier_map)
 
 
@@ -264,7 +256,7 @@ def assemble_scalar_te(mesh: Mesh, spec: MediumSpec) -> HermitianPencil:
     nullspace, so the smallest eigenvalue is a spurious zero.
     """
     stiffness, mass = _scalar_matrices(mesh, spec.mu_t, spec.mu_zz)
-    return _pencil(stiffness, mass, LAYOUT_PLAIN,
+    return _pencil(stiffness, mass,
                    _identity_map(KIND_NODAL_ALL, mesh.num_nodes))
 
 
@@ -277,20 +269,15 @@ def assemble_scalar_tm(mesh: Mesh, spec: MediumSpec) -> HermitianPencil:
     stiffness, mass = _scalar_matrices(mesh, spec.eps_t, spec.eps_zz)
     keep = np.flatnonzero(interior)
     return _pencil(_restrict(stiffness, keep, keep), _restrict(mass, keep, keep),
-                   LAYOUT_PLAIN, _subset_map(KIND_NODAL_INTERIOR, interior))
+                   _subset_map(KIND_NODAL_INTERIOR, interior))
 
 
-def _saddle(curl, mass, coupling, primal_map, multiplier_map) -> HermitianPencil:
-    p, m = curl.shape[0], coupling.shape[1]
-    k = sp.bmat(
-        [[curl, coupling.conj()], [coupling.T, None]],
-        format="csr",
-    ) if m else curl
-    mm = sp.bmat(
-        [[mass, sp.csr_matrix((p, m))], [sp.csr_matrix((m, p)), sp.csr_matrix((m, m))]],
-        format="csr",
-    ) if m else mass
-    return _pencil(k, mm, LAYOUT_SADDLE, primal_map, multiplier_map)
+def _vector_pencil(mesh, curl, mass, primal_map, multiplier_map):
+    """Pencil on the retained edges, with the gradients of the multipliers."""
+    ekeep, nkeep = primal_map.retained, multiplier_map.retained
+    gradient = _restrict(gradient_incidence(mesh), ekeep, nkeep)
+    return _pencil(_restrict(curl, ekeep, ekeep), _restrict(mass, ekeep, ekeep),
+                   primal_map, gradient, multiplier_map)
 
 
 def assemble_vector_te(mesh: Mesh, spec: MediumSpec) -> HermitianPencil:
@@ -304,16 +291,9 @@ def assemble_vector_te(mesh: Mesh, spec: MediumSpec) -> HermitianPencil:
         raise AssemblyError("no interior edges: mesh too coarse for the "
                             "vector TE formulation")
     interior_node = ~mesh.boundary_node
-    curl, mass, coupling = _vector_matrices(
-        mesh, spec.mu_t.inverse(), 1.0 / spec.mu_zz
-    )
-    ekeep = np.flatnonzero(interior_edge)
-    nkeep = np.flatnonzero(interior_node)
-    return _saddle(
-        _restrict(curl, ekeep, ekeep),
-        _restrict(mass, ekeep, ekeep),
-        _restrict(coupling, ekeep, nkeep),
-        _subset_map(KIND_EDGE_INTERIOR, interior_edge),
+    curl, mass = _vector_matrices(mesh, spec.mu_t.inverse(), 1.0 / spec.mu_zz)
+    return _vector_pencil(
+        mesh, curl, mass, _subset_map(KIND_EDGE_INTERIOR, interior_edge),
         _subset_map(KIND_NODAL_INTERIOR, interior_node),
     )
 
@@ -325,24 +305,20 @@ def assemble_vector_tm(mesh: Mesh, spec: MediumSpec,
     minus one pin.
 
     Both TM boundary conditions are natural, so nothing is eliminated on the
-    primal side.  The multiplier is only determined up to a constant, which
-    would make the pencil singular; the dof at the lowest-index node is
-    pinned (removed), which fixes the constant without changing the primal
-    eigenpairs.  ``coupling_tensor`` overrides the tensor used in the mass
-    and coupling blocks (the default is the inverse transverse permittivity)
-    so equivalent constructions can be compared.
+    primal side.  The multiplier is only determined up to a constant (the
+    gradient of a constant is zero), which would make ``G^H M G`` singular;
+    the dof at the lowest-index node is pinned (removed), which fixes the
+    constant without changing the primal eigenpairs.  ``coupling_tensor``
+    overrides the tensor used in the mass block, and so in the coupling
+    ``M G`` (the default is the inverse transverse permittivity), so
+    equivalent constructions can be compared.
     """
     tensor = coupling_tensor if coupling_tensor is not None else spec.eps_t.inverse()
-    curl, mass, coupling = _vector_matrices(mesh, tensor, 1.0 / spec.eps_zz)
+    curl, mass = _vector_matrices(mesh, tensor, 1.0 / spec.eps_zz)
     keep_nodes = np.ones(mesh.num_nodes, dtype=bool)
     keep_nodes[0] = False  # pin the multiplier constant
-    nkeep = np.flatnonzero(keep_nodes)
-    all_edges = np.arange(mesh.num_edges)
-    return _saddle(
-        curl,
-        mass,
-        _restrict(coupling, all_edges, nkeep),
-        _identity_map(KIND_EDGE_ALL, mesh.num_edges),
+    return _vector_pencil(
+        mesh, curl, mass, _identity_map(KIND_EDGE_ALL, mesh.num_edges),
         _subset_map(KIND_NODAL_PINNED, keep_nodes),
     )
 
@@ -370,8 +346,8 @@ def gradient_incidence(mesh: Mesh) -> sp.csr_matrix:
 
     The P1 hat gradient expands in the edge basis with coefficients +1 at
     the edge's high node and -1 at its low node; this embeds the nodal
-    space into the edge space and couples the pencils' blocks:
-    the coupling block equals (edge mass) @ G in exact arithmetic.
+    space into the edge space, and the coupling block of a vector pencil is
+    (edge mass) @ G.
     """
     e = mesh.num_edges
     rows = np.concatenate([np.arange(e), np.arange(e)])
@@ -379,11 +355,6 @@ def gradient_incidence(mesh: Mesh) -> sp.csr_matrix:
     vals = np.concatenate([np.ones(e), -np.ones(e)])
     return sp.coo_matrix((vals, (rows, cols)),
                          shape=(e, mesh.num_nodes)).tocsr()
-
-
-def nodal_stiffness(mesh: Mesh, tensor: TransverseTensor) -> sp.csr_matrix:
-    """P1 stiffness with the given transverse tensor, over all nodes."""
-    return _scalar_matrices(mesh, tensor, 1.0)[0]
 
 
 def hermiticity_defect(matrix: sp.spmatrix) -> float:

@@ -26,10 +26,12 @@ import numpy as np
 from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
 
-#: Signed triangle areas at or below this value (m^2) are rejected.  This is a
-#: numerical guard far below any realistic element, not a modelling knob;
-#: clockwise triangles fail it as well because their signed area is negative.
-AREA_EPS = 1e-20
+#: A triangle whose signed area is at or below this fraction of its longest
+#: side squared is rejected.  The test is relative, so it holds at every
+#: length scale; it is a numerical guard far below any realistic element, not
+#: a modelling knob.  Clockwise triangles fail it as well because their
+#: signed area is negative.
+AREA_RTOL = 1e-12
 
 
 class MeshError(ValueError):
@@ -124,6 +126,16 @@ def signed_areas(nodes: np.ndarray, triangles: np.ndarray) -> np.ndarray:
                   - (p[:, 2, 0] - p[:, 0, 0]) * (p[:, 1, 1] - p[:, 0, 1]))
 
 
+def _longest_side_sq(nodes: np.ndarray, triangles: np.ndarray) -> np.ndarray:
+    """(T,) squared length of each triangle's longest side."""
+    x, y = nodes[:, 0].take(triangles), nodes[:, 1].take(triangles)
+    longest = np.zeros(triangles.shape[0])
+    for a, b in ((0, 1), (1, 2), (2, 0)):
+        dx, dy = x[:, b] - x[:, a], y[:, b] - y[:, a]
+        np.maximum(longest, dx * dx + dy * dy, out=longest)
+    return longest
+
+
 def _boundary_components(edges, boundary_edge, num_nodes) -> np.ndarray:
     """Label boundary edges by connectivity through shared nodes."""
     component = np.full(edges.shape[0], -1, dtype=np.int64)
@@ -213,7 +225,7 @@ def _has_equal_rows(a: np.ndarray) -> bool:
     return bool((s[1:] == s[:-1]).all(axis=1).any())
 
 
-def build_topology(nodes, triangles, *, area_eps: float = AREA_EPS) -> Mesh:
+def build_topology(nodes, triangles) -> Mesh:
     """Derive edge/boundary topology and validate the triangulation.
 
     Raises :class:`MeshError` for degenerate (or clockwise) triangles,
@@ -236,7 +248,7 @@ def build_topology(nodes, triangles, *, area_eps: float = AREA_EPS) -> Mesh:
         raise MeshError("triangle with repeated node")
 
     areas = signed_areas(nodes, tris)
-    bad = np.flatnonzero(areas <= area_eps)
+    bad = np.flatnonzero(areas <= AREA_RTOL * _longest_side_sq(nodes, tris))
     if bad.size:
         raise MeshError(
             f"degenerate or clockwise triangle {bad[0]} "
@@ -309,8 +321,9 @@ def generate_rectangle(a: float, b: float, nx: int, ny: int) -> Mesh:
     Each of the ``nx * ny`` cells is split along its lower-left to
     upper-right diagonal, a fixed convention that keeps spectra reproducible.
     """
-    if a <= 0 or b <= 0:
-        raise MeshError("rectangle sides must be positive")
+    if not (a > 0 and b > 0 and np.isfinite([a, b]).all()):
+        raise MeshError(f"rectangle sides must be positive and finite, got "
+                        f"{a!r} x {b!r}")
     if nx < 1 or ny < 1:
         raise MeshError("nx and ny must be at least 1")
     xs = np.linspace(0.0, a, nx + 1)
@@ -336,8 +349,9 @@ def generate_annulus(r_inner: float, r_outer: float, n_r: int, n_theta: int) -> 
     nodes back onto the true circle, so the geometric error is fixed by
     ``n_theta``.
     """
-    if r_inner < 0 or r_outer <= r_inner:
-        raise MeshError("need 0 <= r_inner < r_outer")
+    if not (0 <= r_inner < r_outer and np.isfinite(r_outer)):
+        raise MeshError(f"need finite radii 0 <= r_inner < r_outer, got "
+                        f"{r_inner!r}, {r_outer!r}")
     if n_theta < 3:
         raise MeshError("n_theta must be at least 3")
     if n_r < 1:
@@ -440,8 +454,10 @@ def generate_rectilinear_polygon(vertices, h_target: float) -> Mesh:
     split with the same diagonal convention as :func:`generate_rectangle`.
     """
     coords = _as_coords(vertices)
-    if h_target <= 0:
-        raise MeshError("h_target must be positive")
+    if not (h_target > 0 and np.isfinite(h_target)):
+        raise MeshError(f"h_target must be positive and finite, got {h_target!r}")
+    if not np.isfinite(coords).all():
+        raise MeshError("non-finite polygon vertex")
     verts = [(float(x), float(y)) for x, y in coords]
     _validate_rectilinear(verts)
 

@@ -142,15 +142,12 @@ _ASSEMBLERS = {
 }
 
 
-def _fix_phase(columns: np.ndarray) -> np.ndarray:
-    """Rotate each column so its largest-magnitude entry is real positive."""
-    out = columns.copy()
-    for j in range(out.shape[1]):
-        i = int(np.argmax(np.abs(out[:, j])))
-        pivot = out[i, j]
-        if abs(pivot) > 0:
-            out[:, j] *= np.conj(pivot) / abs(pivot)
-    return out
+def _phase(columns: np.ndarray) -> np.ndarray:
+    """Unit factor per column that makes its largest-magnitude entry real
+    positive."""
+    pivot = columns[np.argmax(np.abs(columns), axis=0), np.arange(columns.shape[1])]
+    size = np.abs(pivot)
+    return np.where(size > 0, np.conj(pivot) / np.where(size > 0, size, 1.0), 1.0)
 
 
 def _solve_formulation(mesh: Mesh, spec: MediumSpec, q: int,
@@ -199,22 +196,10 @@ def _solve_formulation(mesh: Mesh, spec: MediumSpec, q: int,
 
     eigenvalues = spectrum.eigenvalues[keep]
     cutoffs = np.sqrt(np.clip(eigenvalues, 0.0, None))
-    vectors = spectrum.eigenvectors[:, keep]
-    multipliers = None
-    if formulation.is_vector and pencil.multiplier_dim:
-        space = _GradientSpace(mesh, spec, formulation, pencil)
-        with space.lu:
-            vectors = space.clean(vectors)
-            b_block = pencil.M[:pencil.primal_dim, :pencil.primal_dim]
-            norms = np.sqrt(np.abs(np.einsum("ij,ij->j", vectors.conj(),
-                                             b_block @ vectors)))
-            vectors = vectors / np.where(norms > 0, norms, 1.0)
-            vectors = _fix_phase(vectors)
-            multipliers = space.multipliers(eigenvalues, vectors)
-    else:
-        vectors = _fix_phase(vectors)
-        if formulation.is_vector:  # unconstrained: no interior nodes
-            multipliers = np.zeros((0, keep.size), dtype=complex)
+    phase = _phase(spectrum.eigenvectors[:, keep])
+    vectors = spectrum.eigenvectors[:, keep] * phase
+    multipliers = (spectrum.multipliers[:, keep] * phase
+                   if formulation.is_vector else None)
     return ModeSolution(
         formulation=formulation,
         cutoffs=cutoffs,
@@ -227,47 +212,6 @@ def _solve_formulation(mesh: Mesh, spec: MediumSpec, q: int,
         medium=spec,
         pencil=pencil,
     )
-
-
-class _GradientSpace:
-    """Discrete-gradient machinery shared by cleaning and multiplier extraction.
-
-    The P1 hat gradients expand exactly in the edge basis (coefficients are
-    the +-1 incidence matrix G), which identifies the coupling block with
-    ``B @ G`` and makes ``S = G^H B G`` the P1 stiffness on the multiplier
-    space.  Two consequences are used here:
-
-    * the gradient content of a computed eigenvector,
-      ``G S^{-1} C^H xi``, is pure constraint-violating noise (the exact
-      mode has none) and can be projected out;
-    * testing the field-equation row with gradients leaves the exact
-      multiplier relation ``S zeta = lambda C^H xi``, a square,
-      well-scaled solve that sidesteps the block-scale cancellation
-      polluting the multiplier part of Krylov or least-squares
-      eigenvectors.  It stays an honest diagnostic: the right side is the
-      mode's discrete divergence.
-    """
-
-    def __init__(self, mesh, spec, formulation, pencil):
-        tensor = (spec.mu_t.inverse()
-                  if formulation is Formulation.VECTOR_TE
-                  else spec.eps_t.inverse())
-        nkeep = pencil.multiplier_map.retained
-        gradient = femcore.gradient_incidence(mesh)
-        if formulation is Formulation.VECTOR_TE:
-            gradient = gradient[pencil.primal_map.retained]
-        self.gradient = gradient[:, nkeep].tocsr()
-        stiffness = femcore.nodal_stiffness(mesh, tensor)
-        # the factor lives until the caller's ``with space.lu`` block ends
-        self.lu = eigensolve.HermitianLU(stiffness[nkeep][:, nkeep])
-        self.divergence = pencil.constraint_block().conj().T.tocsr()
-
-    def clean(self, primal: np.ndarray) -> np.ndarray:
-        """Remove discrete-gradient noise so modes are divergence-free."""
-        return primal - self.gradient @ self.lu.solve(self.divergence @ primal)
-
-    def multipliers(self, eigenvalues, primal) -> np.ndarray:
-        return self.lu.solve(self.divergence @ primal) * eigenvalues[None, :]
 
 
 def solve_te_scalar(mesh, spec, q, options=None) -> ModeSolution:

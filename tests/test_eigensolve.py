@@ -17,6 +17,7 @@ from wgcutoff.eigensolve import (
     HermitianLU,
     SolveOptions,
     Spectrum,
+    _residuals,
     classify_near_zero,
     dense_saddle_bruteforce,
     solve,
@@ -24,8 +25,6 @@ from wgcutoff.eigensolve import (
 from wgcutoff.femcore import (
     KIND_EDGE_ALL,
     KIND_NODAL_ALL,
-    LAYOUT_PLAIN,
-    LAYOUT_SADDLE,
     DofMap,
     HermitianPencil,
 )
@@ -35,19 +34,21 @@ def plain_pencil(K, M):
     K = sp.csr_matrix(np.asarray(K, dtype=complex))
     M = sp.csr_matrix(np.asarray(M, dtype=complex))
     n = K.shape[0]
-    return HermitianPencil(K=K, M=M, layout=LAYOUT_PLAIN,
+    return HermitianPencil(K=K, M=M,
                            primal_map=DofMap(KIND_NODAL_ALL,
                                              np.arange(n), n))
 
 
-def saddle_pencil(K, M, p):
-    K = sp.csr_matrix(np.asarray(K, dtype=complex))
-    M = sp.csr_matrix(np.asarray(M, dtype=complex))
-    n = K.shape[0]
+def saddle_pencil(A, B, G):
+    """Pencil ``(A, B)`` constrained to ``C^H x = 0`` with ``C = B G``."""
+    A = sp.csr_matrix(np.asarray(A, dtype=complex))
+    B = sp.csr_matrix(np.asarray(B, dtype=complex))
+    G = sp.csr_matrix(np.asarray(G, dtype=float))
+    p, m = G.shape
     return HermitianPencil(
-        K=K, M=M, layout=LAYOUT_SADDLE,
+        K=A, M=B, gradient=G,
         primal_map=DofMap(KIND_EDGE_ALL, np.arange(p), p),
-        multiplier_map=DofMap(KIND_NODAL_ALL, np.arange(n - p), n - p),
+        multiplier_map=DofMap(KIND_NODAL_ALL, np.arange(m), m),
     )
 
 
@@ -80,7 +81,7 @@ class TestHermitianLU:
         residual = np.linalg.norm(a @ x - b) / np.linalg.norm(b)
         assert residual <= 1e-10
 
-    def test_complex_hermitian_saddle_solve(self, gyro_medium):
+    def test_complex_hermitian_indefinite_solve(self, gyro_medium):
         mesh = generate_annulus(1e-3, 2e-3, 3, 24)
         pencil = assemble_vector_tm(mesh, gyro_medium)
         a = (pencil.K - 1e5 * pencil.M).tocsr()
@@ -127,25 +128,6 @@ class TestSolveOptions:
             SolveOptions(shift=shift)
 
 
-class TestOneSolvePath:
-    """A plain pencil is a saddle pencil with no multiplier rows."""
-
-    @pytest.mark.parametrize("assemble", [assemble_scalar_te,
-                                          assemble_scalar_tm])
-    @pytest.mark.parametrize("dense_cutoff", [400, 0])
-    def test_plain_matches_multiplier_free_saddle(self, gyro_medium,
-                                                  assemble, dense_cutoff):
-        mesh = generate_rectangle(1.2e-3, 1.0e-3, 6, 5)
-        plain = assemble(mesh, gyro_medium)
-        saddle = HermitianPencil(K=plain.K, M=plain.M, layout=LAYOUT_SADDLE,
-                                 primal_map=plain.primal_map)
-        assert saddle.multiplier_dim == 0
-        opts = SolveOptions(num_modes=4, dense_cutoff=dense_cutoff)
-        a = solve(plain, opts).eigenvalues
-        b = solve(saddle, opts).eigenvalues
-        assert np.allclose(a, b, rtol=1e-10, atol=1e-10 * abs(a).max())
-
-
 class TestSolveDefinite:
     def test_diagonal(self):
         spectrum = solve(plain_pencil(np.diag([0.0, 2.0]), np.eye(2)),
@@ -190,9 +172,7 @@ class TestSolveDefinite:
 
 class TestSolveSaddle:
     def test_toy_pencil_single_finite_eigenvalue(self):
-        K = [[2.0, 0.0, 1.0], [0.0, 3.0, 0.0], [1.0, 0.0, 0.0]]
-        M = np.diag([1.0, 1.0, 0.0])
-        pencil = saddle_pencil(K, M, p=2)
+        pencil = saddle_pencil(np.diag([2.0, 3.0]), np.eye(2), [[1.0], [0.0]])
         spectrum = solve(pencil, SolveOptions(num_modes=1))
         assert np.allclose(spectrum.eigenvalues, [3.0], atol=1e-10)
         # the constraint row x1 = 0 holds for the returned pair
@@ -201,10 +181,9 @@ class TestSolveSaddle:
         assert np.allclose(brute, [3.0], atol=1e-10)
 
     def test_requesting_more_than_finite_count_rejected(self):
-        K = [[2.0, 0.0, 1.0], [0.0, 3.0, 0.0], [1.0, 0.0, 0.0]]
-        M = np.diag([1.0, 1.0, 0.0])
+        pencil = saddle_pencil(np.diag([2.0, 3.0]), np.eye(2), [[1.0], [0.0]])
         with pytest.raises(EigenSolveError, match="finite"):
-            solve(saddle_pencil(K, M, p=2), SolveOptions(num_modes=3))
+            solve(pencil, SolveOptions(num_modes=3))
 
     def test_coax_tm_has_near_zero_mode(self, gyro_medium):
         mesh = generate_annulus(1e-3, 2e-3, 2, 16)
@@ -245,7 +224,7 @@ class TestSolveSaddle:
         pencil = assemble_vector_tm(mesh, gyro_medium)
         scaled = HermitianPencil(
             K=(pencil.K * 7.5).tocsr(), M=(pencil.M * 7.5).tocsr(),
-            layout=pencil.layout, primal_map=pencil.primal_map,
+            primal_map=pencil.primal_map, gradient=pencil.gradient,
             multiplier_map=pencil.multiplier_map,
         )
         a = solve(pencil, SolveOptions(num_modes=4)).eigenvalues
@@ -273,6 +252,37 @@ class TestSolveSaddle:
         assert np.array_equal(a.eigenvectors, b.eigenvectors)
 
 
+class TestResidualGate:
+    """The gate normalises each term by its own scale, not by the saddle's."""
+
+    def test_moved_eigenvalue_fails_at_any_scale(self, gyro_medium):
+        for length in (1e-3, 1e9):
+            mesh = generate_rectangle(1.2 * length, length, 24, 20)
+            pencil = assemble_vector_tm(mesh, gyro_medium)
+            opts = SolveOptions(num_modes=3, dense_cutoff=0)
+            spectrum = solve(pencil, opts)
+            assert (spectrum.residuals <= opts.residual_tol).all()
+            # the first pair with its eigenvalue moved by 1%; the multiplier
+            # zeta = lambda S^-1 C^H x moves with it
+            lam = spectrum.eigenvalues[:1] * 1.01
+            x = spectrum.eigenvectors[:, :1]
+            zeta = spectrum.multipliers[:, :1] * 1.01
+            c = pencil.constraint_block()
+            gate = _residuals(pencil.K, pencil.M, lam, x, c, zeta)
+            assert gate[0] > opts.residual_tol
+
+            # the saddle pencil [[A, C], [C^H, 0]] normalised by its own
+            # norm: its h^0 coupling hides the h^-2 curl-curl block at 1e9
+            m = pencil.multiplier_dim
+            K = sp.bmat([[pencil.K, c], [c.conj().T, None]]).tocsr()
+            M = sp.block_diag([pencil.M, sp.csr_matrix((m, m))]).tocsr()
+            saddle = _residuals(K, M, lam, np.vstack([x, zeta]))
+            if length == 1e9:
+                assert saddle[0] <= opts.residual_tol
+            else:
+                assert saddle[0] > opts.residual_tol
+
+
 class TestOracleEquivalence:
     """Shift-invert must agree with the dense brute force on small pencils."""
 
@@ -293,11 +303,10 @@ class TestOracleEquivalence:
         import scipy.linalg as la
         for pencil in self.coarse_pencils(gyro_medium):
             assert pencil.dim <= 200
-            k = min(4, (pencil.dim if pencil.layout == LAYOUT_PLAIN
-                        else pencil.primal_dim - pencil.multiplier_dim))
+            k = min(4, pencil.primal_dim - pencil.multiplier_dim)
             got = solve(pencil, SolveOptions(num_modes=k,
                                              dense_cutoff=0)).eigenvalues
-            if pencil.layout == LAYOUT_PLAIN:
+            if not pencil.multiplier_dim:
                 ref = la.eigh(pencil.K.toarray(), pencil.M.toarray(),
                               eigvals_only=True)[:k]
             else:

@@ -81,22 +81,42 @@ class TestElementScalar:
 
 class TestElementEdge:
     def test_unit_triangle_curl_matrix(self, unit_triangle_mesh):
-        curl, _, _ = one_triangle(_vector_matrices, unit_triangle_mesh,
+        curl, _ = one_triangle(_vector_matrices, unit_triangle_mesh,
                                   TransverseTensor(1, 0), 3.0)
         # every basis curl is +-2, area 1/2: all entries magnitude 2 * coeff
         assert np.allclose(np.abs(curl), 2.0 * 3.0, atol=1e-13)
 
     def test_edge_mass_positive_definite(self, unit_triangle_mesh):
-        _, mass, _ = one_triangle(_vector_matrices, unit_triangle_mesh,
-                                  TransverseTensor(2, -1), 1.0)
+        _, mass = one_triangle(_vector_matrices, unit_triangle_mesh,
+                               TransverseTensor(2, -1), 1.0)
         assert np.allclose(mass, mass.conj().T, atol=1e-15)
         assert np.linalg.eigvalsh(mass).min() > 0
 
-    def test_coupling_rows_sum_to_zero(self, unit_triangle_mesh):
-        # gradients of the barycentric coordinates sum to zero
-        _, _, coupling = one_triangle(_vector_matrices, unit_triangle_mesh,
-                                      TransverseTensor(1, 0), 1.0)
-        assert np.allclose(coupling.sum(axis=1), 0.0, atol=1e-15)
+
+
+def coupling_reference(mesh, tensor):
+    """Textbook ``C[e, n] = int N_e . (D grad(phi_n))``, one triangle at a time.
+
+    With ``lam_lo`` and ``lam_hi`` integrating to |T|/3 each, the integral
+    over a triangle is ``|T|/3 (grad(lam_hi) - grad(lam_lo)) . D grad(phi_n)``.
+    """
+    d = tensor.as_matrix()
+    out = np.zeros((mesh.num_edges, mesh.num_nodes), dtype=complex)
+    for tri in mesh.triangles:
+        p = mesh.nodes[tri]
+        u, v = p[1] - p[0], p[2] - p[0]
+        area = 0.5 * abs(u[0] * v[1] - u[1] * v[0])
+        grads = np.array([
+            [p[1][1] - p[2][1], p[2][0] - p[1][0]],
+            [p[2][1] - p[0][1], p[0][0] - p[2][0]],
+            [p[0][1] - p[1][1], p[1][0] - p[0][0]],
+        ]) / (2 * area)
+        for a, b in ((0, 1), (1, 2), (2, 0)):
+            lo, hi = (a, b) if tri[a] < tri[b] else (b, a)
+            e = np.flatnonzero((mesh.edges == (tri[lo], tri[hi])).all(axis=1))[0]
+            for n in range(3):
+                out[e, tri[n]] += area / 3 * (grads[hi] - grads[lo]) @ d @ grads[n]
+    return out
 
 
 class TestScalarAssembly:
@@ -166,6 +186,20 @@ class TestVectorAssembly:
             b = pencil.M[:p, :p].toarray()
             assert np.linalg.eigvalsh(b).min() > 0
 
+    def test_coupling_is_mass_times_gradient(self, small_rect_mesh,
+                                             gyro_medium):
+        pencil = assemble_vector_tm(small_rect_mesh, gyro_medium)
+        reference = coupling_reference(small_rect_mesh,
+                                       gyro_medium.eps_t.inverse())
+        c = pencil.constraint_block().toarray()
+        assert np.abs(c - reference[:, 1:]).max() <= 1e-14 * np.abs(c).max()
+
+    def test_curl_kills_gradients(self, small_rect_mesh, gyro_medium):
+        for assemble in (assemble_vector_te, assemble_vector_tm):
+            pencil = assemble(small_rect_mesh, gyro_medium)
+            residual = abs(pencil.K @ pencil.gradient).max()
+            assert residual <= 1e-12 * abs(pencil.K).max()
+
     def test_tm_pin_leaves_no_zero_multiplier_column(self, small_rect_mesh,
                                                      gyro_medium):
         pencil = assemble_vector_tm(small_rect_mesh, gyro_medium)
@@ -184,8 +218,9 @@ class TestVectorAssembly:
                 gyro_medium.b / product_scalar(gyro_medium),
             ),
         )
-        diff = (direct.K - scaled.K).tocoo()
-        scale = np.abs(direct.K.data).max()
+        # the tensor enters the mass block, and the coupling M G through it
+        diff = (direct.M - scaled.M).tocoo()
+        scale = np.abs(direct.M.data).max()
         top = np.abs(diff.data).max() if diff.nnz else 0.0
         assert top <= 1e-14 * scale
 

@@ -52,6 +52,15 @@ class TestBuildTopology:
         with pytest.raises(MeshError, match="degenerate|clockwise"):
             build_topology([(0, 0), (1, 0), (0, 1)], [(0, 2, 1)])
 
+    @pytest.mark.parametrize("scale", [1e-12, 1.0, 1e12])
+    def test_degeneracy_is_relative_to_the_longest_side(self, scale):
+        # a right triangle is fine at any scale; a sliver whose height is
+        # 1e-13 of its base is rejected at any scale
+        build_topology(scale * np.array([(0, 0), (1, 0), (0, 1)]), [(0, 1, 2)])
+        with pytest.raises(MeshError, match="degenerate"):
+            build_topology(scale * np.array([(0, 0), (1, 0), (0.5, 1e-13)]),
+                           [(0, 1, 2)])
+
     def test_non_manifold_edge_rejected(self):
         nodes = [(0, 0), (1, 0), (0, 1), (0, -1), (-1, 1)]
         tris = [(0, 1, 2), (0, 3, 1), (0, 1, 4)]
@@ -109,6 +118,12 @@ class TestGenerateRectangle:
         with pytest.raises(MeshError):
             generate_rectangle(1.0, 1.0, 0, 2)
 
+    @pytest.mark.parametrize("a, b", [(math.nan, 1.0), (1.0, math.inf),
+                                      (-math.inf, 1.0), (0.0, 1.0)])
+    def test_rejects_non_finite_or_non_positive_sides(self, a, b):
+        with pytest.raises(MeshError, match="positive and finite"):
+            generate_rectangle(a, b, 2, 2)
+
 
 class TestGenerateAnnulus:
     def test_annulus_counts_and_components(self):
@@ -134,6 +149,12 @@ class TestGenerateAnnulus:
             generate_annulus(2e-3, 1e-3, 2, 8)
         with pytest.raises(MeshError):
             generate_annulus(0.0, 1e-3, 2, 2)
+
+    @pytest.mark.parametrize("r1, r2", [(math.nan, 1.0), (0.0, math.nan),
+                                        (0.5, math.inf), (-0.5, 1.0)])
+    def test_rejects_non_finite_or_negative_radii(self, r1, r2):
+        with pytest.raises(MeshError, match="finite radii"):
+            generate_annulus(r1, r2, 2, 8)
 
 
 class TestGenerateRectilinearPolygon:
@@ -173,6 +194,11 @@ class TestGenerateRectilinearPolygon:
         with pytest.raises(MeshError, match="axis-aligned"):
             generate_rectilinear_polygon(
                 [(0, 0), (1, 0.1), (1, 1), (0, 1)], 0.5)
+
+    @pytest.mark.parametrize("h", [math.nan, math.inf, 0.0, -1.0])
+    def test_rejects_non_finite_or_non_positive_h(self, h):
+        with pytest.raises(MeshError, match="h_target"):
+            generate_rectilinear_polygon([(0, 0), (1, 0), (1, 1), (0, 1)], h)
 
     def test_rejects_self_intersection(self):
         verts = [(0, 0), (3, 0), (3, 2), (1, 2), (1, -1), (0, -1)]
