@@ -340,6 +340,7 @@ def cmd_fields(config: dict, out_dir: Path) -> int:
     num_modes = config.get("num_modes", 4)
     opts = solver_options(config, num_modes)
     mesh = mesh_family(config)[-1]
+    grid = vtkio.grid_blocks(mesh)
     written = []
     for formulation in _formulations(config):
         solution = modes.SOLVERS[formulation](mesh, spec, num_modes, opts)
@@ -360,6 +361,7 @@ def cmd_fields(config: dict, out_dir: Path) -> int:
                     f"Re_{label}": np.real(nodal),
                     f"Im_{label}": np.imag(nodal),
                 },
+                grid=grid,
             )
             path = out_dir / f"fields_{formulation.value}_{index}.vtk"
             path.write_text(content, encoding="utf-8")

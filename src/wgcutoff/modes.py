@@ -124,10 +124,13 @@ class TemReport:
 class MultiplierReport:
     """Per-mode multiplier health.
 
-    For TE the multiplier should vanish: values are ``|p| / |xi|`` norm
-    ratios.  For TM it should be constant: values are the spread
-    ``std(p) / (|mean(p)| + |xi|)`` with the pinned node's implied zero
-    included.
+    The multiplier ``zeta`` enters the pencil equation ``A xi + C zeta =
+    lambda B xi`` only through its gradient, and for an exact
+    divergence-free mode that term vanishes (TE: the multiplier is zero;
+    TM: it is constant, and pinned to zero).  Values are
+    ``|C zeta| / (|lambda| |B xi|)``, the multiplier term against the mass
+    term of the same equation: dimensionless, so they read the same at
+    every absolute length scale.
     """
 
     formulation: Formulation
@@ -172,10 +175,10 @@ def _solve_formulation(mesh: Mesh, spec: MediumSpec, q: int,
 
     pencil = _ASSEMBLERS[formulation](mesh, spec)
     capacity = pencil.primal_dim - pencil.multiplier_dim
-    request = min(q + reserve + 2, capacity)
-    if request < q + reserve:
+    request = q + reserve
+    if request > capacity:
         raise eigensolve.EigenSolveError(
-            f"mesh supports only {capacity} modes, need {q + reserve}"
+            f"mesh supports only {capacity} modes, need {request}"
         )
     spectrum = eigensolve.solve(pencil, replace(opts, num_modes=request))
 
@@ -407,22 +410,16 @@ def verify_tem(solution: ModeSolution, mesh: Mesh | None = None) -> TemReport:
 
 
 def multiplier_diagnostics(solution: ModeSolution) -> MultiplierReport:
-    """Multiplier norm ratio (TE) or constancy spread (TM) per mode."""
+    """``|C zeta| / (|lambda| |B xi|)`` per mode."""
     if not solution.formulation.is_vector or solution.multiplier_vectors is None:
         raise ValueError("multiplier diagnostics apply to vector formulations")
-    num = solution.cutoffs.size
-    values = np.empty(num)
-    for i in range(num):
-        xi = solution.dof_vectors[:, i]
-        p = solution.multiplier_vectors[:, i]
-        if solution.formulation is Formulation.VECTOR_TE:
-            values[i] = np.linalg.norm(p) / max(np.linalg.norm(xi), 1e-300)
-        else:
-            nodal = solution.pencil.multiplier_map.scatter(p)  # pin -> 0
-            spread = float(np.std(nodal))
-            values[i] = spread / (abs(np.mean(nodal))
-                                  + max(np.linalg.norm(xi), 1e-300))
-    return MultiplierReport(formulation=solution.formulation, values=values)
+    pencil = solution.pencil
+    term = np.linalg.norm(pencil.constraint_block() @ solution.multiplier_vectors,
+                          axis=0)
+    mass = (np.abs(solution.eigenvalues)
+            * np.linalg.norm(pencil.M @ solution.dof_vectors, axis=0))
+    return MultiplierReport(formulation=solution.formulation,
+                            values=term / np.maximum(mass, 1e-300))
 
 
 def constraint_residuals(solution: ModeSolution) -> np.ndarray:

@@ -7,7 +7,9 @@ with 17 significant digits so files are diffable and round-trip exactly.
 Each block is a single ``%`` operation, a row template repeated once per
 row and filled from the array's ``tolist()``: the same text as formatting
 value by value, at a third of the cost.  Titles and names never pass
-through ``%``.
+through ``%``.  The mesh blocks are the same in every file of one mesh:
+:func:`grid_blocks` formats them once, and :func:`write_vtk` takes the
+result.
 """
 
 from __future__ import annotations
@@ -29,16 +31,29 @@ def _scalars(name, values) -> str:
             + _block("%.17g\n", values))
 
 
+def grid_blocks(mesh: Mesh) -> str:
+    """POINTS, CELLS and CELL_TYPES of ``mesh``, the part of a file that
+    does not depend on its data; format it once for many files."""
+    cells = mesh.num_triangles
+    return "".join([f"POINTS {mesh.num_nodes} double\n",
+                    _block("%.17g %.17g 0\n", mesh.nodes),
+                    f"CELLS {cells} {4 * cells}\n",
+                    _block("3 %d %d %d\n", mesh.triangles),
+                    f"CELL_TYPES {cells}\n" + f"{VTK_TRIANGLE}\n" * cells])
+
+
 def write_vtk(mesh: Mesh, title: str = "wgcutoff fields",
               point_scalars: dict | None = None,
               cell_vectors: dict | None = None,
-              cell_scalars: dict | None = None) -> str:
+              cell_scalars: dict | None = None,
+              grid: str | None = None) -> str:
     """Serialize the mesh plus named real-valued data arrays.
 
     ``point_scalars`` maps name -> (V,) array, ``cell_vectors`` maps
     name -> (T, 2) array and ``cell_scalars`` maps name -> (T,) array.
     Complex fields should be split into explicit real/imaginary arrays by
-    the caller.
+    the caller.  ``grid`` is ``grid_blocks(mesh)`` when the caller already
+    has it; it is formatted here otherwise.
     """
     point_scalars = point_scalars or {}
     cell_vectors = cell_vectors or {}
@@ -55,11 +70,8 @@ def write_vtk(mesh: Mesh, title: str = "wgcutoff fields",
 
     cells = mesh.num_triangles
     parts = [f"# vtk DataFile Version 3.0\n{title}\nASCII\n"
-             f"DATASET UNSTRUCTURED_GRID\nPOINTS {mesh.num_nodes} double\n",
-             _block("%.17g %.17g 0\n", mesh.nodes),
-             f"CELLS {cells} {4 * cells}\n",
-             _block("3 %d %d %d\n", mesh.triangles),
-             f"CELL_TYPES {cells}\n" + f"{VTK_TRIANGLE}\n" * cells]
+             "DATASET UNSTRUCTURED_GRID\n",
+             grid if grid is not None else grid_blocks(mesh)]
     if cell_vectors or cell_scalars:
         parts.append(f"CELL_DATA {cells}\n")
     for name, values in cell_vectors.items():

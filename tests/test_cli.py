@@ -316,6 +316,21 @@ class TestFields:
         # no geometry pass of its own)
         assert counts == [4, 4]
 
+    def test_mesh_formatted_once_per_run(self, tmp_path, capsys, monkeypatch):
+        from wgcutoff import vtkio
+        calls = []
+        grid_blocks = vtkio.grid_blocks
+        monkeypatch.setattr(vtkio, "grid_blocks",
+                            lambda mesh: calls.append(1) or grid_blocks(mesh))
+        config = write_config(tmp_path, num_modes=3, omega=2e12,
+                              formulations=["scalar_te", "vector_tm"])
+        assert main(["fields", "--config", config,
+                     "--out", str(tmp_path)]) == 0
+        written = json.loads(capsys.readouterr().out)["written"]
+        assert len(written) == 6
+        # POINTS, CELLS and CELL_TYPES are formatted once for all six files
+        assert len(calls) == 1
+
     def test_missing_omega_exits_one(self, tmp_path, capsys):
         config = write_config(tmp_path, formulations=["scalar_te"])
         assert main(["fields", "--config", config,

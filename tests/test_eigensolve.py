@@ -11,12 +11,14 @@ from wgcutoff import (
     assemble_vector_tm,
     generate_annulus,
     generate_rectangle,
+    refine_uniform,
 )
 from wgcutoff.eigensolve import (
     EigenSolveError,
     HermitianLU,
     SolveOptions,
     Spectrum,
+    _dense,
     _residuals,
     classify_near_zero,
     dense_saddle_bruteforce,
@@ -168,6 +170,48 @@ class TestSolveDefinite:
         dense = solve(pencil, SolveOptions(num_modes=4))
         sparse = solve(pencil, SolveOptions(num_modes=4, dense_cutoff=0))
         assert np.allclose(sparse.eigenvalues, dense.eigenvalues, rtol=1e-10)
+
+    @pytest.mark.parametrize("mesh", [
+        pytest.param(lambda: generate_rectangle(1.2e-3, 1e-3, 24, 20),
+                     id="rectangle 24x20"),
+        pytest.param(lambda: refine_uniform(generate_annulus(1e-3, 2e-3, 4, 48)),
+                     id="coax L1")])
+    @pytest.mark.parametrize("assemble", [
+        assemble_scalar_te, assemble_scalar_tm, assemble_vector_te,
+        assemble_vector_tm], ids=lambda f: f.__name__[len("assemble_"):])
+    def test_shift_invert_stops_well_inside_the_gate(self, gyro_medium, mesh,
+                                                     assemble):
+        # ARPACK stops at residual_tol / 100, which must cost no accuracy
+        pencil = assemble(mesh(), gyro_medium)
+        opts = SolveOptions(num_modes=4, dense_cutoff=0)
+        sparse = solve(pencil, opts)
+        dense, _ = _dense(pencil, 4)
+        # dense eigh is accurate to about 1e-12 of the largest eigenvalue it
+        # returns, not of each one (coax L1 vector TE: 1.3e-12 on the first)
+        scale = np.abs(dense).max()
+        assert np.abs(sparse.eigenvalues - dense).max() <= 1e-12 * scale
+        assert (sparse.residuals <= opts.residual_tol / 10).all()
+        # a looser gate passes, and leaves ARPACK's stop where it was
+        loose = solve(pencil, SolveOptions(num_modes=4, dense_cutoff=0,
+                                           residual_tol=1e-6))
+        assert (loose.residuals <= 1e-6).all()
+        assert np.array_equal(loose.eigenvalues, sparse.eigenvalues)
+
+    @pytest.mark.parametrize("residual_tol", [1e-8, 1e-6])
+    def test_early_stop_keeps_both_copies_of_a_degenerate_pair(
+            self, gyro_medium, residual_tol):
+        # scalar TM on the coax pairs its modes; stopped at 1e-10 without
+        # the two extra pairs, 9 of these 10 seeds returned one copy of the
+        # pair at the top of 4 modes, and at 1e-8 every seed did so for 3
+        pencil = assemble_scalar_tm(generate_annulus(1e-3, 2e-3, 4, 48),
+                                    gyro_medium)
+        dense, _ = _dense(pencil, 4)
+        for k in (3, 4):
+            for seed in range(1, 11):
+                got = solve(pencil, SolveOptions(
+                    num_modes=k, dense_cutoff=0, seed=seed,
+                    residual_tol=residual_tol)).eigenvalues
+                assert np.allclose(got, dense[:k], rtol=1e-10, atol=0), (k, seed)
 
 
 class TestSolveSaddle:

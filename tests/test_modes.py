@@ -300,9 +300,12 @@ class TestMultiplierDiagnostics:
     def test_random_multiplier_is_flagged(self, coax_mesh, gyro_medium):
         solution = solve_te_vector(coax_mesh, gyro_medium, 2)
         rng = np.random.default_rng(5)
+        # at the multiplier's natural size, eigenvalue times field
+        size = (np.abs(solution.eigenvalues).max()
+                * np.abs(solution.dof_vectors).max())
         corrupted = dataclasses.replace(
             solution,
-            multiplier_vectors=rng.standard_normal(
+            multiplier_vectors=size * rng.standard_normal(
                 solution.multiplier_vectors.shape).astype(complex),
         )
         values = multiplier_diagnostics(corrupted).values

@@ -1,15 +1,30 @@
 """Cut-offs scale as 1/L: every route gives the same ``cut-off x L`` at
-every absolute length scale, on the dense and on the shift-invert path."""
+every absolute length scale, on the dense and on the shift-invert path, and
+the scale-free diagnostics read the same at every rung."""
+
+import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from wgcutoff import SolveOptions, generate_annulus, generate_rectangle
-from wgcutoff.modes import SOLVERS, constraint_residuals
+from wgcutoff.cli import main
+from wgcutoff.crossval import compare_spectra
+from wgcutoff.modes import (
+    SOLVERS,
+    Formulation,
+    constraint_residuals,
+    multiplier_diagnostics,
+)
 
-SCALES = (1e-9, 1e-7, 1e-3, 1e9)
+SCALES = (1e-9, 1e-7, 1e-3, 1.0, 1e3, 1e9)
 REFERENCE = 1e-3
 PATHS = {"dense": SolveOptions(), "shift-invert": SolveOptions(dense_cutoff=0)}
+PAIRS = ((Formulation.SCALAR_TE, Formulation.VECTOR_TE),
+         (Formulation.SCALAR_TM, Formulation.VECTOR_TM))
+#: Largest scalar/vector gap of each rectangle at L = 1e-3, rounded up.
+CROSSVAL_RTOL = {(6, 5): 0.15, (24, 20): 0.01}
 
 
 def ladder(medium, mesh_at, options, formulations):
@@ -23,6 +38,17 @@ def ladder(medium, mesh_at, options, formulations):
     return out
 
 
+def corrupted(solution):
+    """The solution with a random multiplier added at its natural size,
+    the largest eigenvalue times the largest field entry."""
+    size = (np.abs(solution.eigenvalues).max()
+            * np.abs(solution.dof_vectors).max())
+    noise = np.random.default_rng(5).standard_normal(
+        solution.multiplier_vectors.shape)
+    return replace(solution,
+                   multiplier_vectors=solution.multiplier_vectors + size * noise)
+
+
 def check_scaling(solutions, tem_count):
     for (length, formulation), solution in solutions.items():
         reference = solutions[REFERENCE, formulation]
@@ -34,6 +60,21 @@ def check_scaling(solutions, tem_count):
             err_msg=f"{formulation.value} at L = {length:g}")
         if formulation.is_vector:
             assert (constraint_residuals(solution) <= 1e-8).all()
+            assert (multiplier_diagnostics(solution).values <= 1e-6).all()
+            assert (multiplier_diagnostics(corrupted(solution)).values
+                    > 1e-6).all()
+
+
+def check_crossval(solutions, rtol):
+    for scalar, vector in PAIRS:
+        reference = compare_spectra(solutions[REFERENCE, scalar],
+                                    solutions[REFERENCE, vector], 3, rtol)
+        for length in SCALES:
+            report = compare_spectra(solutions[length, scalar],
+                                     solutions[length, vector], 3, rtol)
+            assert report.all_passed, f"{vector.value} at L = {length:g}"
+            np.testing.assert_allclose(report.rel_diffs, reference.rel_diffs,
+                                       rtol=0, atol=1e-9)
 
 
 @pytest.mark.parametrize("path, cells", [("dense", (6, 5)),
@@ -44,6 +85,7 @@ def test_rectangle(gyro_medium, path, cells):
                                                        *cells),
         PATHS[path], SOLVERS)
     check_scaling(solutions, tem_count=0)
+    check_crossval(solutions, CROSSVAL_RTOL[cells])
 
 
 @pytest.mark.parametrize("path", PATHS)
@@ -53,3 +95,33 @@ def test_coax_keeps_one_tem_mode(gyro_medium, path):
         gyro_medium, lambda length: generate_annulus(length, 2 * length, 2, 16),
         PATHS[path], vector)
     check_scaling(solutions, tem_count=1)
+
+
+def test_cli_rung_writes_the_library_values(gyro_medium, tmp_path, capsys):
+    # the nanometre rung of the shift-invert rectangle, through `solve`
+    length = 1e-9
+    config = {
+        "medium": {"eps": {"d": 2, "alpha": -1, "zz": 1},
+                   "mu": {"d": 1, "alpha": 0.5, "zz": 2}},
+        "geometry": {"kind": "rectangle", "a": 1.2 * length, "b": length,
+                     "nx": 24, "ny": 20},
+        "num_modes": 3,
+        "solver": {"dense_cutoff": 0},
+    }
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    assert main(["solve", "--config", str(path), "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    rows = (tmp_path / "cutoffs.csv").read_text(encoding="utf-8").splitlines()
+    mesh = generate_rectangle(1.2 * length, length, 24, 20)
+    expected = []
+    for formulation in Formulation:
+        solution = SOLVERS[formulation](mesh, gyro_medium, 3,
+                                        PATHS["shift-invert"])
+        expected += [(formulation.value, mesh.h, index, kt, "false")
+                     for index, kt in enumerate(solution.cutoffs)]
+    written = [(name, float(h), int(index), float(kt), tem)
+               for name, h, index, kt, tem in
+               (row.split(",") for row in rows[1:])]
+    # 17 significant digits: every float reads back exactly
+    assert written == expected
