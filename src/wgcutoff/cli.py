@@ -18,19 +18,30 @@ Every command reads ``--config <file.json>`` (schema-validated, unknown keys
 rejected) and writes into ``--out <dir>`` (default: current directory).
 Floats are printed with 17 significant digits so outputs are byte-stable.
 
+``solve``, ``crossval`` and ``fields`` run their independent solves in
+forked worker processes, one per CPU of the affinity mask and at most one
+per solve task; ``taskset -c 0 wgcutoff ...`` runs them one at a time.  The
+outputs are the same for any number of workers.  Memory adds up across
+workers: the total can reach the worker count times the largest solve.
+
 Exit codes: 0 on success, 2 when a check fails (``medium check``,
 ``crossval``), and 1 on any error, printed as one ``error:`` line on stderr.
 Errors include unreadable or invalid configs, bad meshes or media,
 eigensolver failures (``EigenSolveError``: more modes requested than the
-mesh supports, a failed factorization, or a rejected eigenpair), and a
-``MemoryError`` from a mesh or a solve too large for the machine.
+mesh supports, a failed factorization, or a rejected eigenpair), a
+``MemoryError`` from a mesh or a solve too large for the machine, and a
+worker process that died (``BrokenExecutor``, as when the system's
+out-of-memory killer ends it).  When a worker fails, the error reported is
+the one a one-worker run would have met first.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
+from concurrent.futures import BrokenExecutor
 from pathlib import Path
 
 import numpy as np
@@ -261,19 +272,54 @@ def _formulations(config: dict):
     return [Formulation(name) for name in names]
 
 
+def _run_tasks(task, tasks, size):
+    """``[task(*args) for args in tasks]``, the calls spread over workers.
+
+    The workers are forked, so they start with the package imported and the
+    parent's state in place; a spawned worker would spend about 0.5 s
+    importing the package again.  With ``fork`` the pool starts all its
+    workers at the first submit, before any thread of its own, and OpenBLAS
+    restarts its threads in each child.  The calls are submitted largest
+    ``size(args)`` first and their results read in the order of ``tasks``;
+    the first of them that raised cancels the calls not yet started and is
+    raised here.
+    """
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    workers = min(len(tasks), len(os.sched_getaffinity(0)))
+    context = multiprocessing.get_context("fork")
+    with ProcessPoolExecutor(workers, mp_context=context) as pool:
+        order = sorted(range(len(tasks)), key=lambda i: size(tasks[i]),
+                       reverse=True)
+        futures = {i: pool.submit(task, *tasks[i]) for i in order}
+        try:
+            return [futures[i].result() for i in range(len(tasks))]
+        except BaseException:
+            pool.shutdown(cancel_futures=True)
+            raise
+
+
+def _solve_rows(formulation, mesh, spec, opts):
+    solution = modes.SOLVERS[formulation](mesh, spec, opts.num_modes, opts)
+    rows = []
+    for index, kt in enumerate(solution.cutoffs):
+        is_tem = "true" if index < solution.tem_count else "false"
+        rows.append(f"{formulation.value},{_fmt(mesh.h)},{index},"
+                    f"{_fmt(kt)},{is_tem}")
+    return rows
+
+
 def cmd_solve(config: dict, out_dir: Path) -> int:
     spec = _medium(config)
-    num_modes = config.get("num_modes", 4)
-    opts = solver_options(config, num_modes)
+    opts = solver_options(config, config.get("num_modes", 4))
     meshes = mesh_family(config)
+    tasks = [(formulation, mesh, spec, opts)
+             for formulation in _formulations(config) for mesh in meshes]
+    blocks = _run_tasks(_solve_rows, tasks,
+                        lambda t: (t[0].is_vector, t[1].num_edges))
     rows = ["formulation,mesh_h,mode_index,k_t_rad_per_m,is_tem"]
-    for formulation in _formulations(config):
-        for mesh in meshes:
-            solution = modes.SOLVERS[formulation](mesh, spec, num_modes, opts)
-            for index, kt in enumerate(solution.cutoffs):
-                is_tem = "true" if index < solution.tem_count else "false"
-                rows.append(f"{formulation.value},{_fmt(mesh.h)},{index},"
-                            f"{_fmt(kt)},{is_tem}")
+    rows += [row for block in blocks for row in block]
     csv = "\n".join(rows) + "\n"
     (out_dir / "cutoffs.csv").write_text(csv, encoding="utf-8")
     sys.stdout.write(csv)
@@ -286,26 +332,31 @@ _PAIRS = (
 )
 
 
+def _compare_pair(scalar, vector, mesh, spec, opts, rtol):
+    count = opts.num_modes
+    a = modes.SOLVERS[scalar](mesh, spec, count, opts)
+    b = modes.SOLVERS[vector](mesh, spec, count, opts)
+    return crossval.compare_spectra(a, b, count, rtol)
+
+
 def cmd_crossval(config: dict, out_dir: Path) -> int:
     spec = _medium(config)
     cv = config.get("crossval", {})
     count = cv.get("count", config.get("num_modes", 4))
     rtol = cv.get("rtol", 1e-3)
     requested = set(_formulations(config))
-    mesh = mesh_family(config)[-1]
-    opts = solver_options(config, count)
-    reports = []
-    for scalar, vector in _PAIRS:
-        if not {scalar, vector} <= requested:
-            continue
-        a = modes.SOLVERS[scalar](mesh, spec, count, opts)
-        b = modes.SOLVERS[vector](mesh, spec, count, opts)
-        reports.append(crossval.compare_spectra(a, b, count, rtol))
-    if not reports:
+    pairs = [pair for pair in _PAIRS if set(pair) <= requested]
+    if not pairs:
         raise ConfigError(
             "crossval needs both members of a scalar/vector pair in "
             "'formulations'"
         )
+    mesh = mesh_family(config)[-1]
+    opts = solver_options(config, count)
+    reports = _run_tasks(
+        _compare_pair,
+        [(scalar, vector, mesh, spec, opts, rtol) for scalar, vector in pairs],
+        lambda t: 0)
     payload = {"pairs": [r.to_json_dict() for r in reports],
                "all_passed": all(r.all_passed for r in reports)}
     text = json.dumps(payload, indent=2)
@@ -332,40 +383,49 @@ def _vector_frames(solution, index, omega):
     return et.samples, ht.samples, "p", nodal
 
 
+def _write_fields(formulation, mesh, spec, opts, omega, grid, out_dir):
+    """Solve one formulation and write one VTK file per mode; their names."""
+    solution = modes.SOLVERS[formulation](mesh, spec, opts.num_modes, opts)
+    written = []
+    for index in range(solution.cutoffs.size):
+        if formulation.is_vector:
+            et, ht, label, nodal = _vector_frames(solution, index, omega)
+        else:
+            et, ht, label, nodal = _scalar_frames(solution, index, omega)
+        content = vtkio.write_vtk(
+            mesh,
+            title=f"{formulation.value} mode {index} "
+                  f"k_t={_fmt(solution.cutoffs[index])} rad/m",
+            cell_vectors={
+                "Re_e_t": np.real(et), "Im_e_t": np.imag(et),
+                "Re_h_t": np.real(ht), "Im_h_t": np.imag(ht),
+            },
+            point_scalars={
+                f"Re_{label}": np.real(nodal),
+                f"Im_{label}": np.imag(nodal),
+            },
+            grid=grid,
+        )
+        path = out_dir / f"fields_{formulation.value}_{index}.vtk"
+        path.write_text(content, encoding="utf-8")
+        written.append(path.name)
+    return written
+
+
 def cmd_fields(config: dict, out_dir: Path) -> int:
     spec = _medium(config)
     if "omega" not in config:
         raise ConfigError("field export requires 'omega' in the config")
     omega = config["omega"]
-    num_modes = config.get("num_modes", 4)
-    opts = solver_options(config, num_modes)
+    opts = solver_options(config, config.get("num_modes", 4))
     mesh = mesh_family(config)[-1]
     grid = vtkio.grid_blocks(mesh)
-    written = []
-    for formulation in _formulations(config):
-        solution = modes.SOLVERS[formulation](mesh, spec, num_modes, opts)
-        for index in range(solution.cutoffs.size):
-            if formulation.is_vector:
-                et, ht, label, nodal = _vector_frames(solution, index, omega)
-            else:
-                et, ht, label, nodal = _scalar_frames(solution, index, omega)
-            content = vtkio.write_vtk(
-                mesh,
-                title=f"{formulation.value} mode {index} "
-                      f"k_t={_fmt(solution.cutoffs[index])} rad/m",
-                cell_vectors={
-                    "Re_e_t": np.real(et), "Im_e_t": np.imag(et),
-                    "Re_h_t": np.real(ht), "Im_h_t": np.imag(ht),
-                },
-                point_scalars={
-                    f"Re_{label}": np.real(nodal),
-                    f"Im_{label}": np.imag(nodal),
-                },
-                grid=grid,
-            )
-            path = out_dir / f"fields_{formulation.value}_{index}.vtk"
-            path.write_text(content, encoding="utf-8")
-            written.append(path.name)
+    names = _run_tasks(
+        _write_fields,
+        [(formulation, mesh, spec, opts, omega, grid, out_dir)
+         for formulation in _formulations(config)],
+        lambda t: t[0].is_vector)
+    written = [name for block in names for name in block]
     print(json.dumps({"written": written}, indent=2))
     return EXIT_OK
 
@@ -418,7 +478,7 @@ def main(argv=None) -> int:
             return cmd_crossval(config, out_dir)
         return cmd_fields(config, out_dir)
     except (ConfigError, MeshError, MediumError, EigenSolveError, ValueError,
-            OSError, MemoryError) as exc:
+            OSError, MemoryError, BrokenExecutor) as exc:
         print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return EXIT_ERROR
 

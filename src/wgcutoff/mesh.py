@@ -219,10 +219,10 @@ def _check_hanging_nodes(nodes, edges, boundary_edge, boundary_node):
         )
 
 
-def _has_equal_rows(a: np.ndarray) -> bool:
-    """Whether two rows of the 2-D array ``a`` compare equal elementwise."""
-    s = a[np.lexsort(a.T[::-1])]
-    return bool((s[1:] == s[:-1]).all(axis=1).any())
+def _has_repeats(values: np.ndarray) -> bool:
+    """Whether two entries of the 1-D array ``values`` compare equal."""
+    s = np.sort(values)
+    return bool((s[1:] == s[:-1]).any())
 
 
 def build_topology(nodes, triangles) -> Mesh:
@@ -255,16 +255,6 @@ def build_topology(nodes, triangles) -> Mesh:
             f"(signed area {areas[bad[0]]:.3e} m^2)"
         )
 
-    if _has_equal_rows(key):
-        raise MeshError("duplicate triangle")
-
-    used = np.zeros(num_nodes, dtype=bool)
-    used[tris] = True
-    if not used.all():
-        raise MeshError(f"node {np.flatnonzero(~used)[0]} not used by any triangle")
-    if _has_equal_rows(nodes):  # -0.0 == 0.0, so those count as duplicates
-        raise MeshError("duplicate node coordinates")
-
     # local edges (0,1), (1,2), (2,0); global edges stored lo < hi
     local = tris[:, [[0, 1], [1, 2], [2, 0]]]
     lo = local.min(axis=2)
@@ -276,6 +266,23 @@ def build_topology(nodes, triangles) -> Mesh:
     ).astype(np.int64)
     tri_edges = inverse.reshape(tris.shape[0], 3)
     tri_edge_signs = np.where(local[:, :, 0] == lo, 1, -1).astype(np.int64)
+
+    # any two edges of a triangle name its three nodes, so equal triangles
+    # are equal pairs of smallest and middle edge ids
+    a, b, c = tri_edges.T
+    first = np.minimum(np.minimum(a, b), c)
+    middle = a + b + c - first - np.maximum(np.maximum(a, b), c)
+    if _has_repeats(first * edges.shape[0] + middle):
+        raise MeshError("duplicate triangle")
+
+    used = np.zeros(num_nodes, dtype=bool)
+    used[tris] = True
+    if not used.all():
+        raise MeshError(f"node {np.flatnonzero(~used)[0]} not used by any triangle")
+    # one complex per node sorts by x, then y; -0.0 == 0.0, so those count
+    # as duplicates
+    if _has_repeats(nodes.view(np.complex128).ravel()):
+        raise MeshError("duplicate node coordinates")
 
     incidence = np.bincount(tri_edges.ravel(), minlength=edges.shape[0])
     if (incidence > 2).any():

@@ -1,5 +1,11 @@
 import dataclasses
 import json
+import os
+import signal
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -298,18 +304,26 @@ class TestFields:
         assert mags[radii > 1.67e-3].max() < mags[radii < 1.33e-3].max()
 
     def test_geometry_once_per_solution(self, tmp_path, capsys, monkeypatch):
-        from wgcutoff import femcore
+        # the fields task of each formulation, called in this process: the
+        # counter cannot see calls made in a worker
+        from wgcutoff import cli, femcore, vtkio
         calls = []
         geometry = femcore.triangle_geometry
         monkeypatch.setattr(femcore, "triangle_geometry",
                             lambda mesh: calls.append(1) or geometry(mesh))
         counts = []
         for num_modes in (1, 3):
-            config = write_config(tmp_path, num_modes=num_modes, omega=2e12,
-                                  formulations=["scalar_te", "vector_tm"])
+            config = cli.load_config(write_config(
+                tmp_path, num_modes=num_modes, omega=2e12,
+                formulations=["scalar_te", "vector_tm"]))
             calls.clear()
-            assert main(["fields", "--config", config,
-                         "--out", str(tmp_path)]) == 0
+            mesh = cli.mesh_family(config)[-1]
+            spec = cli._medium(config)
+            opts = cli.solver_options(config, num_modes)
+            grid = vtkio.grid_blocks(mesh)
+            for formulation in cli._formulations(config):
+                cli._write_fields(formulation, mesh, spec, opts,
+                                  config["omega"], grid, tmp_path)
             counts.append(len(calls))
         # per solution: one for assembly and one for the fields of all its
         # modes (the gradient stiffness of a vector pencil is C^H G, with
@@ -336,3 +350,125 @@ class TestFields:
         assert main(["fields", "--config", config,
                      "--out", str(tmp_path)]) == 1
         assert "omega" in capsys.readouterr().err
+
+
+COAX = {"kind": "annulus", "r1": 1e-3, "r2": 2e-3, "nr": 2, "ntheta": 12}
+COMMANDS = ("solve", "crossval", "fields")
+#: solves per command on COAX with all four formulations
+SOLVES = {"solve": 4, "crossval": 4, "fields": 4}
+
+
+def coax_config(tmp_path):
+    return write_config(
+        tmp_path, geometry=COAX, refinements=0,
+        formulations=["scalar_te", "scalar_tm", "vector_te", "vector_tm"],
+        num_modes=2, omega=1e11, crossval={"rtol": 0.05, "count": 2},
+    )
+
+
+@pytest.fixture()
+def solver_pids(tmp_path, monkeypatch):
+    """Log the pid of every solve; the returned callable reads and clears it."""
+    from wgcutoff import modes
+    log = tmp_path / "pids.txt"
+    for formulation, solve in list(modes.SOLVERS.items()):
+        def logged(*args, solve=solve):
+            with open(log, "a", encoding="utf-8") as handle:
+                handle.write(f"{os.getpid()}\n")
+            return solve(*args)
+        monkeypatch.setitem(modes.SOLVERS, formulation, logged)
+
+    def read():
+        pids = [int(p) for p in log.read_text().split()] if log.exists() else []
+        log.unlink(missing_ok=True)
+        return pids
+    return read
+
+
+class TestWorkers:
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_solves_run_in_worker_processes(self, tmp_path, capsys,
+                                            solver_pids, command):
+        config = coax_config(tmp_path)
+        assert main([command, "--config", config,
+                     "--out", str(tmp_path)]) != 1
+        pids = solver_pids()
+        assert len(pids) == SOLVES[command]
+        assert os.getpid() not in pids
+
+    def test_outputs_match_one_worker(self, tmp_path, capsys, monkeypatch,
+                                      solver_pids):
+        config = coax_config(tmp_path)
+        runs = []
+        for cpus in (None, {0}):
+            if cpus is not None:
+                monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+            out = tmp_path / f"out{len(runs)}"
+            codes = []
+            for command in COMMANDS:
+                codes.append(main([command, "--config", config,
+                                   "--out", str(out)]))
+                pids = solver_pids()
+                assert len(pids) == SOLVES[command]
+                if cpus is not None:
+                    assert len(set(pids)) == 1
+            files = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+            runs.append((codes, capsys.readouterr().out, files))
+        assert 1 not in runs[0][0]
+        # 2 modes per formulation, plus the TEM mode of each vector route
+        assert sum(name.endswith(".vtk") for name in runs[0][2]) == 10
+        assert b",true" in runs[0][2]["cutoffs.csv"]  # the coax TEM rows
+        assert runs[0] == runs[1]
+
+    def test_killed_worker_exits_one(self, tmp_path, capsys, monkeypatch):
+        from wgcutoff import modes
+        from wgcutoff.modes import Formulation
+        test_pid = os.getpid()
+
+        def killed(*args):
+            if os.getpid() == test_pid:
+                raise AssertionError("the solve ran in the test's process")
+            os.kill(os.getpid(), signal.SIGKILL)
+
+        monkeypatch.setitem(modes.SOLVERS, Formulation.SCALAR_TM, killed)
+        config = write_config(tmp_path, refinements=1)
+        assert main(["solve", "--config", config,
+                     "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert err.count("\n") == 1
+        assert "Traceback" not in err
+        assert not (tmp_path / "cutoffs.csv").exists()
+
+    def test_first_error_in_output_order_is_reported(self, tmp_path, capsys,
+                                                     monkeypatch):
+        # vector_te is submitted first and fails first; a one-worker run
+        # would have met the scalar_te failure first
+        from wgcutoff import modes
+        from wgcutoff.eigensolve import EigenSolveError
+        from wgcutoff.modes import Formulation
+
+        def fails(name, delay):
+            def solve(*args):
+                time.sleep(delay)
+                raise EigenSolveError(f"{name} failed")
+            return solve
+
+        monkeypatch.setitem(modes.SOLVERS, Formulation.SCALAR_TE,
+                            fails("scalar_te", 0.3))
+        monkeypatch.setitem(modes.SOLVERS, Formulation.VECTOR_TE,
+                            fails("vector_te", 0.0))
+        config = write_config(tmp_path, formulations=["scalar_te", "vector_te"])
+        assert main(["solve", "--config", config,
+                     "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err == "error: scalar_te failed\n"
+
+    def test_import_leaves_multiprocessing_out(self):
+        import wgcutoff
+        src = Path(wgcutoff.__file__).resolve().parents[1]
+        code = ("import sys, wgcutoff.cli; print(sorted(m for m in sys.modules"
+                " if m.split('.')[0] == 'multiprocessing'))")
+        done = subprocess.run([sys.executable, "-c", code], check=True,
+                              env=dict(os.environ, PYTHONPATH=str(src)),
+                              capture_output=True, text=True)
+        assert done.stdout == "[]\n"
