@@ -18,11 +18,17 @@ Every command reads ``--config <file.json>`` (schema-validated, unknown keys
 rejected) and writes into ``--out <dir>`` (default: current directory).
 Floats are printed with 17 significant digits so outputs are byte-stable.
 
-``solve``, ``crossval`` and ``fields`` run their independent solves in
-forked worker processes, one per CPU of the affinity mask and at most one
-per solve task; ``taskset -c 0 wgcutoff ...`` runs them one at a time.  The
-outputs are the same for any number of workers.  Memory adds up across
-workers: the total can reach the worker count times the largest solve.
+``solve``, ``crossval`` and ``fields`` spread their independent solves over
+forked worker processes when the CPUs allow it.  Each worker keeps the BLAS
+thread count the command started with (one per CPU unless
+``OPENBLAS_NUM_THREADS``, ``GOTO_NUM_THREADS`` or ``OMP_NUM_THREADS`` sets
+it), so there are as many workers as that count fits into the CPUs of the
+affinity mask, and at most one per solve task.  With one worker, as at the
+default thread count, under ``taskset -c 0 wgcutoff ...`` or on a system
+without affinity masks (macOS, Windows), the solves run one at a time in
+the command's own process.  The outputs are the same for any number of
+workers.  Memory adds up across workers: the total can reach the worker
+count times the largest solve.
 
 Exit codes: 0 on success, 2 when a check fails (``medium check``,
 ``crossval``), and 1 on any error, printed as one ``error:`` line on stderr.
@@ -272,26 +278,63 @@ def _formulations(config: dict):
     return [Formulation(name) for name in names]
 
 
-def _run_tasks(task, tasks, size):
+#: The variables OpenBLAS reads its thread count from, first one set wins.
+_BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS",
+                          "OMP_NUM_THREADS")
+
+
+def _blas_threads(cpus: int) -> int:
+    """The thread count OpenBLAS starts with: the first positive variable
+    of :data:`_BLAS_THREAD_VARIABLES`, else one thread per CPU."""
+    for name in _BLAS_THREAD_VARIABLES:
+        try:
+            threads = int(os.environ.get(name, ""))
+        except ValueError:
+            continue
+        if threads > 0:
+            return threads
+    return cpus
+
+
+def _worker_count(tasks: int) -> int:
+    """Workers that each keep the parent's BLAS threads on CPUs of their own.
+
+    Keeping the thread count keeps the bits: a worker's results equal those
+    of the same solve in the parent.  Where the system reports no
+    affinity mask there is one worker: Windows cannot fork, and on macOS
+    the system libraries NumPy may use for BLAS are not safe to fork.
+    """
+    if not hasattr(os, "sched_getaffinity"):
+        return 1
+    cpus = len(os.sched_getaffinity(0))
+    return max(1, min(tasks, cpus // _blas_threads(cpus)))
+
+
+def _run_tasks(task, tasks, size=None):
     """``[task(*args) for args in tasks]``, the calls spread over workers.
 
-    The workers are forked, so they start with the package imported and the
-    parent's state in place; a spawned worker would spend about 0.5 s
-    importing the package again.  With ``fork`` the pool starts all its
-    workers at the first submit, before any thread of its own, and OpenBLAS
-    restarts its threads in each child.  The calls are submitted largest
-    ``size(args)`` first and their results read in the order of ``tasks``;
-    the first of them that raised cancels the calls not yet started and is
-    raised here.
+    One worker runs the calls in this process.  More workers are forked, so
+    they start with the package imported and the parent's state in place; a
+    spawned worker would spend about 0.5 s importing the package again.
+    With ``fork`` the pool starts all its workers at the first submit,
+    before any thread of its own, and OpenBLAS restarts its threads in each
+    child.  Given ``size``, the calls are submitted largest ``size(args)``
+    first, so no worker is left alone with a large call at the end.  The
+    results are read in the order of ``tasks``; the first of them that
+    raised cancels the calls not yet started and is raised here.
     """
+    workers = _worker_count(len(tasks))
+    if workers == 1:
+        return [task(*args) for args in tasks]
+
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
-    workers = min(len(tasks), len(os.sched_getaffinity(0)))
     context = multiprocessing.get_context("fork")
     with ProcessPoolExecutor(workers, mp_context=context) as pool:
-        order = sorted(range(len(tasks)), key=lambda i: size(tasks[i]),
-                       reverse=True)
+        order = range(len(tasks))
+        if size is not None:
+            order = sorted(order, key=lambda i: size(tasks[i]), reverse=True)
         futures = {i: pool.submit(task, *tasks[i]) for i in order}
         try:
             return [futures[i].result() for i in range(len(tasks))]
@@ -317,7 +360,7 @@ def cmd_solve(config: dict, out_dir: Path) -> int:
     tasks = [(formulation, mesh, spec, opts)
              for formulation in _formulations(config) for mesh in meshes]
     blocks = _run_tasks(_solve_rows, tasks,
-                        lambda t: (t[0].is_vector, t[1].num_edges))
+                        size=lambda t: (t[0].is_vector, t[1].num_edges))
     rows = ["formulation,mesh_h,mode_index,k_t_rad_per_m,is_tem"]
     rows += [row for block in blocks for row in block]
     csv = "\n".join(rows) + "\n"
@@ -355,8 +398,7 @@ def cmd_crossval(config: dict, out_dir: Path) -> int:
     opts = solver_options(config, count)
     reports = _run_tasks(
         _compare_pair,
-        [(scalar, vector, mesh, spec, opts, rtol) for scalar, vector in pairs],
-        lambda t: 0)
+        [(scalar, vector, mesh, spec, opts, rtol) for scalar, vector in pairs])
     payload = {"pairs": [r.to_json_dict() for r in reports],
                "all_passed": all(r.all_passed for r in reports)}
     text = json.dumps(payload, indent=2)
@@ -423,8 +465,7 @@ def cmd_fields(config: dict, out_dir: Path) -> int:
     names = _run_tasks(
         _write_fields,
         [(formulation, mesh, spec, opts, omega, grid, out_dir)
-         for formulation in _formulations(config)],
-        lambda t: t[0].is_vector)
+         for formulation in _formulations(config)])
     written = [name for block in names for name in block]
     print(json.dumps({"written": written}, indent=2))
     return EXIT_OK

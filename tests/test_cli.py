@@ -385,10 +385,56 @@ def solver_pids(tmp_path, monkeypatch):
     return read
 
 
+def set_cpus(monkeypatch, cpus, **blas_threads):
+    """Pretend the affinity mask holds ``cpus`` CPUs and set the BLAS
+    thread variables to ``blas_threads`` (all unset by default)."""
+    monkeypatch.setattr(os, "sched_getaffinity",
+                        lambda pid: set(range(cpus)), raising=False)
+    for name in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS",
+                 "OMP_NUM_THREADS"):
+        if name in blas_threads:
+            monkeypatch.setenv(name, blas_threads[name])
+        else:
+            monkeypatch.delenv(name, raising=False)
+
+
+@pytest.fixture()
+def two_workers(monkeypatch):
+    set_cpus(monkeypatch, 2, OPENBLAS_NUM_THREADS="1")
+
+
+class TestWorkerCount:
+    @pytest.mark.parametrize("cpus, blas_threads, workers", [
+        (2, {}, 1),                                  # a BLAS thread per CPU
+        (2, {"OPENBLAS_NUM_THREADS": "1"}, 2),
+        (2, {"OMP_NUM_THREADS": "1"}, 2),
+        (2, {"GOTO_NUM_THREADS": "1"}, 2),
+        (2, {"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, 1),
+        (2, {"OPENBLAS_NUM_THREADS": "0", "OMP_NUM_THREADS": "1"}, 2),
+        (2, {"OPENBLAS_NUM_THREADS": "x", "OMP_NUM_THREADS": "1"}, 2),
+        (2, {"OPENBLAS_NUM_THREADS": "4"}, 1),
+        (8, {"OPENBLAS_NUM_THREADS": "2"}, 4),
+        (8, {"OPENBLAS_NUM_THREADS": "1"}, 6),       # one per task
+        (1, {"OPENBLAS_NUM_THREADS": "1"}, 1),
+    ])
+    def test_workers_keep_the_blas_threads(self, monkeypatch, cpus,
+                                           blas_threads, workers):
+        from wgcutoff import cli
+        set_cpus(monkeypatch, cpus, **blas_threads)
+        assert cli._worker_count(6) == workers
+
+    def test_no_affinity_mask_means_one_worker(self, monkeypatch):
+        from wgcutoff import cli
+        set_cpus(monkeypatch, 2, OPENBLAS_NUM_THREADS="1")
+        monkeypatch.delattr(os, "sched_getaffinity")
+        assert cli._worker_count(6) == 1
+
+
 class TestWorkers:
     @pytest.mark.parametrize("command", COMMANDS)
     def test_solves_run_in_worker_processes(self, tmp_path, capsys,
-                                            solver_pids, command):
+                                            two_workers, solver_pids,
+                                            command):
         config = coax_config(tmp_path)
         assert main([command, "--config", config,
                      "--out", str(tmp_path)]) != 1
@@ -396,22 +442,29 @@ class TestWorkers:
         assert len(pids) == SOLVES[command]
         assert os.getpid() not in pids
 
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_one_worker_solves_in_process(self, tmp_path, capsys,
+                                          monkeypatch, solver_pids, command):
+        set_cpus(monkeypatch, 2)  # OpenBLAS starts a thread per CPU
+        config = coax_config(tmp_path)
+        assert main([command, "--config", config,
+                     "--out", str(tmp_path)]) != 1
+        assert solver_pids() == [os.getpid()] * SOLVES[command]
+
     def test_outputs_match_one_worker(self, tmp_path, capsys, monkeypatch,
                                       solver_pids):
         config = coax_config(tmp_path)
         runs = []
-        for cpus in (None, {0}):
-            if cpus is not None:
-                monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
-            out = tmp_path / f"out{len(runs)}"
+        for cpus in (2, 1):
+            set_cpus(monkeypatch, cpus, OPENBLAS_NUM_THREADS="1")
+            out = tmp_path / f"out{cpus}"
             codes = []
             for command in COMMANDS:
                 codes.append(main([command, "--config", config,
                                    "--out", str(out)]))
                 pids = solver_pids()
                 assert len(pids) == SOLVES[command]
-                if cpus is not None:
-                    assert len(set(pids)) == 1
+                assert (os.getpid() in pids) == (cpus == 1)
             files = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
             runs.append((codes, capsys.readouterr().out, files))
         assert 1 not in runs[0][0]
@@ -420,7 +473,8 @@ class TestWorkers:
         assert b",true" in runs[0][2]["cutoffs.csv"]  # the coax TEM rows
         assert runs[0] == runs[1]
 
-    def test_killed_worker_exits_one(self, tmp_path, capsys, monkeypatch):
+    def test_killed_worker_exits_one(self, tmp_path, capsys, monkeypatch,
+                                     two_workers):
         from wgcutoff import modes
         from wgcutoff.modes import Formulation
         test_pid = os.getpid()
@@ -441,7 +495,8 @@ class TestWorkers:
         assert not (tmp_path / "cutoffs.csv").exists()
 
     def test_first_error_in_output_order_is_reported(self, tmp_path, capsys,
-                                                     monkeypatch):
+                                                     monkeypatch,
+                                                     two_workers):
         # vector_te is submitted first and fails first; a one-worker run
         # would have met the scalar_te failure first
         from wgcutoff import modes
