@@ -12,50 +12,62 @@ on the absolute length scale.
 Shift-invert ARPACK runs on ``P (A - sigma B)^{-1} B`` from a projected
 start vector, with ``sigma = -(shift or trace_scale)`` and ``trace_scale =
 tr(A) / tr(B) / p`` for every pencil: A is singular (scalar TE's constant,
-the gradients), ``A - sigma B`` is positive definite.  A failed
-factorization is retried with a ten times larger shift up to three times.
-The multipliers are ``zeta = lambda S^{-1} C^H x``.  Pencils with ``p`` at
-most ``dense_cutoff`` run dense ``eigh`` instead, on the nullspace of
-``C^H`` for a vector pencil.  A dense QZ solve of the saddle pencil is
-exposed as the oracle the tests check every path against.  Every pair is
-gated on ``|A x + C zeta - lambda B x| / ((|A| + |lambda| |B|) |x|)``,
-whose terms all scale alike.
+the gradients), but ``A - sigma B`` is positive definite for every
+``sigma < 0``, so the shift is factored once; a SuperLU or ARPACK failure
+is an :class:`EigenSolveError` that names it.  The multipliers are ``zeta
+= lambda S^{-1} C^H x``.  Pencils with ``p`` at most ``dense_cutoff`` run
+dense ``eigh`` instead, on the nullspace of ``C^H`` for a vector pencil.
+A dense QZ solve of the saddle pencil is exposed as the oracle the tests
+check every path against.  Every pair is gated on ``|A x + C zeta - lambda
+B x| / ((|A| + |lambda| |B|) |x|)``, whose terms all scale alike.
 
 ARPACK stops at ``tol = residual_tol / 100``, not at machine precision.
-It stops when ``|T x - theta x| <= tol |theta|`` for ``T = P (A - sigma
-B)^{-1} B`` and ``theta = 1 / (lambda - sigma)``.  Since ``(A - lambda B) x
-= -(lambda - sigma) (A - sigma B) (T x - theta x)``, the gated residual is
-then at most about ``tol (|A| + |sigma| |B|) / (|A| + |lambda| |B|)``, which
-is about ``tol`` because ``|sigma|`` is far below ``|A| / |B|``; the ratio
-is the same at every length scale, and the eigenvalue error is of the order
-of its square (Lehoucq, Sorensen & Yang, ARPACK Users' Guide, 1998).  On
-the 128 x 128 rectangle (4 modes per route, seeds 1-3) a solve takes 30-42
-operator applications instead of 40-53.  Two safeguards keep the early stop
-from losing eigenvalues.  One Krylov sequence sees the second copy of a
-degenerate eigenvalue only through rounding, so an early stop can return one
-copy: on symmetric coax, disc and square meshes, 10 of 360 forced
+It stops when ``|T x - theta x| <= tol max(eps^(2/3), |theta|)`` for ``T =
+P (A - sigma B)^{-1} B`` and ``theta = 1 / (lambda - sigma)`` (Lehoucq,
+Sorensen & Yang, ARPACK Users' Guide, 1998).  While ``|theta|`` exceeds
+``eps^(2/3)``, about 3.7e-11, the test is relative: since ``(A - lambda B)
+x = -(lambda - sigma) (A - sigma B) (T x - theta x)``, the gated residual
+is then at most about ``tol (|A| + |sigma| |B|) / (|A| + |lambda| |B|)``,
+which is about ``tol`` because ``|sigma|`` is far below ``|A| / |B|``, and
+the eigenvalue error is of the order of its square.  But ``theta`` scales
+as ``L^2`` with the length scale L of the mesh: 4e-9 to 4e-6 on the test
+meshes at L = 1e-3 m and below ``eps^(2/3)`` from about L = 1e-5 m; run
+unscaled at L <= 1e-7 m, 55 of the 576 forced solves of
+``scripts/scale_sweep.py`` fail the gate or come back short.  So ARPACK
+sees the pencil ``(A, s B)`` with
+shift ``sigma / s``, ``s`` the power of four nearest ``|sigma|``, and the
+eigenvalues it returns are multiplied by ``s``.  The shifted matrix ``A -
+(sigma / s)(s B) = A - sigma B``, its factor and the eigenvectors are
+unchanged, while ``theta`` becomes ``s / (lambda - sigma)``, of order 1 at
+every L.  A power of four scales every product and square root ARPACK
+forms exactly, so where ``|theta|`` was already above ``eps^(2/3)`` (L =
+1e-3 m) the results are the unscaled ones bit for bit.  On the 128 x 128
+rectangle (4 modes per route, seeds 1-3) a solve takes 30-42 operator
+applications instead of 40-53.  Two safeguards keep the early stop from
+losing eigenvalues.  One Krylov sequence sees the second copy of a
+degenerate eigenvalue only through rounding, so an early stop can return
+one copy: on symmetric coax, disc and square meshes, 10 of 360 forced
 shift-invert solves of 4 to 8 modes did so at ``tol = 1e-10``, and none at
-machine precision.  Hence two pairs beyond the request are solved, gated and
-dropped (0 of 1,400 such solves came back short), and a gate looser than
-the default leaves ``tol`` at 1e-10 (at 1e-8, 17 of the 1,400 came back
-short).
+machine precision.  Hence two pairs beyond the request are solved, gated
+and dropped (0 of 1,400 such solves came back short), and a gate looser
+than the default leaves ``tol`` at 1e-10 (at 1e-8, 17 of the 1,400 came
+back short).
 
-Every sparse LU (the shift-invert operator, each retry, the polishing
-step, and the gradient stiffness S) goes through
-:class:`HermitianLU`, which is handed to ARPACK as ``OPinv`` so SciPy never
-factors on its own.  Each part of its recipe is needed (factor time and
-L+U nonzeros of the shifted pencil, one BLAS thread):
+Every sparse LU (the shift-invert operator and the gradient stiffness S)
+goes through :class:`HermitianLU`, which is handed to ARPACK as ``OPinv``
+so SciPy never factors on its own.  Each part of its recipe is needed
+(factor time and L+U nonzeros of the shifted pencil, one BLAS thread):
 
 * minimum degree on ``A^T + A`` with symmetric-mode pivoting instead of
   SciPy's default COLAMD: 128 x 128 rectangle vector TE 0.49 s / 4.1 M
   becomes 0.30 s / 2.4 M, vector TM 0.49 s / 4.3 M becomes 0.25 s / 1.6 M;
 * the reverse Cuthill-McKee pre-permutation: minimum degree alone is
   erratic, 5.0 s instead of 0.07 s / 0.67 M on scalar TE of the coax
-  refined three times.
-
-The shifted pencils are positive definite, so the 0.1 diagonal pivot
-threshold changes nothing on them; it is kept for the indefinite matrices
-of the polishing step.
+  refined three times;
+* the 0.1 diagonal pivot threshold: with SuperLU's default of 1.0 the
+  vector cut-offs of the coax refined two and three times move in their
+  last bits (up to 1.6e-15 relative, seeds 1-2), and so do their
+  eigenvectors.
 
 Pencils whose matrices are real (scalar TM, any medium with alpha = 0) are
 stored in float64 by :mod:`wgcutoff.femcore`; they are factored in real
@@ -94,9 +106,10 @@ class SolveOptions:
     below which a mode counts as near zero (a TEM mode or scalar TE's
     constant).  ``dense_cutoff`` is the field dimension at or below which
     the dense path runs; set it to 0 to force shift-invert.
-    ``residual_tol`` gates the relative residual of every returned pair and
-    also sets ARPACK's stop, ``residual_tol / 100``; a gate looser than the
-    default keeps the default's stop.
+    ``residual_tol`` (positive and finite) gates the relative residual of
+    every returned pair and also sets ARPACK's stop, ``residual_tol / 100``,
+    relative at every length scale; a gate looser than the default keeps
+    the default's stop.
     """
 
     num_modes: int = 4
@@ -109,8 +122,8 @@ class SolveOptions:
     def __post_init__(self):
         if self.num_modes < 1:
             raise ValueError("num_modes must be at least 1")
-        if self.residual_tol <= 0:
-            raise ValueError("residual_tol must be positive")
+        if not 0 < self.residual_tol < np.inf:
+            raise ValueError("residual_tol must be positive and finite")
         if not 0 < self.zero_frac < 1:
             raise ValueError("zero_frac must lie strictly between 0 and 1")
         if not self.shift >= 0:
@@ -225,50 +238,27 @@ class _GradientProjector:
 
 def _shift_invert(K, M, k, sigma, v0, project, ncv, tol):
     """ARPACK on ``P (K - sigma M)^{-1} M`` to relative accuracy ``tol``;
-    pairs come back ascending."""
+    pairs come back ascending.
+
+    ARPACK sees the pencil ``(K, s M)`` with shift ``sigma / s``, where ``s``
+    is the power of four nearest ``|sigma|``: the same shifted matrix and
+    eigenvectors, eigenvalues divided by ``s``, and Ritz values of order 1
+    (see the module notes).
+    """
+    s = 4.0 ** round(np.log2(abs(sigma)) / 2)
     with HermitianLU(K - sigma * M) as lu:
         op = spla.LinearOperator(
             K.shape, matvec=lambda b: project(lu.solve(b)), dtype=lu.dtype)
-        w, vecs = spla.eigsh(K, k=k, M=M, sigma=sigma, which="LM",
-                             v0=project(v0), ncv=ncv, tol=tol, OPinv=op)
+        w, vecs = spla.eigsh(K, k=k, M=spla.aslinearoperator(M) * s,
+                             sigma=sigma / s, which="LM", v0=project(v0),
+                             ncv=ncv, tol=tol, OPinv=op)
     # SciPy's complex ARPACK wrapper (_UnsymmetricArpackParams) keeps the
     # operators and the ARPACK workspace in a reference cycle.  It is still
     # in the young generations here, so a cheap collection frees it now
     # rather than at the next full collection.
     gc.collect(1)
     order = np.argsort(w)
-    return w[order], vecs[:, order]
-
-
-def _polish(K, M, w, vecs, residuals, tol, project):
-    """Shifted inverse iteration on any pair whose residual misses ``tol``.
-
-    One application of ``P (K - sigma M)^{-1} M`` with sigma just below the
-    Ritz value contracts the error sharply; the eigenvalue is refreshed
-    from the Rayleigh quotient.  Pairs already within tolerance are left
-    untouched, keeping results deterministic.
-    """
-    w = np.asarray(w, dtype=float).copy()
-    vecs = vecs.copy()
-    for i in np.flatnonzero(residuals > tol):
-        scale = max(np.abs(w).max(), 1e-300)
-        sigma = (w[i] * (1.0 - 1e-7) if abs(w[i]) > 1e-9 * scale
-                 else -1e-7 * scale)
-        try:
-            with HermitianLU(K - sigma * M) as lu:
-                y = project(lu.solve(M @ vecs[:, i]))
-        except Exception:
-            continue
-        norm = np.linalg.norm(y)
-        if not np.isfinite(norm) or norm == 0:
-            continue
-        y /= norm
-        denominator = np.vdot(y, M @ y).real
-        if denominator > 0:
-            w[i] = np.vdot(y, K @ y).real / denominator
-            vecs[:, i] = y
-    order = np.argsort(w)
-    return w[order], vecs[:, order]
+    return w[order] * s, vecs[:, order]
 
 
 def _check(w, residuals, opts, scale):
@@ -369,30 +359,18 @@ def solve(pencil: HermitianPencil, opts: SolveOptions) -> Spectrum:
             ncv = min(max(2 * want + 1, 20), p - m)
             # a looser gate does not loosen ARPACK below the default gate's
             tol = min(opts.residual_tol, SolveOptions.residual_tol) / 100
-            sigma0 = -(opts.shift or _trace_scale(K, M))
-            sigma = sigma0
-            last = None
-            for _ in range(4):
-                try:
-                    w, vecs = _shift_invert(K, M, want, sigma,
-                                            _start_vector(p, opts.seed),
-                                            project, ncv, tol)
-                    break
-                except Exception as exc:  # singular factorization: grow the shift
-                    last = exc
-                    sigma *= 10.0
-            else:
+            sigma = -(opts.shift or _trace_scale(K, M))
+            try:
+                w, vecs = _shift_invert(K, M, want, sigma,
+                                        _start_vector(p, opts.seed),
+                                        project, ncv, tol)
+            except RuntimeError as exc:  # SuperLU or ARPACK
                 raise EigenSolveError(
-                    f"shift-invert failed for shifts {sigma0}..{sigma / 10}: {last}"
-                )
+                    f"shift-invert failed at shift {sigma:.6e}: {exc}"
+                ) from exc
 
         zeta = project.multipliers(w, vecs)
         residuals = _residuals(K, M, w, vecs, project.coupling, zeta)
-        if (residuals > opts.residual_tol).any():
-            w, vecs = _polish(K, M, w, vecs, residuals, opts.residual_tol,
-                              project)
-            zeta = project.multipliers(w, vecs)
-            residuals = _residuals(K, M, w, vecs, project.coupling, zeta)
     w = np.asarray(w, dtype=float)
     norms = np.sqrt(np.abs(np.einsum("ij,ij->j", vecs.conj(), M @ vecs)))
     norms = np.where(norms > 0, norms, 1.0)

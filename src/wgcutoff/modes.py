@@ -50,10 +50,6 @@ class Formulation(str, enum.Enum):
     def is_vector(self) -> bool:
         return self in (Formulation.VECTOR_TE, Formulation.VECTOR_TM)
 
-    @property
-    def is_te(self) -> bool:
-        return self in (Formulation.SCALAR_TE, Formulation.VECTOR_TE)
-
 
 KIND_NODAL_SCALAR = "nodal_scalar"
 KIND_TRIANGLE_SCALAR = "triangle_scalar"

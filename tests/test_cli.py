@@ -214,7 +214,8 @@ class TestSolve:
         err = capsys.readouterr().err
         assert err == "error: Unable to allocate 7.28 TiB\n"
 
-    @pytest.mark.parametrize("solver", [{"zero_frac": -1}, {"shift": -1.0}])
+    @pytest.mark.parametrize("solver", [{"zero_frac": -1}, {"shift": -1.0},
+                                        {"residual_tol": float("nan")}])
     def test_out_of_range_solver_option_exits_one(self, tmp_path, capsys,
                                                   solver):
         config = write_config(tmp_path, solver=solver)

@@ -13,6 +13,7 @@ from wgcutoff import (
     generate_rectangle,
     refine_uniform,
 )
+from wgcutoff import eigensolve
 from wgcutoff.eigensolve import (
     EigenSolveError,
     HermitianLU,
@@ -129,6 +130,14 @@ class TestSolveOptions:
         with pytest.raises(ValueError, match="shift"):
             SolveOptions(shift=shift)
 
+    @pytest.mark.parametrize("residual_tol",
+                             [0.0, -1.0, float("nan"), float("inf")])
+    def test_residual_tol_not_positive_and_finite_rejected(self,
+                                                           residual_tol):
+        # a NaN gate would pass every pair: residuals > nan is always False
+        with pytest.raises(ValueError, match="residual_tol"):
+            SolveOptions(residual_tol=residual_tol)
+
 
 class TestSolveDefinite:
     def test_diagonal(self):
@@ -174,6 +183,8 @@ class TestSolveDefinite:
     @pytest.mark.parametrize("mesh", [
         pytest.param(lambda: generate_rectangle(1.2e-3, 1e-3, 24, 20),
                      id="rectangle 24x20"),
+        pytest.param(lambda: generate_rectangle(1.2e-9, 1e-9, 24, 20),
+                     id="rectangle 24x20 at 1 nm"),
         pytest.param(lambda: refine_uniform(generate_annulus(1e-3, 2e-3, 4, 48)),
                      id="coax L1")])
     @pytest.mark.parametrize("assemble", [
@@ -197,13 +208,36 @@ class TestSolveDefinite:
         assert (loose.residuals <= 1e-6).all()
         assert np.array_equal(loose.eigenvalues, sparse.eigenvalues)
 
+    @pytest.mark.parametrize("error, caught, message", [
+        (MemoryError, MemoryError, None),
+        (RuntimeError("Factor is exactly singular"), EigenSolveError,
+         "failed at shift -")])
+    def test_one_shift_invert_attempt(self, gyro_medium, monkeypatch, error,
+                                      caught, message):
+        # a failed factorization is not retried at another shift; only a
+        # SuperLU or ARPACK RuntimeError becomes an EigenSolveError
+        built = []
+
+        def failing_lu(matrix):
+            built.append(matrix)
+            raise error
+
+        monkeypatch.setattr(eigensolve, "HermitianLU", failing_lu)
+        pencil = assemble_scalar_tm(generate_rectangle(1.2e-3, 1e-3, 6, 5),
+                                    gyro_medium)
+        with pytest.raises(caught, match=message):
+            solve(pencil, SolveOptions(num_modes=3, dense_cutoff=0))
+        assert len(built) == 1
+
+    @pytest.mark.parametrize("length", [1e-3, 1e-9])
     @pytest.mark.parametrize("residual_tol", [1e-8, 1e-6])
     def test_early_stop_keeps_both_copies_of_a_degenerate_pair(
-            self, gyro_medium, residual_tol):
+            self, gyro_medium, residual_tol, length):
         # scalar TM on the coax pairs its modes; stopped at 1e-10 without
         # the two extra pairs, 9 of these 10 seeds returned one copy of the
-        # pair at the top of 4 modes, and at 1e-8 every seed did so for 3
-        pencil = assemble_scalar_tm(generate_annulus(1e-3, 2e-3, 4, 48),
+        # pair at the top of 4 modes, and at 1e-8 every seed did so for 3.
+        # At 1 nm the stop must stay as tight as at 1 mm.
+        pencil = assemble_scalar_tm(generate_annulus(length, 2 * length, 4, 48),
                                     gyro_medium)
         dense, _ = _dense(pencil, 4)
         for k in (3, 4):
