@@ -26,7 +26,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import jv, yv
 
 from .eigensolve import SolveOptions
 from .medium import MediumSpec
@@ -89,6 +88,8 @@ def compare_spectra(a: ModeSolution, b: ModeSolution, count: int,
     alignment is meaningful.  Degenerate clusters are compared as sorted
     multisets, which ascending pairing provides for free.
     """
+    if not 0 < rtol < np.inf:
+        raise CrossValError(f"rtol must be positive and finite, got {rtol}")
     if {a.formulation, b.formulation} not in _COMPLEMENTARY:
         raise CrossValError(
             f"formulations {a.formulation.value} and {b.formulation.value} "
@@ -355,6 +356,9 @@ def oracle_tm_annulus(r1: float, r2: float, spec: MediumSpec,
     bracketed scan plus bisection (1e-12 relative); m >= 1 roots doubled.
     A bracketing failure raises instead of silently skipping roots.
     """
+    # imported here, its one use: no command line path needs it
+    from scipy.special import jv, yv
+
     if not 0 < r1 < r2:
         raise CrossValError("need 0 < r1 < r2")
     spacing = math.pi / (r2 - r1)

@@ -261,12 +261,15 @@ def _shift_invert(K, M, k, sigma, v0, project, ncv, tol):
     return w[order] * s, vecs[:, order]
 
 
-def _check(w, residuals, opts, scale):
+def _check(w, residuals, opts, K, M):
+    """Raise unless every pair passes the residual gate and no eigenvalue
+    is negative beyond rounding at the scale of ``w`` and ``K``, ``M``."""
     if (residuals > opts.residual_tol).any():
         raise EigenSolveError(
             f"eigenpair residual {residuals.max():.3e} exceeds "
             f"{opts.residual_tol:.1e}"
         )
+    scale = max(np.abs(w).max(), _mat_norm(K) / max(_mat_norm(M), 1e-300))
     if (w < -opts.residual_tol * scale).any():
         raise EigenSolveError(
             f"negative eigenvalue {w.min():.6e} in a semidefinite pencil"
@@ -375,8 +378,7 @@ def solve(pencil: HermitianPencil, opts: SolveOptions) -> Spectrum:
     norms = np.sqrt(np.abs(np.einsum("ij,ij->j", vecs.conj(), M @ vecs)))
     norms = np.where(norms > 0, norms, 1.0)
     vecs, zeta = vecs / norms, zeta / norms
-    _check(w, residuals, opts,
-           scale=max(np.abs(w).max(), _mat_norm(K) / max(_mat_norm(M), 1e-300)))
+    _check(w, residuals, opts, K, M)
     return Spectrum(eigenvalues=w[:k],
                     eigenvectors=vecs[:, :k].astype(complex, copy=False),
                     residuals=residuals[:k],

@@ -149,17 +149,25 @@ def _phase(columns: np.ndarray) -> np.ndarray:
     return np.where(size > 0, np.conj(pivot) / np.where(size > 0, size, 1.0), 1.0)
 
 
-def _solve_formulation(mesh: Mesh, spec: MediumSpec, q: int,
-                       formulation: Formulation,
-                       options: SolveOptions | None) -> ModeSolution:
-    if q < 1:
-        raise ValueError("q must be at least 1")
+def _require_independent(spec: MediumSpec) -> None:
     report = validate(spec)
     if report.verdict != VERDICT_INDEPENDENT:
         raise MediumError(
             "medium does not guarantee independent TE/TM modes; "
             f"decoupling residual {report.decoupling_residual:.3e}"
         )
+
+
+def _cutoffs(eigenvalues: np.ndarray) -> np.ndarray:
+    return np.sqrt(np.clip(eigenvalues, 0.0, None))
+
+
+def _solve_formulation(mesh: Mesh, spec: MediumSpec, q: int,
+                       formulation: Formulation,
+                       options: SolveOptions | None) -> ModeSolution:
+    if q < 1:
+        raise ValueError("q must be at least 1")
+    _require_independent(spec)
     opts = options if options is not None else SolveOptions()
 
     if formulation is Formulation.SCALAR_TE:
@@ -194,14 +202,13 @@ def _solve_formulation(mesh: Mesh, spec: MediumSpec, q: int,
         tem_count = 0
 
     eigenvalues = spectrum.eigenvalues[keep]
-    cutoffs = np.sqrt(np.clip(eigenvalues, 0.0, None))
     phase = _phase(spectrum.eigenvectors[:, keep])
     vectors = spectrum.eigenvectors[:, keep] * phase
     multipliers = (spectrum.multipliers[:, keep] * phase
                    if formulation.is_vector else None)
     return ModeSolution(
         formulation=formulation,
-        cutoffs=cutoffs,
+        cutoffs=_cutoffs(eigenvalues),
         eigenvalues=eigenvalues,
         tem_count=tem_count,
         dof_vectors=vectors,
@@ -235,6 +242,61 @@ SOLVERS = {
     Formulation.VECTOR_TE: solve_te_vector,
     Formulation.VECTOR_TM: solve_tm_vector,
 }
+
+
+def restore(formulation: Formulation, mesh: Mesh, spec: MediumSpec,
+            options: SolveOptions, eigenvalues: np.ndarray, tem_count,
+            dof_vectors: np.ndarray, multiplier_vectors: np.ndarray,
+            residuals: np.ndarray) -> ModeSolution:
+    """The solution that ``SOLVERS[formulation]`` returned, rebuilt from its
+    arrays after every check the solve runs on it.
+
+    ``multiplier_vectors`` has no rows for a scalar formulation.  The
+    medium verdict is checked, the pencil assembled again, the arrays
+    checked for dtype and shape against it, and the eigenpairs with their
+    multipliers gated on the pencil residual.  Raises ``MediumError``,
+    ``ValueError`` or ``EigenSolveError`` where a check fails.
+    """
+    _require_independent(spec)
+    pencil = _ASSEMBLERS[formulation](mesh, spec)
+    n = eigenvalues.shape[0] if eigenvalues.ndim == 1 else -1
+    expected = (
+        (eigenvalues, np.float64, (n,)),
+        (residuals, np.float64, (n,)),
+        (dof_vectors, np.complex128, (pencil.primal_dim, n)),
+        (multiplier_vectors, np.complex128, (pencil.multiplier_dim, n)),
+    )
+    for array, dtype, shape in expected:
+        if array.dtype != dtype or array.shape != shape:
+            raise ValueError(f"stored {array.dtype} {array.shape} array, "
+                             f"expected {np.dtype(dtype)} {shape}")
+    tem_count = np.asarray(tem_count)
+    if tem_count.shape or tem_count.dtype.kind not in "iu":
+        raise ValueError("stored tem_count is not an integer")
+    tem_count = int(tem_count)
+    most = n if formulation.is_vector else 0
+    nonzero = n - tem_count
+    if not 0 <= tem_count <= most or not 1 <= nonzero <= options.num_modes:
+        raise ValueError(f"stored {n} modes with {tem_count} TEM modes")
+    coupling = pencil.constraint_block() if formulation.is_vector else None
+    eigensolve._check(
+        eigenvalues,
+        eigensolve._residuals(pencil.K, pencil.M, eigenvalues, dof_vectors,
+                              coupling, multiplier_vectors),
+        options, pencil.K, pencil.M)
+    return ModeSolution(
+        formulation=formulation,
+        cutoffs=_cutoffs(eigenvalues),
+        eigenvalues=eigenvalues,
+        tem_count=tem_count,
+        dof_vectors=dof_vectors,
+        multiplier_vectors=(multiplier_vectors if formulation.is_vector
+                            else None),
+        residuals=residuals,
+        mesh=mesh,
+        medium=spec,
+        pencil=pencil,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -282,8 +344,8 @@ def reconstruct_from_hz(solution: ModeSolution, mode_index: int, omega: float):
     """
     if solution.formulation is not Formulation.SCALAR_TE:
         raise ValueError("expected a scalar TE solution")
-    if omega <= 0:
-        raise ValueError("omega must be positive")
+    if not 0 < omega < np.inf:
+        raise ValueError("omega must be positive and finite")
     kt, hz = _scalar_mode(solution, mode_index)
     kz = _phase_constant(solution.medium, omega, kt)
     grad = _nodal_gradients(solution, hz)
@@ -306,8 +368,8 @@ def reconstruct_from_ez(solution: ModeSolution, mode_index: int, omega: float):
     """
     if solution.formulation is not Formulation.SCALAR_TM:
         raise ValueError("expected a scalar TM solution")
-    if omega <= 0:
-        raise ValueError("omega must be positive")
+    if not 0 < omega < np.inf:
+        raise ValueError("omega must be positive and finite")
     kt, ez = _scalar_mode(solution, mode_index)
     kz = _phase_constant(solution.medium, omega, kt)
     grad = _nodal_gradients(solution, ez)
@@ -340,8 +402,8 @@ def transverse_companion(solution: ModeSolution, mode_index: int,
     ``h_t = k_z z x (mu_t^-1 e_t) / omega`` for TE and
     ``e_t = -k_z z x (eps_t^-1 h_t) / omega`` for TM, in absolute units.
     """
-    if omega <= 0:
-        raise ValueError("omega must be positive")
+    if not 0 < omega < np.inf:
+        raise ValueError("omega must be positive and finite")
     spec = solution.medium
     field = transverse_field(solution, mode_index)
     kz = _phase_constant(spec, omega, float(solution.cutoffs[mode_index]))
@@ -370,8 +432,8 @@ def reconstruct_longitudinal(solution: ModeSolution, mode_index: int,
     """
     if not solution.formulation.is_vector:
         raise ValueError("expected a vector-formulation solution")
-    if omega <= 0:
-        raise ValueError("omega must be positive")
+    if not 0 < omega < np.inf:
+        raise ValueError("omega must be positive and finite")
     if mode_index < solution.tem_count:
         raise ValueError("TEM mode has no longitudinal field")
     kt = float(solution.cutoffs[mode_index])

@@ -118,10 +118,13 @@ class TestSolve:
                       "nr": 3, "ntheta": 20},
             formulations=["vector_tm"],
         )
-        main(["solve", "--config", config, "--out", str(tmp_path)])
-        first = (tmp_path / "cutoffs.csv").read_bytes()
-        main(["solve", "--config", config, "--out", str(tmp_path)])
-        assert (tmp_path / "cutoffs.csv").read_bytes() == first
+        # the second run writes into a fresh --out, so it solves again
+        # rather than reading the first run's stored solutions
+        for out in ("first", "second"):
+            main(["solve", "--config", config, "--out", str(tmp_path / out)])
+        first, second = ((tmp_path / out / "cutoffs.csv").read_bytes()
+                         for out in ("first", "second"))
+        assert first == second
 
     def test_scalar_tm_csv_trend_is_decreasing(self, tmp_path, capsys):
         # 4 modes x 5 nested meshes, every tracked mode decreasing
@@ -346,17 +349,25 @@ class TestFields:
         # POINTS, CELLS and CELL_TYPES are formatted once for all six files
         assert len(calls) == 1
 
-    def test_missing_omega_exits_one(self, tmp_path, capsys):
-        config = write_config(tmp_path, formulations=["scalar_te"])
+    @pytest.mark.parametrize("omega", [None, float("nan"), float("inf")])
+    def test_missing_or_non_finite_omega_exits_one(self, tmp_path, capsys,
+                                                   omega):
+        extra = {} if omega is None else {"omega": omega}
+        config = write_config(tmp_path, formulations=["scalar_te"], **extra)
         assert main(["fields", "--config", config,
                      "--out", str(tmp_path)]) == 1
-        assert "omega" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "omega" in err
+        assert not list(tmp_path.glob("*.vtk"))
 
 
 COAX = {"kind": "annulus", "r1": 1e-3, "r2": 2e-3, "nr": 2, "ntheta": 12}
 COMMANDS = ("solve", "crossval", "fields")
 #: solves per command on COAX with all four formulations
 SOLVES = {"solve": 4, "crossval": 4, "fields": 4}
+#: the same after ``solve`` in the same --out, whose solutions they read
+SOLVES_AFTER_SOLVE = {"solve": 4, "crossval": 0, "fields": 0}
 
 
 def coax_config(tmp_path):
@@ -402,6 +413,124 @@ def set_cpus(monkeypatch, cpus, **blas_threads):
 @pytest.fixture()
 def two_workers(monkeypatch):
     set_cpus(monkeypatch, 2, OPENBLAS_NUM_THREADS="1")
+
+
+def store_files(out):
+    return sorted((out / "solutions").glob("*"))
+
+
+class TestSolutionStore:
+    def test_later_commands_read_what_solve_stored(self, tmp_path, capsys,
+                                                    two_workers, solver_pids):
+        config = coax_config(tmp_path)
+
+        def run(command, out):
+            code = main([command, "--config", config, "--out", str(out)])
+            return code, capsys.readouterr().out, len(solver_pids())
+
+        shared = [run(command, tmp_path / "shared") for command in COMMANDS]
+        alone = [run(command, tmp_path / f"alone_{command}")
+                 for command in COMMANDS]
+        assert [solves for _, _, solves in shared] == [4, 0, 0]
+        assert [solves for _, _, solves in alone] == [4, 4, 4]
+        assert [r[:2] for r in shared] == [r[:2] for r in alone]
+        assert 1 not in [code for code, _, _ in shared]
+        outputs = {p.name: p.read_bytes()
+                   for command in COMMANDS
+                   for p in (tmp_path / f"alone_{command}").iterdir()
+                   if p.is_file()}
+        assert outputs == {p.name: p.read_bytes()
+                           for p in (tmp_path / "shared").iterdir()
+                           if p.is_file()}
+        assert len(store_files(tmp_path / "shared")) == 4
+
+    @pytest.mark.parametrize("change, misses", [
+        ({}, 0),
+        ({"medium": dict(GYRO, eps={"d": 2, "alpha": -0.5, "zz": 1},
+                         mu={"d": 1, "alpha": 0.25, "zz": 2})}, 1),
+        ({"num_modes": 2}, 1),
+        ({"solver": {"seed": 7}}, 1),
+        ({"refinements": 1}, 1),  # the coarse level is the stored one
+        (None, 1),  # the package's source edited
+    ])
+    def test_changed_input_misses(self, tmp_path, capsys, monkeypatch,
+                                  solver_pids, change, misses):
+        from wgcutoff import cli
+        out = tmp_path / "out"
+        assert main(["solve", "--config", write_config(tmp_path),
+                     "--out", str(out)]) == 0
+        assert len(solver_pids()) == 1
+        if change is None:
+            monkeypatch.setattr(cli, "_source_digest", lambda: "edited")
+        config = write_config(tmp_path, **(change or {}))
+        assert main(["solve", "--config", config, "--out", str(out)]) == 0
+        assert len(solver_pids()) == misses
+        assert len(store_files(out)) == 1 + misses
+        fresh = tmp_path / "fresh"
+        main(["solve", "--config", config, "--out", str(fresh)])
+        assert ((out / "cutoffs.csv").read_bytes()
+                == (fresh / "cutoffs.csv").read_bytes())
+
+    @pytest.mark.parametrize("damage", ["truncate", "shape", "eigenvalue"])
+    def test_damaged_file_is_solved_again(self, tmp_path, capsys,
+                                          solver_pids, damage):
+        config = write_config(tmp_path)
+        out = tmp_path / "out"
+        main(["solve", "--config", config, "--out", str(out)])
+        first = (out / "cutoffs.csv").read_bytes()
+        assert len(solver_pids()) == 1
+        [path] = store_files(out)
+        if damage == "truncate":
+            path.write_bytes(path.read_bytes()[:-100])
+        else:
+            with np.load(path) as stored:
+                arrays = dict(stored)
+            if damage == "shape":
+                # one column more than there are eigenvalues: the residual
+                # gate, which reads one column per eigenvalue, passes it
+                vectors = arrays["dof_vectors"]
+                arrays["dof_vectors"] = np.hstack([vectors, vectors[:, :1]])
+            else:
+                # fails the re-gate: its residual becomes about 7e-8
+                arrays["eigenvalues"][0] *= 1 + 1e-6
+            with open(path, "wb") as handle:
+                np.savez(handle, **arrays)
+        for solves in (1, 0):  # solved again and stored again
+            (out / "cutoffs.csv").unlink()
+            assert main(["solve", "--config", config,
+                         "--out", str(out)]) == 0
+            assert len(solver_pids()) == solves
+            assert (out / "cutoffs.csv").read_bytes() == first
+            assert store_files(out) == [path]
+
+    def test_failed_solve_leaves_no_file(self, tmp_path, capsys, monkeypatch,
+                                         solver_pids):
+        from wgcutoff import modes
+        from wgcutoff.eigensolve import EigenSolveError
+        from wgcutoff.modes import Formulation
+
+        def fails(*args):
+            raise EigenSolveError("scalar_tm failed")
+
+        monkeypatch.setitem(modes.SOLVERS, Formulation.SCALAR_TM, fails)
+        config = write_config(tmp_path)
+        assert main(["solve", "--config", config,
+                     "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err == "error: scalar_tm failed\n"
+        assert store_files(tmp_path) == []
+
+    def test_failed_write_leaves_no_file(self, tmp_path, capsys, monkeypatch,
+                                         solver_pids):
+        def fails(handle, **arrays):
+            handle.write(b"PK partial")
+            raise OSError("No space left on device")
+
+        monkeypatch.setattr(np, "savez", fails)
+        config = write_config(tmp_path)
+        assert main(["solve", "--config", config,
+                     "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err == "error: No space left on device\n"
+        assert store_files(tmp_path) == []
 
 
 class TestWorkerCount:
@@ -464,10 +593,15 @@ class TestWorkers:
                 codes.append(main([command, "--config", config,
                                    "--out", str(out)]))
                 pids = solver_pids()
-                assert len(pids) == SOLVES[command]
-                assert (os.getpid() in pids) == (cpus == 1)
-            files = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
-            runs.append((codes, capsys.readouterr().out, files))
+                assert len(pids) == SOLVES_AFTER_SOLVE[command]
+                assert all((pid == os.getpid()) == (cpus == 1)
+                           for pid in pids)
+            # the stored solutions are keyed alike, but their .npz members
+            # carry their write times
+            files = {p.name: p.read_bytes()
+                     for p in sorted(out.iterdir()) if p.is_file()}
+            keys = sorted(p.name for p in (out / "solutions").iterdir())
+            runs.append((codes, capsys.readouterr().out, files, keys))
         assert 1 not in runs[0][0]
         # 2 modes per formulation, plus the TEM mode of each vector route
         assert sum(name.endswith(".vtk") for name in runs[0][2]) == 10
@@ -523,7 +657,8 @@ class TestWorkers:
         import wgcutoff
         src = Path(wgcutoff.__file__).resolve().parents[1]
         code = ("import sys, wgcutoff.cli; print(sorted(m for m in sys.modules"
-                " if m.split('.')[0] == 'multiprocessing'))")
+                " if m.split('.')[0] == 'multiprocessing'"
+                " or m.startswith('scipy.special')))")
         done = subprocess.run([sys.executable, "-c", code], check=True,
                               env=dict(os.environ, PYTHONPATH=str(src)),
                               capture_output=True, text=True)

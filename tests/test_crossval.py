@@ -49,6 +49,16 @@ class TestCompareSpectra:
         assert report.rel_diffs[0] == pytest.approx(3.2e-5, rel=0.02)
         assert report.all_passed
 
+    @pytest.mark.parametrize("rtol", [0, -1, np.nan, np.inf])
+    def test_rtol_must_be_positive_and_finite(self, small_rect_mesh,
+                                              gyro_medium, rtol):
+        a = stub_solution(Formulation.SCALAR_TM, [100.0], 0,
+                          small_rect_mesh, gyro_medium)
+        b = stub_solution(Formulation.VECTOR_TM, [100.0], 0,
+                          small_rect_mesh, gyro_medium)
+        with pytest.raises(CrossValError, match="rtol"):
+            compare_spectra(a, b, 1, rtol)
+
     def test_identical_solutions_have_zero_diff(self, small_rect_mesh,
                                                 gyro_medium):
         values = [100.0, 200.0, 300.0]
