@@ -563,6 +563,9 @@ def cmd_fields(config: dict, out_dir: Path) -> int:
     if "omega" not in config:
         raise ConfigError("field export requires 'omega' in the config")
     omega = config["omega"]
+    # the schema lets NaN and infinity through: reject them before solving
+    if not 0 < omega < float("inf"):
+        raise ConfigError("omega must be positive and finite")
     opts = solver_options(config, config.get("num_modes", 4))
     mesh = mesh_family(config)[-1]
     grid = vtkio.grid_blocks(mesh)

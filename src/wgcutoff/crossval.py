@@ -15,13 +15,14 @@ cross-product zeros on an annulus.  No analogous TE oracle exists for
 ``b != 0`` (the Neumann-type condition couples the tensor), so TE
 correctness rests on the scalar/vector agreement plus the isotropic case.
 
-The first few Bessel-J zeros are hardcoded from standard references and
-re-verified by bisection on an independent series/asymptotic evaluation of
-J_m, so a transcription slip cannot silently corrupt the oracle.
+The Bessel zeros and cross-product roots come from ``scipy.special`` and
+``scipy.optimize``, imported inside the oracles so that no command line
+path loads them.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -185,113 +186,6 @@ def convergence_trend(formulation: Formulation, mesh_family, spec: MediumSpec,
 
 
 # ---------------------------------------------------------------------------
-# Bessel machinery for the disc / annulus oracles
-
-
-#: Positive zeros j_{m,n} of J_m from standard references (12 digits),
-#: re-verified against the series evaluation below by the test suite.
-BESSEL_J_ZEROS = {
-    (0, 1): 2.40482555769577,
-    (1, 1): 3.83170597020751,
-    (2, 1): 5.13562230184068,
-    (0, 2): 5.52007811028631,
-}
-
-_SERIES_SWITCH = 12.0
-
-
-def bessel_j(m: int, x: float) -> float:
-    """J_m(x) for integer m >= 0 and x > 0, independent of scipy.special.
-
-    Ascending power series up to the switch point, Hankel asymptotic
-    expansion beyond; both are accurate well past the zeros this module
-    verifies.
-    """
-    if x < _SERIES_SWITCH:
-        half = 0.5 * x
-        term = half**m / math.factorial(m)
-        total = term
-        for k in range(1, 80):
-            term *= -(half * half) / (k * (k + m))
-            total += term
-            if abs(term) < 1e-18 * max(abs(total), 1e-30):
-                break
-        return total
-    mu = 4.0 * m * m
-    inv = 1.0 / (8.0 * x)
-    p = 1.0
-    q = 0.0
-    factor = 1.0
-    for k in range(1, 10):
-        factor *= (mu - (2 * k - 1) ** 2) * inv / k
-        if k % 2 == 1:
-            q += factor if (k // 2) % 2 == 0 else -factor
-        else:
-            p += -factor if (k // 2) % 2 == 1 else factor
-    chi = x - (0.5 * m + 0.25) * math.pi
-    return math.sqrt(2.0 / (math.pi * x)) * (p * math.cos(chi)
-                                             - q * math.sin(chi))
-
-
-def bisect_root(f, lo: float, hi: float, rtol: float = 1e-12) -> float:
-    """Plain bisection of a bracketed sign change, to relative width rtol."""
-    flo, fhi = f(lo), f(hi)
-    if not (np.isfinite(flo) and np.isfinite(fhi)) or flo * fhi > 0:
-        raise CrossValError(f"root not bracketed on [{lo}, {hi}]")
-    if flo == 0:
-        return lo
-    if fhi == 0:
-        return hi
-    while hi - lo > rtol * hi:
-        mid = 0.5 * (lo + hi)
-        fmid = f(mid)
-        if not np.isfinite(fmid):
-            raise CrossValError(f"function not finite at {mid}")
-        if fmid == 0:
-            return mid
-        if flo * fmid < 0:
-            hi = mid
-        else:
-            lo, flo = mid, fmid
-    return 0.5 * (lo + hi)
-
-
-def _scan_zeros(f, start: float, stop: float, step: float):
-    """All roots of f in (start, stop) located by stepping + bisection."""
-    zeros = []
-    x = start
-    fx = f(x)
-    if not np.isfinite(fx):
-        raise CrossValError(f"function not finite at scan start {start}")
-    while x < stop:
-        nxt = min(x + step, stop)
-        fn = f(nxt)
-        if not np.isfinite(fn):
-            raise CrossValError(f"function not finite at {nxt}")
-        if fx == 0.0:
-            zeros.append(x)
-        elif fx * fn < 0:
-            zeros.append(bisect_root(f, x, nxt))
-        x, fx = nxt, fn
-    return zeros
-
-
-def bessel_j_zero(m: int, n: int) -> float:
-    """n-th positive zero of J_m; hardcoded where tabulated, else bisected."""
-    if (m, n) in BESSEL_J_ZEROS:
-        return BESSEL_J_ZEROS[(m, n)]
-    zeros = _bessel_zeros_upto(m, max(4.0, m + (n + 2) * math.pi))
-    while len(zeros) < n:
-        zeros = _bessel_zeros_upto(m, m + (len(zeros) + n + 4) * math.pi)
-    return zeros[n - 1]
-
-
-def _bessel_zeros_upto(m: int, x_max: float):
-    start = max(0.5, 0.5 * m)  # J_m > 0 on (0, first zero), which exceeds m
-    return _scan_zeros(lambda x: bessel_j(m, x), start, x_max, 0.25)
-
-
-# ---------------------------------------------------------------------------
 # TM oracles
 
 
@@ -320,66 +214,60 @@ def oracle_tm_rectangle(a: float, b: float, spec: MediumSpec,
 def oracle_tm_disc(radius: float, spec: MediumSpec, count: int) -> np.ndarray:
     """Exact TM cut-offs of a disc: ``sqrt(eps/eps_zz) * j_{m,n} / R``.
 
-    Zeros of azimuthal order m >= 1 are doubled (cos/sin degeneracy).
+    Zeros of azimuthal order m >= 1 are doubled (cos/sin degeneracy).  The
+    ``count``-th zero of J_0 bounds the answer and ``j_{m,1}`` grows with m,
+    so orders are taken until one has no zero below that bound.
     """
+    from scipy.special import jn_zeros
+
     if radius <= 0:
         raise CrossValError("radius must be positive")
-    x_max = 4.0
-    while True:
-        values = []
-        m = 0
-        while True:
-            family = []
-            n = 1
-            while True:
-                z = bessel_j_zero(m, n)
-                if z > x_max:
-                    break
-                family.append(z)
-                n += 1
-            if not family:
-                break
-            mult = 1 if m == 0 else 2
-            values.extend(z for z in family for _ in range(mult))
-            m += 1
-        if len(values) >= count:
-            values.sort()
-            return _tm_scale(spec) * np.asarray(values[:count]) / radius
-        x_max *= 1.6
+    n = max(count, 1)  # jn_zeros wants one zero at least
+    bound = jn_zeros(0, n)[-1]
+    values = []
+    for m in itertools.count():
+        zeros = jn_zeros(m, n)
+        zeros = zeros[zeros <= bound]
+        if not zeros.size:
+            break
+        values.extend(np.repeat(zeros, 1 if m == 0 else 2))
+    return _tm_scale(spec) * np.sort(values)[:count] / radius
 
 
 def oracle_tm_annulus(r1: float, r2: float, spec: MediumSpec,
                       count: int) -> np.ndarray:
     """Exact TM cut-offs of an annulus from Bessel cross-product zeros.
 
-    Roots k of ``J_m(k r1) Y_m(k r2) - J_m(k r2) Y_m(k r1)`` are found by a
-    bracketed scan plus bisection (1e-12 relative); m >= 1 roots doubled.
-    A bracketing failure raises instead of silently skipping roots.
+    Roots k of ``J_m(k r1) Y_m(k r2) - J_m(k r2) Y_m(k r1)`` are bracketed
+    by the sign changes on a grid of step ``pi / (16 (r2 - r1))`` and
+    refined by Brent's method; m >= 1 roots doubled.  A value that is not
+    finite on the grid raises instead of silently skipping roots.
     """
-    # imported here, its one use: no command line path needs it
+    from scipy.optimize import brentq
     from scipy.special import jv, yv
+
+    def cross(k, m):
+        return jv(m, k * r1) * yv(m, k * r2) - jv(m, k * r2) * yv(m, k * r1)
 
     if not 0 < r1 < r2:
         raise CrossValError("need 0 < r1 < r2")
     spacing = math.pi / (r2 - r1)
-    k_start = 0.05 * spacing
-    step = spacing / 16.0
     k_max = spacing * 2.0
     while True:
+        grid = np.append(np.arange(0.05 * spacing, k_max, spacing / 16.0),
+                         k_max)
         values = []
-        m = 0
-        while True:
-            def cross(k, m=m):
-                return (jv(m, k * r1) * yv(m, k * r2)
-                        - jv(m, k * r2) * yv(m, k * r1))
-
-            zeros = _scan_zeros(cross, k_start, k_max, step)
+        for m in itertools.count():
+            f = cross(grid, m)
+            if not np.isfinite(f).all():
+                raise CrossValError(f"cross-product not finite at order {m}")
+            negative = np.signbit(f)
+            zeros = [brentq(cross, grid[i], grid[i + 1], args=(m,),
+                            xtol=1e-15 * spacing)
+                     for i in np.flatnonzero(negative[:-1] != negative[1:])]
             if not zeros:
                 break
-            mult = 1 if m == 0 else 2
-            values.extend(z for z in zeros for _ in range(mult))
-            m += 1
+            values.extend(np.repeat(zeros, 1 if m == 0 else 2))
         if len(values) >= count:
-            values.sort()
-            return _tm_scale(spec) * np.asarray(values[:count])
+            return _tm_scale(spec) * np.sort(values)[:count]
         k_max *= 1.6

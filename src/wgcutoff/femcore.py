@@ -355,11 +355,3 @@ def gradient_incidence(mesh: Mesh) -> sp.csr_matrix:
     vals = np.concatenate([np.ones(e), -np.ones(e)])
     return sp.coo_matrix((vals, (rows, cols)),
                          shape=(e, mesh.num_nodes)).tocsr()
-
-
-def hermiticity_defect(matrix: sp.spmatrix) -> float:
-    """Max-norm of ``K - K^H`` relative to the max-norm of K."""
-    diff = (matrix - matrix.conj().T).tocoo()
-    top = np.abs(diff.data).max() if diff.nnz else 0.0
-    scale = np.abs(matrix.tocoo().data).max() if matrix.nnz else 1.0
-    return float(top / max(scale, 1e-300))

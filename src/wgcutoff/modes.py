@@ -51,7 +51,6 @@ class Formulation(str, enum.Enum):
         return self in (Formulation.VECTOR_TE, Formulation.VECTOR_TM)
 
 
-KIND_NODAL_SCALAR = "nodal_scalar"
 KIND_TRIANGLE_SCALAR = "triangle_scalar"
 KIND_TRIANGLE_VECTOR = "triangle_vector"
 
@@ -278,12 +277,8 @@ def restore(formulation: Formulation, mesh: Mesh, spec: MediumSpec,
     nonzero = n - tem_count
     if not 0 <= tem_count <= most or not 1 <= nonzero <= options.num_modes:
         raise ValueError(f"stored {n} modes with {tem_count} TEM modes")
-    coupling = pencil.constraint_block() if formulation.is_vector else None
-    eigensolve._check(
-        eigenvalues,
-        eigensolve._residuals(pencil.K, pencil.M, eigenvalues, dof_vectors,
-                              coupling, multiplier_vectors),
-        options, pencil.K, pencil.M)
+    eigensolve.residual_gate(pencil, eigenvalues, dof_vectors,
+                             multiplier_vectors, options)
     return ModeSolution(
         formulation=formulation,
         cutoffs=_cutoffs(eigenvalues),

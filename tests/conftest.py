@@ -4,6 +4,14 @@ import pytest
 from wgcutoff import MediumSpec, TransverseTensor, generate_rectangle
 
 
+def hermiticity_defect(matrix) -> float:
+    """Max-norm of ``K - K^H`` relative to the max-norm of K."""
+    diff = (matrix - matrix.conj().T).tocoo()
+    top = np.abs(diff.data).max() if diff.nnz else 0.0
+    scale = np.abs(matrix.tocoo().data).max() if matrix.nnz else 1.0
+    return float(top / max(scale, 1e-300))
+
+
 @pytest.fixture(scope="session")
 def gyro_medium():
     """The anisotropic reference medium used throughout: eps=(2,-1,1), mu=(1,0.5,2)."""

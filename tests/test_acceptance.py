@@ -35,13 +35,7 @@ from wgcutoff import (
     validate,
 )
 from wgcutoff.crossval import TREND_DECREASING
-from wgcutoff.eigensolve import (
-    SolveOptions,
-    classify_near_zero,
-    dense_saddle_bruteforce,
-    solve,
-)
-from wgcutoff.femcore import hermiticity_defect
+from wgcutoff.eigensolve import SolveOptions, classify_near_zero, solve
 from wgcutoff.medium import VERDICT_INDEPENDENT, VERDICT_NOT_GUARANTEED
 from wgcutoff.modes import (
     SOLVERS,
@@ -50,7 +44,12 @@ from wgcutoff.modes import (
     multiplier_diagnostics,
     verify_tem,
 )
-from conftest import random_structured_mesh, random_valid_medium
+from conftest import (
+    hermiticity_defect,
+    random_structured_mesh,
+    random_valid_medium,
+)
+from saddle_oracle import dense_saddle_bruteforce
 
 
 @contextmanager

@@ -360,6 +360,8 @@ class TestFields:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "omega" in err
         assert not list(tmp_path.glob("*.vtk"))
+        # rejected before anything is solved or stored
+        assert not list(tmp_path.glob("solutions/*.npz"))
 
 
 COAX = {"kind": "annulus", "r1": 1e-3, "r2": 2e-3, "nr": 2, "ntheta": 12}
@@ -658,7 +660,7 @@ class TestWorkers:
         src = Path(wgcutoff.__file__).resolve().parents[1]
         code = ("import sys, wgcutoff.cli; print(sorted(m for m in sys.modules"
                 " if m.split('.')[0] == 'multiprocessing'"
-                " or m.startswith('scipy.special')))")
+                " or m.startswith(('scipy.special', 'scipy.optimize'))))")
         done = subprocess.run([sys.executable, "-c", code], check=True,
                               env=dict(os.environ, PYTHONPATH=str(src)),
                               capture_output=True, text=True)

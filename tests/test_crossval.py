@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from scipy.special import jv
+from scipy.special import jv, yv
 
 from wgcutoff import (
     compare_spectra,
@@ -14,14 +14,10 @@ from wgcutoff import (
     solve_tm_scalar,
 )
 from wgcutoff.crossval import (
-    BESSEL_J_ZEROS,
     CrossValError,
     TREND_DECREASING,
     TREND_INCREASING,
     TREND_SWING,
-    bessel_j,
-    bessel_j_zero,
-    bisect_root,
     classify_trend,
 )
 from wgcutoff.modes import Formulation, ModeSolution
@@ -175,6 +171,10 @@ class TestDiscOracle:
         b = oracle_tm_disc(2e-3, gyro_medium, 6)
         assert np.allclose(a, 2 * b, rtol=1e-12)
 
+    def test_bad_radius_rejected(self, gyro_medium):
+        with pytest.raises(CrossValError):
+            oracle_tm_disc(0.0, gyro_medium, 3)
+
 
 class TestAnnulusOracle:
     def test_reference_coax(self, gyro_medium):
@@ -197,29 +197,37 @@ class TestAnnulusOracle:
         assert (np.abs(diffs) <= 1e-9 * values[1:]).sum() >= 2
 
 
+#: Positive zeros j_{m,n} of J_m from standard references.
+BESSEL_J_ZEROS = {
+    (0, 1): 2.40482555769577,
+    (1, 1): 3.83170597020751,
+    (2, 1): 5.13562230184068,
+    (0, 2): 5.52007811028631,
+    (1, 2): 7.01558666981562,
+}
+
+
 class TestBessel:
-    def test_hardcoded_zeros_verified_by_bisection(self):
-        # the tabulated values must agree with a bracketed bisection on the
-        # in-house series/asymptotic evaluation of J_m
+    def test_tabulated_zeros_match_disc_oracle(self, isotropic_medium):
+        # on the unit disc in vacuum the cut-offs are the zeros themselves,
+        # those of order m >= 1 twice
+        values = oracle_tm_disc(1.0, isotropic_medium, 10)
         for (m, n), tab in BESSEL_J_ZEROS.items():
-            root = bisect_root(lambda x, m=m: bessel_j(m, x),
-                               tab - 0.3, tab + 0.3)
-            assert root == pytest.approx(tab, abs=5e-12)
+            close = np.abs(values - tab) <= 5e-12 * tab
+            assert close.sum() == (1 if m == 0 else 2), (m, n)
 
-    def test_series_matches_scipy_on_grid(self):
-        # the ascending series covers every tabulated zero; the asymptotic
-        # tail only needs enough accuracy to bracket high-order zeros
-        for m in range(0, 5):
-            for x in np.linspace(0.1, 30.0, 120):
-                tol = 2e-11 if x < 12.0 else 5e-7
-                assert bessel_j(m, float(x)) == pytest.approx(
-                    float(jv(m, x)), abs=tol)
+    def test_annulus_roots_are_sign_changes(self, isotropic_medium):
+        r1, r2 = 1e-3, 2e-3
+        roots = oracle_tm_annulus(r1, r2, isotropic_medium, 8)
+        orders = [0, 1, 1, 2, 2, 3, 3, 4]
+        for k, m in zip(roots, orders):
+            ends = k * np.array([1 - 1e-12, 1 + 1e-12])
+            cross = jv(m, ends * r1) * yv(m, ends * r2) \
+                - jv(m, ends * r2) * yv(m, ends * r1)
+            assert cross[0] * cross[1] < 0, (k, m)
 
-    def test_zero_finder_beyond_table(self):
-        # j_{1,2} = 7.01558667... (not in the hardcoded table)
-        assert bessel_j_zero(1, 2) == pytest.approx(7.015586669815619,
-                                                    rel=1e-10)
-
-    def test_unbracketed_root_rejected(self):
-        with pytest.raises(CrossValError, match="bracket"):
-            bisect_root(lambda x: 1.0 + x * x, 0.0, 1.0)
+    def test_non_finite_cross_product_rejected(self, isotropic_medium):
+        # Y_2 overflows at k r1 ~ 1e-200; skipping those orders would drop
+        # roots silently
+        with pytest.raises(CrossValError, match="not finite"):
+            oracle_tm_annulus(1e-200, 1.0, isotropic_medium, 6)

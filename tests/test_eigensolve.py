@@ -19,10 +19,8 @@ from wgcutoff.eigensolve import (
     HermitianLU,
     SolveOptions,
     Spectrum,
-    _dense,
     _residuals,
     classify_near_zero,
-    dense_saddle_bruteforce,
     solve,
 )
 from wgcutoff.femcore import (
@@ -31,6 +29,7 @@ from wgcutoff.femcore import (
     DofMap,
     HermitianPencil,
 )
+from saddle_oracle import dense_saddle_bruteforce
 
 
 def plain_pencil(K, M):
@@ -196,9 +195,10 @@ class TestSolveDefinite:
         pencil = assemble(mesh(), gyro_medium)
         opts = SolveOptions(num_modes=4, dense_cutoff=0)
         sparse = solve(pencil, opts)
-        dense, _ = _dense(pencil, 4)
-        # dense eigh is accurate to about 1e-12 of the largest eigenvalue it
-        # returns, not of each one (coax L1 vector TE: 1.3e-12 on the first)
+        dense = solve(pencil, SolveOptions(
+            num_modes=4, dense_cutoff=pencil.primal_dim)).eigenvalues
+        # a full dense eigh is accurate to about 1e-12 of the largest
+        # eigenvalue it returns, not of each one
         scale = np.abs(dense).max()
         assert np.abs(sparse.eigenvalues - dense).max() <= 1e-12 * scale
         assert (sparse.residuals <= opts.residual_tol / 10).all()
@@ -239,7 +239,8 @@ class TestSolveDefinite:
         # At 1 nm the stop must stay as tight as at 1 mm.
         pencil = assemble_scalar_tm(generate_annulus(length, 2 * length, 4, 48),
                                     gyro_medium)
-        dense, _ = _dense(pencil, 4)
+        dense = solve(pencil, SolveOptions(
+            num_modes=4, dense_cutoff=pencil.primal_dim)).eigenvalues
         for k in (3, 4):
             for seed in range(1, 11):
                 got = solve(pencil, SolveOptions(
@@ -284,6 +285,17 @@ class TestSolveSaddle:
                                rtol=1e-8, atol=1e-8 * scale)
             assert np.allclose(brute, dense.eigenvalues,
                                rtol=1e-8, atol=1e-8 * scale)
+
+    def test_dense_penalty_below_the_wanted_pairs_rejected(
+            self, gyro_medium, monkeypatch):
+        # a penalty far below the wanted eigenvalues brings the gradients
+        # back among them; the dense path must refuse them
+        pencil = assemble_vector_te(generate_annulus(1e-3, 2e-3, 2, 12),
+                                    gyro_medium)
+        solve(pencil, SolveOptions(num_modes=4))  # the default clears them
+        monkeypatch.setattr(eigensolve, "_PENALTY_FACTOR", 1e-6)
+        with pytest.raises(EigenSolveError, match="dense penalty"):
+            solve(pencil, SolveOptions(num_modes=4))
 
     def test_real_saddle_shift_invert_matches_bruteforce(self,
                                                         isotropic_medium):

@@ -19,9 +19,12 @@ from wgcutoff.femcore import (
     AssemblyError,
     _scalar_matrices,
     _vector_matrices,
-    hermiticity_defect,
 )
-from conftest import random_structured_mesh, random_valid_medium
+from conftest import (
+    hermiticity_defect,
+    random_structured_mesh,
+    random_valid_medium,
+)
 
 
 def p1_laplacian_reference(mesh):
