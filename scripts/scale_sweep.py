@@ -2,9 +2,11 @@
 
 Every route solves 1, 4 and 8 modes at ARPACK seeds 1 and 2 on three
 meshes of side L: the 24 x 20 rectangle, the 4 x 48 coax and the disc
-refined once, all with ``dense_cutoff=0``.  A solve fails if it raises, or
-if its ``nonzero_cutoffs x L`` differ from the L = 1e-3 solve by more than
-1e-9 of their largest entry (a spectrum that comes back short fails too).
+refined once, all with ``dense_cutoff=0``.  A solve fails if it raises, if
+a vector solve's ``constraint_residuals`` exceed 1e-8 or its
+``multiplier_diagnostics`` 1e-6 (both counted as errors), or if its
+``nonzero_cutoffs x L`` differ from the L = 1e-3 solve by more than 1e-9 of
+their largest entry (a spectrum that comes back short fails too).
 
 Run as ``PYTHONPATH=src python scripts/scale_sweep.py``; it prints one line
 per failure and the counts, and exits 1 if any solve failed.
@@ -21,7 +23,11 @@ from wgcutoff import (
     refine_uniform,
 )
 from wgcutoff.medium import MediumSpec, TransverseTensor
-from wgcutoff.modes import SOLVERS
+from wgcutoff.modes import (
+    SOLVERS,
+    constraint_residuals,
+    multiplier_diagnostics,
+)
 
 REFERENCE = 1e-3
 SCALES = (1e-12, 1e-9, 1e-7, 1e-5, 1.0, 1e3, 1e9, 1e12)
@@ -35,12 +41,19 @@ MEDIUM = MediumSpec(eps_t=TransverseTensor(2.0, -1.0), eps_zz=1.0,
 
 
 def scaled_cutoffs(mesh, length, formulation, modes, seed):
-    """``nonzero_cutoffs x L``, or the error message of a failed solve."""
+    """``nonzero_cutoffs x L``, or the error message of a failed solve or of
+    a vector solve whose diagnostics exceed their floors."""
     options = SolveOptions(dense_cutoff=0, seed=seed)
     try:
         solution = SOLVERS[formulation](mesh, MEDIUM, modes, options)
     except Exception as exc:  # every failure is counted, none stops the sweep
         return f"{type(exc).__name__}: {exc}"
+    if formulation.is_vector:
+        divergence = constraint_residuals(solution).max()
+        multiplier = multiplier_diagnostics(solution).values.max()
+        if divergence > 1e-8 or multiplier > 1e-6:
+            return (f"divergence {divergence:.1e}, "
+                    f"multiplier diagnostic {multiplier:.1e}")
     return solution.nonzero_cutoffs * length
 
 

@@ -10,9 +10,15 @@ Subcommands
 ``mesh info``      print node/edge/triangle/boundary statistics as JSON.
 ``solve``          solve the configured formulations on the refinement
                    family, write ``cutoffs.csv``.
-``crossval``       solve scalar/vector pairs and report their agreement
-                   (exit 2 if any pair disagrees beyond the tolerance).
-``fields``         export per-mode field frames as legacy ASCII VTK files.
+``crossval``       solve scalar/vector pairs as ``solve`` does (at
+                   ``crossval.count`` modes where that exceeds
+                   ``num_modes``) and report the agreement of their first
+                   ``count`` cut-offs (exit 2 if any pair disagrees beyond
+                   the tolerance).
+``fields``         export per-mode field frames as legacy ASCII VTK files:
+                   the transverse fields per triangle, and the solved
+                   nodal field of a scalar route (a vector route's
+                   divergence multiplier is zero and is not written).
 
 Every command reads ``--config <file.json>`` (schema-validated, unknown keys
 rejected) and writes into ``--out <dir>`` (default: current directory).
@@ -29,7 +35,7 @@ of a solve again before it is used (the medium verdict, its shapes against
 the assembled pencil, the residual gate), and a file that fails or cannot
 be read is solved again and replaced, so a stale or damaged store costs
 time but does not change an output.  For the README config with all four
-formulations it takes 6.7 MB, beside 55 MB of VTK files.  Delete
+formulations it takes 5.3 MB, beside 52 MB of VTK files.  Delete
 ``solutions/`` to force a re-solve.
 
 ``solve``, ``crossval`` and ``fields`` spread their independent solves over
@@ -391,8 +397,7 @@ def _solution_key(formulation, mesh, spec, opts) -> str:
 
 
 #: The arrays of a stored solution, the arguments of ``modes.restore``.
-_STORED = ("eigenvalues", "tem_count", "dof_vectors", "multiplier_vectors",
-           "residuals")
+_STORED = ("eigenvalues", "tem_count", "dof_vectors", "residuals")
 
 #: What a failed read of a stored solution raises: a missing, truncated or
 #: damaged file (a member's CRC-32 catches changed bytes), one that is not
@@ -404,9 +409,6 @@ _STORE_MISS = (OSError, EOFError, KeyError, TypeError, ValueError,
 def _save(path: Path, solution) -> None:
     """Write ``solution`` to ``path`` under a temporary name, then move it
     into place, so no reader sees a partial file."""
-    multipliers = solution.multiplier_vectors
-    if multipliers is None:
-        multipliers = np.zeros((0, solution.cutoffs.size), dtype=complex)
     path.parent.mkdir(exist_ok=True)
     handle, temporary = tempfile.mkstemp(suffix=".tmp", dir=path.parent)
     try:
@@ -414,7 +416,6 @@ def _save(path: Path, solution) -> None:
             np.savez(stream, eigenvalues=solution.eigenvalues,
                      tem_count=solution.tem_count,
                      dof_vectors=solution.dof_vectors,
-                     multiplier_vectors=multipliers,
                      residuals=solution.residuals)
         os.replace(temporary, path)
     finally:
@@ -479,16 +480,17 @@ _PAIRS = (
 )
 
 
-def _compare_pair(scalar, vector, mesh, spec, opts, rtol, out_dir):
+def _compare_pair(scalar, vector, mesh, spec, opts, count, rtol, out_dir):
     a = _solution(scalar, mesh, spec, opts, out_dir)
     b = _solution(vector, mesh, spec, opts, out_dir)
-    return crossval.compare_spectra(a, b, opts.num_modes, rtol)
+    return crossval.compare_spectra(a, b, count, rtol)
 
 
 def cmd_crossval(config: dict, out_dir: Path) -> int:
     spec = _medium(config)
     cv = config.get("crossval", {})
-    count = cv.get("count", config.get("num_modes", 4))
+    num_modes = config.get("num_modes", 4)
+    count = cv.get("count", num_modes)
     rtol = cv.get("rtol", 1e-3)
     requested = set(_formulations(config))
     pairs = [pair for pair in _PAIRS if set(pair) <= requested]
@@ -498,10 +500,11 @@ def cmd_crossval(config: dict, out_dir: Path) -> int:
             "'formulations'"
         )
     mesh = mesh_family(config)[-1]
-    opts = solver_options(config, count)
+    # solved as `solve` solves, so its stored solutions are reused
+    opts = solver_options(config, max(count, num_modes))
     reports = _run_tasks(
         _compare_pair,
-        [(scalar, vector, mesh, spec, opts, rtol, out_dir)
+        [(scalar, vector, mesh, spec, opts, count, rtol, out_dir)
          for scalar, vector in pairs])
     payload = {"pairs": [r.to_json_dict() for r in reports],
                "all_passed": all(r.all_passed for r in reports)}
@@ -511,7 +514,12 @@ def cmd_crossval(config: dict, out_dir: Path) -> int:
     return EXIT_OK if payload["all_passed"] else EXIT_CHECK_FAILED
 
 
-def _scalar_frames(solution, index, omega):
+def _frames(solution, index, omega):
+    """The transverse fields of one mode and, for a scalar route, its
+    solved nodal field as VTK point scalars."""
+    if solution.formulation.is_vector:
+        et, ht = modes.transverse_companion(solution, index, omega)
+        return et.samples, ht.samples, {}
     if solution.formulation is Formulation.SCALAR_TE:
         et, ht = modes.reconstruct_from_hz(solution, index, omega)
         label = "h_z"
@@ -519,14 +527,8 @@ def _scalar_frames(solution, index, omega):
         et, ht = modes.reconstruct_from_ez(solution, index, omega)
         label = "e_z"
     nodal = solution.pencil.primal_map.scatter(solution.dof_vectors[:, index])
-    return et.samples, ht.samples, label, nodal
-
-
-def _vector_frames(solution, index, omega):
-    et, ht = modes.transverse_companion(solution, index, omega)
-    nodal = solution.pencil.multiplier_map.scatter(
-        solution.multiplier_vectors[:, index])
-    return et.samples, ht.samples, "p", nodal
+    return et.samples, ht.samples, {f"Re_{label}": np.real(nodal),
+                                    f"Im_{label}": np.imag(nodal)}
 
 
 def _write_fields(formulation, mesh, spec, opts, omega, grid, out_dir):
@@ -534,10 +536,7 @@ def _write_fields(formulation, mesh, spec, opts, omega, grid, out_dir):
     solution = _solution(formulation, mesh, spec, opts, out_dir)
     written = []
     for index in range(solution.cutoffs.size):
-        if formulation.is_vector:
-            et, ht, label, nodal = _vector_frames(solution, index, omega)
-        else:
-            et, ht, label, nodal = _scalar_frames(solution, index, omega)
+        et, ht, point_scalars = _frames(solution, index, omega)
         content = vtkio.write_vtk(
             mesh,
             title=f"{formulation.value} mode {index} "
@@ -546,10 +545,7 @@ def _write_fields(formulation, mesh, spec, opts, omega, grid, out_dir):
                 "Re_e_t": np.real(et), "Im_e_t": np.imag(et),
                 "Re_h_t": np.real(ht), "Im_h_t": np.imag(ht),
             },
-            point_scalars={
-                f"Re_{label}": np.real(nodal),
-                f"Im_{label}": np.imag(nodal),
-            },
+            point_scalars=point_scalars,
             grid=grid,
         )
         path = out_dir / f"fields_{formulation.value}_{index}.vtk"

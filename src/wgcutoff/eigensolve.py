@@ -14,16 +14,21 @@ start vector, with ``sigma = -(shift or trace_scale)`` and ``trace_scale =
 tr(A) / tr(B) / p`` for every pencil: A is singular (scalar TE's constant,
 the gradients), but ``A - sigma B`` is positive definite for every
 ``sigma < 0``, so the shift is factored once; a SuperLU or ARPACK failure
-is an :class:`EigenSolveError` that names it.  The multipliers are ``zeta
-= lambda S^{-1} C^H x``.  Pencils with ``p`` at most ``dense_cutoff`` run
-dense ``eigh`` instead; for a vector pencil, one ``eigh`` of the lowest
-pairs of ``(A + tau C S^{-1} C^H, B)`` with the projector's factor of S
-(the penalty method of the same references): the penalty leaves the
-divergence-free pairs alone and sends the gradients to ``tau = 10 tr(A) /
-tr(B)``, checked to lie clear of the returned pairs.  The tests check every
-path against a dense QZ solve of the saddle pencil (``tests/saddle_oracle.py``).
-Every pair is gated by :func:`residual_gate` on ``|A x + C zeta - lambda B
-x| / ((|A| + |lambda| |B|) |x|)``, whose terms all scale alike.
+is an :class:`EigenSolveError` that names it.  Pencils with ``p`` at most
+``dense_cutoff`` run dense ``eigh`` instead; for a vector pencil, one
+``eigh`` of the lowest pairs of ``(A + tau C S^{-1} C^H, B)`` with the
+projector's factor of S (the penalty method of the same references): the
+penalty leaves the divergence-free pairs alone and sends the gradients to
+``tau = 10 tr(A) / tr(B)``, checked to lie clear of the returned pairs.
+The tests check every path against a dense QZ solve of the saddle pencil
+(``tests/saddle_oracle.py``).
+Every pair is gated by :func:`residual_gate` on ``|A x - lambda B x| /
+((|A| + |lambda| |B|) |x|)``, whose terms all scale alike.  No multiplier
+is computed: ``G^H A = 0`` (the gradients are in A's kernel), so the
+multiplier ``zeta`` of the saddle pencil solves ``S zeta = lambda C^H x =
+0`` and is zero for every divergence-free pair; a term ``C zeta`` formed
+from a computed vector would only cancel the mass term of any gradient
+left in it.
 
 ARPACK stops at ``tol = residual_tol / 100``, not at machine precision.
 It stops when ``|T x - theta x| <= tol max(eps^(2/3), |theta|)`` for ``T =
@@ -136,34 +141,22 @@ class SolveOptions:
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Ascending eigenvalues with B-normalized field eigenvectors.
-
-    ``multipliers`` holds ``zeta = lambda S^{-1} C^H x`` for each mode of a
-    vector pencil; :func:`solve` gives it no rows for a plain pencil.
-    """
+    """Ascending eigenvalues with B-normalized field eigenvectors."""
 
     eigenvalues: np.ndarray           # (k,) real
     eigenvectors: np.ndarray          # (primal_dim, k) complex
     residuals: np.ndarray             # (k,) relative residuals
-    multipliers: np.ndarray | None = None  # (multiplier_dim, k) complex
 
 
 def _mat_norm(m: sp.spmatrix) -> float:
     return float(abs(m).sum(axis=1).max()) if m.nnz else 0.0
 
 
-def _residuals(K, M, w, vecs, coupling=None, zeta=None) -> np.ndarray:
-    """``|K x + C zeta - lambda M x| / ((|K| + |lambda| |M|) |x|)`` per pair."""
-    kn, mn = _mat_norm(K), _mat_norm(M)
-    out = np.empty(w.shape[0])
-    for i, lam in enumerate(w):
-        x = vecs[:, i]
-        r = K @ x - lam * (M @ x)
-        if coupling is not None:
-            r = r + coupling @ zeta[:, i]
-        out[i] = np.linalg.norm(r) / ((kn + abs(lam) * mn)
-                                      * max(np.linalg.norm(x), 1e-300))
-    return out
+def _residuals(K, M, w, vecs) -> np.ndarray:
+    """``|K x - lambda M x| / ((|K| + |lambda| |M|) |x|)`` per pair."""
+    r = np.linalg.norm(K @ vecs - (M @ vecs) * w, axis=0)
+    return r / ((_mat_norm(K) + np.abs(w) * _mat_norm(M))
+                * np.maximum(np.linalg.norm(vecs, axis=0), 1e-300))
 
 
 class HermitianLU:
@@ -202,11 +195,11 @@ class HermitianLU:
 
 
 class _GradientProjector:
-    """``P = I - G S^{-1} C^H`` and the multipliers of a vector pencil.
+    """``P = I - G S^{-1} C^H`` of a vector pencil.
 
     ``S = C^H G`` is factored once, on entry, and freed when the block
     exits.  For a pencil without multipliers P is the identity (it returns
-    its argument itself) and there are no multipliers.
+    its argument itself).
     """
 
     def __init__(self, pencil: HermitianPencil):
@@ -228,7 +221,9 @@ class _GradientProjector:
             self.divergence.toarray())
 
     def multipliers(self, w: np.ndarray, vecs: np.ndarray) -> np.ndarray:
-        """``zeta = lambda S^{-1} C^H x``, from ``S zeta = lambda C^H x``."""
+        """``zeta = lambda S^{-1} C^H x``, from ``S zeta = lambda C^H x``:
+        the multipliers of the saddle pencil, zero to rounding for a
+        divergence-free ``x``."""
         if self._lu is None:
             return np.zeros((0, w.size), dtype=vecs.dtype)
         return self._lu.solve(self.divergence @ vecs) * w[None, :]
@@ -265,18 +260,18 @@ def _shift_invert(K, M, k, sigma, v0, project, ncv, tol):
     return w[order] * s, vecs[:, order]
 
 
-def residual_gate(pencil: HermitianPencil, w, vecs, zeta,
+def residual_gate(pencil: HermitianPencil, w, vecs,
                   opts: SolveOptions) -> np.ndarray:
-    """Residuals of the eigenpairs ``(w, vecs)`` with their multipliers
-    ``zeta`` (no rows for a plain pencil), or an :class:`EigenSolveError`.
+    """Residuals of the eigenpairs ``(w, vecs)``, or an
+    :class:`EigenSolveError`.
 
-    Every pair must pass ``|A x + C zeta - lambda B x| / ((|A| + |lambda|
-    |B|) |x|) <= residual_tol``, and no eigenvalue may be negative beyond
-    rounding at the scale of ``w`` and of ``|A| / |B|``.
+    Every pair must pass ``|A x - lambda B x| / ((|A| + |lambda| |B|) |x|)
+    <= residual_tol``, and no eigenvalue may be negative beyond rounding at
+    the scale of ``w`` and of ``|A| / |B|``.  A gradient left in a vector
+    pair fails: its mass term ``lambda B G y`` has nothing to cancel it.
     """
     K, M = pencil.K, pencil.M
-    coupling = pencil.constraint_block() if pencil.multiplier_dim else None
-    residuals = _residuals(K, M, w, vecs, coupling, zeta)
+    residuals = _residuals(K, M, w, vecs)
     if (residuals > opts.residual_tol).any():
         raise EigenSolveError(
             f"eigenpair residual {residuals.max():.3e} exceeds "
@@ -340,9 +335,9 @@ def solve(pencil: HermitianPencil, opts: SolveOptions) -> Spectrum:
     """Smallest ``num_modes`` eigenpairs, divergence-free for a vector pencil.
 
     Eigenvectors are normalized in the M-inner product; the returned pairs
-    and their multipliers are checked via the pencil residual.  Two pairs
-    beyond ``num_modes`` (fewer on a pencil too small for them) are solved
-    and checked too, then dropped.
+    are checked via the pencil residual.  Two pairs beyond ``num_modes``
+    (fewer on a pencil too small for them) are solved and checked too, then
+    dropped.
     """
     K, M = pencil.K, pencil.M
     p, m = pencil.primal_dim, pencil.multiplier_dim
@@ -376,15 +371,13 @@ def solve(pencil: HermitianPencil, opts: SolveOptions) -> Spectrum:
                     f"shift-invert failed at shift {sigma:.6e}: {exc}"
                 ) from exc
 
-        zeta = project.multipliers(w, vecs)
-    residuals = residual_gate(pencil, w, vecs, zeta, opts)
+    residuals = residual_gate(pencil, w, vecs, opts)
     norms = np.sqrt(np.abs(np.einsum("ij,ij->j", vecs.conj(), M @ vecs)))
     norms = np.where(norms > 0, norms, 1.0)
-    vecs, zeta = vecs / norms, zeta / norms
+    vecs = vecs / norms
     return Spectrum(eigenvalues=w[:k],
                     eigenvectors=vecs[:, :k].astype(complex, copy=False),
-                    residuals=residuals[:k],
-                    multipliers=zeta[:, :k].astype(complex, copy=False))
+                    residuals=residuals[:k])
 
 
 def classify_near_zero(spectrum: Spectrum, reference_scale: float | None = None,

@@ -33,13 +33,6 @@ import scipy.sparse as sp
 from .medium import MediumSpec, TransverseTensor
 from .mesh import Mesh
 
-KIND_NODAL_ALL = "nodal_all"
-KIND_NODAL_INTERIOR = "nodal_interior"
-KIND_NODAL_PINNED = "nodal_pinned"
-KIND_EDGE_ALL = "edge_all"
-KIND_EDGE_INTERIOR = "edge_interior"
-
-
 class AssemblyError(ValueError):
     """Mesh/medium combination cannot be assembled."""
 
@@ -48,7 +41,6 @@ class AssemblyError(ValueError):
 class DofMap:
     """Map mesh entities (nodes or edges) to retained global dof indices."""
 
-    kind: str
     index: np.ndarray  # (entities,) dof index, -1 where eliminated
     count: int
 
@@ -63,14 +55,14 @@ class DofMap:
         return full
 
 
-def _identity_map(kind: str, n: int) -> DofMap:
-    return DofMap(kind, np.arange(n, dtype=np.int64), n)
+def _identity_map(n: int) -> DofMap:
+    return DofMap(np.arange(n, dtype=np.int64), n)
 
 
-def _subset_map(kind: str, keep: np.ndarray) -> DofMap:
+def _subset_map(keep: np.ndarray) -> DofMap:
     index = np.full(keep.shape[0], -1, dtype=np.int64)
     index[keep] = np.arange(int(keep.sum()))
-    return DofMap(kind, index, int(keep.sum()))
+    return DofMap(index, int(keep.sum()))
 
 
 @dataclass(frozen=True)
@@ -89,7 +81,6 @@ class HermitianPencil:
     M: sp.csr_matrix
     primal_map: DofMap
     gradient: sp.csr_matrix | None = None
-    multiplier_map: DofMap | None = None
 
     @property
     def dim(self) -> int:
@@ -234,8 +225,7 @@ def _is_real(matrix: sp.csr_matrix) -> bool:
     return np.abs(data.imag).max() <= _REAL_RTOL * np.abs(data).max()
 
 
-def _pencil(K, M, primal_map, gradient=None,
-            multiplier_map=None) -> HermitianPencil:
+def _pencil(K, M, primal_map, gradient=None) -> HermitianPencil:
     """Build a pencil, stored in float64 when both matrices are real.
 
     Scalar TM under Dirichlet conditions and every medium with alpha = 0
@@ -244,8 +234,7 @@ def _pencil(K, M, primal_map, gradient=None,
     """
     if _is_real(K) and _is_real(M):
         K, M = K.real.tocsr(), M.real.tocsr()
-    return HermitianPencil(K=K, M=M, primal_map=primal_map, gradient=gradient,
-                           multiplier_map=multiplier_map)
+    return HermitianPencil(K=K, M=M, primal_map=primal_map, gradient=gradient)
 
 
 def assemble_scalar_te(mesh: Mesh, spec: MediumSpec) -> HermitianPencil:
@@ -256,8 +245,7 @@ def assemble_scalar_te(mesh: Mesh, spec: MediumSpec) -> HermitianPencil:
     nullspace, so the smallest eigenvalue is a spurious zero.
     """
     stiffness, mass = _scalar_matrices(mesh, spec.mu_t, spec.mu_zz)
-    return _pencil(stiffness, mass,
-                   _identity_map(KIND_NODAL_ALL, mesh.num_nodes))
+    return _pencil(stiffness, mass, _identity_map(mesh.num_nodes))
 
 
 def assemble_scalar_tm(mesh: Mesh, spec: MediumSpec) -> HermitianPencil:
@@ -269,15 +257,17 @@ def assemble_scalar_tm(mesh: Mesh, spec: MediumSpec) -> HermitianPencil:
     stiffness, mass = _scalar_matrices(mesh, spec.eps_t, spec.eps_zz)
     keep = np.flatnonzero(interior)
     return _pencil(_restrict(stiffness, keep, keep), _restrict(mass, keep, keep),
-                   _subset_map(KIND_NODAL_INTERIOR, interior))
+                   _subset_map(interior))
 
 
-def _vector_pencil(mesh, curl, mass, primal_map, multiplier_map):
-    """Pencil on the retained edges, with the gradients of the multipliers."""
-    ekeep, nkeep = primal_map.retained, multiplier_map.retained
-    gradient = _restrict(gradient_incidence(mesh), ekeep, nkeep)
+def _vector_pencil(mesh, curl, mass, primal_map, keep_nodes):
+    """Pencil on the retained edges, with the gradients of the multiplier
+    nodes ``keep_nodes``."""
+    ekeep = primal_map.retained
+    gradient = _restrict(gradient_incidence(mesh), ekeep,
+                         np.flatnonzero(keep_nodes))
     return _pencil(_restrict(curl, ekeep, ekeep), _restrict(mass, ekeep, ekeep),
-                   primal_map, gradient, multiplier_map)
+                   primal_map, gradient)
 
 
 def assemble_vector_te(mesh: Mesh, spec: MediumSpec) -> HermitianPencil:
@@ -290,12 +280,9 @@ def assemble_vector_te(mesh: Mesh, spec: MediumSpec) -> HermitianPencil:
     if not interior_edge.any():
         raise AssemblyError("no interior edges: mesh too coarse for the "
                             "vector TE formulation")
-    interior_node = ~mesh.boundary_node
     curl, mass = _vector_matrices(mesh, spec.mu_t.inverse(), 1.0 / spec.mu_zz)
-    return _vector_pencil(
-        mesh, curl, mass, _subset_map(KIND_EDGE_INTERIOR, interior_edge),
-        _subset_map(KIND_NODAL_INTERIOR, interior_node),
-    )
+    return _vector_pencil(mesh, curl, mass, _subset_map(interior_edge),
+                          ~mesh.boundary_node)
 
 
 def assemble_vector_tm(mesh: Mesh, spec: MediumSpec,
@@ -317,10 +304,8 @@ def assemble_vector_tm(mesh: Mesh, spec: MediumSpec,
     curl, mass = _vector_matrices(mesh, tensor, 1.0 / spec.eps_zz)
     keep_nodes = np.ones(mesh.num_nodes, dtype=bool)
     keep_nodes[0] = False  # pin the multiplier constant
-    return _vector_pencil(
-        mesh, curl, mass, _identity_map(KIND_EDGE_ALL, mesh.num_edges),
-        _subset_map(KIND_NODAL_PINNED, keep_nodes),
-    )
+    return _vector_pencil(mesh, curl, mass, _identity_map(mesh.num_edges),
+                          keep_nodes)
 
 
 # ---------------------------------------------------------------------------

@@ -51,17 +51,12 @@ class Formulation(str, enum.Enum):
         return self in (Formulation.VECTOR_TE, Formulation.VECTOR_TM)
 
 
-KIND_TRIANGLE_SCALAR = "triangle_scalar"
-KIND_TRIANGLE_VECTOR = "triangle_vector"
-
-
 @dataclass(frozen=True)
 class FieldFrame:
-    """Cross-sectional field samples: per-node scalars or per-triangle values."""
+    """Cross-sectional field samples: per-triangle values."""
 
-    kind: str
-    label: str  # 'e_z', 'h_z', 'e_t', 'h_t' or 'p'
-    samples: np.ndarray  # (V,) / (T,) complex or (T, 2) complex
+    label: str  # 'e_z', 'h_z', 'e_t' or 'h_t'
+    samples: np.ndarray  # (T,) complex or (T, 2) complex
     omega: float | None = None
     k_z: complex | None = None
 
@@ -81,7 +76,6 @@ class ModeSolution:
     eigenvalues: np.ndarray
     tem_count: int
     dof_vectors: np.ndarray
-    multiplier_vectors: np.ndarray | None
     residuals: np.ndarray
     mesh: Mesh
     medium: MediumSpec
@@ -119,13 +113,13 @@ class TemReport:
 class MultiplierReport:
     """Per-mode multiplier health.
 
-    The multiplier ``zeta`` enters the pencil equation ``A xi + C zeta =
-    lambda B xi`` only through its gradient, and for an exact
-    divergence-free mode that term vanishes (TE: the multiplier is zero;
-    TM: it is constant, and pinned to zero).  Values are
-    ``|C zeta| / (|lambda| |B xi|)``, the multiplier term against the mass
-    term of the same equation: dimensionless, so they read the same at
-    every absolute length scale.
+    The multiplier ``zeta = lambda S^{-1} C^H xi`` of the saddle pencil
+    enters its equation ``A xi + C zeta = lambda B xi`` only through its
+    gradient, and for an exact divergence-free mode that term vanishes
+    (TE: the multiplier is zero; TM: it is constant, and pinned to zero).
+    Values are ``|C zeta| / (|lambda| |B xi|)``, the multiplier term
+    against the mass term of the same equation: dimensionless, so they
+    read the same at every absolute length scale.
     """
 
     formulation: Formulation
@@ -140,10 +134,26 @@ _ASSEMBLERS = {
 }
 
 
+#: Entries within this fraction of a column's largest magnitude tie for its
+#: phase pivot.  On rotationally symmetric meshes the copies of the largest
+#: entry differed by up to 2.6e-12 of it and distinct entries by at least
+#: 9e-5 (all four routes, dense and shift-invert, on two annuli, a coax, a
+#: disc, a rectangle and a square).
+_PIVOT_TIE = 1e-8
+
+
 def _phase(columns: np.ndarray) -> np.ndarray:
-    """Unit factor per column that makes its largest-magnitude entry real
-    positive."""
-    pivot = columns[np.argmax(np.abs(columns), axis=0), np.arange(columns.shape[1])]
+    """Unit factor per column that makes its pivot real positive.
+
+    The pivot is the lowest-index entry whose magnitude lies within
+    ``_PIVOT_TIE`` of the largest: on a symmetric mesh the largest entry
+    has copies equal to rounding, and taking the largest of them would
+    let the last bits of the eigenvector pick the phase.
+    """
+    magnitude = np.abs(columns)
+    first = np.argmax(magnitude >= (1 - _PIVOT_TIE) * magnitude.max(axis=0),
+                      axis=0)
+    pivot = columns[first, np.arange(columns.shape[1])]
     size = np.abs(pivot)
     return np.where(size > 0, np.conj(pivot) / np.where(size > 0, size, 1.0), 1.0)
 
@@ -201,17 +211,13 @@ def _solve_formulation(mesh: Mesh, spec: MediumSpec, q: int,
         tem_count = 0
 
     eigenvalues = spectrum.eigenvalues[keep]
-    phase = _phase(spectrum.eigenvectors[:, keep])
-    vectors = spectrum.eigenvectors[:, keep] * phase
-    multipliers = (spectrum.multipliers[:, keep] * phase
-                   if formulation.is_vector else None)
+    vectors = spectrum.eigenvectors[:, keep]
     return ModeSolution(
         formulation=formulation,
         cutoffs=_cutoffs(eigenvalues),
         eigenvalues=eigenvalues,
         tem_count=tem_count,
-        dof_vectors=vectors,
-        multiplier_vectors=multipliers,
+        dof_vectors=vectors * _phase(vectors),
         residuals=spectrum.residuals[keep],
         mesh=mesh,
         medium=spec,
@@ -245,16 +251,14 @@ SOLVERS = {
 
 def restore(formulation: Formulation, mesh: Mesh, spec: MediumSpec,
             options: SolveOptions, eigenvalues: np.ndarray, tem_count,
-            dof_vectors: np.ndarray, multiplier_vectors: np.ndarray,
-            residuals: np.ndarray) -> ModeSolution:
+            dof_vectors: np.ndarray, residuals: np.ndarray) -> ModeSolution:
     """The solution that ``SOLVERS[formulation]`` returned, rebuilt from its
     arrays after every check the solve runs on it.
 
-    ``multiplier_vectors`` has no rows for a scalar formulation.  The
-    medium verdict is checked, the pencil assembled again, the arrays
-    checked for dtype and shape against it, and the eigenpairs with their
-    multipliers gated on the pencil residual.  Raises ``MediumError``,
-    ``ValueError`` or ``EigenSolveError`` where a check fails.
+    The medium verdict is checked, the pencil assembled again, the arrays
+    checked for dtype and shape against it, and the eigenpairs gated on
+    the pencil residual.  Raises ``MediumError``, ``ValueError`` or
+    ``EigenSolveError`` where a check fails.
     """
     _require_independent(spec)
     pencil = _ASSEMBLERS[formulation](mesh, spec)
@@ -263,7 +267,6 @@ def restore(formulation: Formulation, mesh: Mesh, spec: MediumSpec,
         (eigenvalues, np.float64, (n,)),
         (residuals, np.float64, (n,)),
         (dof_vectors, np.complex128, (pencil.primal_dim, n)),
-        (multiplier_vectors, np.complex128, (pencil.multiplier_dim, n)),
     )
     for array, dtype, shape in expected:
         if array.dtype != dtype or array.shape != shape:
@@ -277,16 +280,13 @@ def restore(formulation: Formulation, mesh: Mesh, spec: MediumSpec,
     nonzero = n - tem_count
     if not 0 <= tem_count <= most or not 1 <= nonzero <= options.num_modes:
         raise ValueError(f"stored {n} modes with {tem_count} TEM modes")
-    eigensolve.residual_gate(pencil, eigenvalues, dof_vectors,
-                             multiplier_vectors, options)
+    eigensolve.residual_gate(pencil, eigenvalues, dof_vectors, options)
     return ModeSolution(
         formulation=formulation,
         cutoffs=_cutoffs(eigenvalues),
         eigenvalues=eigenvalues,
         tem_count=tem_count,
         dof_vectors=dof_vectors,
-        multiplier_vectors=(multiplier_vectors if formulation.is_vector
-                            else None),
         residuals=residuals,
         mesh=mesh,
         medium=spec,
@@ -349,8 +349,8 @@ def reconstruct_from_hz(solution: ModeSolution, mode_index: int, omega: float):
         mu_abs * _apply_tensor(solution.medium.mu_t, grad))
     ht = (-1j * kz / kt**2) * grad
     return (
-        FieldFrame(KIND_TRIANGLE_VECTOR, "e_t", et, omega, kz),
-        FieldFrame(KIND_TRIANGLE_VECTOR, "h_t", ht, omega, kz),
+        FieldFrame("e_t", et, omega, kz),
+        FieldFrame("h_t", ht, omega, kz),
     )
 
 
@@ -373,8 +373,8 @@ def reconstruct_from_ez(solution: ModeSolution, mode_index: int, omega: float):
     ht = (-1j * omega / kt**2) * _zcross(
         eps_abs * _apply_tensor(solution.medium.eps_t, grad))
     return (
-        FieldFrame(KIND_TRIANGLE_VECTOR, "e_t", et, omega, kz),
-        FieldFrame(KIND_TRIANGLE_VECTOR, "h_t", ht, omega, kz),
+        FieldFrame("e_t", et, omega, kz),
+        FieldFrame("h_t", ht, omega, kz),
     )
 
 
@@ -411,8 +411,8 @@ def transverse_companion(solution: ModeSolution, mode_index: int,
         et = -(kz / omega) * _zcross(
             _apply_tensor(spec.eps_t.inverse(), field) / VACUUM_PERMITTIVITY)
     return (
-        FieldFrame(KIND_TRIANGLE_VECTOR, "e_t", et, omega, kz),
-        FieldFrame(KIND_TRIANGLE_VECTOR, "h_t", ht, omega, kz),
+        FieldFrame("e_t", et, omega, kz),
+        FieldFrame("h_t", ht, omega, kz),
     )
 
 
@@ -446,7 +446,7 @@ def reconstruct_longitudinal(solution: ModeSolution, mode_index: int,
         samples = -1j * curl / (omega * VACUUM_PERMITTIVITY
                                 * solution.medium.eps_zz)
         label = "e_z"
-    return FieldFrame(KIND_TRIANGLE_SCALAR, label, samples, omega, kz)
+    return FieldFrame(label, samples, omega, kz)
 
 
 # ---------------------------------------------------------------------------
@@ -463,12 +463,14 @@ def verify_tem(solution: ModeSolution, mesh: Mesh | None = None) -> TemReport:
 
 
 def multiplier_diagnostics(solution: ModeSolution) -> MultiplierReport:
-    """``|C zeta| / (|lambda| |B xi|)`` per mode."""
-    if not solution.formulation.is_vector or solution.multiplier_vectors is None:
+    """``|C zeta| / (|lambda| |B xi|)`` per mode, with the multipliers
+    ``zeta = lambda S^{-1} C^H xi`` formed here from the modes."""
+    if not solution.formulation.is_vector:
         raise ValueError("multiplier diagnostics apply to vector formulations")
     pencil = solution.pencil
-    term = np.linalg.norm(pencil.constraint_block() @ solution.multiplier_vectors,
-                          axis=0)
+    with eigensolve._GradientProjector(pencil) as project:
+        zeta = project.multipliers(solution.eigenvalues, solution.dof_vectors)
+    term = np.linalg.norm(pencil.constraint_block() @ zeta, axis=0)
     mass = (np.abs(solution.eigenvalues)
             * np.linalg.norm(pencil.M @ solution.dof_vectors, axis=0))
     return MultiplierReport(formulation=solution.formulation,
@@ -479,10 +481,7 @@ def constraint_residuals(solution: ModeSolution) -> np.ndarray:
     """Per-mode ``|C^H xi| / |xi|``: the discrete divergence of each mode."""
     if not solution.formulation.is_vector:
         raise ValueError("constraint residuals apply to vector formulations")
-    c = solution.pencil.constraint_block()
-    out = np.empty(solution.cutoffs.size)
-    for i in range(out.size):
-        xi = solution.dof_vectors[:, i]
-        out[i] = (np.linalg.norm(c.conj().T @ xi)
-                  / max(np.linalg.norm(xi), 1e-300))
-    return out
+    xi = solution.dof_vectors
+    divergence = solution.pencil.constraint_block().conj().T
+    return (np.linalg.norm(divergence @ xi, axis=0)
+            / np.maximum(np.linalg.norm(xi, axis=0), 1e-300))

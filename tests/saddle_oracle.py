@@ -1,6 +1,7 @@
 """The brute-force oracle the eigensolver tests check every path against:
 a dense QZ solve of the saddle pencil with its infinite eigenvalues filtered
-out."""
+out; and the spurious gradients that the gate and diagnostic tests add to
+solved vector modes."""
 
 import numpy as np
 import scipy.linalg as la
@@ -40,3 +41,12 @@ def dense_saddle_bruteforce(pencil, opts) -> np.ndarray:
         M = sp.block_diag([M, sp.csr_matrix(2 * (pencil.multiplier_dim,))])
     alpha, beta = la.eig(K.toarray(), M.toarray(), homogeneous_eigvals=True)[0]
     return _filter_finite(alpha, beta)[: opts.num_modes]
+
+
+def with_gradient(pencil, vectors, fraction, seed=5):
+    """``vectors`` of a vector pencil, each column plus a random gradient
+    ``G y`` of ``fraction`` times its norm."""
+    g = pencil.gradient @ np.random.default_rng(seed).standard_normal(
+        (pencil.multiplier_dim, vectors.shape[1]))
+    return vectors + g * (fraction * np.linalg.norm(vectors, axis=0)
+                          / np.linalg.norm(g, axis=0))

@@ -274,13 +274,15 @@ class TestFields:
         assert "POINTS 42 double" in text
         assert "CELL_TYPES 60" in text
 
-    def test_vector_export_carries_multiplier(self, tmp_path, capsys):
+    def test_vector_export_has_no_nodal_data(self, tmp_path, capsys):
+        # the multiplier of a divergence-free mode is zero: nothing to write
         config = write_config(tmp_path, formulations=["vector_tm"],
                               num_modes=1, omega=2e12)
         assert main(["fields", "--config", config,
                      "--out", str(tmp_path)]) == 0
         text = (tmp_path / "fields_vector_tm_0.vtk").read_text()
-        assert "Re_p" in text and "Im_p" in text
+        assert text.count("VECTORS") == 4
+        assert "POINT_DATA" not in text and "SCALARS" not in text
 
     def test_coax_tem_field_decays_outward(self, tmp_path, capsys):
         config = write_config(
@@ -445,6 +447,27 @@ class TestSolutionStore:
                            for p in (tmp_path / "shared").iterdir()
                            if p.is_file()}
         assert len(store_files(tmp_path / "shared")) == 4
+        for path in store_files(tmp_path / "shared"):
+            with np.load(path) as stored:
+                assert sorted(stored) == sorted(
+                    ["eigenvalues", "tem_count", "dof_vectors", "residuals"])
+
+    def test_crossval_reads_solve_at_a_smaller_count(self, tmp_path, capsys,
+                                                      solver_pids):
+        # crossval solves num_modes modes, as solve does, and compares the
+        # first `count` of them
+        config = write_config(tmp_path, geometry=COAX,
+                              formulations=["scalar_te", "scalar_tm",
+                                            "vector_te", "vector_tm"],
+                              num_modes=3, crossval={"rtol": 0.5, "count": 2})
+        assert main(["solve", "--config", config, "--out", str(tmp_path)]) == 0
+        assert len(solver_pids()) == 4
+        assert main(["crossval", "--config", config,
+                     "--out", str(tmp_path)]) == 0
+        assert len(solver_pids()) == 0
+        assert len(store_files(tmp_path)) == 4
+        payload = json.loads((tmp_path / "crossval.json").read_text())
+        assert [len(pair["rel_diffs"]) for pair in payload["pairs"]] == [2, 2]
 
     @pytest.mark.parametrize("change, misses", [
         ({}, 0),

@@ -29,7 +29,7 @@ def stub_solution(formulation, cutoffs, tem_count, mesh, medium):
         formulation=formulation, cutoffs=cutoffs,
         eigenvalues=cutoffs**2, tem_count=tem_count,
         dof_vectors=np.zeros((1, cutoffs.size), dtype=complex),
-        multiplier_vectors=None, residuals=np.zeros(cutoffs.size),
+        residuals=np.zeros(cutoffs.size),
         mesh=mesh, medium=medium, pencil=None,
     )
 

@@ -19,26 +19,20 @@ from wgcutoff.eigensolve import (
     HermitianLU,
     SolveOptions,
     Spectrum,
+    _GradientProjector,
     _residuals,
     classify_near_zero,
     solve,
 )
-from wgcutoff.femcore import (
-    KIND_EDGE_ALL,
-    KIND_NODAL_ALL,
-    DofMap,
-    HermitianPencil,
-)
-from saddle_oracle import dense_saddle_bruteforce
+from wgcutoff.femcore import DofMap, HermitianPencil
+from saddle_oracle import dense_saddle_bruteforce, with_gradient
 
 
 def plain_pencil(K, M):
     K = sp.csr_matrix(np.asarray(K, dtype=complex))
     M = sp.csr_matrix(np.asarray(M, dtype=complex))
     n = K.shape[0]
-    return HermitianPencil(K=K, M=M,
-                           primal_map=DofMap(KIND_NODAL_ALL,
-                                             np.arange(n), n))
+    return HermitianPencil(K=K, M=M, primal_map=DofMap(np.arange(n), n))
 
 
 def saddle_pencil(A, B, G):
@@ -46,12 +40,9 @@ def saddle_pencil(A, B, G):
     A = sp.csr_matrix(np.asarray(A, dtype=complex))
     B = sp.csr_matrix(np.asarray(B, dtype=complex))
     G = sp.csr_matrix(np.asarray(G, dtype=float))
-    p, m = G.shape
-    return HermitianPencil(
-        K=A, M=B, gradient=G,
-        primal_map=DofMap(KIND_EDGE_ALL, np.arange(p), p),
-        multiplier_map=DofMap(KIND_NODAL_ALL, np.arange(m), m),
-    )
+    p = G.shape[0]
+    return HermitianPencil(K=A, M=B, gradient=G,
+                           primal_map=DofMap(np.arange(p), p))
 
 
 class TestHermitianLU:
@@ -315,7 +306,6 @@ class TestSolveSaddle:
         scaled = HermitianPencil(
             K=(pencil.K * 7.5).tocsr(), M=(pencil.M * 7.5).tocsr(),
             primal_map=pencil.primal_map, gradient=pencil.gradient,
-            multiplier_map=pencil.multiplier_map,
         )
         a = solve(pencil, SolveOptions(num_modes=4)).eigenvalues
         b = solve(scaled, SolveOptions(num_modes=4)).eigenvalues
@@ -345,6 +335,20 @@ class TestSolveSaddle:
 class TestResidualGate:
     """The gate normalises each term by its own scale, not by the saddle's."""
 
+    def test_matches_the_formula_pair_by_pair(self, gyro_medium):
+        pencil = assemble_vector_te(generate_rectangle(1.2e-3, 1e-3, 6, 5),
+                                    gyro_medium)
+        K, M = pencil.K, pencil.M
+        spectrum = solve(pencil, SolveOptions(num_modes=3))
+        w = spectrum.eigenvalues * 1.001
+        x = spectrum.eigenvectors
+        kn, mn = (abs(m).sum(axis=1).max() for m in (K, M))
+        expected = [np.linalg.norm(K @ x[:, i] - w[i] * (M @ x[:, i]))
+                    / ((kn + abs(w[i]) * mn) * np.linalg.norm(x[:, i]))
+                    for i in range(w.size)]
+        np.testing.assert_allclose(_residuals(K, M, w, x), expected,
+                                   rtol=1e-12)
+
     def test_moved_eigenvalue_fails_at_any_scale(self, gyro_medium):
         for length in (1e-3, 1e9):
             mesh = generate_rectangle(1.2 * length, length, 24, 20)
@@ -352,17 +356,18 @@ class TestResidualGate:
             opts = SolveOptions(num_modes=3, dense_cutoff=0)
             spectrum = solve(pencil, opts)
             assert (spectrum.residuals <= opts.residual_tol).all()
-            # the first pair with its eigenvalue moved by 1%; the multiplier
-            # zeta = lambda S^-1 C^H x moves with it
+            # the first pair with its eigenvalue moved by 1%
             lam = spectrum.eigenvalues[:1] * 1.01
             x = spectrum.eigenvectors[:, :1]
-            zeta = spectrum.multipliers[:, :1] * 1.01
-            c = pencil.constraint_block()
-            gate = _residuals(pencil.K, pencil.M, lam, x, c, zeta)
+            gate = _residuals(pencil.K, pencil.M, lam, x)
             assert gate[0] > opts.residual_tol
 
             # the saddle pencil [[A, C], [C^H, 0]] normalised by its own
-            # norm: its h^0 coupling hides the h^-2 curl-curl block at 1e9
+            # norm, with the multiplier zeta = lambda S^-1 C^H x: its h^0
+            # coupling hides the h^-2 curl-curl block at 1e9
+            with _GradientProjector(pencil) as project:
+                zeta = project.multipliers(lam, x)
+            c = pencil.constraint_block()
             m = pencil.multiplier_dim
             K = sp.bmat([[pencil.K, c], [c.conj().T, None]]).tocsr()
             M = sp.block_diag([pencil.M, sp.csr_matrix((m, m))]).tocsr()
@@ -371,6 +376,25 @@ class TestResidualGate:
                 assert saddle[0] <= opts.residual_tol
             else:
                 assert saddle[0] > opts.residual_tol
+
+    @pytest.mark.parametrize("assemble", [assemble_vector_te,
+                                          assemble_vector_tm])
+    def test_gradient_polluted_pairs_fail(self, gyro_medium, monkeypatch,
+                                          assemble):
+        # a multiplier formed from a polluted vector, lambda S^-1 C^H x,
+        # gives a term C zeta that cancels the gradient's mass term exactly;
+        # the gate must see the gradient
+        pencil = assemble(generate_rectangle(1.2e-3, 1e-3, 24, 20),
+                          gyro_medium)
+        shift_invert = eigensolve._shift_invert
+
+        def polluted(*args):
+            w, vecs = shift_invert(*args)
+            return w, with_gradient(pencil, vecs, 0.1)
+
+        monkeypatch.setattr(eigensolve, "_shift_invert", polluted)
+        with pytest.raises(EigenSolveError, match="eigenpair residual"):
+            solve(pencil, SolveOptions(num_modes=3, dense_cutoff=0))
 
 
 class TestOracleEquivalence:

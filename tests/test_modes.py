@@ -22,6 +22,7 @@ from wgcutoff.medium import MediumError
 from wgcutoff.modes import (
     Formulation,
     ModeSolution,
+    _phase,
     constraint_residuals,
     multiplier_diagnostics,
     reconstruct_from_ez,
@@ -30,6 +31,7 @@ from wgcutoff.modes import (
     transverse_companion,
     verify_tem,
 )
+from saddle_oracle import with_gradient
 
 
 @pytest.fixture(scope="module")
@@ -62,7 +64,7 @@ class TestSolvers:
         # one interior edge, no interior nodes: the constraint is vacuous
         solution = solve_te_vector(unit_square_mesh, gyro_medium, 1)
         assert solution.nonzero_cutoffs.size == 1
-        assert solution.multiplier_vectors.shape[0] == 0
+        assert solution.pencil.multiplier_dim == 0
 
     def test_coupled_medium_rejected(self, rect_mesh):
         bad = MediumSpec(TransverseTensor(2.0, -1.0), 1.0,
@@ -109,8 +111,8 @@ def synthetic_scalar_tm(mesh, medium, nodal_values, kt):
     return ModeSolution(
         formulation=Formulation.SCALAR_TM,
         cutoffs=np.array([kt]), eigenvalues=np.array([kt**2]),
-        tem_count=0, dof_vectors=column, multiplier_vectors=None,
-        residuals=np.zeros(1), mesh=mesh, medium=medium, pencil=pencil,
+        tem_count=0, dof_vectors=column, residuals=np.zeros(1),
+        mesh=mesh, medium=medium, pencil=pencil,
     )
 
 
@@ -192,15 +194,31 @@ class TestReconstructScalar:
             reconstruct_from_hz(solution, 0, 1e10)
 
 
+class TestPhase:
+    def test_pivot_ignores_rounding_on_a_symmetric_mesh(self, gyro_medium):
+        # the largest entry of each mode has 12 copies equal to rounding
+        mesh = generate_annulus(1e-3, 2e-3, 2, 12)
+        columns = solve_te_vector(mesh, gyro_medium, 2).dof_vectors
+        reference = _phase(columns)
+        rng = np.random.default_rng(3)
+        for _ in range(20):
+            noisy = columns * (1 + 1e-13 * rng.standard_normal(columns.shape))
+            assert np.allclose(_phase(noisy), reference, rtol=0, atol=1e-11)
+
+    def test_largest_entry_is_real_positive(self, rect_mesh, gyro_medium):
+        columns = solve_tm_vector(rect_mesh, gyro_medium, 3).dof_vectors
+        for column in (columns * _phase(columns)).T:
+            top = column[np.argmax(np.abs(column))]
+            assert top.real > 0 and abs(top.imag) <= 1e-6 * abs(top)
+
+
 def synthetic_vector(mesh, medium, edge_values, kt, formulation):
     pencil = assemble_vector_tm(mesh, medium)  # all-edge dof map
     column = np.asarray(edge_values, dtype=complex)[:, None]
     return ModeSolution(
         formulation=formulation,
         cutoffs=np.array([kt]), eigenvalues=np.array([kt**2]),
-        tem_count=0, dof_vectors=column,
-        multiplier_vectors=np.zeros((pencil.multiplier_dim, 1), dtype=complex),
-        residuals=np.zeros(1), mesh=mesh, medium=medium, pencil=pencil,
+        tem_count=0, dof_vectors=column, residuals=np.zeros(1), mesh=mesh, medium=medium, pencil=pencil,
     )
 
 
@@ -290,6 +308,18 @@ class TestTemVerification:
         assert report.expected == 2 and report.passed
 
 
+class TestConstraintResiduals:
+    def test_matches_the_formula_mode_by_mode(self, coax_mesh, gyro_medium):
+        solution = solve_te_vector(coax_mesh, gyro_medium, 2)
+        x = with_gradient(solution.pencil, solution.dof_vectors, 0.01)
+        divergence = solution.pencil.constraint_block().conj().T
+        expected = [np.linalg.norm(divergence @ x[:, i])
+                    / np.linalg.norm(x[:, i]) for i in range(x.shape[1])]
+        got = constraint_residuals(dataclasses.replace(solution,
+                                                       dof_vectors=x))
+        np.testing.assert_allclose(got, expected, rtol=1e-12)
+
+
 class TestMultiplierDiagnostics:
     def test_healthy_solutions_have_tiny_values(self, coax_mesh, gyro_medium):
         for solver in (solve_te_vector, solve_tm_vector):
@@ -297,19 +327,14 @@ class TestMultiplierDiagnostics:
                 solver(coax_mesh, gyro_medium, 3)).values
             assert (values <= 1e-6).all()
 
-    def test_random_multiplier_is_flagged(self, coax_mesh, gyro_medium):
-        solution = solve_te_vector(coax_mesh, gyro_medium, 2)
-        rng = np.random.default_rng(5)
-        # at the multiplier's natural size, eigenvalue times field
-        size = (np.abs(solution.eigenvalues).max()
-                * np.abs(solution.dof_vectors).max())
-        corrupted = dataclasses.replace(
-            solution,
-            multiplier_vectors=size * rng.standard_normal(
-                solution.multiplier_vectors.shape).astype(complex),
-        )
-        values = multiplier_diagnostics(corrupted).values
-        assert (values > 1e-2).all()
+    def test_gradient_in_the_mode_is_flagged(self, coax_mesh, gyro_medium):
+        for solver in (solve_te_vector, solve_tm_vector):
+            solution = solver(coax_mesh, gyro_medium, 2)
+            corrupted = dataclasses.replace(
+                solution, dof_vectors=with_gradient(
+                    solution.pencil, solution.dof_vectors, 0.01))
+            values = multiplier_diagnostics(corrupted).values
+            assert (values > 1e-3).all()
 
     def test_scalar_solution_rejected(self, rect_mesh, gyro_medium):
         with pytest.raises(ValueError, match="vector"):

@@ -17,6 +17,7 @@ from wgcutoff.modes import (
     constraint_residuals,
     multiplier_diagnostics,
 )
+from saddle_oracle import with_gradient
 
 SCALES = (1e-9, 1e-7, 1e-3, 1.0, 1e3, 1e9)
 REFERENCE = 1e-3
@@ -39,14 +40,9 @@ def ladder(medium, mesh_at, options, formulations):
 
 
 def corrupted(solution):
-    """The solution with a random multiplier added at its natural size,
-    the largest eigenvalue times the largest field entry."""
-    size = (np.abs(solution.eigenvalues).max()
-            * np.abs(solution.dof_vectors).max())
-    noise = np.random.default_rng(5).standard_normal(
-        solution.multiplier_vectors.shape)
-    return replace(solution,
-                   multiplier_vectors=solution.multiplier_vectors + size * noise)
+    """The solution with a random gradient of 1% added to each mode."""
+    return replace(solution, dof_vectors=with_gradient(
+        solution.pencil, solution.dof_vectors, 0.01))
 
 
 def check_scaling(solutions, tem_count):

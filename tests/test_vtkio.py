@@ -129,14 +129,11 @@ def test_wrong_shape_rejected(unit_square_mesh, argument, shape, message):
         write_vtk(unit_square_mesh, **{argument: {"bad": np.zeros(shape)}})
 
 
-# SHA-256 of the files that `wgcutoff fields` wrote for this config before the
-# writer formatted whole blocks.  The vector_te files were pinned again twice:
-# when the vector routes became projected plain pencils, and when the dense
-# vector path became one penalized eigh, which moved the last bits of their
-# fields and put the phase pivot of modes 1 and 2 on another of the annulus's
-# symmetric copies of their largest entry.  They read the same at one and two
-# BLAS threads.  vector_tm is left out: on this annulus its dense solve
-# differs in the last bits with the BLAS thread count.
+# SHA-256 of the files that `wgcutoff fields` writes for this config.  They
+# read the same at one and two BLAS threads, and move with the last bits of a
+# solve or with its phase pivot, the first of the annulus's symmetric copies
+# of each mode's largest entry.  vector_tm is left out: on this annulus its
+# dense solve differs in the last bits with the BLAS thread count.
 FIELDS_CONFIG = {
     "medium": {"eps": {"d": 2, "alpha": -1, "zz": 1},
                "mu": {"d": 1, "alpha": 0.5, "zz": 2}},
@@ -148,19 +145,19 @@ FIELDS_CONFIG = {
 }
 FIELDS_SHA256 = {
     "fields_scalar_te_0.vtk":
-        "364ef21d3f662270fae3464c6911d8b6c128001e6107201c5f715182356fef41",
+        "25883662338f64386b3fec124e1ebb6cb84ab55a95c21c27c9c581872c8f273d",
     "fields_scalar_te_1.vtk":
-        "4f5f91dfadb13a2ff94369c66fc578f6ce7b940fc33d14c42b6e09283d29f0b0",
+        "f7359892613b53ba009904b4bcd46bc335da6c3e338e13d7b9fb40d1bc27aa42",
     "fields_scalar_tm_0.vtk":
         "e25249b0363dec5eee6b27ff5e1b7c1edaa55e27f64a9411de3771a74ed756a5",
     "fields_scalar_tm_1.vtk":
-        "21746c1a6d73387b11a919d684cbf53b733016264140f5a6829670b297fc6a5e",
+        "94b707642ad293045634851a6482a020f839dbc9e5f6f4f8123bc5cd5eb4bff7",
     "fields_vector_te_0.vtk":
-        "7554659fbc9194a75ca2641e5ed631fbc8730def24781cec964b6199197d216a",
+        "dabb182c0c3ac0ccec3427eef9186bd610183dd0a876a26f4533ab644b6d2bdb",
     "fields_vector_te_1.vtk":
-        "2c425d618a2b9957c02b79a5059754cc0f5ecefab22111640aa7564be8eb0b39",
+        "0a819919cc761810d03d341e9ca7bb69207c03bfec4b811a1818897c967cbe61",
     "fields_vector_te_2.vtk":
-        "ad01a4893415803412bf4589b58db056fcd2272ee92a9bb620e746ba54e43615",
+        "12c92d71f1af790e9b545c8cd4c1c3f03fdff52a0b4d9af2797345b679913d86",
 }
 
 
