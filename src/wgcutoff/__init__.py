@@ -17,15 +17,12 @@ from .medium import (
     ValidationReport,
     bulk_wavenumber,
     commutes_with_rotation,
-    inverse_transverse,
     product_scalar,
-    tem_phase_constant,
     validate,
 )
 from .mesh import (
     Mesh,
     MeshError,
-    Point2,
     build_topology,
     export_mesh,
     generate_annulus,

@@ -22,6 +22,10 @@ Subcommands
 
 Every command reads ``--config <file.json>`` (schema-validated, unknown keys
 rejected) and writes into ``--out <dir>`` (default: current directory).
+``num_modes`` is the mode count of every solve, and the optional ``solver``
+object holds the fields of ``SolveOptions``.  There is no ``solver.shift``:
+the shift is ``sigma = -trace_scale`` for every pencil, and a config that
+sets one is rejected as an unknown key.
 Floats are printed with 17 significant digits so outputs are byte-stable.
 
 ``solve``, ``crossval`` and ``fields`` keep every solution they compute in
@@ -30,13 +34,13 @@ same ``--out`` needs the same solve, so ``crossval`` and ``fields`` after
 ``solve`` solve nothing again.  The key is the SHA-256 of everything that
 decides the solution's bits: the package's source files, the NumPy and
 SciPy versions, the BLAS thread count, the formulation, the medium, the
-solver options and the mesh arrays.  A stored solution passes every check
-of a solve again before it is used (the medium verdict, its shapes against
-the assembled pencil, the residual gate), and a file that fails or cannot
-be read is solved again and replaced, so a stale or damaged store costs
-time but does not change an output.  For the README config with all four
-formulations it takes 5.3 MB, beside 52 MB of VTK files.  Delete
-``solutions/`` to force a re-solve.
+mode count, the solver options and the mesh arrays.  A stored solution
+passes every check of a solve again before it is used (the medium verdict,
+its shapes against the assembled pencil, the residual gate), and a file
+that fails or cannot be read is solved again and replaced, so a stale or
+damaged store costs time but does not change an output.  For the README
+config with all four formulations it takes 5.3 MB, beside 52 MB of VTK
+files.  Delete ``solutions/`` to force a re-solve.
 
 ``solve``, ``crossval`` and ``fields`` spread their independent solves over
 forked worker processes when the CPUs allow it.  Each worker keeps the BLAS
@@ -191,7 +195,6 @@ CONFIG_SCHEMA = {
             "type": "object",
             "additionalProperties": False,
             "properties": {
-                "shift": _NUMBER,
                 "residual_tol": _NUMBER,
                 "zero_frac": _NUMBER,
                 "dense_cutoff": _COUNT,
@@ -259,9 +262,10 @@ def mesh_family(config: dict):
     return meshes
 
 
-def solver_options(config: dict, num_modes: int) -> SolveOptions:
-    overrides = config.get("solver", {})
-    return SolveOptions(num_modes=num_modes, **overrides)
+def solver_options(config: dict) -> SolveOptions:
+    """The ``solver`` object of ``config``; the mode count is passed to
+    each solve on its own."""
+    return SolveOptions(**config.get("solver", {}))
 
 
 def _medium(config: dict) -> MediumSpec:
@@ -377,7 +381,7 @@ def _source_digest() -> str:
     return hashlib.sha256(json.dumps(files).encode()).hexdigest()
 
 
-def _solution_key(formulation, mesh, spec, opts) -> str:
+def _solution_key(formulation, mesh, spec, q, opts) -> str:
     """SHA-256 of everything that decides the bits of a solution."""
     cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
@@ -386,7 +390,7 @@ def _solution_key(formulation, mesh, spec, opts) -> str:
     header = [
         _source_digest(), np.__version__, scipy.__version__,
         _blas_threads(cpus), formulation.value,
-        [float(x).hex() for x in medium],
+        [float(x).hex() for x in medium], q,
         [repr(value) for value in dataclasses.astuple(opts)],
         [[a.dtype.str, a.shape] for a in (mesh.nodes, mesh.triangles)],
     ]
@@ -422,8 +426,9 @@ def _save(path: Path, solution) -> None:
         Path(temporary).unlink(missing_ok=True)
 
 
-def _solution(formulation, mesh, spec, opts, out_dir):
-    """``modes.SOLVERS[formulation]``, kept in ``out_dir/solutions``.
+def _solution(formulation, mesh, spec, q, opts, out_dir):
+    """``modes.SOLVERS[formulation]`` for ``q`` modes, kept in
+    ``out_dir/solutions``.
 
     A solution is stored as ``<key>.npz`` (see :func:`_solution_key`) once
     the solve has returned it, so only gated pairs are kept.  A stored
@@ -432,7 +437,7 @@ def _solution(formulation, mesh, spec, opts, out_dir):
     or fails a check is solved again and replaced.  A medium that fails its
     verdict fails it in the solve too, with the solve's error.
     """
-    key = _solution_key(formulation, mesh, spec, opts)
+    key = _solution_key(formulation, mesh, spec, q, opts)
     path = out_dir / "solutions" / f"{key}.npz"
     try:
         # opened here: np.load leaves a file it opened itself open when
@@ -440,16 +445,16 @@ def _solution(formulation, mesh, spec, opts, out_dir):
         with (open(path, "rb") as handle,
               np.load(handle, allow_pickle=False) as stored):
             arrays = {name: stored[name] for name in _STORED}
-        return modes.restore(formulation, mesh, spec, opts, **arrays)
+        return modes.restore(formulation, mesh, spec, q, opts, **arrays)
     except _STORE_MISS:
         pass
-    solution = modes.SOLVERS[formulation](mesh, spec, opts.num_modes, opts)
+    solution = modes.SOLVERS[formulation](mesh, spec, q, opts)
     _save(path, solution)
     return solution
 
 
-def _solve_rows(formulation, mesh, spec, opts, out_dir):
-    solution = _solution(formulation, mesh, spec, opts, out_dir)
+def _solve_rows(formulation, mesh, spec, q, opts, out_dir):
+    solution = _solution(formulation, mesh, spec, q, opts, out_dir)
     rows = []
     for index, kt in enumerate(solution.cutoffs):
         is_tem = "true" if index < solution.tem_count else "false"
@@ -460,9 +465,10 @@ def _solve_rows(formulation, mesh, spec, opts, out_dir):
 
 def cmd_solve(config: dict, out_dir: Path) -> int:
     spec = _medium(config)
-    opts = solver_options(config, config.get("num_modes", 4))
+    q = config.get("num_modes", 4)
+    opts = solver_options(config)
     meshes = mesh_family(config)
-    tasks = [(formulation, mesh, spec, opts, out_dir)
+    tasks = [(formulation, mesh, spec, q, opts, out_dir)
              for formulation in _formulations(config) for mesh in meshes]
     blocks = _run_tasks(_solve_rows, tasks,
                         size=lambda t: (t[0].is_vector, t[1].num_edges))
@@ -474,15 +480,10 @@ def cmd_solve(config: dict, out_dir: Path) -> int:
     return EXIT_OK
 
 
-_PAIRS = (
-    (Formulation.SCALAR_TE, Formulation.VECTOR_TE),
-    (Formulation.SCALAR_TM, Formulation.VECTOR_TM),
-)
-
-
-def _compare_pair(scalar, vector, mesh, spec, opts, count, rtol, out_dir):
-    a = _solution(scalar, mesh, spec, opts, out_dir)
-    b = _solution(vector, mesh, spec, opts, out_dir)
+def _compare_pair(scalar, vector, mesh, spec, q, opts, count, rtol,
+                  out_dir):
+    a = _solution(scalar, mesh, spec, q, opts, out_dir)
+    b = _solution(vector, mesh, spec, q, opts, out_dir)
     return crossval.compare_spectra(a, b, count, rtol)
 
 
@@ -493,7 +494,7 @@ def cmd_crossval(config: dict, out_dir: Path) -> int:
     count = cv.get("count", num_modes)
     rtol = cv.get("rtol", 1e-3)
     requested = set(_formulations(config))
-    pairs = [pair for pair in _PAIRS if set(pair) <= requested]
+    pairs = [pair for pair in crossval.PAIRS if set(pair) <= requested]
     if not pairs:
         raise ConfigError(
             "crossval needs both members of a scalar/vector pair in "
@@ -501,10 +502,11 @@ def cmd_crossval(config: dict, out_dir: Path) -> int:
         )
     mesh = mesh_family(config)[-1]
     # solved as `solve` solves, so its stored solutions are reused
-    opts = solver_options(config, max(count, num_modes))
+    q = max(count, num_modes)
+    opts = solver_options(config)
     reports = _run_tasks(
         _compare_pair,
-        [(scalar, vector, mesh, spec, opts, count, rtol, out_dir)
+        [(scalar, vector, mesh, spec, q, opts, count, rtol, out_dir)
          for scalar, vector in pairs])
     payload = {"pairs": [r.to_json_dict() for r in reports],
                "all_passed": all(r.all_passed for r in reports)}
@@ -531,9 +533,9 @@ def _frames(solution, index, omega):
                                     f"Im_{label}": np.imag(nodal)}
 
 
-def _write_fields(formulation, mesh, spec, opts, omega, grid, out_dir):
+def _write_fields(formulation, mesh, spec, q, opts, omega, grid, out_dir):
     """Solve one formulation and write one VTK file per mode; their names."""
-    solution = _solution(formulation, mesh, spec, opts, out_dir)
+    solution = _solution(formulation, mesh, spec, q, opts, out_dir)
     written = []
     for index in range(solution.cutoffs.size):
         et, ht, point_scalars = _frames(solution, index, omega)
@@ -562,12 +564,13 @@ def cmd_fields(config: dict, out_dir: Path) -> int:
     # the schema lets NaN and infinity through: reject them before solving
     if not 0 < omega < float("inf"):
         raise ConfigError("omega must be positive and finite")
-    opts = solver_options(config, config.get("num_modes", 4))
+    q = config.get("num_modes", 4)
+    opts = solver_options(config)
     mesh = mesh_family(config)[-1]
     grid = vtkio.grid_blocks(mesh)
     names = _run_tasks(
         _write_fields,
-        [(formulation, mesh, spec, opts, omega, grid, out_dir)
+        [(formulation, mesh, spec, q, opts, omega, grid, out_dir)
          for formulation in _formulations(config)])
     written = [name for block in names for name in block]
     print(json.dumps({"written": written}, indent=2))

@@ -74,9 +74,11 @@ class ComparisonReport:
         }
 
 
-_COMPLEMENTARY = (
-    {Formulation.SCALAR_TE, Formulation.VECTOR_TE},
-    {Formulation.SCALAR_TM, Formulation.VECTOR_TM},
+#: The scalar/vector partners, TE first: the pairs ``compare_spectra``
+#: accepts, in the order ``wgcutoff crossval`` reports them.
+PAIRS = (
+    (Formulation.SCALAR_TE, Formulation.VECTOR_TE),
+    (Formulation.SCALAR_TM, Formulation.VECTOR_TM),
 )
 
 
@@ -91,7 +93,7 @@ def compare_spectra(a: ModeSolution, b: ModeSolution, count: int,
     """
     if not 0 < rtol < np.inf:
         raise CrossValError(f"rtol must be positive and finite, got {rtol}")
-    if {a.formulation, b.formulation} not in _COMPLEMENTARY:
+    if {a.formulation, b.formulation} not in map(set, PAIRS):
         raise CrossValError(
             f"formulations {a.formulation.value} and {b.formulation.value} "
             "are not a scalar/vector pair of the same polarization"
@@ -125,7 +127,6 @@ class ConvergenceReport:
     mesh_h: np.ndarray       # (levels,)
     cutoffs: np.ndarray      # (levels, count)
     trends: tuple            # per tracked mode
-    trend_eps: float
 
     def to_json_dict(self) -> dict:
         return {
@@ -133,16 +134,16 @@ class ConvergenceReport:
             "mesh_h": self.mesh_h.tolist(),
             "cutoffs": self.cutoffs.tolist(),
             "trends": list(self.trends),
-            "trend_eps": self.trend_eps,
+            "trend_eps": TREND_EPS,
         }
 
 
-def classify_trend(values: np.ndarray, trend_eps: float = TREND_EPS) -> str:
+def classify_trend(values: np.ndarray) -> str:
     """Non-strict monotonicity class of one mode's cut-off sequence."""
     v = np.asarray(values, dtype=float)
-    if (v[1:] <= v[:-1] * (1 + trend_eps)).all():
+    if (v[1:] <= v[:-1] * (1 + TREND_EPS)).all():
         return TREND_DECREASING
-    if (v[1:] >= v[:-1] * (1 - trend_eps)).all():
+    if (v[1:] >= v[:-1] * (1 - TREND_EPS)).all():
         return TREND_INCREASING
     return TREND_SWING
 
@@ -158,8 +159,8 @@ def check_nested(mesh_family) -> None:
 
 
 def convergence_trend(formulation: Formulation, mesh_family, spec: MediumSpec,
-                      count: int, options: SolveOptions | None = None,
-                      trend_eps: float = TREND_EPS) -> ConvergenceReport:
+                      count: int, options: SolveOptions | None = None
+                      ) -> ConvergenceReport:
     """Track the first ``count`` nonzero cut-offs across a nested family.
 
     Scalar formulations are expected to come out ``decreasing`` for every
@@ -177,11 +178,10 @@ def convergence_trend(formulation: Formulation, mesh_family, spec: MediumSpec,
         rows.append(solution.nonzero_cutoffs[:count])
         hs.append(mesh.h)
     cutoffs = np.vstack(rows)
-    trends = tuple(classify_trend(cutoffs[:, j], trend_eps)
-                   for j in range(count))
+    trends = tuple(classify_trend(cutoffs[:, j]) for j in range(count))
     return ConvergenceReport(
         formulation=Formulation(formulation), mesh_h=np.asarray(hs),
-        cutoffs=cutoffs, trends=trends, trend_eps=trend_eps,
+        cutoffs=cutoffs, trends=trends,
     )
 
 

@@ -1,4 +1,5 @@
-"""Generalized Hermitian eigensolver for the assembled pencils.
+"""Generalized Hermitian eigensolver for the assembled pencils:
+``solve(pencil, k, opts)`` returns the ``k`` lowest eigenpairs.
 
 Every pencil is a plain Hermitian pencil ``(A, B) = (K, M)``, B positive
 definite.  A vector pencil is constrained to ``C^H x = 0`` with ``C = B G``
@@ -10,8 +11,8 @@ Numerica 19, 2010).  No saddle pencil is formed, so results do not depend
 on the absolute length scale.
 
 Shift-invert ARPACK runs on ``P (A - sigma B)^{-1} B`` from a projected
-start vector, with ``sigma = -(shift or trace_scale)`` and ``trace_scale =
-tr(A) / tr(B) / p`` for every pencil: A is singular (scalar TE's constant,
+start vector, with ``sigma = -trace_scale`` and ``trace_scale = tr(A) /
+tr(B) / p`` for every pencil: A is singular (scalar TE's constant,
 the gradients), but ``A - sigma B`` is positive definite for every
 ``sigma < 0``, so the shift is factored once; a SuperLU or ARPACK failure
 is an :class:`EigenSolveError` that names it.  Pencils with ``p`` at most
@@ -107,36 +108,29 @@ class EigenSolveError(RuntimeError):
 
 @dataclass(frozen=True)
 class SolveOptions:
-    """Eigensolver configuration.
+    """Eigensolver configuration; the mode count is an argument of
+    :func:`solve`, and the shift is ``sigma = -trace_scale``.
 
-    ``shift`` is the magnitude of the negative shift ``sigma = -shift``; 0
-    selects ``trace_scale``, the mean diagonal ratio of the pencil over its
-    dimension.  ``zero_frac`` is the fraction of the reference cut-off
-    below which a mode counts as near zero (a TEM mode or scalar TE's
-    constant).  ``dense_cutoff`` is the field dimension at or below which
-    the dense path runs; set it to 0 to force shift-invert.
+    ``zero_frac`` is the fraction of the reference cut-off below which a
+    mode counts as near zero (a TEM mode or scalar TE's constant).
+    ``dense_cutoff`` is the field dimension at or below which the dense
+    path runs; set it to 0 to force shift-invert.
     ``residual_tol`` (positive and finite) gates the relative residual of
     every returned pair and also sets ARPACK's stop, ``residual_tol / 100``,
     relative at every length scale; a gate looser than the default keeps
     the default's stop.
     """
 
-    num_modes: int = 4
-    shift: float = 0.0
     residual_tol: float = 1e-8
     zero_frac: float = 1e-3
     dense_cutoff: int = 400
     seed: int = 1357
 
     def __post_init__(self):
-        if self.num_modes < 1:
-            raise ValueError("num_modes must be at least 1")
         if not 0 < self.residual_tol < np.inf:
             raise ValueError("residual_tol must be positive and finite")
         if not 0 < self.zero_frac < 1:
             raise ValueError("zero_frac must lie strictly between 0 and 1")
-        if not self.shift >= 0:
-            raise ValueError("shift must be 0 (automatic) or positive")
 
 
 @dataclass(frozen=True)
@@ -331,17 +325,20 @@ def _dense(pencil: HermitianPencil, k: int, project: _GradientProjector):
     return w[order], x[:, order]
 
 
-def solve(pencil: HermitianPencil, opts: SolveOptions) -> Spectrum:
-    """Smallest ``num_modes`` eigenpairs, divergence-free for a vector pencil.
+def solve(pencil: HermitianPencil, k: int,
+          opts: SolveOptions | None = None) -> Spectrum:
+    """Smallest ``k`` eigenpairs, divergence-free for a vector pencil.
 
     Eigenvectors are normalized in the M-inner product; the returned pairs
-    are checked via the pencil residual.  Two pairs beyond ``num_modes``
-    (fewer on a pencil too small for them) are solved and checked too, then
-    dropped.
+    are checked via the pencil residual.  Two pairs beyond ``k`` (fewer on
+    a pencil too small for them) are solved and checked too, then dropped.
+    ``opts`` defaults to ``SolveOptions()``.
     """
+    if k < 1:
+        raise ValueError("k must be at least 1")
+    opts = opts if opts is not None else SolveOptions()
     K, M = pencil.K, pencil.M
     p, m = pencil.primal_dim, pencil.multiplier_dim
-    k = opts.num_modes
     if k > p - m:
         raise EigenSolveError(
             f"requested {k} modes but the pencil of dimension {p} has only "
@@ -361,7 +358,7 @@ def solve(pencil: HermitianPencil, opts: SolveOptions) -> Spectrum:
             ncv = min(max(2 * want + 1, 20), p - m)
             # a looser gate does not loosen ARPACK below the default gate's
             tol = min(opts.residual_tol, SolveOptions.residual_tol) / 100
-            sigma = -(opts.shift or _trace_scale(K, M))
+            sigma = -_trace_scale(K, M)
             try:
                 v0 = np.random.default_rng(opts.seed).standard_normal(p)
                 w, vecs = _shift_invert(K, M, want, sigma, v0, project, ncv,
@@ -380,21 +377,16 @@ def solve(pencil: HermitianPencil, opts: SolveOptions) -> Spectrum:
                     residuals=residuals[:k])
 
 
-def classify_near_zero(spectrum: Spectrum, reference_scale: float | None = None,
-                       zero_frac: float = 1e-3):
+def classify_near_zero(spectrum: Spectrum,
+                       zero_frac: float = SolveOptions.zero_frac):
     """Split mode indices into (near-zero, nonzero) on the ``sqrt(lambda)`` scale.
 
-    The reference is the median of the top half of the returned square
-    roots unless ``reference_scale`` overrides it.  Raises if every mode is
-    near zero (the request was degenerate).
+    A root is near zero below ``zero_frac`` times the median of the top
+    half of the returned square roots, so the largest root never is.
     """
     lam = spectrum.eigenvalues
     if lam.size == 0:
         raise ValueError("empty spectrum")
     roots = np.sqrt(np.clip(lam, 0.0, None))
-    ref = reference_scale if reference_scale else float(
-        np.median(roots[roots.size // 2:]))
-    near_zero = roots < zero_frac * ref
-    if near_zero.all():
-        raise EigenSolveError("all requested modes are near zero")
+    near_zero = roots < zero_frac * float(np.median(roots[roots.size // 2:]))
     return np.flatnonzero(near_zero), np.flatnonzero(~near_zero)

@@ -48,9 +48,10 @@ class DofMap:
     def retained(self) -> np.ndarray:
         return np.flatnonzero(self.index >= 0)
 
-    def scatter(self, values: np.ndarray, fill=0.0) -> np.ndarray:
-        """Expand dof values back onto all entities, `fill` where eliminated."""
-        full = np.full(self.index.shape[0], fill, dtype=np.result_type(values, complex))
+    def scatter(self, values: np.ndarray) -> np.ndarray:
+        """Expand dof values back onto all entities, zero where eliminated."""
+        full = np.zeros(self.index.shape[0],
+                        dtype=np.result_type(values, complex))
         full[self.index >= 0] = values
         return full
 
@@ -81,10 +82,6 @@ class HermitianPencil:
     M: sp.csr_matrix
     primal_map: DofMap
     gradient: sp.csr_matrix | None = None
-
-    @property
-    def dim(self) -> int:
-        return self.K.shape[0]
 
     @property
     def primal_dim(self) -> int:
@@ -285,9 +282,7 @@ def assemble_vector_te(mesh: Mesh, spec: MediumSpec) -> HermitianPencil:
                           ~mesh.boundary_node)
 
 
-def assemble_vector_tm(mesh: Mesh, spec: MediumSpec,
-                       coupling_tensor: TransverseTensor | None = None
-                       ) -> HermitianPencil:
+def assemble_vector_tm(mesh: Mesh, spec: MediumSpec) -> HermitianPencil:
     """Mixed edge-element TM pencil on all edges, multiplier on all nodes
     minus one pin.
 
@@ -295,13 +290,10 @@ def assemble_vector_tm(mesh: Mesh, spec: MediumSpec,
     primal side.  The multiplier is only determined up to a constant (the
     gradient of a constant is zero), which would make ``G^H M G`` singular;
     the dof at the lowest-index node is pinned (removed), which fixes the
-    constant without changing the primal eigenpairs.  ``coupling_tensor``
-    overrides the tensor used in the mass block, and so in the coupling
-    ``M G`` (the default is the inverse transverse permittivity), so
-    equivalent constructions can be compared.
+    constant without changing the primal eigenpairs.
     """
-    tensor = coupling_tensor if coupling_tensor is not None else spec.eps_t.inverse()
-    curl, mass = _vector_matrices(mesh, tensor, 1.0 / spec.eps_zz)
+    curl, mass = _vector_matrices(mesh, spec.eps_t.inverse(),
+                                  1.0 / spec.eps_zz)
     keep_nodes = np.ones(mesh.num_nodes, dtype=bool)
     keep_nodes[0] = False  # pin the multiplier constant
     return _vector_pencil(mesh, curl, mass, _identity_map(mesh.num_edges),

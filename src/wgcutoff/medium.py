@@ -77,13 +77,13 @@ class TransverseTensor:
         return TransverseTensor(self.d / det, -self.alpha / det)
 
     @classmethod
-    def from_matrix(cls, m, tol: float = COMMUTATION_TOL) -> "TransverseTensor":
+    def from_matrix(cls, m) -> "TransverseTensor":
         m = np.asarray(m, dtype=complex)
         if m.shape != (2, 2):
             raise MediumError("transverse tensor must be 2x2")
         scale = max(float(np.abs(m).max()), 1e-300)
-        hermitian = np.abs(m - m.conj().T).max() <= tol * scale
-        if not (hermitian and commutes_with_rotation(m, tol=tol)):
+        hermitian = np.abs(m - m.conj().T).max() <= COMMUTATION_TOL * scale
+        if not (hermitian and commutes_with_rotation(m)):
             raise MediumError("matrix is not of the form [[d, j*a], [-j*a, d]]")
         return cls(float(m[0, 0].real), float(m[0, 1].imag))
 
@@ -162,7 +162,7 @@ class ValidationReport:
         }
 
 
-def commutes_with_rotation(m, tol: float = COMMUTATION_TOL) -> bool:
+def commutes_with_rotation(m) -> bool:
     """True if ``m`` commutes with the quarter-turn rotation [[0,-1],[1,0]].
 
     Equivalent to the closed-form criterion ``m[0,0] == m[1,1]`` and
@@ -172,10 +172,10 @@ def commutes_with_rotation(m, tol: float = COMMUTATION_TOL) -> bool:
     rot = np.array([[0.0, -1.0], [1.0, 0.0]])
     resid = np.abs(rot @ m - m @ rot).max()
     scale = max(float(np.abs(m).max()), 1e-300)
-    return bool(resid <= tol * scale)
+    return bool(resid <= COMMUTATION_TOL * scale)
 
 
-def validate(spec: MediumSpec, tol: float = DECOUPLING_TOL) -> ValidationReport:
+def validate(spec: MediumSpec) -> ValidationReport:
     """Check positive definiteness and the decoupling constraint."""
     checks = {
         "eps_t_positive_definite": spec.eps_t.is_positive_definite,
@@ -189,7 +189,7 @@ def validate(spec: MediumSpec, tol: float = DECOUPLING_TOL) -> ValidationReport:
     residual = abs(raw) / scale if raw != 0.0 else 0.0
     verdict = (
         VERDICT_INDEPENDENT
-        if pd_ok and residual <= tol
+        if pd_ok and residual <= DECOUPLING_TOL
         else VERDICT_NOT_GUARANTEED
     )
     return ValidationReport(
@@ -216,11 +216,6 @@ def product_scalar(spec: MediumSpec) -> float:
     return spec.eps * spec.mu + spec.a * spec.b
 
 
-def inverse_transverse(t: TransverseTensor) -> TransverseTensor:
-    """Exact 2x2 inverse, staying inside the rotation-commuting family."""
-    return t.inverse()
-
-
 def bulk_wavenumber(spec: MediumSpec, omega: float) -> float:
     """``k = omega * sqrt(eps0*mu0*(eps*mu + a*b))`` in rad/m."""
     if omega <= 0:
@@ -229,8 +224,3 @@ def bulk_wavenumber(spec: MediumSpec, omega: float) -> float:
     if product <= 0:
         raise MediumError(f"eps*mu + a*b = {product} is not positive")
     return omega * np.sqrt(VACUUM_PERMITTIVITY * VACUUM_PERMEABILITY * product)
-
-
-def tem_phase_constant(spec: MediumSpec, omega: float) -> float:
-    """Phase constant of a TEM mode: its cut-off is zero, so ``k_z = k``."""
-    return bulk_wavenumber(spec, omega)

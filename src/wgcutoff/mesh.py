@@ -39,14 +39,6 @@ class MeshError(ValueError):
 
 
 @dataclass(frozen=True)
-class Point2:
-    """A point of the cross-section plane, coordinates in meters."""
-
-    x: float
-    y: float
-
-
-@dataclass(frozen=True)
 class Mesh:
     """Immutable triangulation with derived edge and boundary topology.
 
@@ -112,8 +104,6 @@ def _freeze(a: np.ndarray) -> np.ndarray:
 
 
 def _as_coords(points) -> np.ndarray:
-    if len(points) and isinstance(points[0], Point2):
-        points = [(p.x, p.y) for p in points]
     coords = np.asarray(points, dtype=float)
     if coords.ndim != 2 or coords.shape[1] != 2:
         raise MeshError(f"node coordinates must be (V, 2), got {coords.shape}")

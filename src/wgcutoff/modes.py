@@ -20,7 +20,7 @@ constant takes the decaying branch ``k_z = -j sqrt(k_t^2 - k^2)``.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -97,6 +97,12 @@ class ModeSolution:
         if self.formulation.is_vector:
             return femcore.edge_basis_at_centroids(self.mesh)
         return femcore.triangle_geometry(self.mesh)[1]
+
+    @cached_property
+    def edge_curls(self) -> np.ndarray:
+        """(T, 3) scalar curls of the local edge basis functions of a vector
+        solution, computed on first use and kept like ``centroid_basis``."""
+        return femcore.edge_curls(self.mesh)
 
 
 @dataclass(frozen=True)
@@ -193,7 +199,7 @@ def _solve_formulation(mesh: Mesh, spec: MediumSpec, q: int,
         raise eigensolve.EigenSolveError(
             f"mesh supports only {capacity} modes, need {request}"
         )
-    spectrum = eigensolve.solve(pencil, replace(opts, num_modes=request))
+    spectrum = eigensolve.solve(pencil, request, opts)
 
     if formulation is Formulation.SCALAR_TM:
         zero_idx = np.array([], dtype=int)
@@ -249,11 +255,11 @@ SOLVERS = {
 }
 
 
-def restore(formulation: Formulation, mesh: Mesh, spec: MediumSpec,
+def restore(formulation: Formulation, mesh: Mesh, spec: MediumSpec, q: int,
             options: SolveOptions, eigenvalues: np.ndarray, tem_count,
             dof_vectors: np.ndarray, residuals: np.ndarray) -> ModeSolution:
-    """The solution that ``SOLVERS[formulation]`` returned, rebuilt from its
-    arrays after every check the solve runs on it.
+    """The solution that ``SOLVERS[formulation]`` returned for ``q`` modes,
+    rebuilt from its arrays after every check the solve runs on it.
 
     The medium verdict is checked, the pencil assembled again, the arrays
     checked for dtype and shape against it, and the eigenpairs gated on
@@ -278,7 +284,7 @@ def restore(formulation: Formulation, mesh: Mesh, spec: MediumSpec,
     tem_count = int(tem_count)
     most = n if formulation.is_vector else 0
     nonzero = n - tem_count
-    if not 0 <= tem_count <= most or not 1 <= nonzero <= options.num_modes:
+    if not 0 <= tem_count <= most or not 1 <= nonzero <= q:
         raise ValueError(f"stored {n} modes with {tem_count} TEM modes")
     eigensolve.residual_gate(pencil, eigenvalues, dof_vectors, options)
     return ModeSolution(
@@ -437,8 +443,8 @@ def reconstruct_longitudinal(solution: ModeSolution, mode_index: int,
     kz = _phase_constant(solution.medium, omega, kt)
     full = solution.pencil.primal_map.scatter(
         solution.dof_vectors[:, mode_index])
-    curls = femcore.edge_curls(solution.mesh)
-    curl = np.einsum("tl,tl->t", full[solution.mesh.tri_edges], curls)
+    curl = np.einsum("tl,tl->t", full[solution.mesh.tri_edges],
+                     solution.edge_curls)
     if solution.formulation is Formulation.VECTOR_TE:
         samples = 1j * curl / (omega * VACUUM_PERMEABILITY * solution.medium.mu_zz)
         label = "h_z"

@@ -45,39 +45,33 @@ def grid_blocks(mesh: Mesh) -> str:
 def write_vtk(mesh: Mesh, title: str = "wgcutoff fields",
               point_scalars: dict | None = None,
               cell_vectors: dict | None = None,
-              cell_scalars: dict | None = None,
               grid: str | None = None) -> str:
     """Serialize the mesh plus named real-valued data arrays.
 
-    ``point_scalars`` maps name -> (V,) array, ``cell_vectors`` maps
-    name -> (T, 2) array and ``cell_scalars`` maps name -> (T,) array.
+    ``point_scalars`` maps name -> (V,) array and ``cell_vectors`` maps
+    name -> (T, 2) array.
     Complex fields should be split into explicit real/imaginary arrays by
     the caller.  ``grid`` is ``grid_blocks(mesh)`` when the caller already
     has it; it is formatted here otherwise.
     """
     point_scalars = point_scalars or {}
     cell_vectors = cell_vectors or {}
-    cell_scalars = cell_scalars or {}
     for name, values in point_scalars.items():
         if np.shape(values) != (mesh.num_nodes,):
             raise ValueError(f"point scalar {name!r} has wrong shape")
     for name, values in cell_vectors.items():
         if np.shape(values) != (mesh.num_triangles, 2):
             raise ValueError(f"cell vector {name!r} has wrong shape")
-    for name, values in cell_scalars.items():
-        if np.shape(values) != (mesh.num_triangles,):
-            raise ValueError(f"cell scalar {name!r} has wrong shape")
 
     cells = mesh.num_triangles
     parts = [f"# vtk DataFile Version 3.0\n{title}\nASCII\n"
              "DATASET UNSTRUCTURED_GRID\n",
              grid if grid is not None else grid_blocks(mesh)]
-    if cell_vectors or cell_scalars:
+    if cell_vectors:
         parts.append(f"CELL_DATA {cells}\n")
     for name, values in cell_vectors.items():
         parts += [f"VECTORS {name} double\n",
                   _block("%.17g %.17g 0\n", values)]
-    parts += [_scalars(name, values) for name, values in cell_scalars.items()]
     if point_scalars:
         parts.append(f"POINT_DATA {mesh.num_nodes}\n")
     parts += [_scalars(name, values) for name, values in point_scalars.items()]

@@ -26,12 +26,12 @@ def _filter_finite(alpha, beta) -> np.ndarray:
     return np.sort(lam[np.abs(lam) <= cutoff])
 
 
-def dense_saddle_bruteforce(pencil, opts) -> np.ndarray:
+def dense_saddle_bruteforce(pencil, k) -> np.ndarray:
     """Oracle path: full QZ on the saddle pencil, infinite eigenvalues filtered.
 
     A vector pencil is expanded to ``[[A, C], [C^H, 0]]`` against
-    ``[[B, 0], [0, 0]]``; a plain one is taken as it is.  Returns the
-    ascending finite eigenvalues (no eigenvectors); intended for
+    ``[[B, 0], [0, 0]]``; a plain one is taken as it is.  Returns the ``k``
+    smallest finite eigenvalues (no eigenvectors); intended for
     cross-checking the production paths at small dimension.
     """
     K, M = pencil.K, pencil.M
@@ -40,7 +40,7 @@ def dense_saddle_bruteforce(pencil, opts) -> np.ndarray:
         K = sp.bmat([[K, C], [C.conj().T, None]])
         M = sp.block_diag([M, sp.csr_matrix(2 * (pencil.multiplier_dim,))])
     alpha, beta = la.eig(K.toarray(), M.toarray(), homogeneous_eigvals=True)[0]
-    return _filter_finite(alpha, beta)[: opts.num_modes]
+    return _filter_finite(alpha, beta)[:k]
 
 
 def with_gradient(pencil, vectors, fraction, seed=5):

@@ -217,7 +217,8 @@ class TestSolve:
         err = capsys.readouterr().err
         assert err == "error: Unable to allocate 7.28 TiB\n"
 
-    @pytest.mark.parametrize("solver", [{"zero_frac": -1}, {"shift": -1.0},
+    @pytest.mark.parametrize("solver", [{"zero_frac": -1},
+                                        {"dense_cutoff": -1},
                                         {"residual_tol": float("nan")}])
     def test_out_of_range_solver_option_exits_one(self, tmp_path, capsys,
                                                   solver):
@@ -229,10 +230,21 @@ class TestSolve:
         assert next(iter(solver)) in err
         assert not (tmp_path / "cutoffs.csv").exists()
 
+    def test_shift_key_rejected(self, tmp_path, capsys):
+        # the shift is -trace_scale for every pencil; a config that still
+        # sets one is an error, not silently ignored
+        config = write_config(tmp_path, solver={"shift": 1.0})
+        assert main(["solve", "--config", config,
+                     "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: config invalid at solver: ")
+        assert "'shift'" in err and err.count("\n") == 1
+        assert not (tmp_path / "cutoffs.csv").exists()
+
     def test_solver_schema_matches_solve_options(self):
         schema = set(CONFIG_SCHEMA["properties"]["solver"]["properties"])
         fields = {f.name for f in dataclasses.fields(SolveOptions)}
-        assert schema == fields - {"num_modes"}
+        assert schema == fields
 
 
 class TestCrossval:
@@ -325,10 +337,10 @@ class TestFields:
             calls.clear()
             mesh = cli.mesh_family(config)[-1]
             spec = cli._medium(config)
-            opts = cli.solver_options(config, num_modes)
+            opts = cli.solver_options(config)
             grid = vtkio.grid_blocks(mesh)
             for formulation in cli._formulations(config):
-                cli._write_fields(formulation, mesh, spec, opts,
+                cli._write_fields(formulation, mesh, spec, num_modes, opts,
                                   config["omega"], grid, tmp_path)
             counts.append(len(calls))
         # per solution: one for assembly and one for the fields of all its
@@ -468,6 +480,33 @@ class TestSolutionStore:
         assert len(store_files(tmp_path)) == 4
         payload = json.loads((tmp_path / "crossval.json").read_text())
         assert [len(pair["rel_diffs"]) for pair in payload["pairs"]] == [2, 2]
+
+    def test_crossval_at_a_larger_count_keys_its_own_solutions(
+            self, tmp_path, capsys):
+        # the mode count is part of the key: crossval at count 3 after solve
+        # at num_modes 2 solves again instead of reading 2 modes for 3
+        from wgcutoff import cli
+        from wgcutoff.modes import Formulation
+        formulations = ["scalar_tm", "vector_tm"]
+        config = write_config(tmp_path, geometry=COAX,
+                              formulations=formulations, num_modes=2,
+                              crossval={"rtol": 0.5, "count": 3})
+        assert main(["solve", "--config", config, "--out", str(tmp_path)]) == 0
+        assert main(["crossval", "--config", config,
+                     "--out", str(tmp_path)]) == 0
+        payload = json.loads((tmp_path / "crossval.json").read_text())
+        assert [len(pair["rel_diffs"]) for pair in payload["pairs"]] == [3]
+        loaded = cli.load_config(config)
+        mesh, spec = cli.build_mesh(loaded), cli._medium(loaded)
+        opts = cli.solver_options(loaded)
+        # two files per formulation, each holding the count it is keyed by
+        assert len(store_files(tmp_path)) == 2 * len(formulations)
+        for name in formulations:
+            for q in (2, 3):
+                key = cli._solution_key(Formulation(name), mesh, spec, q, opts)
+                with np.load(tmp_path / "solutions" / f"{key}.npz") as stored:
+                    nonzero = stored["eigenvalues"].size - stored["tem_count"]
+                assert nonzero == q
 
     @pytest.mark.parametrize("change, misses", [
         ({}, 0),

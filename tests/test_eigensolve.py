@@ -62,13 +62,13 @@ class TestHermitianLU:
             pencil = assemble(mesh, gyro_medium)
             with HermitianLU(pencil.K - 10.0 * pencil.M) as lu:
                 assert lu.dtype == dtype
-                assert lu.solve(np.ones(pencil.dim)).dtype == dtype
+                assert lu.solve(np.ones(pencil.primal_dim)).dtype == dtype
 
     def test_real_spd_solve(self, gyro_medium):
         mesh = generate_rectangle(1.2e-3, 1.0e-3, 12, 10)
         pencil = assemble_scalar_tm(mesh, gyro_medium)
         a = (pencil.K + 1e6 * pencil.M).tocsr()
-        b = np.random.default_rng(0).standard_normal((pencil.dim, 3))
+        b = np.random.default_rng(0).standard_normal((pencil.primal_dim, 3))
         with HermitianLU(a) as lu:
             x = lu.solve(b)
         residual = np.linalg.norm(a @ x - b) / np.linalg.norm(b)
@@ -79,7 +79,8 @@ class TestHermitianLU:
         pencil = assemble_vector_tm(mesh, gyro_medium)
         a = (pencil.K - 1e5 * pencil.M).tocsr()
         rng = np.random.default_rng(1)
-        b = rng.standard_normal(pencil.dim) + 1j * rng.standard_normal(pencil.dim)
+        p = pencil.primal_dim
+        b = rng.standard_normal(p) + 1j * rng.standard_normal(p)
         with HermitianLU(a) as lu:
             x = lu.solve(b)
         residual = (np.linalg.norm(a @ x - b)
@@ -101,7 +102,7 @@ class TestHermitianLU:
         gc.collect()
         gc.disable()
         try:
-            solve(pencil, SolveOptions(num_modes=3, dense_cutoff=0))
+            solve(pencil, 3, SolveOptions(dense_cutoff=0))
             left = [o for o in gc.get_objects()
                     if type(o).__name__ == "_UnsymmetricArpackParams"]
         finally:
@@ -115,11 +116,6 @@ class TestSolveOptions:
         with pytest.raises(ValueError, match="zero_frac"):
             SolveOptions(zero_frac=zero_frac)
 
-    @pytest.mark.parametrize("shift", [-1.0, -1e-12, float("nan")])
-    def test_negative_shift_rejected(self, shift):
-        with pytest.raises(ValueError, match="shift"):
-            SolveOptions(shift=shift)
-
     @pytest.mark.parametrize("residual_tol",
                              [0.0, -1.0, float("nan"), float("inf")])
     def test_residual_tol_not_positive_and_finite_rejected(self,
@@ -131,20 +127,18 @@ class TestSolveOptions:
 
 class TestSolveDefinite:
     def test_diagonal(self):
-        spectrum = solve(plain_pencil(np.diag([0.0, 2.0]), np.eye(2)),
-                         SolveOptions(num_modes=2))
+        spectrum = solve(plain_pencil(np.diag([0.0, 2.0]), np.eye(2)), 2)
         assert np.allclose(spectrum.eigenvalues, [0.0, 2.0], atol=1e-12)
 
     def test_two_by_two(self):
         K = [[2.0, -1.0], [-1.0, 2.0]]
-        spectrum = solve(plain_pencil(K, np.eye(2)),
-                         SolveOptions(num_modes=2))
+        spectrum = solve(plain_pencil(K, np.eye(2)), 2)
         assert np.allclose(spectrum.eigenvalues, [1.0, 3.0], atol=1e-12)
 
     def test_laplacian_smallest_mode_is_constant(self, gyro_medium):
         mesh = generate_rectangle(1.0, 1.0, 4, 4)
         pencil = assemble_scalar_te(mesh, gyro_medium)
-        spectrum = solve(pencil, SolveOptions(num_modes=3))
+        spectrum = solve(pencil, 3)
         lam = spectrum.eigenvalues
         assert abs(lam[0]) <= 1e-9 * lam[-1]
         vec = spectrum.eigenvectors[:, 0]
@@ -153,21 +147,25 @@ class TestSolveDefinite:
     def test_m_orthonormal(self, gyro_medium):
         mesh = generate_rectangle(1.0, 0.8, 4, 3)
         pencil = assemble_scalar_tm(mesh, gyro_medium)
-        spectrum = solve(pencil, SolveOptions(num_modes=4))
+        spectrum = solve(pencil, 4)
         v = spectrum.eigenvectors
         gram = v.conj().T @ (pencil.M @ v)
         assert np.allclose(gram, np.eye(4), atol=1e-10)
 
     def test_num_modes_exceeding_dimension_rejected(self):
         with pytest.raises(EigenSolveError, match="dimension"):
-            solve(plain_pencil(np.eye(2), np.eye(2)),
-                  SolveOptions(num_modes=5))
+            solve(plain_pencil(np.eye(2), np.eye(2)), 5)
+
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_no_modes_rejected(self, k):
+        with pytest.raises(ValueError, match="k must be at least 1"):
+            solve(plain_pencil(np.eye(2), np.eye(2)), k)
 
     def test_sparse_path_matches_dense(self, gyro_medium):
         mesh = generate_rectangle(1.1e-3, 0.9e-3, 5, 5)
         pencil = assemble_scalar_tm(mesh, gyro_medium)
-        dense = solve(pencil, SolveOptions(num_modes=4))
-        sparse = solve(pencil, SolveOptions(num_modes=4, dense_cutoff=0))
+        dense = solve(pencil, 4)
+        sparse = solve(pencil, 4, SolveOptions(dense_cutoff=0))
         assert np.allclose(sparse.eigenvalues, dense.eigenvalues, rtol=1e-10)
 
     @pytest.mark.parametrize("mesh", [
@@ -184,18 +182,18 @@ class TestSolveDefinite:
                                                      assemble):
         # ARPACK stops at residual_tol / 100, which must cost no accuracy
         pencil = assemble(mesh(), gyro_medium)
-        opts = SolveOptions(num_modes=4, dense_cutoff=0)
-        sparse = solve(pencil, opts)
-        dense = solve(pencil, SolveOptions(
-            num_modes=4, dense_cutoff=pencil.primal_dim)).eigenvalues
+        opts = SolveOptions(dense_cutoff=0)
+        sparse = solve(pencil, 4, opts)
+        dense = solve(pencil, 4, SolveOptions(
+            dense_cutoff=pencil.primal_dim)).eigenvalues
         # a full dense eigh is accurate to about 1e-12 of the largest
         # eigenvalue it returns, not of each one
         scale = np.abs(dense).max()
         assert np.abs(sparse.eigenvalues - dense).max() <= 1e-12 * scale
         assert (sparse.residuals <= opts.residual_tol / 10).all()
         # a looser gate passes, and leaves ARPACK's stop where it was
-        loose = solve(pencil, SolveOptions(num_modes=4, dense_cutoff=0,
-                                           residual_tol=1e-6))
+        loose = solve(pencil, 4, SolveOptions(dense_cutoff=0,
+                                              residual_tol=1e-6))
         assert (loose.residuals <= 1e-6).all()
         assert np.array_equal(loose.eigenvalues, sparse.eigenvalues)
 
@@ -217,7 +215,7 @@ class TestSolveDefinite:
         pencil = assemble_scalar_tm(generate_rectangle(1.2e-3, 1e-3, 6, 5),
                                     gyro_medium)
         with pytest.raises(caught, match=message):
-            solve(pencil, SolveOptions(num_modes=3, dense_cutoff=0))
+            solve(pencil, 3, SolveOptions(dense_cutoff=0))
         assert len(built) == 1
 
     @pytest.mark.parametrize("length", [1e-3, 1e-9])
@@ -230,12 +228,12 @@ class TestSolveDefinite:
         # At 1 nm the stop must stay as tight as at 1 mm.
         pencil = assemble_scalar_tm(generate_annulus(length, 2 * length, 4, 48),
                                     gyro_medium)
-        dense = solve(pencil, SolveOptions(
-            num_modes=4, dense_cutoff=pencil.primal_dim)).eigenvalues
+        dense = solve(pencil, 4, SolveOptions(
+            dense_cutoff=pencil.primal_dim)).eigenvalues
         for k in (3, 4):
             for seed in range(1, 11):
-                got = solve(pencil, SolveOptions(
-                    num_modes=k, dense_cutoff=0, seed=seed,
+                got = solve(pencil, k, SolveOptions(
+                    dense_cutoff=0, seed=seed,
                     residual_tol=residual_tol)).eigenvalues
                 assert np.allclose(got, dense[:k], rtol=1e-10, atol=0), (k, seed)
 
@@ -243,22 +241,22 @@ class TestSolveDefinite:
 class TestSolveSaddle:
     def test_toy_pencil_single_finite_eigenvalue(self):
         pencil = saddle_pencil(np.diag([2.0, 3.0]), np.eye(2), [[1.0], [0.0]])
-        spectrum = solve(pencil, SolveOptions(num_modes=1))
+        spectrum = solve(pencil, 1)
         assert np.allclose(spectrum.eigenvalues, [3.0], atol=1e-10)
         # the constraint row x1 = 0 holds for the returned pair
         assert abs(spectrum.eigenvectors[0, 0]) <= 1e-10
-        brute = dense_saddle_bruteforce(pencil, SolveOptions(num_modes=1))
+        brute = dense_saddle_bruteforce(pencil, 1)
         assert np.allclose(brute, [3.0], atol=1e-10)
 
     def test_requesting_more_than_finite_count_rejected(self):
         pencil = saddle_pencil(np.diag([2.0, 3.0]), np.eye(2), [[1.0], [0.0]])
         with pytest.raises(EigenSolveError, match="finite"):
-            solve(pencil, SolveOptions(num_modes=3))
+            solve(pencil, 3)
 
     def test_coax_tm_has_near_zero_mode(self, gyro_medium):
         mesh = generate_annulus(1e-3, 2e-3, 2, 16)
         pencil = assemble_vector_tm(mesh, gyro_medium)
-        spectrum = solve(pencil, SolveOptions(num_modes=4))
+        spectrum = solve(pencil, 4)
         lam = spectrum.eigenvalues
         assert abs(lam[0]) <= 1e-6 * lam[1]
         assert (spectrum.residuals <= 1e-8).all()
@@ -267,10 +265,9 @@ class TestSolveSaddle:
         mesh = generate_annulus(1e-3, 2e-3, 2, 12)
         for assemble in (assemble_vector_te, assemble_vector_tm):
             pencil = assemble(mesh, gyro_medium)
-            opts = SolveOptions(num_modes=4)
-            dense = solve(pencil, opts)
-            sparse = solve(pencil, SolveOptions(num_modes=4, dense_cutoff=0))
-            brute = dense_saddle_bruteforce(pencil, opts)
+            dense = solve(pencil, 4)
+            sparse = solve(pencil, 4, SolveOptions(dense_cutoff=0))
+            brute = dense_saddle_bruteforce(pencil, 4)
             scale = max(abs(dense.eigenvalues).max(), 1.0)
             assert np.allclose(sparse.eigenvalues, dense.eigenvalues,
                                rtol=1e-8, atol=1e-8 * scale)
@@ -283,18 +280,18 @@ class TestSolveSaddle:
         # back among them; the dense path must refuse them
         pencil = assemble_vector_te(generate_annulus(1e-3, 2e-3, 2, 12),
                                     gyro_medium)
-        solve(pencil, SolveOptions(num_modes=4))  # the default clears them
+        solve(pencil, 4)  # the default clears them
         monkeypatch.setattr(eigensolve, "_PENALTY_FACTOR", 1e-6)
         with pytest.raises(EigenSolveError, match="dense penalty"):
-            solve(pencil, SolveOptions(num_modes=4))
+            solve(pencil, 4)
 
     def test_real_saddle_shift_invert_matches_bruteforce(self,
                                                         isotropic_medium):
         mesh = generate_annulus(1e-3, 2e-3, 2, 12)
         for assemble in (assemble_vector_te, assemble_vector_tm):
             pencil = assemble(mesh, isotropic_medium)
-            sparse = solve(pencil, SolveOptions(num_modes=4, dense_cutoff=0))
-            brute = dense_saddle_bruteforce(pencil, SolveOptions(num_modes=4))
+            sparse = solve(pencil, 4, SolveOptions(dense_cutoff=0))
+            brute = dense_saddle_bruteforce(pencil, 4)
             scale = max(abs(brute).max(), 1.0)
             assert np.allclose(sparse.eigenvalues, brute,
                                rtol=1e-8, atol=1e-8 * scale)
@@ -307,27 +304,16 @@ class TestSolveSaddle:
             K=(pencil.K * 7.5).tocsr(), M=(pencil.M * 7.5).tocsr(),
             primal_map=pencil.primal_map, gradient=pencil.gradient,
         )
-        a = solve(pencil, SolveOptions(num_modes=4)).eigenvalues
-        b = solve(scaled, SolveOptions(num_modes=4)).eigenvalues
+        a = solve(pencil, 4).eigenvalues
+        b = solve(scaled, 4).eigenvalues
         assert np.allclose(a, b, rtol=1e-10, atol=1e-10 * max(abs(a).max(), 1))
-
-    def test_shift_choice_does_not_move_eigenvalues(self, gyro_medium):
-        mesh = generate_annulus(1e-3, 2e-3, 2, 16)
-        pencil = assemble_vector_tm(mesh, gyro_medium)
-        base = solve(pencil, SolveOptions(num_modes=4,
-                                          dense_cutoff=0)).eigenvalues
-        shifted = solve(
-            pencil, SolveOptions(num_modes=4, dense_cutoff=0,
-                                 shift=0.3 * base[1])).eigenvalues
-        assert np.allclose(base, shifted, rtol=1e-8,
-                           atol=1e-8 * abs(base).max())
 
     def test_deterministic_across_runs(self, gyro_medium):
         mesh = generate_annulus(1e-3, 2e-3, 2, 16)
         pencil = assemble_vector_tm(mesh, gyro_medium)
-        opts = SolveOptions(num_modes=3, dense_cutoff=0)
-        a = solve(pencil, opts)
-        b = solve(pencil, opts)
+        opts = SolveOptions(dense_cutoff=0)
+        a = solve(pencil, 3, opts)
+        b = solve(pencil, 3, opts)
         assert np.array_equal(a.eigenvalues, b.eigenvalues)
         assert np.array_equal(a.eigenvectors, b.eigenvectors)
 
@@ -339,7 +325,7 @@ class TestResidualGate:
         pencil = assemble_vector_te(generate_rectangle(1.2e-3, 1e-3, 6, 5),
                                     gyro_medium)
         K, M = pencil.K, pencil.M
-        spectrum = solve(pencil, SolveOptions(num_modes=3))
+        spectrum = solve(pencil, 3)
         w = spectrum.eigenvalues * 1.001
         x = spectrum.eigenvectors
         kn, mn = (abs(m).sum(axis=1).max() for m in (K, M))
@@ -353,8 +339,8 @@ class TestResidualGate:
         for length in (1e-3, 1e9):
             mesh = generate_rectangle(1.2 * length, length, 24, 20)
             pencil = assemble_vector_tm(mesh, gyro_medium)
-            opts = SolveOptions(num_modes=3, dense_cutoff=0)
-            spectrum = solve(pencil, opts)
+            opts = SolveOptions(dense_cutoff=0)
+            spectrum = solve(pencil, 3, opts)
             assert (spectrum.residuals <= opts.residual_tol).all()
             # the first pair with its eigenvalue moved by 1%
             lam = spectrum.eigenvalues[:1] * 1.01
@@ -394,7 +380,7 @@ class TestResidualGate:
 
         monkeypatch.setattr(eigensolve, "_shift_invert", polluted)
         with pytest.raises(EigenSolveError, match="eigenpair residual"):
-            solve(pencil, SolveOptions(num_modes=3, dense_cutoff=0))
+            solve(pencil, 3, SolveOptions(dense_cutoff=0))
 
 
 class TestOracleEquivalence:
@@ -416,15 +402,14 @@ class TestOracleEquivalence:
     def test_all_small_pencils(self, gyro_medium):
         import scipy.linalg as la
         for pencil in self.coarse_pencils(gyro_medium):
-            assert pencil.dim <= 200
+            assert pencil.primal_dim <= 200
             k = min(4, pencil.primal_dim - pencil.multiplier_dim)
-            got = solve(pencil, SolveOptions(num_modes=k,
-                                             dense_cutoff=0)).eigenvalues
+            got = solve(pencil, k, SolveOptions(dense_cutoff=0)).eigenvalues
             if not pencil.multiplier_dim:
                 ref = la.eigh(pencil.K.toarray(), pencil.M.toarray(),
                               eigvals_only=True)[:k]
             else:
-                ref = dense_saddle_bruteforce(pencil, SolveOptions(num_modes=k))
+                ref = dense_saddle_bruteforce(pencil, k)
             scale = max(np.abs(ref).max(), 1.0)
             assert np.allclose(got, ref, rtol=1e-8, atol=1e-8 * scale)
 
@@ -452,12 +437,10 @@ class TestClassifyNearZero:
             self.fake_spectrum([-1e-9, 2.1e6, 5.6e6, 5.9e6, 1.2e7]))
         assert list(zero) == [0]
 
-    def test_all_near_zero_rejected(self):
-        with pytest.raises(EigenSolveError, match="near zero"):
-            classify_near_zero(self.fake_spectrum([1e-30, 2e-30, 3e-30]),
-                               reference_scale=1e3)
-
-    def test_reference_scale_override(self):
-        zero, _ = classify_near_zero(self.fake_spectrum([1.0, 4e6]),
-                                     reference_scale=1e6)
+    def test_largest_root_is_never_near_zero(self):
+        # the reference is a median of the top half, so a spectrum of tiny
+        # eigenvalues still keeps its largest root
+        zero, nonzero = classify_near_zero(
+            self.fake_spectrum([0.0, 1e-30, 2e-30, 3e-30]))
         assert list(zero) == [0]
+        assert list(nonzero) == [1, 2, 3]

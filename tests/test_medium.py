@@ -9,9 +9,7 @@ from wgcutoff import (
     TransverseTensor,
     bulk_wavenumber,
     commutes_with_rotation,
-    inverse_transverse,
     product_scalar,
-    tem_phase_constant,
     validate,
 )
 from wgcutoff.medium import (
@@ -145,11 +143,11 @@ class TestProductScalar:
 
 class TestInverse:
     def test_identity(self):
-        assert inverse_transverse(TransverseTensor(1.0, 0.0)) == \
+        assert TransverseTensor(1.0, 0.0).inverse() == \
             TransverseTensor(1.0, 0.0)
 
     def test_reference_mu_inverse_is_scaled_eps(self, gyro_medium):
-        inv = inverse_transverse(gyro_medium.mu_t)
+        inv = gyro_medium.mu_t.inverse()
         expected = np.linalg.inv(gyro_medium.mu_t.as_matrix())
         assert np.allclose(inv.as_matrix(), expected, atol=1e-15)
         assert inv.d == pytest.approx(gyro_medium.eps / 1.5)
@@ -160,20 +158,20 @@ class TestInverse:
         for _ in range(100):
             d = float(rng.uniform(0.3, 4.0))
             t = TransverseTensor(d, float(rng.uniform(-0.9, 0.9)) * d)
-            back = inverse_transverse(inverse_transverse(t))
+            back = t.inverse().inverse()
             assert back.d == pytest.approx(t.d, rel=1e-14)
             assert back.alpha == pytest.approx(t.alpha, rel=1e-14, abs=1e-16)
 
     def test_singular_rejected(self):
         with pytest.raises(MediumError, match="singular"):
-            inverse_transverse(TransverseTensor(1.0, 1.0))
+            TransverseTensor(1.0, 1.0).inverse()
 
     @given(st.integers(0, 10_000))
     @settings(max_examples=50, deadline=None)
     def test_decoupled_inverse_identities(self, seed):
         spec = random_valid_medium(np.random.default_rng(seed))
         product = product_scalar(spec)
-        einv = inverse_transverse(spec.eps_t)
+        einv = spec.eps_t.inverse()
         assert einv.d == pytest.approx(spec.mu / product, rel=1e-13)
         assert einv.alpha == pytest.approx(spec.b / product,
                                            rel=1e-13, abs=1e-15)
@@ -195,11 +193,6 @@ class TestWavenumber:
         k1 = bulk_wavenumber(gyro_medium, 1e9)
         k2 = bulk_wavenumber(gyro_medium, 2e9)
         assert k2 == pytest.approx(2 * k1, rel=1e-14)
-
-    def test_tem_phase_constant_matches(self, gyro_medium):
-        omega = 3e10
-        assert tem_phase_constant(gyro_medium, omega) == \
-            bulk_wavenumber(gyro_medium, omega)
 
     def test_nonpositive_product_rejected(self):
         # decoupled but indefinite: eps*mu + a*b = 1 - 4 < 0

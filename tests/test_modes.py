@@ -94,9 +94,9 @@ class TestSolvers:
 
     def test_scalar_te_drops_exactly_one_near_zero(self, rect_mesh,
                                                    gyro_medium):
-        from wgcutoff.eigensolve import SolveOptions, classify_near_zero, solve
+        from wgcutoff.eigensolve import classify_near_zero, solve
         solution = solve_te_scalar(rect_mesh, gyro_medium, 4)
-        raw = solve(solution.pencil, SolveOptions(num_modes=7))
+        raw = solve(solution.pencil, 7)
         zero, _ = classify_near_zero(raw)
         assert zero.size == 1
         assert solution.cutoffs.size == 4
@@ -233,6 +233,19 @@ class TestReconstructLongitudinal:
         expected = 1j * 2.0 / (omega * mu_0 * gyro_medium.mu_zz)
         assert frame.samples[0] == pytest.approx(expected, rel=1e-12)
         assert frame.label == "h_z"
+
+    def test_geometry_once_per_solution(self, rect_mesh, gyro_medium,
+                                        monkeypatch):
+        from wgcutoff import femcore
+        solution = solve_te_vector(rect_mesh, gyro_medium, 3)
+        assert solution.tem_count == 0
+        calls = []
+        geometry = femcore.triangle_geometry
+        monkeypatch.setattr(femcore, "triangle_geometry",
+                            lambda mesh: calls.append(1) or geometry(mesh))
+        for index in range(3):
+            reconstruct_longitudinal(solution, index, 2e12)
+        assert len(calls) == 1
 
     def test_tem_mode_rejected(self, coax_mesh, gyro_medium):
         solution = solve_tm_vector(coax_mesh, gyro_medium, 2)

@@ -9,7 +9,7 @@ from wgcutoff.cli import main
 from wgcutoff.vtkio import write_vtk
 
 
-def line_by_line_vtk(mesh, title, point_scalars, cell_vectors, cell_scalars):
+def line_by_line_vtk(mesh, title, point_scalars, cell_vectors):
     """Reference writer: every value formatted on its own line."""
     def fmt(x):
         return f"{x:.17g}"
@@ -26,15 +26,11 @@ def line_by_line_vtk(mesh, title, point_scalars, cell_vectors, cell_scalars):
     lines.extend(f"3 {i} {j} {k}" for i, j, k in mesh.triangles)
     lines.append(f"CELL_TYPES {mesh.num_triangles}")
     lines.extend(["5"] * mesh.num_triangles)
-    if cell_vectors or cell_scalars:
+    if cell_vectors:
         lines.append(f"CELL_DATA {mesh.num_triangles}")
         for name, values in cell_vectors.items():
             lines.append(f"VECTORS {name} double")
             lines.extend(f"{fmt(vx)} {fmt(vy)} 0" for vx, vy in values)
-        for name, values in cell_scalars.items():
-            lines.append(f"SCALARS {name} double 1")
-            lines.append("LOOKUP_TABLE default")
-            lines.extend(fmt(v) for v in values)
     if point_scalars:
         lines.append(f"POINT_DATA {mesh.num_nodes}")
         for name, values in point_scalars.items():
@@ -79,12 +75,10 @@ def test_matches_line_by_line_writer(kind):
                      "100%": field_values(rng, v)}
     cell_vectors = {"e t %d": field_values(rng, 2 * t).reshape(t, 2),
                     "{}": field_values(rng, 2 * t).reshape(t, 2)}
-    cell_scalars = {"%%s {name}": field_values(rng, t)}
     title = "vector_te mode 0 %s %d %% {} {0} k_t=1 rad/m"
-    text = write_vtk(mesh, title, point_scalars, cell_vectors, cell_scalars)
-    assert text == line_by_line_vtk(mesh, title, point_scalars, cell_vectors,
-                                    cell_scalars)
-    for name in (*point_scalars, *cell_vectors, *cell_scalars):
+    text = write_vtk(mesh, title, point_scalars, cell_vectors)
+    assert text == line_by_line_vtk(mesh, title, point_scalars, cell_vectors)
+    for name in (*point_scalars, *cell_vectors):
         assert f" {name} double" in text
     assert text.splitlines()[1] == title
 
@@ -105,15 +99,14 @@ def test_integer_and_list_arrays_match_reference():
     cell_vectors = {"lists": [[float(i), -0.5 * i]
                               for i in range(mesh.num_triangles)]}
     text = write_vtk(mesh, "t", point_scalars, cell_vectors)
-    assert text == line_by_line_vtk(mesh, "t", point_scalars, cell_vectors, {})
+    assert text == line_by_line_vtk(mesh, "t", point_scalars, cell_vectors)
 
 
 @pytest.mark.parametrize("empty", [None, {}])
 def test_mesh_only_when_no_arrays(empty):
     mesh = refine_uniform(generate_annulus(1e-3, 2e-3, 2, 12))
-    text = write_vtk(mesh, point_scalars=empty, cell_vectors=empty,
-                     cell_scalars=empty)
-    assert text == line_by_line_vtk(mesh, "wgcutoff fields", {}, {}, {})
+    text = write_vtk(mesh, point_scalars=empty, cell_vectors=empty)
+    assert text == line_by_line_vtk(mesh, "wgcutoff fields", {}, {})
     assert "CELL_DATA" not in text and "POINT_DATA" not in text
     assert text.endswith("\n5\n")
 
@@ -122,7 +115,6 @@ def test_mesh_only_when_no_arrays(empty):
     ("point_scalars", (3,), "point scalar 'bad'"),
     ("cell_vectors", (2,), "cell vector 'bad'"),
     ("cell_vectors", (2, 3), "cell vector 'bad'"),
-    ("cell_scalars", (2, 1), "cell scalar 'bad'"),
 ])
 def test_wrong_shape_rejected(unit_square_mesh, argument, shape, message):
     with pytest.raises(ValueError, match=message):
