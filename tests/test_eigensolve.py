@@ -308,6 +308,21 @@ class TestSolveSaddle:
         b = solve(scaled, 4).eigenvalues
         assert np.allclose(a, b, rtol=1e-10, atol=1e-10 * max(abs(a).max(), 1))
 
+    def test_shift_choice_does_not_move_eigenvalues(self, gyro_medium,
+                                                    monkeypatch):
+        # the shift only steers shift-invert: a positive shift between the
+        # first two roots finds the same eigenvalues as the default
+        mesh = generate_annulus(1e-3, 2e-3, 2, 16)
+        pencil = assemble_vector_tm(mesh, gyro_medium)
+        opts = SolveOptions(dense_cutoff=0)
+        base = solve(pencil, 4, opts).eigenvalues
+        # sigma = -_trace_scale(K, M)
+        monkeypatch.setattr(eigensolve, "_trace_scale",
+                            lambda K, M: -0.3 * base[1])
+        shifted = solve(pencil, 4, opts).eigenvalues
+        assert np.allclose(base, shifted, rtol=1e-8,
+                           atol=1e-8 * abs(base).max())
+
     def test_deterministic_across_runs(self, gyro_medium):
         mesh = generate_annulus(1e-3, 2e-3, 2, 16)
         pencil = assemble_vector_tm(mesh, gyro_medium)

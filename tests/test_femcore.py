@@ -210,6 +210,23 @@ class TestVectorAssembly:
         col_norms = np.abs(c.toarray()).sum(axis=0)
         assert (col_norms > 0).all()
 
+    def test_coupling_tensor_identity(self, small_rect_mesh, gyro_medium):
+        # inverse transverse permittivity equals mu_t / (eps*mu + a*b)
+        from wgcutoff import product_scalar
+        direct = assemble_vector_tm(small_rect_mesh, gyro_medium)
+        product = product_scalar(gyro_medium)
+        _, scaled = _vector_matrices(
+            small_rect_mesh,
+            TransverseTensor(gyro_medium.mu / product,
+                             gyro_medium.b / product),
+            1.0 / gyro_medium.eps_zz,
+        )
+        # TM keeps every edge, so the pencil's mass block is the whole matrix
+        diff = (direct.M - scaled).tocoo()
+        scale = np.abs(direct.M.data).max()
+        top = np.abs(diff.data).max() if diff.nnz else 0.0
+        assert top <= 1e-14 * scale
+
     def test_te_rejects_mesh_without_interior_edges(self, unit_triangle_mesh,
                                                     gyro_medium):
         with pytest.raises(AssemblyError, match="interior"):
