@@ -128,15 +128,6 @@ class ConvergenceReport:
     cutoffs: np.ndarray      # (levels, count)
     trends: tuple            # per tracked mode
 
-    def to_json_dict(self) -> dict:
-        return {
-            "formulation": self.formulation.value,
-            "mesh_h": self.mesh_h.tolist(),
-            "cutoffs": self.cutoffs.tolist(),
-            "trends": list(self.trends),
-            "trend_eps": TREND_EPS,
-        }
-
 
 def classify_trend(values: np.ndarray) -> str:
     """Non-strict monotonicity class of one mode's cut-off sequence."""

@@ -229,17 +229,21 @@ class _GradientProjector:
         self._lu = None
 
 
-def _shift_invert(K, M, k, sigma, v0, project, ncv, tol):
+def _shift_invert(pencil, k, sigma, v0, ncv, tol):
     """ARPACK on ``P (K - sigma M)^{-1} M`` to relative accuracy ``tol``;
     pairs come back ascending.
 
     ARPACK sees the pencil ``(K, s M)`` with shift ``sigma / s``, where ``s``
     is the power of four nearest ``|sigma|``: the same shifted matrix and
     eigenvectors, eigenvalues divided by ``s``, and Ritz values of order 1
-    (see the module notes).
+    (see the module notes).  ``K - sigma M`` is factored before the
+    projector's ``S``, so that neither the factor of ``S`` nor the
+    divergence block is held while the larger factorization runs.
     """
+    K, M = pencil.K, pencil.M
     s = 4.0 ** round(np.log2(abs(sigma)) / 2)
-    with HermitianLU(K - sigma * M) as lu:
+    with (HermitianLU(K - sigma * M) as lu,
+          _GradientProjector(pencil) as project):
         op = spla.LinearOperator(
             K.shape, matvec=lambda b: project(lu.solve(b)), dtype=lu.dtype)
         w, vecs = spla.eigsh(K, k=k, M=spla.aslinearoperator(M) * s,
@@ -350,23 +354,22 @@ def solve(pencil: HermitianPencil, k: int,
     # copy (see the module notes)
     dense = p <= opts.dense_cutoff or k > p - m - 2
     want = min(k + 2, p - m if dense else p - m - 2)
-    with _GradientProjector(pencil) as project:
-        if dense:
+    if dense:
+        with _GradientProjector(pencil) as project:
             w, vecs = _dense(pencil, want, project)
-        else:
-            # the Krylov space lies in range(P), of dimension p - m
-            ncv = min(max(2 * want + 1, 20), p - m)
-            # a looser gate does not loosen ARPACK below the default gate's
-            tol = min(opts.residual_tol, SolveOptions.residual_tol) / 100
-            sigma = -_trace_scale(K, M)
-            try:
-                v0 = np.random.default_rng(opts.seed).standard_normal(p)
-                w, vecs = _shift_invert(K, M, want, sigma, v0, project, ncv,
-                                        tol)
-            except RuntimeError as exc:  # SuperLU or ARPACK
-                raise EigenSolveError(
-                    f"shift-invert failed at shift {sigma:.6e}: {exc}"
-                ) from exc
+    else:
+        # the Krylov space lies in range(P), of dimension p - m
+        ncv = min(max(2 * want + 1, 20), p - m)
+        # a looser gate does not loosen ARPACK below the default gate's
+        tol = min(opts.residual_tol, SolveOptions.residual_tol) / 100
+        sigma = -_trace_scale(K, M)
+        try:
+            v0 = np.random.default_rng(opts.seed).standard_normal(p)
+            w, vecs = _shift_invert(pencil, want, sigma, v0, ncv, tol)
+        except RuntimeError as exc:  # SuperLU or ARPACK
+            raise EigenSolveError(
+                f"shift-invert failed at shift {sigma:.6e}: {exc}"
+            ) from exc
 
     residuals = residual_gate(pencil, w, vecs, opts)
     norms = np.sqrt(np.abs(np.einsum("ij,ij->j", vecs.conj(), M @ vecs)))

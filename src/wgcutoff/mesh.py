@@ -146,8 +146,9 @@ def _boundary_components(edges, boundary_edge, num_nodes) -> np.ndarray:
     return component
 
 
-#: Candidate (node, edge) pairs tested per batch by :func:`_check_hanging_nodes`.
-_PAIR_CHUNK = 1 << 16
+#: Rows handled per batch: candidate (node, edge) pairs tested by
+#: :func:`_check_hanging_nodes`, text rows formatted by :func:`export_mesh`.
+_CHUNK = 1 << 16
 
 
 def _check_hanging_nodes(nodes, edges, boundary_edge, boundary_node):
@@ -189,8 +190,8 @@ def _check_hanging_nodes(nodes, edges, boundary_edge, boundary_node):
     total = int(ends[-1])
 
     first = None
-    for s in range(0, total, _PAIR_CHUNK):
-        pair = np.arange(s, min(s + _PAIR_CHUNK, total))
+    for s in range(0, total, _CHUNK):
+        pair = np.arange(s, min(s + _CHUNK, total))
         e = np.searchsorted(ends, pair, side="right")
         n = order[start[e] + pair - (ends[e] - counts[e]), axis[e]]
         w = p[n] - a[e]
@@ -233,8 +234,9 @@ def build_topology(nodes, triangles) -> Mesh:
         raise MeshError("mesh has no triangles")
     if tris.min() < 0 or tris.max() >= num_nodes:
         raise MeshError("triangle node index out of range")
-    key = np.sort(tris, axis=1)
-    if (np.diff(key, axis=1) == 0).any():
+    # local edge j runs from tris[:, j] to ends[:, j]: (0,1), (1,2), (2,0)
+    ends = np.roll(tris, -1, axis=1)
+    if (tris == ends).any():
         raise MeshError("triangle with repeated node")
 
     areas = signed_areas(nodes, tris)
@@ -244,18 +246,22 @@ def build_topology(nodes, triangles) -> Mesh:
             f"degenerate or clockwise triangle {bad[0]} "
             f"(signed area {areas[bad[0]]:.3e} m^2)"
         )
+    del areas, bad
 
-    # local edges (0,1), (1,2), (2,0); global edges stored lo < hi
-    local = tris[:, [[0, 1], [1, 2], [2, 0]]]
-    lo = local.min(axis=2)
-    hi = local.max(axis=2)
-    keys = lo.astype(np.int64) * num_nodes + hi
-    uniq_keys, inverse = np.unique(keys.ravel(), return_inverse=True)
-    edges = np.column_stack(
-        [uniq_keys // num_nodes, uniq_keys % num_nodes]
-    ).astype(np.int64)
-    tri_edges = inverse.reshape(tris.shape[0], 3)
-    tri_edge_signs = np.where(local[:, :, 0] == lo, 1, -1).astype(np.int64)
+    # global edges are stored lo < hi, keyed lo * V + hi
+    forward = tris < ends
+    keys = np.minimum(tris, ends)
+    keys *= num_nodes
+    keys += np.maximum(tris, ends)
+    del ends
+    uniq_keys, tri_edges = np.unique(keys.ravel(), return_inverse=True)
+    del keys
+    tri_edges = tri_edges.reshape(tris.shape)
+    tri_edge_signs = np.where(forward, 1, -1).astype(np.int64, copy=False)
+    del forward
+    edges = np.empty((uniq_keys.size, 2), dtype=np.int64)
+    np.divmod(uniq_keys, num_nodes, out=(edges[:, 0], edges[:, 1]))
+    del uniq_keys
 
     # any two edges of a triangle name its three nodes, so equal triangles
     # are equal pairs of smallest and middle edge ids
@@ -264,6 +270,7 @@ def build_topology(nodes, triangles) -> Mesh:
     middle = a + b + c - first - np.maximum(np.maximum(a, b), c)
     if _has_repeats(first * edges.shape[0] + middle):
         raise MeshError("duplicate triangle")
+    del first, middle
 
     used = np.zeros(num_nodes, dtype=bool)
     used[tris] = True
@@ -291,13 +298,16 @@ def build_topology(nodes, triangles) -> Mesh:
         )
 
     boundary_edge = incidence == 1
+    del incidence, sign_sums
     boundary_node = np.zeros(num_nodes, dtype=bool)
     boundary_node[edges[boundary_edge].ravel()] = True
     _check_hanging_nodes(nodes, edges, boundary_edge, boundary_node)
     component = _boundary_components(edges, boundary_edge, num_nodes)
 
-    vec = nodes[edges[:, 1]] - nodes[edges[:, 0]]
-    h = float(np.sqrt(np.einsum("ij,ij->i", vec, vec)).max())
+    # sqrt is monotonic, so the root of the largest square is the longest
+    vec = nodes[edges[:, 1]]
+    vec -= nodes[edges[:, 0]]
+    h = float(np.sqrt(np.einsum("ij,ij->i", vec, vec).max()))
 
     return Mesh(
         nodes=_freeze(nodes),
@@ -535,19 +545,27 @@ def refine_uniform(mesh: Mesh) -> Mesh:
     return build_topology(nodes, children)
 
 
+def _rows(row: str, values: np.ndarray):
+    """``row`` filled from each row of ``values``, one ``%`` per chunk of
+    rows, so only one chunk's Python numbers exist at a time."""
+    for s in range(0, len(values), _CHUNK):
+        chunk = values[s:s + _CHUNK]
+        yield (row * len(chunk)) % tuple(chunk.ravel().tolist())
+
+
 def export_mesh(mesh: Mesh) -> str:
     """Serialize to the line-oriented ASCII format (0-based indices).
 
     Coordinates are written with :func:`repr`, the shortest representation
     that round-trips ``float`` exactly, so import/export is bit-faithful.
+    The node and triangle blocks are formatted in chunks of rows, which
+    bounds the memory that formatting takes; the text is the same as
+    formatting them row by row.
     """
-    xy = iter(mesh.nodes.ravel().tolist())
-    ijk = iter(mesh.triangles.ravel().tolist())
-    lines = [f"nodes {mesh.num_nodes}"]
-    lines.extend(f"{x!r} {y!r}" for x, y in zip(xy, xy))
-    lines.append(f"triangles {mesh.num_triangles}")
-    lines.extend(f"{i} {j} {k}" for i, j, k in zip(ijk, ijk, ijk))
-    return "\n".join(lines) + "\n"
+    return "".join([f"nodes {mesh.num_nodes}\n",
+                    *_rows("%r %r\n", mesh.nodes),
+                    f"triangles {mesh.num_triangles}\n",
+                    *_rows("%d %d %d\n", mesh.triangles)])
 
 
 def _count(fields, name: str, what: str, remaining: int) -> int:

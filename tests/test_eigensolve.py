@@ -218,6 +218,22 @@ class TestSolveDefinite:
             solve(pencil, 3, SolveOptions(dense_cutoff=0))
         assert len(built) == 1
 
+    def test_shifted_pencil_factored_before_the_projector(self, gyro_medium,
+                                                          monkeypatch):
+        # the factor of S is not held while the larger one is computed
+        sizes = []
+        hermitian_lu = eigensolve.HermitianLU
+
+        def recording_lu(matrix):
+            sizes.append(matrix.shape[0])
+            return hermitian_lu(matrix)
+
+        monkeypatch.setattr(eigensolve, "HermitianLU", recording_lu)
+        pencil = assemble_vector_te(generate_rectangle(1.2e-3, 1e-3, 6, 5),
+                                    gyro_medium)
+        solve(pencil, 3, SolveOptions(dense_cutoff=0))
+        assert sizes == [pencil.primal_dim, pencil.multiplier_dim]
+
     @pytest.mark.parametrize("length", [1e-3, 1e-9])
     @pytest.mark.parametrize("residual_tol", [1e-8, 1e-6])
     def test_early_stop_keeps_both_copies_of_a_degenerate_pair(
