@@ -23,9 +23,10 @@ Subcommands
 Every command reads ``--config <file.json>`` (schema-validated, unknown keys
 rejected) and writes into ``--out <dir>`` (default: current directory).
 ``num_modes`` is the mode count of every solve, and the optional ``solver``
-object holds the fields of ``SolveOptions``.  There is no ``solver.shift``:
-the shift is ``sigma = -trace_scale`` for every pencil, and a config that
-sets one is rejected as an unknown key.
+object holds the fields of ``SolveOptions``.  The shift (``sigma =
+-trace_scale``), the residual gate and the near-zero fraction are fixed,
+so a config that sets ``solver.shift``, ``solver.residual_tol`` or
+``solver.zero_frac`` is rejected as an unknown key.
 Floats are printed with 17 significant digits so outputs are byte-stable.
 
 ``solve``, ``crossval`` and ``fields`` keep every solution they compute in
@@ -195,8 +196,6 @@ CONFIG_SCHEMA = {
             "type": "object",
             "additionalProperties": False,
             "properties": {
-                "residual_tol": _NUMBER,
-                "zero_frac": _NUMBER,
                 "dense_cutoff": _COUNT,
                 "seed": {"type": "integer"},
             },
@@ -401,7 +400,7 @@ def _solution_key(formulation, mesh, spec, q, opts) -> str:
 
 
 #: The arrays of a stored solution, the arguments of ``modes.restore``.
-_STORED = ("eigenvalues", "tem_count", "dof_vectors", "residuals")
+_STORED = ("eigenvalues", "tem_count", "dof_vectors")
 
 #: What a failed read of a stored solution raises: a missing, truncated or
 #: damaged file (a member's CRC-32 catches changed bytes), one that is not
@@ -417,10 +416,8 @@ def _save(path: Path, solution) -> None:
     handle, temporary = tempfile.mkstemp(suffix=".tmp", dir=path.parent)
     try:
         with os.fdopen(handle, "wb") as stream:
-            np.savez(stream, eigenvalues=solution.eigenvalues,
-                     tem_count=solution.tem_count,
-                     dof_vectors=solution.dof_vectors,
-                     residuals=solution.residuals)
+            np.savez(stream, **{name: getattr(solution, name)
+                                for name in _STORED})
         os.replace(temporary, path)
     finally:
         Path(temporary).unlink(missing_ok=True)
@@ -445,7 +442,7 @@ def _solution(formulation, mesh, spec, q, opts, out_dir):
         with (open(path, "rb") as handle,
               np.load(handle, allow_pickle=False) as stored):
             arrays = {name: stored[name] for name in _STORED}
-        return modes.restore(formulation, mesh, spec, q, opts, **arrays)
+        return modes.restore(formulation, mesh, spec, q, **arrays)
     except _STORE_MISS:
         pass
     solution = modes.SOLVERS[formulation](mesh, spec, q, opts)

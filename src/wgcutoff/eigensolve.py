@@ -31,7 +31,7 @@ multiplier ``zeta`` of the saddle pencil solves ``S zeta = lambda C^H x =
 from a computed vector would only cancel the mass term of any gradient
 left in it.
 
-ARPACK stops at ``tol = residual_tol / 100``, not at machine precision.
+ARPACK stops at ``tol = RESIDUAL_TOL / 100``, not at machine precision.
 It stops when ``|T x - theta x| <= tol max(eps^(2/3), |theta|)`` for ``T =
 P (A - sigma B)^{-1} B`` and ``theta = 1 / (lambda - sigma)`` (Lehoucq,
 Sorensen & Yang, ARPACK Users' Guide, 1998).  While ``|theta|`` exceeds
@@ -59,9 +59,8 @@ degenerate eigenvalue only through rounding, so an early stop can return
 one copy: on symmetric coax, disc and square meshes, 10 of 360 forced
 shift-invert solves of 4 to 8 modes did so at ``tol = 1e-10``, and none at
 machine precision.  Hence two pairs beyond the request are solved, gated
-and dropped (0 of 1,400 such solves came back short), and a gate looser
-than the default leaves ``tol`` at 1e-10 (at 1e-8, 17 of the 1,400 came
-back short).
+and dropped (0 of 1,400 such solves came back short), and the stop is a
+hundredth of the gate: at ``tol = 1e-8``, 17 of the 1,400 came back short.
 
 Every sparse LU (the shift-invert operator and the gradient stiffness S)
 goes through :class:`HermitianLU`, which is handed to ARPACK as ``OPinv``
@@ -106,31 +105,27 @@ class EigenSolveError(RuntimeError):
     """Factorization or convergence failure, or contract violation."""
 
 
+#: The gate on the relative residual of every returned pair; ARPACK stops
+#: at a hundredth of it, relative at every length scale.
+RESIDUAL_TOL = 1e-8
+
+#: The fraction of the reference cut-off below which a mode counts as near
+#: zero (a TEM mode or scalar TE's constant).
+ZERO_FRAC = 1e-3
+
+
 @dataclass(frozen=True)
 class SolveOptions:
     """Eigensolver configuration; the mode count is an argument of
     :func:`solve`, and the shift is ``sigma = -trace_scale``.
 
-    ``zero_frac`` is the fraction of the reference cut-off below which a
-    mode counts as near zero (a TEM mode or scalar TE's constant).
     ``dense_cutoff`` is the field dimension at or below which the dense
-    path runs; set it to 0 to force shift-invert.
-    ``residual_tol`` (positive and finite) gates the relative residual of
-    every returned pair and also sets ARPACK's stop, ``residual_tol / 100``,
-    relative at every length scale; a gate looser than the default keeps
-    the default's stop.
+    path runs; set it to 0 to force shift-invert.  ``seed`` seeds ARPACK's
+    start vector.
     """
 
-    residual_tol: float = 1e-8
-    zero_frac: float = 1e-3
     dense_cutoff: int = 400
     seed: int = 1357
-
-    def __post_init__(self):
-        if not 0 < self.residual_tol < np.inf:
-            raise ValueError("residual_tol must be positive and finite")
-        if not 0 < self.zero_frac < 1:
-            raise ValueError("zero_frac must lie strictly between 0 and 1")
 
 
 @dataclass(frozen=True)
@@ -258,25 +253,24 @@ def _shift_invert(pencil, k, sigma, v0, ncv, tol):
     return w[order] * s, vecs[:, order]
 
 
-def residual_gate(pencil: HermitianPencil, w, vecs,
-                  opts: SolveOptions) -> np.ndarray:
+def residual_gate(pencil: HermitianPencil, w, vecs) -> np.ndarray:
     """Residuals of the eigenpairs ``(w, vecs)``, or an
     :class:`EigenSolveError`.
 
     Every pair must pass ``|A x - lambda B x| / ((|A| + |lambda| |B|) |x|)
-    <= residual_tol``, and no eigenvalue may be negative beyond rounding at
+    <= RESIDUAL_TOL``, and no eigenvalue may be negative beyond rounding at
     the scale of ``w`` and of ``|A| / |B|``.  A gradient left in a vector
     pair fails: its mass term ``lambda B G y`` has nothing to cancel it.
     """
     K, M = pencil.K, pencil.M
     residuals = _residuals(K, M, w, vecs)
-    if (residuals > opts.residual_tol).any():
+    if (residuals > RESIDUAL_TOL).any():
         raise EigenSolveError(
             f"eigenpair residual {residuals.max():.3e} exceeds "
-            f"{opts.residual_tol:.1e}"
+            f"{RESIDUAL_TOL:.1e}"
         )
     scale = max(np.abs(w).max(), _mat_norm(K) / max(_mat_norm(M), 1e-300))
-    if (w < -opts.residual_tol * scale).any():
+    if (w < -RESIDUAL_TOL * scale).any():
         raise EigenSolveError(
             f"negative eigenvalue {w.min():.6e} in a semidefinite pencil"
         )
@@ -360,18 +354,17 @@ def solve(pencil: HermitianPencil, k: int,
     else:
         # the Krylov space lies in range(P), of dimension p - m
         ncv = min(max(2 * want + 1, 20), p - m)
-        # a looser gate does not loosen ARPACK below the default gate's
-        tol = min(opts.residual_tol, SolveOptions.residual_tol) / 100
         sigma = -_trace_scale(K, M)
         try:
             v0 = np.random.default_rng(opts.seed).standard_normal(p)
-            w, vecs = _shift_invert(pencil, want, sigma, v0, ncv, tol)
+            w, vecs = _shift_invert(pencil, want, sigma, v0, ncv,
+                                    RESIDUAL_TOL / 100)
         except RuntimeError as exc:  # SuperLU or ARPACK
             raise EigenSolveError(
                 f"shift-invert failed at shift {sigma:.6e}: {exc}"
             ) from exc
 
-    residuals = residual_gate(pencil, w, vecs, opts)
+    residuals = residual_gate(pencil, w, vecs)
     norms = np.sqrt(np.abs(np.einsum("ij,ij->j", vecs.conj(), M @ vecs)))
     norms = np.where(norms > 0, norms, 1.0)
     vecs = vecs / norms
@@ -380,16 +373,15 @@ def solve(pencil: HermitianPencil, k: int,
                     residuals=residuals[:k])
 
 
-def classify_near_zero(spectrum: Spectrum,
-                       zero_frac: float = SolveOptions.zero_frac):
+def classify_near_zero(spectrum: Spectrum):
     """Split mode indices into (near-zero, nonzero) on the ``sqrt(lambda)`` scale.
 
-    A root is near zero below ``zero_frac`` times the median of the top
+    A root is near zero below ``ZERO_FRAC`` times the median of the top
     half of the returned square roots, so the largest root never is.
     """
     lam = spectrum.eigenvalues
     if lam.size == 0:
         raise ValueError("empty spectrum")
     roots = np.sqrt(np.clip(lam, 0.0, None))
-    near_zero = roots < zero_frac * float(np.median(roots[roots.size // 2:]))
+    near_zero = roots < ZERO_FRAC * float(np.median(roots[roots.size // 2:]))
     return np.flatnonzero(near_zero), np.flatnonzero(~near_zero)

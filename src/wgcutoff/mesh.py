@@ -147,7 +147,8 @@ def _boundary_components(edges, boundary_edge, num_nodes) -> np.ndarray:
 
 
 #: Rows handled per batch: candidate (node, edge) pairs tested by
-#: :func:`_check_hanging_nodes`, text rows formatted by :func:`export_mesh`.
+#: :func:`_check_hanging_nodes`, text rows formatted by :func:`_rows` (for
+#: :func:`export_mesh` and the VTK export).
 _CHUNK = 1 << 16
 
 

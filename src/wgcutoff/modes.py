@@ -183,7 +183,6 @@ def _solve_formulation(mesh: Mesh, spec: MediumSpec, q: int,
     if q < 1:
         raise ValueError("q must be at least 1")
     _require_independent(spec)
-    opts = options if options is not None else SolveOptions()
 
     if formulation is Formulation.SCALAR_TE:
         reserve = 1
@@ -199,14 +198,13 @@ def _solve_formulation(mesh: Mesh, spec: MediumSpec, q: int,
         raise eigensolve.EigenSolveError(
             f"mesh supports only {capacity} modes, need {request}"
         )
-    spectrum = eigensolve.solve(pencil, request, opts)
+    spectrum = eigensolve.solve(pencil, request, options)
 
     if formulation is Formulation.SCALAR_TM:
         zero_idx = np.array([], dtype=int)
         nonzero_idx = np.arange(spectrum.eigenvalues.size)
     else:
-        zero_idx, nonzero_idx = classify_near_zero(
-            spectrum, zero_frac=opts.zero_frac)
+        zero_idx, nonzero_idx = classify_near_zero(spectrum)
 
     nonzero_idx = nonzero_idx[:q]
     if formulation.is_vector:
@@ -256,22 +254,22 @@ SOLVERS = {
 
 
 def restore(formulation: Formulation, mesh: Mesh, spec: MediumSpec, q: int,
-            options: SolveOptions, eigenvalues: np.ndarray, tem_count,
-            dof_vectors: np.ndarray, residuals: np.ndarray) -> ModeSolution:
+            eigenvalues: np.ndarray, tem_count,
+            dof_vectors: np.ndarray) -> ModeSolution:
     """The solution that ``SOLVERS[formulation]`` returned for ``q`` modes,
     rebuilt from its arrays after every check the solve runs on it.
 
     The medium verdict is checked, the pencil assembled again, the arrays
     checked for dtype and shape against it, and the eigenpairs gated on
-    the pencil residual.  Raises ``MediumError``, ``ValueError`` or
-    ``EigenSolveError`` where a check fails.
+    the pencil residual, whose values become the solution's residuals.
+    Raises ``MediumError``, ``ValueError`` or ``EigenSolveError`` where a
+    check fails.
     """
     _require_independent(spec)
     pencil = _ASSEMBLERS[formulation](mesh, spec)
     n = eigenvalues.shape[0] if eigenvalues.ndim == 1 else -1
     expected = (
         (eigenvalues, np.float64, (n,)),
-        (residuals, np.float64, (n,)),
         (dof_vectors, np.complex128, (pencil.primal_dim, n)),
     )
     for array, dtype, shape in expected:
@@ -286,7 +284,7 @@ def restore(formulation: Formulation, mesh: Mesh, spec: MediumSpec, q: int,
     nonzero = n - tem_count
     if not 0 <= tem_count <= most or not 1 <= nonzero <= q:
         raise ValueError(f"stored {n} modes with {tem_count} TEM modes")
-    eigensolve.residual_gate(pencil, eigenvalues, dof_vectors, options)
+    residuals = eigensolve.residual_gate(pencil, eigenvalues, dof_vectors)
     return ModeSolution(
         formulation=formulation,
         cutoffs=_cutoffs(eigenvalues),
@@ -459,12 +457,11 @@ def reconstruct_longitudinal(solution: ModeSolution, mode_index: int,
 # diagnostics
 
 
-def verify_tem(solution: ModeSolution, mesh: Mesh | None = None) -> TemReport:
+def verify_tem(solution: ModeSolution) -> TemReport:
     """TEM count must equal boundary components minus one."""
     if not solution.formulation.is_vector:
         raise ValueError("TEM verification applies to vector formulations")
-    mesh = mesh if mesh is not None else solution.mesh
-    return TemReport(expected=mesh.num_boundary_components - 1,
+    return TemReport(expected=solution.mesh.num_boundary_components - 1,
                      actual=solution.tem_count)
 
 

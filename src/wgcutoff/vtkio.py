@@ -4,26 +4,25 @@ Writes an UNSTRUCTURED_GRID with the mesh nodes as POINTS, triangles as
 CELLS of type 5, per-triangle vector fields (z component zero) as CELL_DATA
 VECTORS and per-node scalars as POINT_DATA SCALARS.  All floats are printed
 with 17 significant digits so files are diffable and round-trip exactly.
-Each block is a single ``%`` operation, a row template repeated once per
-row and filled from the array's ``tolist()``: the same text as formatting
-value by value, at a third of the cost.  Titles and names never pass
-through ``%``.  The mesh blocks are the same in every file of one mesh:
-:func:`grid_blocks` formats them once, and :func:`write_vtk` takes the
-result.
+Each block is formatted like the blocks of the mesh export, one ``%`` per
+chunk of rows (a row template repeated once per row, filled from the
+chunk's ``tolist()``): the same text as formatting value by value, at a
+third of the cost.  Titles and names never pass through ``%``.  The mesh
+blocks are the same in every file of one mesh: :func:`grid_blocks`
+formats them once, and :func:`write_vtk` takes the result.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .mesh import Mesh
+from .mesh import Mesh, _rows
 
 VTK_TRIANGLE = 5
 
 
 def _block(row: str, values) -> str:
-    values = np.asarray(values)
-    return (row * len(values)) % tuple(values.ravel().tolist())
+    return "".join(_rows(row, np.asarray(values)))
 
 
 def _scalars(name, values) -> str:

@@ -189,16 +189,14 @@ def test_criterion_05_tm_route_agreement(two_route_solutions):
                          Formulation.VECTOR_TM, "TM")
 
 
-def test_criterion_06_tem_counts(two_route_meshes, two_route_solutions):
+def test_criterion_06_tem_counts(two_route_solutions):
     with criterion("06 tem-mode-counts"):
         for formulation in (Formulation.VECTOR_TE, Formulation.VECTOR_TM):
             for level in "AB":
                 coax = two_route_solutions["coax", level, formulation]
                 assert coax.tem_count == 1
                 assert coax.cutoffs[0] < 1e-3 * coax.cutoffs[1]
-                assert verify_tem(coax,
-                                  two_route_meshes["coax"]["AB".index(level)]
-                                  ).passed
+                assert verify_tem(coax).passed
                 for name in ("rectangle", "disc", "ridge"):
                     solution = two_route_solutions[name, level, formulation]
                     assert solution.tem_count == 0

@@ -296,13 +296,11 @@ class TestTransverseCompanion:
 
 class TestTemVerification:
     def test_coax_expects_one(self, coax_mesh, gyro_medium):
-        report = verify_tem(solve_te_vector(coax_mesh, gyro_medium, 2),
-                            coax_mesh)
+        report = verify_tem(solve_te_vector(coax_mesh, gyro_medium, 2))
         assert report.expected == 1 and report.passed
 
     def test_rectangle_expects_zero(self, rect_mesh, gyro_medium):
-        report = verify_tem(solve_te_vector(rect_mesh, gyro_medium, 2),
-                            rect_mesh)
+        report = verify_tem(solve_te_vector(rect_mesh, gyro_medium, 2))
         assert report.expected == 0 and report.passed
 
     def test_three_boundary_components_expect_two(self, gyro_medium):
@@ -317,7 +315,7 @@ class TestTemVerification:
                                              base.triangles[keep]))
         assert mesh.num_boundary_components == 3
         solution = solve_te_vector(mesh, gyro_medium, 2)
-        report = verify_tem(solution, mesh)
+        report = verify_tem(solution)
         assert report.expected == 2 and report.passed
 
 
