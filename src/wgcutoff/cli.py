@@ -197,7 +197,7 @@ CONFIG_SCHEMA = {
             "additionalProperties": False,
             "properties": {
                 "dense_cutoff": _COUNT,
-                "seed": {"type": "integer"},
+                "seed": _COUNT,
             },
         },
         "crossval": {

@@ -217,13 +217,22 @@ class TestSolve:
         err = capsys.readouterr().err
         assert err == "error: Unable to allocate 7.28 TiB\n"
 
-    def test_out_of_range_solver_option_exits_one(self, tmp_path, capsys):
-        config = write_config(tmp_path, solver={"dense_cutoff": -1})
+    @pytest.mark.parametrize("solver, key", [
+        ({"dense_cutoff": -1}, "dense_cutoff"),
+        ({"dense_cutoff": 2.5}, "dense_cutoff"),
+        # a negative seed once reached ARPACK's start vector and failed
+        # there without naming the key
+        ({"dense_cutoff": 0, "seed": -1}, "seed"),
+        ({"seed": "1357"}, "seed"),
+    ])
+    def test_out_of_range_solver_option_exits_one(self, tmp_path, capsys,
+                                                  solver, key):
+        config = write_config(tmp_path, solver=solver)
         assert main(["solve", "--config", config,
                      "--out", str(tmp_path)]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: ")
-        assert "dense_cutoff" in err
+        assert err.startswith("error: config invalid at solver")
+        assert key in err
         assert not (tmp_path / "cutoffs.csv").exists()
 
     @pytest.mark.parametrize("key", ["shift", "residual_tol", "zero_frac"])

@@ -17,9 +17,11 @@ from wgcutoff import (
     solve_tm_scalar,
     solve_tm_vector,
 )
+from wgcutoff.eigensolve import RESIDUAL_TOL, EigenSolveError, residual_gate
 from wgcutoff.femcore import assemble_scalar_te, assemble_vector_tm
 from wgcutoff.medium import MediumError
 from wgcutoff.modes import (
+    SOLVERS,
     Formulation,
     ModeSolution,
     _phase,
@@ -28,6 +30,7 @@ from wgcutoff.modes import (
     reconstruct_from_ez,
     reconstruct_from_hz,
     reconstruct_longitudinal,
+    restore,
     transverse_companion,
     verify_tem,
 )
@@ -318,6 +321,52 @@ class TestTemVerification:
         report = verify_tem(solution)
         assert report.expected == 2 and report.passed
 
+
+
+class TestRestore:
+    """``restore`` rebuilds a solution from the three stored arrays and
+    takes its residuals from the residual gate, as ``cutoffs`` are
+    recomputed rather than stored."""
+
+    @pytest.fixture(scope="class")
+    def solutions(self, coax_mesh, gyro_medium):
+        return {formulation: SOLVERS[formulation](coax_mesh, gyro_medium, 3)
+                for formulation in Formulation}
+
+    @pytest.mark.parametrize("formulation", list(Formulation),
+                             ids=lambda f: f.value)
+    def test_round_trip_carries_the_gate_residuals(self, solutions, coax_mesh,
+                                                   gyro_medium, formulation):
+        solution = solutions[formulation]
+        restored = restore(formulation, coax_mesh, gyro_medium, 3,
+                           solution.eigenvalues, solution.tem_count,
+                           solution.dof_vectors)
+        assert restored.tem_count == solution.tem_count
+        assert np.array_equal(restored.eigenvalues, solution.eigenvalues)
+        assert np.array_equal(restored.cutoffs, solution.cutoffs)
+        gate = residual_gate(solution.pencil, solution.eigenvalues,
+                             solution.dof_vectors)
+        assert np.array_equal(restored.residuals, gate)
+        assert (restored.residuals <= RESIDUAL_TOL).all()
+
+    @pytest.mark.parametrize("formulation", list(Formulation),
+                             ids=lambda f: f.value)
+    def test_moved_eigenvalues_fail_the_gate(self, solutions, coax_mesh,
+                                             gyro_medium, formulation):
+        # no stored residual can vouch for pairs that no longer match
+        solution = solutions[formulation]
+        with pytest.raises(EigenSolveError, match="residual"):
+            restore(formulation, coax_mesh, gyro_medium, 3,
+                    solution.eigenvalues * 1.01, solution.tem_count,
+                    solution.dof_vectors)
+
+    def test_arrays_of_another_mesh_rejected(self, solutions, rect_mesh,
+                                             gyro_medium):
+        solution = solutions[Formulation.VECTOR_TE]
+        with pytest.raises(ValueError, match="stored complex128"):
+            restore(Formulation.VECTOR_TE, rect_mesh, gyro_medium, 3,
+                    solution.eigenvalues, solution.tem_count,
+                    solution.dof_vectors)
 
 class TestConstraintResiduals:
     def test_matches_the_formula_mode_by_mode(self, coax_mesh, gyro_medium):
