@@ -222,7 +222,8 @@ def build_topology(nodes, triangles) -> Mesh:
 
     Raises :class:`MeshError` for degenerate (or clockwise) triangles,
     duplicate triangles, non-manifold edges (shared by more than two
-    triangles), inconsistent orientation and hanging nodes.
+    triangles), inconsistent orientation, hanging nodes and a mesh in more
+    than one piece (``V - E + T != 2 - B``).
     """
     nodes = _as_coords(nodes)
     tris = np.ascontiguousarray(np.asarray(triangles, dtype=np.int64))
@@ -310,7 +311,7 @@ def build_topology(nodes, triangles) -> Mesh:
     vec -= nodes[edges[:, 0]]
     h = float(np.sqrt(np.einsum("ij,ij->i", vec, vec).max()))
 
-    return Mesh(
+    mesh = Mesh(
         nodes=_freeze(nodes),
         triangles=_freeze(tris),
         edges=_freeze(edges),
@@ -321,33 +322,39 @@ def build_topology(nodes, triangles) -> Mesh:
         boundary_component=_freeze(component),
         h=h,
     )
+    # each piece past the first adds 2 to V - E + T
+    deficit = mesh.euler_deficit()
+    if deficit:
+        raise MeshError(f"mesh is not one connected piece: Euler deficit "
+                        f"{deficit} (a mesh in k pieces has 2(k - 1))")
+    return mesh
+
+
+def _split_cells(corner: np.ndarray) -> np.ndarray:
+    """The counter-clockwise triangles ``[ll, lr, ur]`` and ``[ll, ur, ul]``
+    of each cell of the node-id grid ``corner[row, col]`` (rows upwards), as
+    a ``(rows - 1, cols - 1, 2, 3)`` array, cells in row order.  The fixed
+    diagonal keeps spectra reproducible."""
+    ll, lr = corner[:-1, :-1], corner[:-1, 1:]
+    ul, ur = corner[1:, :-1], corner[1:, 1:]
+    return np.stack([ll, lr, ur, ll, ur, ul], axis=-1).reshape(*ll.shape, 2, 3)
 
 
 def generate_rectangle(a: float, b: float, nx: int, ny: int) -> Mesh:
     """Structured mesh of the rectangle ``[0, a] x [0, b]``.
 
     Each of the ``nx * ny`` cells is split along its lower-left to
-    upper-right diagonal, a fixed convention that keeps spectra reproducible.
+    upper-right diagonal.
     """
     if not (a > 0 and b > 0 and np.isfinite([a, b]).all()):
         raise MeshError(f"rectangle sides must be positive and finite, got "
                         f"{a!r} x {b!r}")
     if nx < 1 or ny < 1:
         raise MeshError("nx and ny must be at least 1")
-    xs = np.linspace(0.0, a, nx + 1)
-    ys = np.linspace(0.0, b, ny + 1)
-    gx, gy = np.meshgrid(xs, ys, indexing="xy")
-    nodes = np.column_stack([gx.ravel(), gy.ravel()])
-
-    j, i = np.meshgrid(np.arange(ny), np.arange(nx), indexing="ij")
-    ll = (j * (nx + 1) + i).ravel()
-    lr = ll + 1
-    ul = ll + (nx + 1)
-    ur = ul + 1
-    tris = np.empty((2 * ll.size, 3), dtype=np.int64)
-    tris[0::2] = np.column_stack([ll, lr, ur])
-    tris[1::2] = np.column_stack([ll, ur, ul])
-    return build_topology(nodes, tris)
+    gx, gy = np.meshgrid(np.linspace(0.0, a, nx + 1), np.linspace(0.0, b, ny + 1))
+    corner = np.arange(gx.size).reshape(gx.shape)
+    return build_topology(np.column_stack([gx.ravel(), gy.ravel()]),
+                          _split_cells(corner).reshape(-1, 3))
 
 
 def generate_annulus(r_inner: float, r_outer: float, n_r: int, n_theta: int) -> Mesh:
@@ -355,7 +362,7 @@ def generate_annulus(r_inner: float, r_outer: float, n_r: int, n_theta: int) -> 
 
     The circular boundaries are polygonal; refinement later never snaps new
     nodes back onto the true circle, so the geometric error is fixed by
-    ``n_theta``.
+    ``n_theta``.  A disc's centre node and its fan of triangles come first.
     """
     if not (0 <= r_inner < r_outer and np.isfinite(r_outer)):
         raise MeshError(f"need finite radii 0 <= r_inner < r_outer, got "
@@ -365,57 +372,21 @@ def generate_annulus(r_inner: float, r_outer: float, n_r: int, n_theta: int) -> 
     if n_r < 1:
         raise MeshError("n_r must be at least 1")
     theta = 2 * np.pi * np.arange(n_theta) / n_theta
-    ct, st = np.cos(theta), np.sin(theta)
-
-    def ring(radius):
-        return np.column_stack([radius * ct, radius * st])
-
-    radii = np.linspace(r_inner, r_outer, n_r + 1)
-    tris = []
-    if r_inner > 0:
-        nodes = np.concatenate([ring(r) for r in radii])
-        first_ring = 0
-
-        def node_id(i_ring, k):
-            return first_ring + i_ring * n_theta + (k % n_theta)
-
-        ring_lo = range(n_r)
-    else:
-        nodes = np.concatenate([[[0.0, 0.0]]] + [ring(r) for r in radii[1:]])
-
-        def node_id(i_ring, k):
-            return 1 + (i_ring - 1) * n_theta + (k % n_theta)
-
-        for k in range(n_theta):
-            tris.append([0, node_id(1, k), node_id(1, k + 1)])
-        ring_lo = range(1, n_r)
-    for i in ring_lo:
-        for k in range(n_theta):
-            a = node_id(i, k)
-            b = node_id(i + 1, k)
-            c = node_id(i + 1, k + 1)
-            d = node_id(i, k + 1)
-            tris.append([a, b, c])
-            tris.append([a, c, d])
-    return build_topology(nodes, np.asarray(tris, dtype=np.int64))
-
-
-def _point_in_polygon(px, py, verts) -> bool:
-    """Even-odd test; points on the boundary count as outside."""
-    n = len(verts)
-    inside = False
-    for i in range(n):
-        x1, y1 = verts[i]
-        x2, y2 = verts[(i + 1) % n]
-        if y1 == y2:  # horizontal edge
-            if py == y1 and min(x1, x2) <= px <= max(x1, x2):
-                return False
-        else:  # vertical edge
-            if px == x1 and min(y1, y2) <= py <= max(y1, y2):
-                return False
-            if (y1 > py) != (y2 > py) and px < x1:
-                inside = not inside
-    return inside
+    centre = int(r_inner == 0)  # a disc's centre node comes first
+    radii = np.linspace(r_inner, r_outer, n_r + 1)[centre:]
+    nodes = np.stack([np.outer(radii, np.cos(theta)),
+                      np.outer(radii, np.sin(theta))], axis=-1).reshape(-1, 2)
+    # angles up the rows (the first again at the end), rings across, so the
+    # split stays counter-clockwise; the cells are then put ring by ring
+    angle = np.arange(n_theta + 1) % n_theta
+    corner = centre + angle[:, None] + n_theta * np.arange(radii.size)
+    tris = _split_cells(corner).swapaxes(0, 1).reshape(-1, 3)
+    if centre:
+        fan = np.column_stack([np.zeros(n_theta, dtype=np.int64),
+                               corner[:-1, 0], corner[1:, 0]])
+        nodes = np.concatenate([[[0.0, 0.0]], nodes])
+        tris = np.concatenate([fan, tris])
+    return build_topology(nodes, tris)
 
 
 def _validate_rectilinear(verts):
@@ -458,8 +429,11 @@ def generate_rectilinear_polygon(vertices, h_target: float) -> Mesh:
     """Grid mesh of an axis-aligned rectilinear polygon (counter-clockwise).
 
     The bounding box is covered by a uniform grid with cell sides at most
-    ``h_target``; cells whose closure lies inside the polygon are kept and
-    split with the same diagonal convention as :func:`generate_rectangle`.
+    ``h_target``.  A cell is kept when its centre lies strictly inside the
+    polygon (even-odd rule) and no outline edge crosses its open interior, and
+    it is split with the same diagonal convention as
+    :func:`generate_rectangle`.  Nodes are numbered in the order the kept
+    cells, in row order, first use them.
     """
     coords = _as_coords(vertices)
     if not (h_target > 0 and np.isfinite(h_target)):
@@ -478,54 +452,43 @@ def generate_rectilinear_polygon(vertices, h_target: float) -> Mesh:
 
     xs = xmin + hx * np.arange(nx + 1)
     ys = ymin + hy * np.arange(ny + 1)
+    cx = 0.5 * (xs[:-1] + xs[1:])
+    cy = 0.5 * (ys[:-1] + ys[1:])
 
     # margins absorb float jitter when polygon edges land on grid lines
     mx, my = 1e-9 * hx, 1e-9 * hy
 
-    def cell_is_inside(i, j):
-        cx0, cx1 = xs[i], xs[i + 1]
-        cy0, cy1 = ys[j], ys[j + 1]
-        if not _point_in_polygon(0.5 * (cx0 + cx1), 0.5 * (cy0 + cy1), verts):
-            return False
-        for k in range(len(verts)):
-            x1, y1 = verts[k]
-            x2, y2 = verts[(k + 1) % len(verts)]
-            if y1 == y2:  # horizontal edge crossing the open cell?
-                if (cy0 + my < y1 < cy1 - my
-                        and max(min(x1, x2), cx0)
-                        < min(max(x1, x2), cx1) - mx):
-                    return False
-            else:
-                if (cx0 + mx < x1 < cx1 - mx
-                        and max(min(y1, y2), cy0)
-                        < min(max(y1, y2), cy1) - my):
-                    return False
-        return True
-
-    node_id = -np.ones((nx + 1, ny + 1), dtype=np.int64)
-    nodes = []
-    tris = []
-
-    def nid(i, j):
-        if node_id[i, j] < 0:
-            node_id[i, j] = len(nodes)
-            nodes.append((xs[i], ys[j]))
-        return node_id[i, j]
-
-    for j in range(ny):
-        for i in range(nx):
-            if not cell_is_inside(i, j):
-                continue
-            ll = nid(i, j)
-            lr = nid(i + 1, j)
-            ul = nid(i, j + 1)
-            ur = nid(i + 1, j + 1)
-            tris.append([ll, lr, ur])
-            tris.append([ll, ur, ul])
-    if not tris:
+    # (ny, nx) cell masks: an odd number of vertical edges right of the
+    # centre; a centre on the outline, or an edge through the open cell
+    inside = np.zeros((ny, nx), dtype=bool)
+    reject = np.zeros((ny, nx), dtype=bool)
+    for (x1, y1), (x2, y2) in zip(verts, verts[1:] + verts[:1]):
+        if y1 == y2:  # horizontal edge
+            lo, hi = min(x1, x2), max(x1, x2)
+            reject |= (cy == y1)[:, None] & ((lo <= cx) & (cx <= hi))
+            reject |= (((ys[:-1] + my < y1) & (y1 < ys[1:] - my))[:, None]
+                       & (np.maximum(lo, xs[:-1]) < np.minimum(hi, xs[1:]) - mx))
+        else:  # vertical edge
+            lo, hi = min(y1, y2), max(y1, y2)
+            reject |= ((lo <= cy) & (cy <= hi))[:, None] & (cx == x1)
+            reject |= ((np.maximum(lo, ys[:-1]) < np.minimum(hi, ys[1:]) - my)[:, None]
+                       & ((xs[:-1] + mx < x1) & (x1 < xs[1:] - mx)))
+            inside ^= ((y1 > cy) != (y2 > cy))[:, None] & (cx < x1)
+    keep = inside & ~reject
+    if not keep.any():
         raise MeshError("no grid cell lies inside the polygon; decrease h_target")
-    return build_topology(np.asarray(nodes, dtype=float),
-                          np.asarray(tris, dtype=np.int64))
+
+    corner = np.arange((nx + 1) * (ny + 1)).reshape(ny + 1, nx + 1)
+    cells = _split_cells(corner)[keep]
+    # each kept cell's ll, lr, ul, ur in turn: the order of first use
+    seen = cells[:, (0, 0, 1, 0), (0, 1, 2, 2)].ravel()
+    grid_ids, first = np.unique(seen, return_index=True)
+    used = grid_ids[np.argsort(first)]
+    node_id = np.empty(corner.size, dtype=np.int64)
+    node_id[used] = np.arange(used.size)
+    row, col = np.divmod(used, nx + 1)
+    return build_topology(np.column_stack([xs[col], ys[row]]),
+                          node_id[cells].reshape(-1, 3))
 
 
 def refine_uniform(mesh: Mesh) -> Mesh:

@@ -3,6 +3,20 @@ import pytest
 
 from wgcutoff import MediumSpec, TransverseTensor, generate_rectangle
 
+# double-ridge cross-section (meters): 2.4 x 1.0 outer, two shallow ridges
+RIDGE_VERTICES = [
+    (0.0, 0.0), (1.0e-3, 0.0), (1.0e-3, 0.1e-3), (1.4e-3, 0.1e-3),
+    (1.4e-3, 0.0), (2.4e-3, 0.0), (2.4e-3, 1.0e-3), (1.4e-3, 1.0e-3),
+    (1.4e-3, 0.9e-3), (1.0e-3, 0.9e-3), (1.0e-3, 1.0e-3), (0.0, 1.0e-3),
+]
+
+# two 1 x 1 mm blocks (meters) joined by a corridor 0.2 mm wide
+CORRIDOR_VERTICES = [
+    (0.0, 0.0), (1.0e-3, 0.0), (1.0e-3, 0.4e-3), (2.0e-3, 0.4e-3),
+    (2.0e-3, 0.0), (3.0e-3, 0.0), (3.0e-3, 1.0e-3), (2.0e-3, 1.0e-3),
+    (2.0e-3, 0.6e-3), (1.0e-3, 0.6e-3), (1.0e-3, 1.0e-3), (0.0, 1.0e-3),
+]
+
 
 def hermiticity_defect(matrix) -> float:
     """Max-norm of ``K - K^H`` relative to the max-norm of K."""

@@ -45,6 +45,7 @@ from wgcutoff.modes import (
     verify_tem,
 )
 from conftest import (
+    RIDGE_VERTICES,
     hermiticity_defect,
     random_structured_mesh,
     random_valid_medium,
@@ -61,13 +62,6 @@ def criterion(label):
         raise
     print(f"\nACCEPTANCE {label}: PASS")
 
-
-# double-ridge cross-section (meters): 2.4 x 1.0 outer, two shallow ridges
-RIDGE_VERTICES = [
-    (0.0, 0.0), (1.0e-3, 0.0), (1.0e-3, 0.1e-3), (1.4e-3, 0.1e-3),
-    (1.4e-3, 0.0), (2.4e-3, 0.0), (2.4e-3, 1.0e-3), (1.4e-3, 1.0e-3),
-    (1.4e-3, 0.9e-3), (1.0e-3, 0.9e-3), (1.0e-3, 1.0e-3), (0.0, 1.0e-3),
-]
 
 DIAMETERS = {
     "rectangle": float(np.hypot(1.2e-3, 1.0e-3)),

@@ -12,6 +12,7 @@ import pytest
 
 from wgcutoff.cli import CONFIG_SCHEMA, main
 from wgcutoff.eigensolve import SolveOptions
+from conftest import CORRIDOR_VERTICES
 
 GYRO = {"eps": {"d": 2, "alpha": -1, "zz": 1},
         "mu": {"d": 1, "alpha": 0.5, "zz": 2}}
@@ -91,6 +92,18 @@ class TestMeshCommands:
             "kind": "file", "path": str(tmp_path / "mesh.txt")})
         assert main(["mesh", "info", "--config", config2]) == 0
         assert json.loads(capsys.readouterr().out)["nodes"] == 42
+
+    @pytest.mark.parametrize("command", [["mesh", "info"], ["solve"]])
+    def test_mesh_in_pieces_exits_one(self, tmp_path, capsys, command):
+        # the corridor vanishes at h = 0.25 mm
+        config = write_config(tmp_path, geometry={
+            "kind": "polygon", "h": 0.25e-3, "vertices": CORRIDOR_VERTICES})
+        out = tmp_path / "out"
+        assert main(command + ["--config", config, "--out", str(out)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert "Euler deficit 2 " in err[0]
+        assert not (out / "cutoffs.csv").exists()
 
     @pytest.mark.parametrize("header", ["nodes -1", "nodes 10000000000000"])
     def test_bad_node_count_exits_one(self, tmp_path, capsys, header):

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import re
 import tracemalloc
 from unittest import mock
 
@@ -20,6 +21,7 @@ from wgcutoff import (
 )
 from wgcutoff import mesh as mesh_module
 from wgcutoff.mesh import signed_areas
+from conftest import CORRIDOR_VERTICES, RIDGE_VERTICES
 
 
 def euler_ok(mesh):
@@ -81,6 +83,21 @@ class TestBuildTopology:
     def test_unused_node_rejected(self):
         with pytest.raises(MeshError, match="not used"):
             build_topology([(0, 0), (1, 0), (0, 1), (5, 5)], [(0, 1, 2)])
+
+    @pytest.mark.parametrize("pieces", [2, 3])
+    def test_mesh_in_pieces_rejected(self, pieces):
+        nodes = [(3.0 * k + x, y) for k in range(pieces)
+                 for x, y in [(0, 0), (1, 0), (0, 1)]]
+        tris = [(3 * k, 3 * k + 1, 3 * k + 2) for k in range(pieces)]
+        with pytest.raises(MeshError, match=f"Euler deficit {2 * (pieces - 1)} "):
+            build_topology(nodes, tris)
+
+    def test_import_of_two_separate_triangles_rejected(self):
+        text = ("nodes 6\n0 0\n1 0\n0 1\n2 2\n3 2\n2 3\n"
+                "triangles 2\n0 1 2\n3 4 5\n")
+        with pytest.raises(MeshError, match="not one connected piece: "
+                                            "Euler deficit 2 "):
+            import_mesh(text)
 
     def test_interior_edges_traversed_oppositely(self, unit_square_mesh):
         m = unit_square_mesh
@@ -157,14 +174,99 @@ class TestGenerateAnnulus:
             generate_annulus(r1, r2, 2, 8)
 
 
+def polygon_reference(verts, h_target):
+    """The cell-by-cell loop that ``generate_rectilinear_polygon`` replaced:
+    the nodes and triangles it hands to ``build_topology``."""
+    verts = [(float(x), float(y)) for x, y in verts]
+    (xmin, ymin), (xmax, ymax) = np.min(verts, axis=0), np.max(verts, axis=0)
+    nx = max(1, int(math.ceil((xmax - xmin) / h_target - 1e-12)))
+    ny = max(1, int(math.ceil((ymax - ymin) / h_target - 1e-12)))
+    hx, hy = (xmax - xmin) / nx, (ymax - ymin) / ny
+    xs, ys = xmin + hx * np.arange(nx + 1), ymin + hy * np.arange(ny + 1)
+    mx, my = 1e-9 * hx, 1e-9 * hy
+    edges = list(zip(verts, verts[1:] + verts[:1]))
+
+    def centre_inside(px, py):  # even-odd; on the outline counts as outside
+        inside = False
+        for (x1, y1), (x2, y2) in edges:
+            if y1 == y2:
+                if py == y1 and min(x1, x2) <= px <= max(x1, x2):
+                    return False
+            else:
+                if px == x1 and min(y1, y2) <= py <= max(y1, y2):
+                    return False
+                if (y1 > py) != (y2 > py) and px < x1:
+                    inside = not inside
+        return inside
+
+    def keep(i, j):
+        cx0, cx1, cy0, cy1 = xs[i], xs[i + 1], ys[j], ys[j + 1]
+        if not centre_inside(0.5 * (cx0 + cx1), 0.5 * (cy0 + cy1)):
+            return False
+        for (x1, y1), (x2, y2) in edges:  # no edge through the open cell
+            if y1 == y2:
+                if (cy0 + my < y1 < cy1 - my and max(min(x1, x2), cx0)
+                        < min(max(x1, x2), cx1) - mx):
+                    return False
+            elif (cx0 + mx < x1 < cx1 - mx and max(min(y1, y2), cy0)
+                    < min(max(y1, y2), cy1) - my):
+                return False
+        return True
+
+    node_id, tris = {}, []  # node ids in order of first use
+    for j in range(ny):
+        for i in range(nx):
+            if keep(i, j):
+                corners = ((i, j), (i + 1, j), (i, j + 1), (i + 1, j + 1))
+                ll, lr, ul, ur = [node_id.setdefault(c, len(node_id))
+                                  for c in corners]
+                tris += [[ll, lr, ur], [ll, ur, ul]]
+    if not tris:
+        raise MeshError("no grid cell lies inside the polygon; decrease h_target")
+    nodes = [(xs[a], ys[b]) for a, b in node_id]
+    return np.asarray(nodes, dtype=float), np.asarray(tris, dtype=np.int64)
+
+
 class TestGenerateRectilinearPolygon:
+    def test_matches_cell_by_cell_reference(self):
+        # L-shapes and two blocks joined by a corridor, with corners on and
+        # off the grid lines; a corridor can vanish into two pieces
+        rng = np.random.default_rng(17)
+        for _ in range(150):
+            w, h, x1, y1, x2, y2 = rng.uniform(0.05, 1, 6)
+            x1, x2 = sorted((x1 * w, x2 * w))
+            y1, y2 = sorted((y1 * h, y2 * h))
+            if rng.random() < 0.5:
+                verts = [(0, 0), (w, 0), (w, y1), (x1, y1), (x1, h), (0, h)]
+            else:
+                verts = [(0, 0), (x1, 0), (x1, y1), (x2, y1), (x2, 0), (w, 0),
+                         (w, h), (x2, h), (x2, y2), (x1, y2), (x1, h), (0, h)]
+            if rng.random() < 0.3:
+                verts = [(round(x, 1), round(y, 1)) for x, y in verts]
+            pitch = float(rng.choice([0.05, 0.1, rng.uniform(0.03, 0.3)]))
+            try:
+                mesh_module._validate_rectilinear(verts)
+                nodes, tris = polygon_reference(verts, pitch)
+                build_topology(nodes, tris)
+            except MeshError as exc:
+                with pytest.raises(MeshError, match=re.escape(str(exc))):
+                    generate_rectilinear_polygon(verts, pitch)
+                continue
+            m = generate_rectilinear_polygon(verts, pitch)
+            np.testing.assert_array_equal(m.nodes, nodes, strict=True)
+            np.testing.assert_array_equal(m.triangles, tris, strict=True)
+
     def test_plain_rectangle_matches_structured(self):
+        # sides and pitch are binary fractions, so both grids are exact
         rect = generate_rectangle(1.0, 0.5, 4, 2)
         poly = generate_rectilinear_polygon(
             [(0, 0), (1.0, 0), (1.0, 0.5), (0, 0.5)], 0.25)
         assert poly.num_nodes == rect.num_nodes
         assert poly.num_triangles == rect.num_triangles
         assert poly.num_edges == rect.num_edges
+        # same cells in the same order, split corner for corner alike
+        np.testing.assert_array_equal(poly.nodes[poly.triangles],
+                                      rect.nodes[rect.triangles])
 
     def test_l_shape_cells(self):
         # three unit squares in an L; pitch 1 keeps 3 cells -> 6 triangles
@@ -184,6 +286,14 @@ class TestGenerateRectilinearPolygon:
         assert m.num_boundary_components == 1
         area = signed_areas(m.nodes, m.triangles).sum()
         assert area == pytest.approx(2.16e-6, rel=1e-9)
+
+    def test_corridor_narrower_than_h_rejected(self):
+        # at 0.25 mm no cell of the corridor is kept: two islands
+        with pytest.raises(MeshError, match="Euler deficit 2 "):
+            generate_rectilinear_polygon(CORRIDOR_VERTICES, 0.25e-3)
+        m = generate_rectilinear_polygon(CORRIDOR_VERTICES, 0.1e-3)
+        assert euler_ok(m)
+        assert m.num_boundary_components == 1
 
     def test_rejects_clockwise(self):
         with pytest.raises(MeshError):
@@ -590,6 +700,50 @@ def mesh_digest(mesh):
         digest.update(a.tobytes())
     digest.update(repr(mesh.h).encode())
     return digest.hexdigest()
+
+
+class TestGeneratorDigests:
+    """SHA-256 of ``nodes.tobytes()`` and ``triangles.tobytes()``, recorded
+    from the per-cell loops that the grid builder replaced.  Annulus
+    coordinates come from ``np.cos``/``np.sin``, so another NumPy build may
+    change those digests."""
+
+    L_SHAPE = [(0.0, 0.0), (1.0, 0.0), (1.0, 0.35), (0.45, 0.35),
+               (0.45, 0.8), (0.0, 0.8)]  # outline between the lines of h = 0.1
+    CASES = {
+        "rectangle 12x10": (
+            generate_rectangle, (1.2e-3, 1.0e-3, 12, 10),
+            "f628404c48520693fbba5ea6044b47335c14a798bf44f43ad72fae267a0d16ce",
+            "a8fd31f82715284e16c3be9c76b3d0169cf1cc57f7dd942bcdcbf8771a618a29"),
+        "annulus 4x48": (
+            generate_annulus, (1e-3, 2e-3, 4, 48),
+            "6699fbb7119ea1a090e6b4fd5276066853e51233ccac2ba2f243ec36ab547e42",
+            "26d150ffc6fc99132c943639d85e6fe34a4d352e60a88a05fc547fcd59f5694e"),
+        "disc 16x100": (
+            generate_annulus, (0.0, 2e-3, 16, 100),
+            "72b0d77335a42ee7e6efd0cbe4df6d4b8ba457741705b8567aac4366302e6805",
+            "a44f0a7e082a1d034067c39597256d9a3017329556a567201c9a0c05d0108fda"),
+        "annulus 12x144": (
+            generate_annulus, (1e-3, 2e-3, 12, 144),
+            "5ca70d8a5eae1bf7e33eae1027f9f80126759ff48e8f91cdbc6575b290268fcf",
+            "6a2d914cd08e843c507223b0f278f1fae2e3f19387dc6d81245defdb3c0643b0"),
+        "ridge h=0.025mm": (
+            generate_rectilinear_polygon, (RIDGE_VERTICES, 0.025e-3),
+            "937a729e9691b859e03620fa12f4bec1e1bd77b7edbeb0555a97416e660d7173",
+            "f24a25c2aed1eca25e652444aa2deee518c46bc4d99ccb57696449a1f53c46dc"),
+        "L-shape h=0.1": (
+            generate_rectilinear_polygon, (L_SHAPE, 0.1),
+            "3b568a8e6eb53000e6dd2a3228b37e3f93f046083bfc79718430c8bc2d316b52",
+            "dc5efac62113b334f3ddfcb0f4bf0a9ea7e85c5dadaf974b211cdae0ecf4a85e"),
+    }
+
+    @pytest.mark.parametrize("name", CASES)
+    def test_generated_arrays_keep_their_digest(self, name):
+        generate, args, nodes_sha, triangles_sha = self.CASES[name]
+        m = generate(*args)
+        assert (m.nodes.dtype, m.triangles.dtype) == (np.float64, np.int64)
+        assert hashlib.sha256(m.nodes.tobytes()).hexdigest() == nodes_sha
+        assert hashlib.sha256(m.triangles.tobytes()).hexdigest() == triangles_sha
 
 
 class TestMeshLayerScaling:
