@@ -110,6 +110,12 @@ EXIT_CHECK_FAILED = 2
 
 _NUMBER = {"type": "number"}
 _COUNT = {"type": "integer", "minimum": 0}
+_TENSOR = {
+    "type": "object",
+    "additionalProperties": False,
+    "required": ["d", "alpha", "zz"],
+    "properties": {"d": _NUMBER, "alpha": _NUMBER, "zz": _NUMBER},
+}
 
 CONFIG_SCHEMA = {
     "type": "object",
@@ -121,18 +127,8 @@ CONFIG_SCHEMA = {
             "additionalProperties": False,
             "required": ["eps", "mu"],
             "properties": {
-                "eps": {
-                    "type": "object",
-                    "additionalProperties": False,
-                    "required": ["d", "alpha", "zz"],
-                    "properties": {"d": _NUMBER, "alpha": _NUMBER, "zz": _NUMBER},
-                },
-                "mu": {
-                    "type": "object",
-                    "additionalProperties": False,
-                    "required": ["d", "alpha", "zz"],
-                    "properties": {"d": _NUMBER, "alpha": _NUMBER, "zz": _NUMBER},
-                },
+                "eps": _TENSOR,
+                "mu": _TENSOR,
             },
         },
         "geometry": {
@@ -516,16 +512,11 @@ def cmd_crossval(config: dict, out_dir: Path) -> int:
 def _frames(solution, index, omega):
     """The transverse fields of one mode and, for a scalar route, its
     solved nodal field as VTK point scalars."""
+    et, ht = modes.transverse_companion(solution, index, omega)
     if solution.formulation.is_vector:
-        et, ht = modes.transverse_companion(solution, index, omega)
         return et.samples, ht.samples, {}
-    if solution.formulation is Formulation.SCALAR_TE:
-        et, ht = modes.reconstruct_from_hz(solution, index, omega)
-        label = "h_z"
-    else:
-        et, ht = modes.reconstruct_from_ez(solution, index, omega)
-        label = "e_z"
-    nodal = solution.pencil.primal_map.scatter(solution.dof_vectors[:, index])
+    label = "h_z" if solution.formulation is Formulation.SCALAR_TE else "e_z"
+    nodal = solution.full_vectors[:, index]
     return et.samples, ht.samples, {f"Re_{label}": np.real(nodal),
                                     f"Im_{label}": np.imag(nodal)}
 

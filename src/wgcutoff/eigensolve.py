@@ -171,7 +171,11 @@ class HermitianLU:
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         """``A^{-1} b`` for a vector or a block of columns."""
-        y = self._lu.solve(np.asarray(b)[self._perm])
+        b = np.asarray(b)
+        if np.iscomplexobj(b) and self.dtype.kind == "f":
+            # a real factor takes the real and imaginary parts in turn
+            return self.solve(b.real) + 1j * self.solve(b.imag)
+        y = self._lu.solve(b[self._perm])
         out = np.empty_like(y)
         out[self._perm] = y
         return out
@@ -208,14 +212,6 @@ class _GradientProjector:
         on the gradients (it maps ``G y`` to ``B G y``)."""
         return self.divergence.conj().T @ self._lu.solve(
             self.divergence.toarray())
-
-    def multipliers(self, w: np.ndarray, vecs: np.ndarray) -> np.ndarray:
-        """``zeta = lambda S^{-1} C^H x``, from ``S zeta = lambda C^H x``:
-        the multipliers of the saddle pencil, zero to rounding for a
-        divergence-free ``x``."""
-        if self._lu is None:
-            return np.zeros((0, w.size), dtype=vecs.dtype)
-        return self._lu.solve(self.divergence @ vecs) * w[None, :]
 
     def __enter__(self) -> "_GradientProjector":
         return self

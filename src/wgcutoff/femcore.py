@@ -49,8 +49,9 @@ class DofMap:
         return np.flatnonzero(self.index >= 0)
 
     def scatter(self, values: np.ndarray) -> np.ndarray:
-        """Expand dof values back onto all entities, zero where eliminated."""
-        full = np.zeros(self.index.shape[0],
+        """Expand dof values (one column per field) back onto all entities,
+        zero where eliminated."""
+        full = np.zeros(self.index.shape + values.shape[1:],
                         dtype=np.result_type(values, complex))
         full[self.index >= 0] = values
         return full

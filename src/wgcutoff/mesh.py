@@ -459,18 +459,16 @@ def generate_rectilinear_polygon(vertices, h_target: float) -> Mesh:
     mx, my = 1e-9 * hx, 1e-9 * hy
 
     # (ny, nx) cell masks: an odd number of vertical edges right of the
-    # centre; a centre on the outline, or an edge through the open cell
+    # centre; an edge through the open cell
     inside = np.zeros((ny, nx), dtype=bool)
     reject = np.zeros((ny, nx), dtype=bool)
     for (x1, y1), (x2, y2) in zip(verts, verts[1:] + verts[:1]):
         if y1 == y2:  # horizontal edge
             lo, hi = min(x1, x2), max(x1, x2)
-            reject |= (cy == y1)[:, None] & ((lo <= cx) & (cx <= hi))
             reject |= (((ys[:-1] + my < y1) & (y1 < ys[1:] - my))[:, None]
                        & (np.maximum(lo, xs[:-1]) < np.minimum(hi, xs[1:]) - mx))
         else:  # vertical edge
             lo, hi = min(y1, y2), max(y1, y2)
-            reject |= ((lo <= cy) & (cy <= hi))[:, None] & (cx == x1)
             reject |= ((np.maximum(lo, ys[:-1]) < np.minimum(hi, ys[1:]) - my)[:, None]
                        & ((xs[:-1] + mx < x1) & (x1 < xs[1:] - mx)))
             inside ^= ((y1 > cy) != (y2 > cy))[:, None] & (cx < x1)

@@ -14,7 +14,10 @@ Four formulations compute cut-off wavenumbers of the same waveguide:
 
 Transverse/longitudinal companions of a solved mode follow from the solved
 eigenfunction and the operating frequency; below cut-off the propagation
-constant takes the decaying branch ``k_z = -j sqrt(k_t^2 - k^2)``.
+constant takes the decaying branch ``k_z = -j sqrt(k_t^2 - k^2)``.  One
+path serves all four routes, TE and TM being duals.  The multiplier
+diagnostics measure the gradient left in each vector mode with the solve's
+projector.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -99,6 +103,12 @@ class ModeSolution:
         return femcore.triangle_geometry(self.mesh)[1]
 
     @cached_property
+    def full_vectors(self) -> np.ndarray:
+        """``dof_vectors`` on every node (scalar) or edge (vector) of the
+        mesh, zero where a dof was eliminated; scattered on first use."""
+        return self.pencil.primal_map.scatter(self.dof_vectors)
+
+    @cached_property
     def edge_curls(self) -> np.ndarray:
         """(T, 3) scalar curls of the local edge basis functions of a vector
         solution, computed on first use and kept like ``centroid_basis``."""
@@ -123,9 +133,10 @@ class MultiplierReport:
     enters its equation ``A xi + C zeta = lambda B xi`` only through its
     gradient, and for an exact divergence-free mode that term vanishes
     (TE: the multiplier is zero; TM: it is constant, and pinned to zero).
-    Values are ``|C zeta| / (|lambda| |B xi|)``, the multiplier term
-    against the mass term of the same equation: dimensionless, so they
-    read the same at every absolute length scale.
+    Values are ``|B (xi - P xi)| / |B xi|`` with the solve's projector ``P``:
+    as ``C zeta = lambda B (xi - P xi)``, the multiplier term against the
+    mass term of the same equation.  They are dimensionless, so they read
+    the same at every absolute length scale.
     """
 
     formulation: Formulation
@@ -192,13 +203,7 @@ def _solve_formulation(mesh: Mesh, spec: MediumSpec, q: int,
         reserve = max(mesh.num_boundary_components - 1, 0)
 
     pencil = _ASSEMBLERS[formulation](mesh, spec)
-    capacity = pencil.primal_dim - pencil.multiplier_dim
-    request = q + reserve
-    if request > capacity:
-        raise eigensolve.EigenSolveError(
-            f"mesh supports only {capacity} modes, need {request}"
-        )
-    spectrum = eigensolve.solve(pencil, request, options)
+    spectrum = eigensolve.solve(pencil, q + reserve, options)
 
     if formulation is Formulation.SCALAR_TM:
         zero_idx = np.array([], dtype=int)
@@ -320,19 +325,60 @@ def _phase_constant(spec, omega, kt) -> complex:
     return -1j * np.sqrt(kt * kt - k * k)  # decay toward +z below cut-off
 
 
+class _Polarization(NamedTuple):
+    """The medium terms and sign of one polarization's field formulas."""
+
+    tensor: TransverseTensor
+    zz: float
+    vacuum: float
+    sign: float
+
+
+def _polarization(solution: ModeSolution) -> _Polarization:
+    """TE's terms; TM's are TE's with ``(mu, h)`` swapped for ``(eps, e)``
+    and the sign flipped (TE and TM are duals)."""
+    spec = solution.medium
+    if solution.formulation in (Formulation.SCALAR_TE, Formulation.VECTOR_TE):
+        return _Polarization(spec.mu_t, spec.mu_zz, VACUUM_PERMEABILITY, 1.0)
+    return _Polarization(spec.eps_t, spec.eps_zz, VACUUM_PERMITTIVITY, -1.0)
+
+
 def _nodal_gradients(solution: ModeSolution, nodal: np.ndarray) -> np.ndarray:
     """Per-triangle constant gradient of a P1 field given on all nodes."""
     return np.einsum("tl,tlk->tk", nodal[solution.mesh.triangles],
                      solution.centroid_basis)
 
 
-def _scalar_mode(solution: ModeSolution, mode_index: int):
+def _mode(solution: ModeSolution, mode_index: int, omega: float):
+    """The polarization, ``k_t``, ``k_z`` and full field of a checked mode;
+    only a TEM mode may have a zero cut-off."""
+    if not 0 < omega < np.inf:
+        raise ValueError("omega must be positive and finite")
     kt = float(solution.cutoffs[mode_index])
-    if kt <= 0:
+    if kt <= 0 and mode_index >= solution.tem_count:
         raise ValueError("reconstruction needs a nonzero cut-off mode")
-    nodal = solution.pencil.primal_map.scatter(
-        solution.dof_vectors[:, mode_index])
-    return kt, nodal
+    return (_polarization(solution), kt,
+            _phase_constant(solution.medium, omega, kt),
+            solution.full_vectors[:, mode_index])
+
+
+def _transverse(solution: ModeSolution, mode_index: int, omega: float):
+    """``(e_t, h_t)`` of a mode of any route; see :func:`transverse_companion`."""
+    pol, kt, kz, full = _mode(solution, mode_index, omega)
+    if solution.formulation.is_vector:
+        solved = transverse_field(solution, mode_index)
+        companion = (kz / (pol.sign * omega)) * _zcross(
+            _apply_tensor(pol.tensor.inverse(), solved) / pol.vacuum)
+    else:
+        grad = _nodal_gradients(solution, full)
+        companion = (-1j * kz / kt**2) * grad
+        solved = (pol.sign * 1j * omega / kt**2) * _zcross(
+            pol.vacuum * _apply_tensor(pol.tensor, grad))
+    et, ht = (solved, companion) if pol.sign > 0 else (companion, solved)
+    return (
+        FieldFrame("e_t", et, omega, kz),
+        FieldFrame("h_t", ht, omega, kz),
+    )
 
 
 def reconstruct_from_hz(solution: ModeSolution, mode_index: int, omega: float):
@@ -343,19 +389,7 @@ def reconstruct_from_hz(solution: ModeSolution, mode_index: int, omega: float):
     """
     if solution.formulation is not Formulation.SCALAR_TE:
         raise ValueError("expected a scalar TE solution")
-    if not 0 < omega < np.inf:
-        raise ValueError("omega must be positive and finite")
-    kt, hz = _scalar_mode(solution, mode_index)
-    kz = _phase_constant(solution.medium, omega, kt)
-    grad = _nodal_gradients(solution, hz)
-    mu_abs = VACUUM_PERMEABILITY
-    et = (1j * omega / kt**2) * _zcross(
-        mu_abs * _apply_tensor(solution.medium.mu_t, grad))
-    ht = (-1j * kz / kt**2) * grad
-    return (
-        FieldFrame("e_t", et, omega, kz),
-        FieldFrame("h_t", ht, omega, kz),
-    )
+    return _transverse(solution, mode_index, omega)
 
 
 def reconstruct_from_ez(solution: ModeSolution, mode_index: int, omega: float):
@@ -367,57 +401,30 @@ def reconstruct_from_ez(solution: ModeSolution, mode_index: int, omega: float):
     """
     if solution.formulation is not Formulation.SCALAR_TM:
         raise ValueError("expected a scalar TM solution")
-    if not 0 < omega < np.inf:
-        raise ValueError("omega must be positive and finite")
-    kt, ez = _scalar_mode(solution, mode_index)
-    kz = _phase_constant(solution.medium, omega, kt)
-    grad = _nodal_gradients(solution, ez)
-    eps_abs = VACUUM_PERMITTIVITY
-    et = (-1j * kz / kt**2) * grad
-    ht = (-1j * omega / kt**2) * _zcross(
-        eps_abs * _apply_tensor(solution.medium.eps_t, grad))
-    return (
-        FieldFrame("e_t", et, omega, kz),
-        FieldFrame("h_t", ht, omega, kz),
-    )
+    return _transverse(solution, mode_index, omega)
 
 
 def transverse_field(solution: ModeSolution, mode_index: int) -> np.ndarray:
     """Edge expansion of a vector mode evaluated at triangle centroids."""
     if not solution.formulation.is_vector:
         raise ValueError("expected a vector-formulation solution")
-    full = solution.pencil.primal_map.scatter(
-        solution.dof_vectors[:, mode_index])
-    return np.einsum("tl,tlk->tk", full[solution.mesh.tri_edges],
+    return np.einsum("tl,tlk->tk",
+                     solution.full_vectors[solution.mesh.tri_edges, mode_index],
                      solution.centroid_basis)
 
 
 def transverse_companion(solution: ModeSolution, mode_index: int,
                          omega: float):
-    """Both transverse fields of a vector mode (TEM modes included).
+    """Both transverse fields of a mode of any route (TEM modes included).
 
-    The solved field is the edge expansion itself; its companion follows
-    from the transverse coupling, which stays finite at zero cut-off:
+    A scalar route's fields are those of :func:`reconstruct_from_hz` or
+    :func:`reconstruct_from_ez`.  A vector route's solved field is the edge
+    expansion itself; its companion follows from the transverse coupling,
+    which stays finite at zero cut-off:
     ``h_t = k_z z x (mu_t^-1 e_t) / omega`` for TE and
     ``e_t = -k_z z x (eps_t^-1 h_t) / omega`` for TM, in absolute units.
     """
-    if not 0 < omega < np.inf:
-        raise ValueError("omega must be positive and finite")
-    spec = solution.medium
-    field = transverse_field(solution, mode_index)
-    kz = _phase_constant(spec, omega, float(solution.cutoffs[mode_index]))
-    if solution.formulation is Formulation.VECTOR_TE:
-        et = field
-        ht = (kz / omega) * _zcross(
-            _apply_tensor(spec.mu_t.inverse(), field) / VACUUM_PERMEABILITY)
-    else:
-        ht = field
-        et = -(kz / omega) * _zcross(
-            _apply_tensor(spec.eps_t.inverse(), field) / VACUUM_PERMITTIVITY)
-    return (
-        FieldFrame("e_t", et, omega, kz),
-        FieldFrame("h_t", ht, omega, kz),
-    )
+    return _transverse(solution, mode_index, omega)
 
 
 def reconstruct_longitudinal(solution: ModeSolution, mode_index: int,
@@ -431,26 +438,13 @@ def reconstruct_longitudinal(solution: ModeSolution, mode_index: int,
     """
     if not solution.formulation.is_vector:
         raise ValueError("expected a vector-formulation solution")
-    if not 0 < omega < np.inf:
-        raise ValueError("omega must be positive and finite")
+    pol, _, kz, full = _mode(solution, mode_index, omega)
     if mode_index < solution.tem_count:
         raise ValueError("TEM mode has no longitudinal field")
-    kt = float(solution.cutoffs[mode_index])
-    if kt <= 0:
-        raise ValueError("reconstruction needs a nonzero cut-off mode")
-    kz = _phase_constant(solution.medium, omega, kt)
-    full = solution.pencil.primal_map.scatter(
-        solution.dof_vectors[:, mode_index])
     curl = np.einsum("tl,tl->t", full[solution.mesh.tri_edges],
                      solution.edge_curls)
-    if solution.formulation is Formulation.VECTOR_TE:
-        samples = 1j * curl / (omega * VACUUM_PERMEABILITY * solution.medium.mu_zz)
-        label = "h_z"
-    else:
-        samples = -1j * curl / (omega * VACUUM_PERMITTIVITY
-                                * solution.medium.eps_zz)
-        label = "e_z"
-    return FieldFrame(label, samples, omega, kz)
+    samples = pol.sign * 1j * curl / (omega * pol.vacuum * pol.zz)
+    return FieldFrame("h_z" if pol.sign > 0 else "e_z", samples, omega, kz)
 
 
 # ---------------------------------------------------------------------------
@@ -466,18 +460,16 @@ def verify_tem(solution: ModeSolution) -> TemReport:
 
 
 def multiplier_diagnostics(solution: ModeSolution) -> MultiplierReport:
-    """``|C zeta| / (|lambda| |B xi|)`` per mode, with the multipliers
-    ``zeta = lambda S^{-1} C^H xi`` formed here from the modes."""
+    """``|B (xi - P xi)| / |B xi|`` per mode (see :class:`MultiplierReport`)."""
     if not solution.formulation.is_vector:
         raise ValueError("multiplier diagnostics apply to vector formulations")
-    pencil = solution.pencil
-    with eigensolve._GradientProjector(pencil) as project:
-        zeta = project.multipliers(solution.eigenvalues, solution.dof_vectors)
-    term = np.linalg.norm(pencil.constraint_block() @ zeta, axis=0)
-    mass = (np.abs(solution.eigenvalues)
-            * np.linalg.norm(pencil.M @ solution.dof_vectors, axis=0))
-    return MultiplierReport(formulation=solution.formulation,
-                            values=term / np.maximum(mass, 1e-300))
+    x, M = solution.dof_vectors, solution.pencil.M
+    with eigensolve._GradientProjector(solution.pencil) as project:
+        gradient = x - project(x)
+    return MultiplierReport(
+        formulation=solution.formulation,
+        values=(np.linalg.norm(M @ gradient, axis=0)
+                / np.maximum(np.linalg.norm(M @ x, axis=0), 1e-300)))
 
 
 def constraint_residuals(solution: ModeSolution) -> np.ndarray:

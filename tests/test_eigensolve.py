@@ -360,7 +360,7 @@ class TestResidualGate:
             # norm, with the multiplier zeta = lambda S^-1 C^H x: its h^0
             # coupling hides the h^-2 curl-curl block at 1e9
             with _GradientProjector(pencil) as project:
-                zeta = project.multipliers(lam, x)
+                zeta = project._lu.solve(project.divergence @ x) * lam
             c = pencil.constraint_block()
             m = pencil.multiplier_dim
             K = sp.bmat([[pencil.K, c], [c.conj().T, None]]).tocsr()

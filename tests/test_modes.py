@@ -17,7 +17,12 @@ from wgcutoff import (
     solve_tm_scalar,
     solve_tm_vector,
 )
-from wgcutoff.eigensolve import RESIDUAL_TOL, EigenSolveError, residual_gate
+from wgcutoff.eigensolve import (
+    RESIDUAL_TOL,
+    EigenSolveError,
+    _GradientProjector,
+    residual_gate,
+)
 from wgcutoff.femcore import assemble_scalar_te, assemble_vector_tm
 from wgcutoff.medium import MediumError
 from wgcutoff.modes import (
@@ -278,6 +283,51 @@ class TestReconstructLongitudinal:
 
 
 class TestTransverseCompanion:
+    @pytest.mark.parametrize("solver, entry_point", [
+        (solve_te_scalar, reconstruct_from_hz),
+        (solve_tm_scalar, reconstruct_from_ez),
+    ])
+    def test_scalar_route_matches_its_entry_point(self, rect_mesh,
+                                                  gyro_medium, solver,
+                                                  entry_point):
+        solution = solver(rect_mesh, gyro_medium, 2)
+        for omega in (5e11, 2e12):
+            for index in range(2):
+                got = transverse_companion(solution, index, omega)
+                expected = entry_point(solution, index, omega)
+                for a, b in zip(got, expected):
+                    assert a.label == b.label and a.k_z == b.k_z
+                    assert np.array_equal(a.samples, b.samples)
+
+    @pytest.mark.parametrize("scalar_solver, entry_point, vector_solver, label", [
+        (solve_te_scalar, reconstruct_from_hz, solve_te_vector, "e_t"),
+        (solve_tm_scalar, reconstruct_from_ez, solve_tm_vector, "h_t"),
+    ])
+    def test_scalar_and_vector_transverse_fields_agree(
+            self, gyro_medium, scalar_solver, entry_point, vector_solver,
+            label):
+        # the field the vector route solves, against the same field formed
+        # from the scalar route's gradient; both are constant per triangle,
+        # so they agree to first order in the cell size
+        omega = 2 * np.pi * 1e11
+        mesh = generate_rectangle(1.2e-3, 1.0e-3, 6, 5)
+        residuals = []
+        for _ in range(3):
+            frames = (
+                entry_point(scalar_solver(mesh, gyro_medium, 1), 0, omega),
+                transverse_companion(vector_solver(mesh, gyro_medium, 1), 0,
+                                     omega),
+            )
+            scalar, vector = ({f.label: f.samples for f in pair}[label].ravel()
+                              for pair in frames)
+            fit = np.vdot(scalar, vector) / np.vdot(scalar, scalar)
+            residuals.append(np.linalg.norm(vector - fit * scalar)
+                             / np.linalg.norm(vector))
+            mesh = refine_uniform(mesh)
+        assert residuals[0] <= 0.35
+        assert residuals[1] <= 0.6 * residuals[0]
+        assert residuals[2] <= 0.6 * residuals[1]
+
     def test_tem_field_decays_with_radius(self, coax_mesh, gyro_medium):
         solution = solve_tm_vector(coax_mesh, gyro_medium, 2)
         omega = 1e11
@@ -381,20 +431,39 @@ class TestConstraintResiduals:
 
 
 class TestMultiplierDiagnostics:
-    def test_healthy_solutions_have_tiny_values(self, coax_mesh, gyro_medium):
+    # the isotropic medium gives real pencils, whose projector factor is real
+    @pytest.fixture(params=["gyro_medium", "isotropic_medium"])
+    def medium(self, request):
+        return request.getfixturevalue(request.param)
+
+    def test_healthy_solutions_have_tiny_values(self, coax_mesh, medium):
         for solver in (solve_te_vector, solve_tm_vector):
             values = multiplier_diagnostics(
-                solver(coax_mesh, gyro_medium, 3)).values
+                solver(coax_mesh, medium, 3)).values
             assert (values <= 1e-6).all()
 
-    def test_gradient_in_the_mode_is_flagged(self, coax_mesh, gyro_medium):
+    def test_gradient_in_the_mode_is_flagged(self, coax_mesh, medium):
         for solver in (solve_te_vector, solve_tm_vector):
-            solution = solver(coax_mesh, gyro_medium, 2)
+            solution = solver(coax_mesh, medium, 2)
             corrupted = dataclasses.replace(
                 solution, dof_vectors=with_gradient(
                     solution.pencil, solution.dof_vectors, 0.01))
             values = multiplier_diagnostics(corrupted).values
             assert (values > 1e-3).all()
+
+    def test_matches_the_formula_mode_by_mode(self, coax_mesh, gyro_medium):
+        # |M (x - P x)| / |M x| with the solve's projector P, column by column
+        for solver in (solve_te_vector, solve_tm_vector):
+            solution = solver(coax_mesh, gyro_medium, 2)
+            x = with_gradient(solution.pencil, solution.dof_vectors, 0.01)
+            M = solution.pencil.M
+            with _GradientProjector(solution.pencil) as project:
+                expected = [np.linalg.norm(M @ (x[:, i] - project(x[:, i])))
+                            / np.linalg.norm(M @ x[:, i])
+                            for i in range(x.shape[1])]
+            got = multiplier_diagnostics(
+                dataclasses.replace(solution, dof_vectors=x)).values
+            np.testing.assert_allclose(got, expected, rtol=1e-12)
 
     def test_scalar_solution_rejected(self, rect_mesh, gyro_medium):
         with pytest.raises(ValueError, match="vector"):
