@@ -9,8 +9,10 @@ downstream (one less than the number of components).
 
 Generators are provided for structured rectangles, polar discs/annuli and
 axis-aligned rectilinear polygons, together with uniform (red) refinement and
-a line-oriented ASCII import/export format.  All construction funnels through
-:func:`build_topology`, which validates the triangulation.
+a line-oriented ASCII import/export format.  The generators and the importer
+funnel through :func:`build_topology`, which validates the triangulation.
+:func:`refine_uniform` derives the child's topology from its parent's and
+runs again only the checks that its new midpoint coordinates can fail.
 
 Meshes are immutable after construction (arrays are write-protected), so they
 can be shared freely across threads.
@@ -116,16 +118,6 @@ def signed_areas(nodes: np.ndarray, triangles: np.ndarray) -> np.ndarray:
                   - (p[:, 2, 0] - p[:, 0, 0]) * (p[:, 1, 1] - p[:, 0, 1]))
 
 
-def _longest_side_sq(nodes: np.ndarray, triangles: np.ndarray) -> np.ndarray:
-    """(T,) squared length of each triangle's longest side."""
-    x, y = nodes[:, 0].take(triangles), nodes[:, 1].take(triangles)
-    longest = np.zeros(triangles.shape[0])
-    for a, b in ((0, 1), (1, 2), (2, 0)):
-        dx, dy = x[:, b] - x[:, a], y[:, b] - y[:, a]
-        np.maximum(longest, dx * dx + dy * dy, out=longest)
-    return longest
-
-
 def _boundary_components(edges, boundary_edge, num_nodes) -> np.ndarray:
     """Label boundary edges by connectivity through shared nodes."""
     component = np.full(edges.shape[0], -1, dtype=np.int64)
@@ -146,10 +138,56 @@ def _boundary_components(edges, boundary_edge, num_nodes) -> np.ndarray:
     return component
 
 
-#: Rows handled per batch: candidate (node, edge) pairs tested by
-#: :func:`_check_hanging_nodes`, text rows formatted by :func:`_rows` (for
-#: :func:`export_mesh` and the VTK export).
+#: Rows handled per batch: triangles tested by :func:`_check_areas`,
+#: candidate (node, edge) pairs tested by :func:`_check_hanging_nodes`, text
+#: rows formatted by :func:`_rows` (for :func:`export_mesh` and the VTK
+#: export) and :func:`_index_rows`.
 _CHUNK = 1 << 16
+
+
+def _check_areas(nodes: np.ndarray, triangles: np.ndarray) -> float:
+    """Reject the first triangle whose signed area is at or below
+    ``AREA_RTOL`` times its longest side squared; return the longest side
+    of all, which is the longest edge ``h``."""
+    longest_sq = 0.0
+    for s in range(0, len(triangles), _CHUNK):
+        tris = triangles[s:s + _CHUNK]
+        areas = signed_areas(nodes, tris)
+        x, y = nodes[:, 0].take(tris), nodes[:, 1].take(tris)
+        longest = np.zeros(tris.shape[0])
+        for a, b in ((0, 1), (1, 2), (2, 0)):
+            dx, dy = x[:, b] - x[:, a], y[:, b] - y[:, a]
+            np.maximum(longest, dx * dx + dy * dy, out=longest)
+        bad = np.flatnonzero(areas <= AREA_RTOL * longest)
+        if bad.size:
+            raise MeshError(
+                f"degenerate or clockwise triangle {s + bad[0]} "
+                f"(signed area {areas[bad[0]]:.3e} m^2)"
+            )
+        longest_sq = max(longest_sq, float(longest.max()))
+    # sqrt is monotonic, so the root of the largest square is the longest
+    return math.sqrt(longest_sq)
+
+
+def _unique_inverse(keys: np.ndarray):
+    """``np.unique(keys, return_inverse=True)`` of a non-empty 1-D array of
+    non-negative int64 keys, from one sort of ``key << bits | position``
+    words; ``np.unique`` itself runs only where those words would not fit
+    in 63 bits."""
+    bits = max((keys.size - 1).bit_length(), 1)
+    if int(keys.max()) >> (63 - bits):
+        return np.unique(keys, return_inverse=True)
+    words = keys << bits
+    words |= np.arange(keys.size)
+    words.sort()
+    position = words & ((1 << bits) - 1)
+    words >>= bits
+    first = np.empty(keys.size, dtype=bool)
+    first[0] = True
+    np.not_equal(words[1:], words[:-1], out=first[1:])
+    inverse = np.empty(keys.size, dtype=np.intp)
+    inverse[position] = np.cumsum(first) - 1
+    return words[first], inverse
 
 
 def _check_hanging_nodes(nodes, edges, boundary_edge, boundary_node):
@@ -217,6 +255,13 @@ def _has_repeats(values: np.ndarray) -> bool:
     return bool((s[1:] == s[:-1]).any())
 
 
+def _check_distinct_nodes(nodes: np.ndarray) -> None:
+    # one complex per node sorts by x, then y; -0.0 == 0.0, so those count
+    # as duplicates
+    if _has_repeats(nodes.view(np.complex128).ravel()):
+        raise MeshError("duplicate node coordinates")
+
+
 def build_topology(nodes, triangles) -> Mesh:
     """Derive edge/boundary topology and validate the triangulation.
 
@@ -241,14 +286,7 @@ def build_topology(nodes, triangles) -> Mesh:
     if (tris == ends).any():
         raise MeshError("triangle with repeated node")
 
-    areas = signed_areas(nodes, tris)
-    bad = np.flatnonzero(areas <= AREA_RTOL * _longest_side_sq(nodes, tris))
-    if bad.size:
-        raise MeshError(
-            f"degenerate or clockwise triangle {bad[0]} "
-            f"(signed area {areas[bad[0]]:.3e} m^2)"
-        )
-    del areas, bad
+    h = _check_areas(nodes, tris)
 
     # global edges are stored lo < hi, keyed lo * V + hi
     forward = tris < ends
@@ -256,7 +294,7 @@ def build_topology(nodes, triangles) -> Mesh:
     keys *= num_nodes
     keys += np.maximum(tris, ends)
     del ends
-    uniq_keys, tri_edges = np.unique(keys.ravel(), return_inverse=True)
+    uniq_keys, tri_edges = _unique_inverse(keys.ravel())
     del keys
     tri_edges = tri_edges.reshape(tris.shape)
     tri_edge_signs = np.where(forward, 1, -1).astype(np.int64, copy=False)
@@ -278,10 +316,7 @@ def build_topology(nodes, triangles) -> Mesh:
     used[tris] = True
     if not used.all():
         raise MeshError(f"node {np.flatnonzero(~used)[0]} not used by any triangle")
-    # one complex per node sorts by x, then y; -0.0 == 0.0, so those count
-    # as duplicates
-    if _has_repeats(nodes.view(np.complex128).ravel()):
-        raise MeshError("duplicate node coordinates")
+    _check_distinct_nodes(nodes)
 
     incidence = np.bincount(tri_edges.ravel(), minlength=edges.shape[0])
     if (incidence > 2).any():
@@ -305,11 +340,6 @@ def build_topology(nodes, triangles) -> Mesh:
     boundary_node[edges[boundary_edge].ravel()] = True
     _check_hanging_nodes(nodes, edges, boundary_edge, boundary_node)
     component = _boundary_components(edges, boundary_edge, num_nodes)
-
-    # sqrt is monotonic, so the root of the largest square is the longest
-    vec = nodes[edges[:, 1]]
-    vec -= nodes[edges[:, 0]]
-    h = float(np.sqrt(np.einsum("ij,ij->i", vec, vec).max()))
 
     mesh = Mesh(
         nodes=_freeze(nodes),
@@ -494,17 +524,94 @@ def refine_uniform(mesh: Mesh) -> Mesh:
 
     Parent node positions (and indices) are preserved; the midpoint of edge
     ``e`` becomes node ``V + e``, so the refinement is nested.
+
+    The child's topology is derived from the parent's, in the order
+    :func:`build_topology` gives it: first the two halves of each parent
+    edge, sorted by (end node, parent edge), then the three midpoint pairs
+    inside each parent, sorted by (lo, hi).  A half edge inherits its
+    parent's boundary flag and component; the component ids keep their
+    order, because both orders rank a component by its smallest node.
+
+    Only the checks that the new midpoint coordinates can fail run again:
+    the area test and duplicate coordinates.  Manifoldness, orientation,
+    conformity, the absence of hanging nodes and the Euler relation hold by
+    construction: each parent edge is split at one node shared by both its
+    sides, each child triangle keeps its parent's orientation, and
+    ``V - E + T`` is unchanged: ``(V + E) - (2E + 3T) + 4T``.
     """
-    mid = 0.5 * (mesh.nodes[mesh.edges[:, 0]] + mesh.nodes[mesh.edges[:, 1]])
+    V, E, T = mesh.num_nodes, mesh.num_edges, mesh.num_triangles
+    edges, te = mesh.edges, mesh.tri_edges
+    mid = 0.5 * (mesh.nodes[edges[:, 0]] + mesh.nodes[edges[:, 1]])
     nodes = np.concatenate([mesh.nodes, mid])
-    v = mesh.triangles
-    m = mesh.num_nodes + mesh.tri_edges  # midpoints of local edges 01, 12, 20
-    children = np.empty((mesh.num_triangles * 4, 3), dtype=np.int64)
-    children[0::4] = np.column_stack([v[:, 0], m[:, 0], m[:, 2]])
-    children[1::4] = np.column_stack([v[:, 1], m[:, 1], m[:, 0]])
-    children[2::4] = np.column_stack([v[:, 2], m[:, 2], m[:, 1]])
-    children[3::4] = np.column_stack([m[:, 0], m[:, 1], m[:, 2]])
-    return build_topology(nodes, children)
+    # corner child i is [v_i, m_i, m_{i-1}], then comes [m_0, m_1, m_2],
+    # where m_j is the midpoint of local edge j (from v_j to v_{j+1})
+    prev = [2, 0, 1]
+    m = V + te
+    children = np.empty((T, 4, 3), dtype=np.int64)
+    children[:, :3, 0] = mesh.triangles
+    children[:, :3, 1] = m
+    children[:, :3, 2] = m[:, prev]
+    children[:, 3] = m
+    children = children.reshape(T * 4, 3)
+    del m
+    h = _check_areas(nodes, children)
+    _check_distinct_nodes(nodes)
+
+    # halves: half[2e + k] is the child edge from edges[e, k] to node V + e;
+    # a stable sort by end node keeps parent edge order among equal ends
+    order = np.argsort(edges.ravel(), kind="stable")
+    half = np.empty(2 * E, dtype=np.int64)
+    half[order] = np.arange(2 * E)
+    parent_of = order // 2
+    # midpoint pairs: pair[t, j] joins the midpoints of local edges j, j + 1
+    te_next = np.roll(te, -1, axis=1)
+    keys = np.minimum(te, te_next)
+    keys *= E
+    keys += np.maximum(te, te_next)
+    pair_keys, pair = _unique_inverse(keys.ravel())
+    del keys
+    pair = pair.reshape(T, 3) + 2 * E
+
+    child_edges = np.empty((2 * E + 3 * T, 2), dtype=np.int64)
+    child_edges[:2 * E, 0] = edges.ravel()[order]
+    child_edges[:2 * E, 1] = V + parent_of
+    np.divmod(pair_keys, E, out=(child_edges[2 * E:, 0], child_edges[2 * E:, 1]))
+    child_edges[2 * E:] += V
+    del order, pair_keys
+
+    # corner child i runs from v_i along the half of local edge i at its
+    # start, a midpoint pair, and the half of local edge i - 1 at its end
+    starts_lo = mesh.tri_edge_signs > 0
+    tri_edges = np.empty((T, 4, 3), dtype=np.int64)
+    tri_edges[:, :3, 0] = half[2 * te + ~starts_lo]
+    tri_edges[:, :3, 1] = pair[:, prev]
+    tri_edges[:, :3, 2] = half[2 * te + starts_lo][:, prev]
+    tri_edges[:, 3] = pair
+    del half, pair
+    # every parent node is below every midpoint
+    signs = np.empty((T, 4, 3), dtype=np.int64)
+    signs[:, :3, 0] = 1
+    signs[:, :3, 1] = np.where(te < te[:, prev], 1, -1)
+    signs[:, :3, 2] = -1
+    signs[:, 3] = np.where(te < te_next, 1, -1)
+    del te_next
+
+    boundary_edge = np.zeros(child_edges.shape[0], dtype=bool)
+    boundary_edge[:2 * E] = mesh.boundary_edge[parent_of]
+    component = np.full(child_edges.shape[0], -1, dtype=np.int64)
+    component[:2 * E] = mesh.boundary_component[parent_of]
+    return Mesh(
+        nodes=_freeze(nodes),
+        triangles=_freeze(children),
+        edges=_freeze(child_edges),
+        tri_edges=_freeze(tri_edges.reshape(T * 4, 3)),
+        tri_edge_signs=_freeze(signs.reshape(T * 4, 3)),
+        boundary_node=_freeze(np.concatenate([mesh.boundary_node,
+                                              mesh.boundary_edge])),
+        boundary_edge=_freeze(boundary_edge),
+        boundary_component=_freeze(component),
+        h=h,
+    )
 
 
 def _rows(row: str, values: np.ndarray):
@@ -515,6 +622,26 @@ def _rows(row: str, values: np.ndarray):
         yield (row * len(chunk)) % tuple(chunk.ravel().tolist())
 
 
+def _index_rows(triangles: np.ndarray, num_nodes: int):
+    """The ``i j k`` text lines of ``triangles``, whose entries lie in
+    ``[0, num_nodes)``, as ``%d`` formats them, one string per chunk of
+    rows, gathered from a table of each index's digits."""
+    index = np.arange(num_nodes)
+    width = len(str(num_nodes - 1))
+    # table[i] is index i right-aligned in ``width`` bytes, padded with zero
+    # bytes that are dropped afterwards, then its separator
+    table = np.zeros((num_nodes, width + 1), dtype=np.uint8)
+    for k in range(width):
+        power = 10 ** (width - 1 - k)
+        table[:, k] = np.where(index >= power, index // power % 10 + ord("0"), 0)
+    table[0, width - 1] = ord("0")
+    table[:, width] = ord(" ")
+    for s in range(0, len(triangles), _CHUNK):
+        row = table[triangles[s:s + _CHUNK]]
+        row[:, 2, width] = ord("\n")
+        yield row[row != 0].tobytes().decode("ascii")
+
+
 def export_mesh(mesh: Mesh) -> str:
     """Serialize to the line-oriented ASCII format (0-based indices).
 
@@ -522,12 +649,13 @@ def export_mesh(mesh: Mesh) -> str:
     that round-trips ``float`` exactly, so import/export is bit-faithful.
     The node and triangle blocks are formatted in chunks of rows, which
     bounds the memory that formatting takes; the text is the same as
-    formatting them row by row.
+    formatting them row by row.  Triangle rows are gathered from a table of
+    each node index's digits instead of formatting one integer at a time.
     """
     return "".join([f"nodes {mesh.num_nodes}\n",
                     *_rows("%r %r\n", mesh.nodes),
                     f"triangles {mesh.num_triangles}\n",
-                    *_rows("%d %d %d\n", mesh.triangles)])
+                    *_index_rows(mesh.triangles, mesh.num_nodes)])
 
 
 def _count(fields, name: str, what: str, remaining: int) -> int:

@@ -54,6 +54,15 @@ class TestBuildTopology:
         with pytest.raises(MeshError, match="degenerate|clockwise"):
             build_topology([(0, 0), (1, 0), (0, 1)], [(0, 2, 1)])
 
+    @pytest.mark.parametrize("chunk", [2, 1 << 16])
+    def test_first_bad_triangle_named_across_chunks(self, chunk):
+        m = generate_rectangle(1.0, 1.0, 3, 3)
+        tris = m.triangles.copy()
+        tris[[5, 7]] = tris[[5, 7], ::-1]
+        with mock.patch.object(mesh_module, "_CHUNK", chunk):
+            with pytest.raises(MeshError, match="clockwise triangle 5 "):
+                build_topology(m.nodes, tris)
+
     @pytest.mark.parametrize("scale", [1e-12, 1.0, 1e12])
     def test_degeneracy_is_relative_to_the_longest_side(self, scale):
         # a right triangle is fine at any scale; a sliver whose height is
@@ -354,6 +363,108 @@ class TestRefineUniform:
     def test_h_halves_for_straight_sides(self, small_rect_mesh):
         fine = refine_uniform(small_rect_mesh)
         assert fine.h == pytest.approx(small_rect_mesh.h / 2, rel=1e-12)
+
+    @staticmethod
+    def renumbered(mesh, seed):
+        """``mesh`` through export and import, with its nodes renumbered and
+        its triangles shuffled and rotated (still counter-clockwise)."""
+        rng = np.random.default_rng(seed)
+        perm = rng.permutation(mesh.num_nodes)
+        where = np.argsort(perm)
+        tris = where[mesh.triangles][rng.permutation(mesh.num_triangles)]
+        shift = rng.integers(0, 3, (len(tris), 1))
+        tris = np.take_along_axis(tris, (np.arange(3) + shift) % 3, axis=1)
+        text = export_mesh(build_topology(mesh.nodes[perm], tris))
+        return import_mesh(text)
+
+    @pytest.mark.parametrize("name, mesh", [
+        ("rectangle 12x10", lambda: generate_rectangle(1.2e-3, 1.0e-3, 12, 10)),
+        ("annulus 4x48", lambda: generate_annulus(1e-3, 2e-3, 4, 48)),
+        ("disc 5x30", lambda: generate_annulus(0.0, 2e-3, 5, 30)),
+        ("annulus 12x144", lambda: generate_annulus(1e-3, 2e-3, 12, 144)),
+        ("ridge h=0.1mm",
+         lambda: generate_rectilinear_polygon(RIDGE_VERTICES, 0.1e-3)),
+    ])
+    @pytest.mark.parametrize("renumber", [False, True])
+    def test_matches_build_topology(self, name, mesh, renumber):
+        """Refinement derives its topology and skips the checks the parent
+        passed, so it must give what building the child from scratch
+        gives."""
+        m = mesh()
+        if renumber:
+            m = self.renumbered(m, seed=len(name))
+        components = m.num_boundary_components
+        for level in range(1, 4):
+            fine = refine_uniform(m)
+            built = build_topology(fine.nodes, fine.triangles)
+            for attr in MESH_ARRAYS:
+                a, b = getattr(fine, attr), getattr(built, attr)
+                assert (a.dtype, a.shape, a.flags.writeable) == \
+                    (b.dtype, b.shape, b.flags.writeable), (level, attr)
+                assert a.tobytes() == b.tobytes(), (level, attr)
+            assert fine.h == built.h
+            assert fine.euler_deficit() == 0
+            assert fine.num_boundary_components == components
+            m = fine
+
+    def test_midpoints_rounding_onto_nodes_rejected(self):
+        """At 2**52 m the spacing of doubles is 1 m, so the midpoints of
+        the unit legs round onto a vertex and onto each other."""
+        x = 2.0 ** 52
+        m = build_topology([(x, 0.0), (x + 1, 0.0), (x, 1.0)], [(0, 1, 2)])
+        with pytest.raises(MeshError) as info:
+            refine_uniform(m)
+        assert str(info.value) == ("degenerate or clockwise triangle 0 "
+                                   "(signed area 0.000e+00 m^2)")
+        # the duplicate coordinates are tested on their own as well
+        with mock.patch.object(mesh_module, "_check_areas", return_value=1.0):
+            with pytest.raises(MeshError, match="duplicate node coordinates"):
+                refine_uniform(m)
+
+
+class TestPackedHelpers:
+    """The packed edge-key sort and the digit-table rows against what they
+    replace."""
+
+    @pytest.mark.parametrize("high", [1, 7, 1000, 1 << 40])
+    def test_unique_inverse_matches_np_unique(self, high):
+        keys = np.random.default_rng(high).integers(0, high, 5000)
+        with mock.patch.object(mesh_module.np, "unique",
+                               wraps=np.unique) as unique:
+            got = mesh_module._unique_inverse(keys)
+        unique.assert_not_called()
+        expected = np.unique(keys, return_inverse=True)
+        for a, b in zip(got, expected):
+            assert (a.dtype, a.shape) == (b.dtype, b.shape)
+            assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("size", [2, 5000])
+    def test_keys_past_63_bits_use_np_unique(self, size):
+        """Words of ``bits`` position bits hold keys below
+        ``1 << (63 - bits)``; the first key past that goes to np.unique."""
+        first_unpackable = 1 << (63 - (size - 1).bit_length())
+        offsets = np.random.default_rng(size).integers(1, 4, size)
+        for top, packed in ((first_unpackable - 1, True),
+                            (first_unpackable, False)):
+            keys = top - offsets
+            keys[-1] = top
+            with mock.patch.object(mesh_module.np, "unique",
+                                   wraps=np.unique) as unique:
+                got = mesh_module._unique_inverse(keys)
+            assert unique.called != packed
+            expected = np.unique(keys, return_inverse=True)
+            for a, b in zip(got, expected):
+                assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("num_nodes",
+                             [1, 3, 10, 11, 100, 101, 1000, 10**5, 10**5 + 1])
+    def test_index_rows_match_formatting(self, num_nodes):
+        rng = np.random.default_rng(num_nodes)
+        tris = rng.integers(0, num_nodes, (mesh_module._CHUNK + 5, 3))
+        tris[:2] = [[0, num_nodes - 1, 0], [num_nodes - 1, 0, num_nodes - 1]]
+        rows = list(mesh_module._index_rows(tris, num_nodes))
+        assert len(rows) == 2
+        assert "".join(rows) == "".join(mesh_module._rows("%d %d %d\n", tris))
 
 
 class TestMeshIO:
@@ -760,8 +871,10 @@ class TestMeshLayerScaling:
 
     #: Bound on each stage's traced peak, in units of the L5 mesh's array
     #: bytes (44.3 MiB), counting the arrays and text alive at the time.
-    #: Measured: refine 1.74, export 1.71, import 3.00; each bound adds 0.3.
-    PEAK_PER_ARRAY_BYTE = {"refine": 2.04, "export": 2.01, "import": 3.3}
+    #: Measured: refine 1.16 (1.74 while it rebuilt the topology), export
+    #: 1.71, import 2.94 (3.00 when its bound was set); each bound adds 0.3
+    #: to its measurement.
+    PEAK_PER_ARRAY_BYTE = {"refine": 1.46, "export": 2.01, "import": 3.3}
 
     def test_arrays_and_export_bit_identical(self):
         mesh = generate_annulus(1e-3, 2e-3, 4, 48)
