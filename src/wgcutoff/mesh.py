@@ -20,6 +20,8 @@ can be shared freely across threads.
 
 from __future__ import annotations
 
+import io
+import itertools
 import math
 from dataclasses import dataclass
 from typing import NoReturn
@@ -44,23 +46,26 @@ class MeshError(ValueError):
 class Mesh:
     """Immutable triangulation with derived edge and boundary topology.
 
+    Index arrays are int32, which holds up to ``2**31 - 1`` nodes and
+    edges; every product of indices (edge keys) is formed in int64.
+
     Attributes
     ----------
-    nodes : (V, 2) float array
+    nodes : (V, 2) float64 array
         Node coordinates in meters.
-    triangles : (T, 3) int array
+    triangles : (T, 3) int32 array
         Node indices, counter-clockwise.
-    edges : (E, 2) int array
+    edges : (E, 2) int32 array
         Unique edges as ``(lo, hi)`` node pairs, ``lo < hi``, sorted
         lexicographically.
-    tri_edges : (T, 3) int array
+    tri_edges : (T, 3) int32 array
         Global edge index of the local edges ``(0,1), (1,2), (2,0)``.
-    tri_edge_signs : (T, 3) int array
+    tri_edge_signs : (T, 3) int8 array
         ``+1`` where the triangle traverses the edge from ``lo`` to ``hi``,
         ``-1`` otherwise.
     boundary_node, boundary_edge : bool arrays
         Flags over nodes / edges.
-    boundary_component : (E,) int array
+    boundary_component : (E,) int32 array
         Component id (0-based) for boundary edges, ``-1`` for interior ones.
     h : float
         Longest edge length (meters).
@@ -100,6 +105,21 @@ class Mesh:
                 - (2 - self.num_boundary_components))
 
 
+#: Largest node or edge count that the int32 index arrays hold.
+_INDEX_LIMIT = np.iinfo(np.int32).max
+
+
+def _check_index_limit(count: int, what: str) -> None:
+    if count > _INDEX_LIMIT:
+        raise MeshError(f"mesh has {count} {what}, more than the int32 index "
+                        f"limit {_INDEX_LIMIT}")
+
+
+def _signs(forward: np.ndarray) -> np.ndarray:
+    """int8 ``+1`` where ``forward``, ``-1`` elsewhere."""
+    return np.where(forward, np.int8(1), np.int8(-1))
+
+
 def _freeze(a: np.ndarray) -> np.ndarray:
     a.setflags(write=False)
     return a
@@ -120,7 +140,7 @@ def signed_areas(nodes: np.ndarray, triangles: np.ndarray) -> np.ndarray:
 
 def _boundary_components(edges, boundary_edge, num_nodes) -> np.ndarray:
     """Label boundary edges by connectivity through shared nodes."""
-    component = np.full(edges.shape[0], -1, dtype=np.int64)
+    component = np.full(edges.shape[0], -1, dtype=np.int32)
     bidx = np.flatnonzero(boundary_edge)
     if bidx.size == 0:
         return component
@@ -169,25 +189,52 @@ def _check_areas(nodes: np.ndarray, triangles: np.ndarray) -> float:
     return math.sqrt(longest_sq)
 
 
+def _cyclic_pair_keys(rows: np.ndarray, n: int) -> np.ndarray:
+    """The int64 key ``min * n + max`` of each pair ``rows[:, j]``,
+    ``rows[:, j + 1]`` of cyclically adjacent entries, flattened; the
+    entries lie in ``[0, n)``."""
+    ends = np.roll(rows, -1, axis=1)
+    keys = np.minimum(rows, ends, dtype=np.int64)
+    keys *= n
+    keys += np.maximum(rows, ends, out=ends)
+    return keys.ravel()
+
+
 def _unique_inverse(keys: np.ndarray):
     """``np.unique(keys, return_inverse=True)`` of a non-empty 1-D array of
-    non-negative int64 keys, from one sort of ``key << bits | position``
-    words; ``np.unique`` itself runs only where those words would not fit
-    in 63 bits."""
-    bits = max((keys.size - 1).bit_length(), 1)
+    non-negative int64 edge keys, the inverse in int32, from one sort of
+    ``key << bits | position`` words formed in ``keys`` itself, which is
+    overwritten; ``np.unique`` runs only where those words would not fit
+    in 63 bits.  More than ``_INDEX_LIMIT`` distinct keys raise
+    :class:`MeshError`."""
+    size = keys.size
+    bits = max((size - 1).bit_length(), 1)
     if int(keys.max()) >> (63 - bits):
-        return np.unique(keys, return_inverse=True)
-    words = keys << bits
-    words |= np.arange(keys.size)
+        uniq, inverse = np.unique(keys, return_inverse=True)
+        _check_index_limit(uniq.size, "edges")
+        return uniq, inverse.astype(np.int32)
+    index = np.int32 if size <= np.iinfo(np.int32).max else np.int64
+    words = keys
+    del keys  # so that a caller's temporary is freed with words
+    words <<= bits
+    words |= np.arange(size, dtype=index)
     words.sort()
-    position = words & ((1 << bits) - 1)
+    position = np.empty(size, dtype=index)
+    np.bitwise_and(words, (1 << bits) - 1, out=position)
     words >>= bits
-    first = np.empty(keys.size, dtype=bool)
+    first = np.empty(size, dtype=bool)
     first[0] = True
     np.not_equal(words[1:], words[:-1], out=first[1:])
-    inverse = np.empty(keys.size, dtype=np.intp)
-    inverse[position] = np.cumsum(first) - 1
-    return words[first], inverse
+    uniq = words[first]
+    del words
+    _check_index_limit(uniq.size, "edges")
+    rank = first.astype(np.int32)
+    del first
+    np.cumsum(rank, out=rank)
+    rank -= 1
+    inverse = np.empty(size, dtype=np.int32)
+    inverse[position] = rank
+    return uniq, inverse
 
 
 def _check_hanging_nodes(nodes, edges, boundary_edge, boundary_node):
@@ -262,6 +309,21 @@ def _check_distinct_nodes(nodes: np.ndarray) -> None:
         raise MeshError("duplicate node coordinates")
 
 
+def _has_repeated_triangle(tri_edges: np.ndarray, num_edges: int) -> bool:
+    """Whether two rows of ``tri_edges`` name the same triangle.
+
+    Any two edges of a triangle name its three nodes, so equal triangles
+    are equal pairs of smallest and middle edge ids, keyed
+    ``smallest * num_edges + middle`` in int64.
+    """
+    a, b, c = tri_edges.T
+    low, high = np.minimum(a, b), np.maximum(a, b)
+    middle = np.maximum(low, np.minimum(high, c))
+    np.minimum(low, c, out=low)
+    del high
+    return _has_repeats(np.multiply(low, num_edges, dtype=np.int64) + middle)
+
+
 def build_topology(nodes, triangles) -> Mesh:
     """Derive edge/boundary topology and validate the triangulation.
 
@@ -271,7 +333,9 @@ def build_topology(nodes, triangles) -> Mesh:
     than one piece (``V - E + T != 2 - B``).
     """
     nodes = _as_coords(nodes)
-    tris = np.ascontiguousarray(np.asarray(triangles, dtype=np.int64))
+    tris = np.asarray(triangles)
+    if tris.dtype.kind not in "iu":
+        tris = tris.astype(np.int64)
     if tris.ndim != 2 or tris.shape[1] != 3:
         raise MeshError(f"triangles must be (T, 3), got {tris.shape}")
     num_nodes = nodes.shape[0]
@@ -281,36 +345,26 @@ def build_topology(nodes, triangles) -> Mesh:
         raise MeshError("mesh has no triangles")
     if tris.min() < 0 or tris.max() >= num_nodes:
         raise MeshError("triangle node index out of range")
+    _check_index_limit(num_nodes, "nodes")
+    tris = np.ascontiguousarray(tris, dtype=np.int32)
     # local edge j runs from tris[:, j] to ends[:, j]: (0,1), (1,2), (2,0)
     ends = np.roll(tris, -1, axis=1)
     if (tris == ends).any():
         raise MeshError("triangle with repeated node")
+    tri_edge_signs = _signs(tris < ends)
+    del ends
 
     h = _check_areas(nodes, tris)
 
     # global edges are stored lo < hi, keyed lo * V + hi
-    forward = tris < ends
-    keys = np.minimum(tris, ends)
-    keys *= num_nodes
-    keys += np.maximum(tris, ends)
-    del ends
-    uniq_keys, tri_edges = _unique_inverse(keys.ravel())
-    del keys
+    uniq_keys, tri_edges = _unique_inverse(_cyclic_pair_keys(tris, num_nodes))
     tri_edges = tri_edges.reshape(tris.shape)
-    tri_edge_signs = np.where(forward, 1, -1).astype(np.int64, copy=False)
-    del forward
-    edges = np.empty((uniq_keys.size, 2), dtype=np.int64)
+    edges = np.empty((uniq_keys.size, 2), dtype=np.int32)
     np.divmod(uniq_keys, num_nodes, out=(edges[:, 0], edges[:, 1]))
     del uniq_keys
 
-    # any two edges of a triangle name its three nodes, so equal triangles
-    # are equal pairs of smallest and middle edge ids
-    a, b, c = tri_edges.T
-    first = np.minimum(np.minimum(a, b), c)
-    middle = a + b + c - first - np.maximum(np.maximum(a, b), c)
-    if _has_repeats(first * edges.shape[0] + middle):
+    if _has_repeated_triangle(tri_edges, edges.shape[0]):
         raise MeshError("duplicate triangle")
-    del first, middle
 
     used = np.zeros(num_nodes, dtype=bool)
     used[tris] = True
@@ -318,14 +372,17 @@ def build_topology(nodes, triangles) -> Mesh:
         raise MeshError(f"node {np.flatnonzero(~used)[0]} not used by any triangle")
     _check_distinct_nodes(nodes)
 
-    incidence = np.bincount(tri_edges.ravel(), minlength=edges.shape[0])
+    # np.bincount would first copy the int32 edge ids to intp
+    incidence = np.zeros(edges.shape[0], dtype=np.intp)
+    np.add.at(incidence, tri_edges.ravel(), 1)
     if (incidence > 2).any():
         e = int(np.flatnonzero(incidence > 2)[0])
         raise MeshError(
             f"non-manifold edge {edges[e, 0]}-{edges[e, 1]} "
             f"shared by {incidence[e]} triangles"
         )
-    sign_sums = np.zeros(edges.shape[0], dtype=np.int64)
+    # at most two triangles meet at an edge, so its sum fits in int8
+    sign_sums = np.zeros(edges.shape[0], dtype=np.int8)
     np.add.at(sign_sums, tri_edges.ravel(), tri_edge_signs.ravel())
     if ((incidence == 2) & (sign_sums != 0)).any():
         e = int(np.flatnonzero((incidence == 2) & (sign_sums != 0))[0])
@@ -540,6 +597,8 @@ def refine_uniform(mesh: Mesh) -> Mesh:
     ``V - E + T`` is unchanged: ``(V + E) - (2E + 3T) + 4T``.
     """
     V, E, T = mesh.num_nodes, mesh.num_edges, mesh.num_triangles
+    _check_index_limit(V + E, "nodes")
+    _check_index_limit(2 * E + 3 * T, "edges")
     edges, te = mesh.edges, mesh.tri_edges
     mid = 0.5 * (mesh.nodes[edges[:, 0]] + mesh.nodes[edges[:, 1]])
     nodes = np.concatenate([mesh.nodes, mid])
@@ -547,7 +606,7 @@ def refine_uniform(mesh: Mesh) -> Mesh:
     # where m_j is the midpoint of local edge j (from v_j to v_{j+1})
     prev = [2, 0, 1]
     m = V + te
-    children = np.empty((T, 4, 3), dtype=np.int64)
+    children = np.empty((T, 4, 3), dtype=np.int32)
     children[:, :3, 0] = mesh.triangles
     children[:, :3, 1] = m
     children[:, :3, 2] = m[:, prev]
@@ -560,19 +619,14 @@ def refine_uniform(mesh: Mesh) -> Mesh:
     # halves: half[2e + k] is the child edge from edges[e, k] to node V + e;
     # a stable sort by end node keeps parent edge order among equal ends
     order = np.argsort(edges.ravel(), kind="stable")
-    half = np.empty(2 * E, dtype=np.int64)
+    half = np.empty(2 * E, dtype=np.int32)
     half[order] = np.arange(2 * E)
     parent_of = order // 2
     # midpoint pairs: pair[t, j] joins the midpoints of local edges j, j + 1
-    te_next = np.roll(te, -1, axis=1)
-    keys = np.minimum(te, te_next)
-    keys *= E
-    keys += np.maximum(te, te_next)
-    pair_keys, pair = _unique_inverse(keys.ravel())
-    del keys
+    pair_keys, pair = _unique_inverse(_cyclic_pair_keys(te, E))
     pair = pair.reshape(T, 3) + 2 * E
 
-    child_edges = np.empty((2 * E + 3 * T, 2), dtype=np.int64)
+    child_edges = np.empty((2 * E + 3 * T, 2), dtype=np.int32)
     child_edges[:2 * E, 0] = edges.ravel()[order]
     child_edges[:2 * E, 1] = V + parent_of
     np.divmod(pair_keys, E, out=(child_edges[2 * E:, 0], child_edges[2 * E:, 1]))
@@ -582,23 +636,22 @@ def refine_uniform(mesh: Mesh) -> Mesh:
     # corner child i runs from v_i along the half of local edge i at its
     # start, a midpoint pair, and the half of local edge i - 1 at its end
     starts_lo = mesh.tri_edge_signs > 0
-    tri_edges = np.empty((T, 4, 3), dtype=np.int64)
+    tri_edges = np.empty((T, 4, 3), dtype=np.int32)
     tri_edges[:, :3, 0] = half[2 * te + ~starts_lo]
     tri_edges[:, :3, 1] = pair[:, prev]
     tri_edges[:, :3, 2] = half[2 * te + starts_lo][:, prev]
     tri_edges[:, 3] = pair
     del half, pair
     # every parent node is below every midpoint
-    signs = np.empty((T, 4, 3), dtype=np.int64)
+    signs = np.empty((T, 4, 3), dtype=np.int8)
     signs[:, :3, 0] = 1
-    signs[:, :3, 1] = np.where(te < te[:, prev], 1, -1)
+    signs[:, :3, 1] = _signs(te < te[:, prev])
     signs[:, :3, 2] = -1
-    signs[:, 3] = np.where(te < te_next, 1, -1)
-    del te_next
+    signs[:, 3] = _signs(te < np.roll(te, -1, axis=1))
 
     boundary_edge = np.zeros(child_edges.shape[0], dtype=bool)
     boundary_edge[:2 * E] = mesh.boundary_edge[parent_of]
-    component = np.full(child_edges.shape[0], -1, dtype=np.int64)
+    component = np.full(child_edges.shape[0], -1, dtype=np.int32)
     component[:2 * E] = mesh.boundary_component[parent_of]
     return Mesh(
         nodes=_freeze(nodes),
@@ -658,9 +711,9 @@ def export_mesh(mesh: Mesh) -> str:
                     *_index_rows(mesh.triangles, mesh.num_nodes)])
 
 
-def _count(fields, name: str, what: str, remaining: int) -> int:
-    """The count of a ``<name> <count>`` header with ``remaining`` data lines
-    after it; raises ``ValueError`` with the message for the header line."""
+def _header(fields, name: str, what: str) -> int:
+    """The count of a ``<name> <count>`` header line split into ``fields``;
+    raises ``ValueError`` with the message for the line."""
     if len(fields) != 2 or fields[0] != name:
         raise ValueError(f"expected '{name} <count>'")
     try:
@@ -669,6 +722,13 @@ def _count(fields, name: str, what: str, remaining: int) -> int:
         raise ValueError(f"bad {what} count {fields[1]!r}") from None
     if count < 0:
         raise ValueError(f"negative {what} count {count}")
+    return count
+
+
+def _count(fields, name: str, what: str, remaining: int) -> int:
+    """:func:`_header` of a header with ``remaining`` data lines after it,
+    which its count may not exceed."""
+    count = _header(fields, name, what)
     if count > remaining:
         raise ValueError(
             f"{what} count {count} exceeds the {remaining} data lines that follow"
@@ -700,9 +760,70 @@ def import_mesh(text: str) -> Mesh:
     return build_topology(nodes, tris)
 
 
+#: ``#`` and the ASCII line ends of ``str.splitlines`` but ``\n``.  A file
+#: without them has no comments, and its lines are its ``\n``-separated
+#: ones.
+_NOT_PLAIN = "#\r\x0b\x0c\x1c\x1d\x1e"
+
+
 def _parse_blocks(text: str):
     """Node and triangle arrays of a well-formed file; any other file raises
-    ``ValueError`` or ``IndexError`` without saying where."""
+    ``ValueError`` or ``IndexError`` without saying where.
+
+    An ASCII file without :data:`_NOT_PLAIN` characters is parsed from its
+    bytes; any other file, or one that the byte parser does not accept,
+    line by line."""
+    if text.isascii() and not any(c in text for c in _NOT_PLAIN):
+        try:
+            return _parse_bytes(text.encode("ascii"))
+        except ValueError:
+            pass  # the line parser has the final say
+    return _parse_lines(text)
+
+
+def _parse_bytes(data: bytes):
+    """Node and triangle arrays of a plain ASCII file that starts with
+    its ``nodes`` header, one ``np.loadtxt`` over each block of rows; raises
+    ``ValueError`` for any other file.
+
+    No coordinate that ``np.loadtxt`` reads contains ``triangles``, so in
+    a file the line parser accepts the first line that does is the
+    triangle header.  ``np.loadtxt`` skips blank lines in a block as the
+    line parser does.  A block must start with a row, so that it is never
+    empty: ``np.loadtxt`` warns on that.  Triangle rows are read as int32;
+    an index past it raises, and the line parser then reports it as out of
+    range.
+    """
+    rows = data.index(b"\n") + 1
+    num_nodes = _header(data[:rows].decode().split(), "nodes", "node")
+    head = data.rindex(b"\n", 0, data.index(b"triangles", rows)) + 1
+    tri_rows = data.index(b"\n", head) + 1
+    num_tris = _header(data[head:tri_rows].decode().split(),
+                       "triangles", "triangle")
+    for start, stop in ((rows, head), (tri_rows, len(data))):
+        if start == stop or chr(data[start]).isspace():
+            raise ValueError("block does not start with a row")
+    lines = io.BytesIO(data)  # shares the buffer of data
+    lines.seek(rows)
+    nodes = _plain_block(itertools.islice(lines, data.count(b"\n", rows, head)),
+                         float, 2, num_nodes)
+    lines.seek(tri_rows)
+    tris = _plain_block(lines, np.int32, 3, num_tris)
+    if tris.min() < 0 or tris.max() >= num_nodes:
+        raise ValueError("node index out of range")
+    return nodes, tris
+
+
+def _plain_block(lines, dtype, width: int, count: int) -> np.ndarray:
+    """The byte lines ``lines`` as ``count`` rows of ``width`` numbers."""
+    block = np.loadtxt(lines, dtype=dtype, comments=None, ndmin=2)
+    if block.shape != (count, width):
+        raise ValueError(f"expected {count} rows of {width} fields")
+    return block
+
+
+def _parse_lines(text: str):
+    """:func:`_parse_blocks` for any file, from one string per line."""
     lines = text.splitlines()
     if "#" in text:
         lines = [raw.split("#", 1)[0] for raw in lines]

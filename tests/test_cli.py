@@ -114,6 +114,23 @@ class TestMeshCommands:
         assert main(["mesh", "info", "--config", config]) == 1
         assert capsys.readouterr().err.startswith("error: line 1: ")
 
+    @pytest.mark.parametrize("text, message", [
+        ("nodes 3\n0 0\n1 0\n0 1\ntriangles 1\n0 1 2147483648\n",
+         "line 6: node index out of range"),
+        ("nodes 3\n0 0\n1 0\n0 1\ntriangles 1\n0 9223372036854775808 2\n",
+         "line 6: node index out of range"),
+        ("nodes 1099511627776\n0 0\n1 0\n0 1\ntriangles 1\n0 1 2\n",
+         "line 1: node count 1099511627776 exceeds the 5 data lines that "
+         "follow"),
+    ])
+    def test_numbers_past_int32_exit_one(self, tmp_path, capsys, text, message):
+        path = tmp_path / "mesh.txt"
+        path.write_text(text)
+        config = write_config(tmp_path, geometry={"kind": "file",
+                                                  "path": str(path)})
+        assert main(["mesh", "info", "--config", config]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
 
 class TestSolve:
     def test_csv_shape_and_header(self, tmp_path, capsys):

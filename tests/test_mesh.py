@@ -1,7 +1,9 @@
+import functools
 import hashlib
 import math
 import re
 import tracemalloc
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -107,6 +109,26 @@ class TestBuildTopology:
         with pytest.raises(MeshError, match="not one connected piece: "
                                             "Euler deficit 2 "):
             import_mesh(text)
+
+    @pytest.mark.parametrize("limit, count, what, refine", [
+        (15, 16, "nodes", False), (32, 33, "edges", False),
+        (48, 49, "nodes", True), (119, 120, "edges", True),
+    ])
+    def test_index_limit(self, limit, count, what, refine):
+        """Past ``_INDEX_LIMIT`` nodes or edges the int32 index arrays
+        would wrap; the 3 x 3 rectangle has 16 nodes and 33 edges, its
+        refinement 49 and 120."""
+        m = generate_rectangle(1.0, 1.0, 3, 3)
+        with mock.patch.object(mesh_module, "_INDEX_LIMIT", limit):
+            with pytest.raises(MeshError) as info:
+                if refine:
+                    refine_uniform(m)
+                else:
+                    build_topology(m.nodes, m.triangles)
+        assert str(info.value) == (f"mesh has {count} {what}, more than the "
+                                   f"int32 index limit {limit}")
+        with mock.patch.object(mesh_module, "_INDEX_LIMIT", 120):
+            refine_uniform(build_topology(m.nodes, m.triangles))
 
     def test_interior_edges_traversed_oppositely(self, unit_square_mesh):
         m = unit_square_mesh
@@ -263,7 +285,9 @@ class TestGenerateRectilinearPolygon:
                 continue
             m = generate_rectilinear_polygon(verts, pitch)
             np.testing.assert_array_equal(m.nodes, nodes, strict=True)
-            np.testing.assert_array_equal(m.triangles, tris, strict=True)
+            assert m.triangles.dtype == np.int32
+            np.testing.assert_array_equal(m.triangles.astype(np.int64), tris,
+                                          strict=True)
 
     def test_plain_rectangle_matches_structured(self):
         # sides and pitch are binary fractions, so both grids are exact
@@ -426,17 +450,24 @@ class TestPackedHelpers:
     """The packed edge-key sort and the digit-table rows against what they
     replace."""
 
+    @staticmethod
+    def assert_unique_inverse(got, keys):
+        """``got`` is ``np.unique(keys, return_inverse=True)`` with the
+        inverse in int32."""
+        uniq, inverse = np.unique(keys, return_inverse=True)
+        assert (got[0].dtype, got[0].shape) == (uniq.dtype, uniq.shape)
+        assert (got[1].dtype, got[1].shape) == (np.int32, inverse.shape)
+        assert np.array_equal(got[0], uniq)
+        assert np.array_equal(got[1], inverse)
+
     @pytest.mark.parametrize("high", [1, 7, 1000, 1 << 40])
     def test_unique_inverse_matches_np_unique(self, high):
         keys = np.random.default_rng(high).integers(0, high, 5000)
         with mock.patch.object(mesh_module.np, "unique",
                                wraps=np.unique) as unique:
-            got = mesh_module._unique_inverse(keys)
+            got = mesh_module._unique_inverse(keys.copy())
         unique.assert_not_called()
-        expected = np.unique(keys, return_inverse=True)
-        for a, b in zip(got, expected):
-            assert (a.dtype, a.shape) == (b.dtype, b.shape)
-            assert np.array_equal(a, b)
+        self.assert_unique_inverse(got, keys)
 
     @pytest.mark.parametrize("size", [2, 5000])
     def test_keys_past_63_bits_use_np_unique(self, size):
@@ -450,11 +481,9 @@ class TestPackedHelpers:
             keys[-1] = top
             with mock.patch.object(mesh_module.np, "unique",
                                    wraps=np.unique) as unique:
-                got = mesh_module._unique_inverse(keys)
+                got = mesh_module._unique_inverse(keys.copy())
             assert unique.called != packed
-            expected = np.unique(keys, return_inverse=True)
-            for a, b in zip(got, expected):
-                assert np.array_equal(a, b)
+            self.assert_unique_inverse(got, keys)
 
     @pytest.mark.parametrize("num_nodes",
                              [1, 3, 10, 11, 100, 101, 1000, 10**5, 10**5 + 1])
@@ -720,6 +749,8 @@ IMPORT_CASES = {
     SQUARE.replace("\n", "\r\n"): None,
     SQUARE.replace("\n", "\r"): None,
     SQUARE.replace("1 0\n", "1 0\x0c"): None,
+    SQUARE.replace("1 0\n", "1\x0c0\n"): "line 3: expected 'x y'",
+    SQUARE.replace("0 1 2\n", "0 1\x0b2\n"): "line 7: expected 'i j k'",
     SQUARE.replace("0 1\n", "0\xa01\n"): None,
     SQUARE.replace("1 1\n", "+1 1.\n").replace("0 0\n", "-0 -0.0\n"): None,
     SQUARE + "7 8 9\n": "line 9: trailing content",
@@ -799,14 +830,119 @@ class TestImportParity:
                 assert np.array_equal(got[1], ref_tris)
 
 
+#: Files the byte parser reads, beside the exported ones: blank lines in
+#: and after the blocks, leading and trailing blanks on a row, tabs.
+PLAIN_CASES = [
+    "nodes 4\n0 0\n\n1 0\n  1 1\t\n0 1\n \t\ntriangles 2\n0 1 2\n\n0 2 3",
+    "nodes 4 \n0 0\n1 0\n1 1\n0 1\n  triangles\t2\n0\t1 2 \n0 2 3\n\n  \n",
+]
+
+
+class TestBytePath:
+    """The byte parser against the line parser, which has the final say."""
+
+    @staticmethod
+    def byte_parse(text):
+        """``_parse_bytes``'s arrays, or None where it rejects ``text``."""
+        try:
+            return mesh_module._parse_bytes(text.encode("ascii"))
+        except ValueError:
+            return None
+
+    def test_accepted_files_parse_as_line_by_line(self):
+        texts = [*IMPORT_CASES, *PLAIN_CASES]
+        for token in ODD_TOKENS:
+            texts += [SQUARE.replace("1 1\n", f"{token} 1\n"),
+                      SQUARE.replace("0 2 3", f"0 {token} 3")]
+        accepted = 0
+        for text in texts:
+            if not text.isascii() or any(c in text
+                                         for c in mesh_module._NOT_PLAIN):
+                continue
+            got = self.byte_parse(text)
+            if got is None:
+                assert text not in PLAIN_CASES
+                continue
+            accepted += 1
+            nodes, tris = mesh_module._parse_lines(text)
+            assert got[0].tobytes() == nodes.tobytes(), text
+            assert got[1].dtype == np.int32
+            assert np.array_equal(got[1], tris), text
+        assert accepted >= 10
+
+    @pytest.mark.parametrize("text, message", [
+        ("nodes 0\ntriangles 0\n", "mesh has no triangles"),
+        ("nodes 3\n\n \ntriangles 1\n0 1 2\n",
+         "line 1: node count 3 exceeds the 2 data lines that follow"),
+        ("nodes 3\n\x1f\ntriangles 1\n0 1 2\n",
+         "line 1: node count 3 exceeds the 2 data lines that follow"),
+        ("nodes 3\n0 0\n1 0\n0 1\ntriangles 1\n\n",
+         "line 5: triangle count 1 exceeds the 0 data lines that follow"),
+    ])
+    def test_blank_blocks_raise_without_a_warning(self, text, message):
+        """``np.loadtxt`` warns on a block without rows; such a block
+        goes to the line parser instead."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(MeshError) as info:
+                import_mesh(text)
+        assert str(info.value) == message
+
+    def test_exported_and_commented_text_give_one_mesh(self):
+        mesh = generate_annulus(1e-3, 2e-3, 4, 48)
+        for _ in range(2):
+            mesh = refine_uniform(mesh)
+        text = export_mesh(mesh)
+        commented = "# the same mesh\n" + text.replace("\n", "\r\n")
+        meshes = []
+        for source, line_path in ((text, False), (commented, True)):
+            with mock.patch.object(mesh_module, "_parse_lines",
+                                   wraps=mesh_module._parse_lines) as lines:
+                meshes.append(import_mesh(source))
+            assert lines.called == line_path
+        bytes_mesh, lines_mesh = meshes
+        for attr in MESH_ARRAYS:
+            a, b = getattr(bytes_mesh, attr), getattr(lines_mesh, attr)
+            assert (a.dtype, a.shape) == (b.dtype, b.shape), attr
+            assert a.tobytes() == b.tobytes(), attr
+        assert bytes_mesh.h == lines_mesh.h
+        assert mesh_digest(bytes_mesh) == mesh_digest(mesh)
+
+    @pytest.mark.parametrize("text, message", [
+        (SQUARE.replace("0 2 3", f"0 {2**31} 3"),
+         "line 8: node index out of range"),
+        (SQUARE.replace("0 2 3", f"0 2 {2**63}"),
+         "line 8: node index out of range"),
+        (SQUARE.replace("nodes 4", f"nodes {2**40}"),
+         f"line 1: node count {2**40} exceeds the 7 data lines that follow"),
+    ])
+    def test_numbers_past_int32_report_their_line(self, text, message):
+        with pytest.raises(MeshError) as info:
+            import_mesh(text)
+        assert str(info.value) == message
+
+
 MESH_ARRAYS = ("nodes", "triangles", "edges", "tri_edges", "tri_edge_signs",
                "boundary_node", "boundary_edge", "boundary_component")
 
+#: The dtype of each array of a Mesh.
+MESH_DTYPES = {"nodes": np.float64, "triangles": np.int32, "edges": np.int32,
+               "tri_edges": np.int32, "tri_edge_signs": np.int8,
+               "boundary_node": np.bool_, "boundary_edge": np.bool_,
+               "boundary_component": np.int32}
+
+
+def as_recorded(a):
+    """An integer array as int64, the dtype the digests were recorded in."""
+    return a.astype(np.int64) if a.dtype.kind == "i" else a
+
 
 def mesh_digest(mesh):
+    """SHA-256 over every array of ``mesh``, integer arrays as int64
+    values, and ``h``."""
     digest = hashlib.sha256()
     for attr in MESH_ARRAYS:
-        a = getattr(mesh, attr)
+        a = as_recorded(getattr(mesh, attr))
         digest.update(f"{attr} {a.dtype.str} {a.shape}\n".encode())
         digest.update(a.tobytes())
     digest.update(repr(mesh.h).encode())
@@ -814,8 +950,9 @@ def mesh_digest(mesh):
 
 
 class TestGeneratorDigests:
-    """SHA-256 of ``nodes.tobytes()`` and ``triangles.tobytes()``, recorded
-    from the per-cell loops that the grid builder replaced.  Annulus
+    """SHA-256 of ``nodes.tobytes()`` and ``triangles.tobytes()`` (as int64
+    values), recorded from the per-cell loops that the grid builder
+    replaced.  Annulus
     coordinates come from ``np.cos``/``np.sin``, so another NumPy build may
     change those digests."""
 
@@ -852,9 +989,75 @@ class TestGeneratorDigests:
     def test_generated_arrays_keep_their_digest(self, name):
         generate, args, nodes_sha, triangles_sha = self.CASES[name]
         m = generate(*args)
-        assert (m.nodes.dtype, m.triangles.dtype) == (np.float64, np.int64)
         assert hashlib.sha256(m.nodes.tobytes()).hexdigest() == nodes_sha
-        assert hashlib.sha256(m.triangles.tobytes()).hexdigest() == triangles_sha
+        assert (hashlib.sha256(as_recorded(m.triangles).tobytes()).hexdigest()
+                == triangles_sha)
+
+    @pytest.mark.parametrize("name", CASES)
+    def test_arrays_have_their_dtype(self, name):
+        generate, args, _, _ = self.CASES[name]
+        m = generate(*args)
+        for mesh in (m, refine_uniform(m), import_mesh(export_mesh(m))):
+            assert {attr: getattr(mesh, attr).dtype for attr in MESH_ARRAYS} \
+                == MESH_DTYPES
+
+
+@functools.cache
+def coax_l4():
+    """The coax 4 x 48 refined 4 times: 49,920 nodes, past the 46,341 at
+    which ``V**2`` exceeds ``2**31``."""
+    mesh = generate_annulus(1e-3, 2e-3, 4, 48)
+    for _ in range(4):
+        mesh = refine_uniform(mesh)
+    assert mesh.num_nodes == 49_920
+    return mesh
+
+
+class TestKeysPastInt32:
+    """Edge keys ``lo * V + hi`` and triangle keys ``first * E + middle``
+    that exceed ``2**31`` still find the faults they are formed to find."""
+
+    def test_duplicate_triangle(self):
+        m = coax_l4()
+        with pytest.raises(MeshError, match="^duplicate triangle$"):
+            build_topology(m.nodes, np.vstack([m.triangles, m.triangles[-1:]]))
+
+    def test_reversed_triangle(self):
+        m = coax_l4()
+        tris = np.vstack([m.triangles, m.triangles[-1:, ::-1]])
+        with pytest.raises(MeshError, match="^degenerate or clockwise "
+                                            "triangle 98304 "):
+            build_topology(m.nodes, tris)
+        # the same fault past the area test: the reversed copy has the edges
+        # of the original
+        with mock.patch.object(mesh_module, "_check_areas", return_value=1.0):
+            with pytest.raises(MeshError, match="^duplicate triangle$"):
+                build_topology(m.nodes, tris)
+
+    def test_triangle_keys_that_wrap_in_int32_stay_apart(self):
+        # 4096 * 2**20 is 2**32: in int32 the two keys would both be 4097
+        edge_ids = np.array([[0, 4097, 4098], [4096, 4097, 4099]], np.int32)
+        assert not mesh_module._has_repeated_triangle(edge_ids, 2**20)
+        assert mesh_module._has_repeated_triangle(edge_ids[[0, 1, 0]][:, ::-1],
+                                                  2**20)
+
+    def test_third_triangle_on_an_edge(self):
+        """The last triangle mirrored (reversed) across an interior edge
+        onto a new node: that edge has three triangles, named by the
+        decoded edge key."""
+        m = coax_l4()
+        t = len(m.triangles) - 1
+        j = int(np.flatnonzero(~m.boundary_edge[m.tri_edges[t]])[0])
+        a, b, c = (int(m.triangles[t, (j + k) % 3]) for k in range(3))
+        mid = 0.5 * (m.nodes[a] + m.nodes[b])
+        d = mid - 0.3 * (m.nodes[c] - mid)
+        with pytest.raises(MeshError) as info:
+            build_topology(np.vstack([m.nodes, d]),
+                           np.vstack([m.triangles, [b, a, m.num_nodes]]))
+        lo, hi = sorted((a, b))
+        assert str(info.value) == (f"non-manifold edge {lo}-{hi} shared by "
+                                   "3 triangles")
+        assert lo * m.num_nodes + hi > 2**31
 
 
 class TestMeshLayerScaling:
@@ -869,12 +1072,12 @@ class TestMeshLayerScaling:
         "f107b0e588019f751b6191e3a1f4e920c82e4683a2ce532f689ca3ae5a14179b")
     RECT_48 = "7dd1fcbb19d42f823408b47f6fb6a49e72aeb6276f926293c53781d23f993b0a"
 
-    #: Bound on each stage's traced peak, in units of the L5 mesh's array
-    #: bytes (44.3 MiB), counting the arrays and text alive at the time.
-    #: Measured: refine 1.16 (1.74 while it rebuilt the topology), export
-    #: 1.71, import 2.94 (3.00 when its bound was set); each bound adds 0.3
-    #: to its measurement.
-    PEAK_PER_ARRAY_BYTE = {"refine": 1.46, "export": 2.01, "import": 3.3}
+    #: Bound on each stage's traced peak at L5, in MiB, counting the arrays
+    #: and text alive at the time.  Measured with int32/int8 arrays:
+    #: refine 26.4, export 52.1, import 64.2 (with int64 arrays 51.2, 75.8
+    #: and 130.2, under bounds of 64.7, 89.0 and 146.2); each bound adds
+    #: 13.3 to its measurement.
+    PEAK_MIB = {"refine": 39.7, "export": 65.4, "import": 77.5}
 
     def test_arrays_and_export_bit_identical(self):
         mesh = generate_annulus(1e-3, 2e-3, 4, 48)
@@ -909,9 +1112,8 @@ class TestMeshLayerScaling:
             back = traced("import", import_mesh, text)
         finally:
             tracemalloc.stop()
-        array_bytes = sum(getattr(fine, attr).nbytes for attr in MESH_ARRAYS)
         assert fine.num_nodes == 198_144
         assert mesh_digest(back) == mesh_digest(fine)
-        ratios = {stage: peak / array_bytes for stage, peak in peaks.items()}
-        assert all(ratios[stage] < bound
-                   for stage, bound in self.PEAK_PER_ARRAY_BYTE.items()), ratios
+        mib = {stage: peak / 2**20 for stage, peak in peaks.items()}
+        assert all(mib[stage] < bound
+                   for stage, bound in self.PEAK_MIB.items()), mib
