@@ -98,7 +98,7 @@ from .mesh import (
     generate_annulus,
     generate_rectangle,
     generate_rectilinear_polygon,
-    export_mesh,
+    export_chunks,
     import_mesh,
     refine_uniform,
 )
@@ -287,8 +287,8 @@ def cmd_medium_check(config: dict, out_dir: Path) -> int:
 
 def cmd_mesh_gen(config: dict, out_dir: Path, refine: bool = False) -> int:
     mesh = mesh_family(config)[-1] if refine else build_mesh(config)
-    path = out_dir / "mesh.txt"
-    path.write_text(export_mesh(mesh), encoding="utf-8")
+    with open(out_dir / "mesh.txt", "w", encoding="utf-8") as handle:
+        handle.writelines(export_chunks(mesh))
     print(json.dumps(_mesh_stats(mesh), indent=2))
     return EXIT_OK
 

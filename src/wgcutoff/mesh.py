@@ -109,10 +109,10 @@ class Mesh:
 _INDEX_LIMIT = np.iinfo(np.int32).max
 
 
-def _check_index_limit(count: int, what: str) -> None:
+def _check_index_limit(count: float, what: str) -> None:
     if count > _INDEX_LIMIT:
-        raise MeshError(f"mesh has {count} {what}, more than the int32 index "
-                        f"limit {_INDEX_LIMIT}")
+        raise MeshError(f"mesh has {count:.0f} {what}, more than the int32 "
+                        f"index limit {_INDEX_LIMIT}")
 
 
 def _signs(forward: np.ndarray) -> np.ndarray:
@@ -532,8 +532,11 @@ def generate_rectilinear_polygon(vertices, h_target: float) -> Mesh:
 
     xmin, ymin = coords.min(axis=0)
     xmax, ymax = coords.max(axis=0)
-    nx = max(1, int(math.ceil((xmax - xmin) / h_target - 1e-12)))
-    ny = max(1, int(math.ceil((ymax - ymin) / h_target - 1e-12)))
+    # float cell counts, infinite where a subnormal h_target overflows them
+    with np.errstate(over="ignore"):
+        cells = np.maximum(np.ceil(np.ptp(coords, axis=0) / h_target - 1e-12), 1)
+    _check_index_limit(np.prod(cells + 1), "grid nodes")
+    nx, ny = cells.astype(int)
     hx = (xmax - xmin) / nx
     hy = (ymax - ymin) / ny
 
@@ -695,20 +698,27 @@ def _index_rows(triangles: np.ndarray, num_nodes: int):
         yield row[row != 0].tobytes().decode("ascii")
 
 
+def export_chunks(mesh: Mesh):
+    """The text of :func:`export_mesh` as a few large strings, in order, for
+    writing to a file without joining them first."""
+    yield f"nodes {mesh.num_nodes}\n"
+    yield from _rows("%r %r\n", mesh.nodes)
+    yield f"triangles {mesh.num_triangles}\n"
+    yield from _index_rows(mesh.triangles, mesh.num_nodes)
+
+
 def export_mesh(mesh: Mesh) -> str:
     """Serialize to the line-oriented ASCII format (0-based indices).
 
     Coordinates are written with :func:`repr`, the shortest representation
     that round-trips ``float`` exactly, so import/export is bit-faithful.
-    The node and triangle blocks are formatted in chunks of rows, which
-    bounds the memory that formatting takes; the text is the same as
-    formatting them row by row.  Triangle rows are gathered from a table of
-    each node index's digits instead of formatting one integer at a time.
+    The node and triangle blocks are formatted in chunks of rows
+    (:func:`export_chunks`), which bounds the memory that formatting takes;
+    the text is the same as formatting them row by row.  Triangle rows are
+    gathered from a table of each node index's digits instead of formatting
+    one integer at a time.
     """
-    return "".join([f"nodes {mesh.num_nodes}\n",
-                    *_rows("%r %r\n", mesh.nodes),
-                    f"triangles {mesh.num_triangles}\n",
-                    *_index_rows(mesh.triangles, mesh.num_nodes)])
+    return "".join(export_chunks(mesh))
 
 
 def _header(fields, name: str, what: str) -> int:
@@ -725,33 +735,14 @@ def _header(fields, name: str, what: str) -> int:
     return count
 
 
-def _count(fields, name: str, what: str, remaining: int) -> int:
-    """:func:`_header` of a header with ``remaining`` data lines after it,
-    which its count may not exceed."""
-    count = _header(fields, name, what)
-    if count > remaining:
-        raise ValueError(
-            f"{what} count {count} exceeds the {remaining} data lines that follow"
-        )
-    return count
-
-
-def _block(rows, dtype, width: int) -> np.ndarray:
-    """Parse whitespace-separated rows of exactly ``width`` numbers."""
-    if not rows:
-        return np.empty((0, width), dtype=dtype)
-    block = np.loadtxt(rows, dtype=dtype, comments=None, ndmin=2)
-    if block.shape[1] != width:
-        raise ValueError(f"expected {width} fields per row")
-    return block
-
-
 def import_mesh(text: str) -> Mesh:
     """Parse the ASCII mesh format; errors carry 1-based line numbers.
 
     A file is a ``nodes <count>`` line, that many ``x y`` lines, a
     ``triangles <count>`` line and that many ``i j k`` lines of 0-based node
     indices.  ``#`` starts a comment, and blank lines are skipped anywhere.
+    One parser reads every file (:func:`_parse_blocks`); a file it rejects is
+    scanned again, line by line, for the message and its line number.
     """
     try:
         nodes, tris = _parse_blocks(text)
@@ -770,29 +761,47 @@ def _parse_blocks(text: str):
     """Node and triangle arrays of a well-formed file; any other file raises
     ``ValueError`` or ``IndexError`` without saying where.
 
-    An ASCII file without :data:`_NOT_PLAIN` characters is parsed from its
-    bytes; any other file, or one that the byte parser does not accept,
-    line by line."""
+    An ASCII file without :data:`_NOT_PLAIN` characters, such as an
+    exported one, goes to :func:`_parse_bytes` as it is.  Any other file,
+    or one that parser rejects, goes to it once more as the
+    :func:`_normalised` rows."""
     if text.isascii() and not any(c in text for c in _NOT_PLAIN):
         try:
             return _parse_bytes(text.encode("ascii"))
         except ValueError:
-            pass  # the line parser has the final say
-    return _parse_lines(text)
+            pass  # normalised, the file gets its second try
+    return _parse_bytes(_normalised(text))
+
+
+def _normalised(text: str) -> bytes:
+    """The non-blank lines of ``text``, without comments and stripped, one
+    per line in ASCII; a run of blanks in a file that is not ASCII becomes
+    one space.  Any other character that is not ASCII raises
+    ``UnicodeEncodeError``, a ``ValueError``."""
+    lines = text.splitlines()
+    if "#" in text:
+        lines = [raw.split("#", 1)[0] if "#" in raw else raw for raw in lines]
+    tidy = str.strip if text.isascii() else lambda raw: " ".join(raw.split())
+    rows = list(filter(None, map(tidy, lines)))
+    del lines
+    rows.append("")
+    joined = "\n".join(rows)
+    del rows  # so that the row strings and the bytes never coexist
+    return joined.encode("ascii")
 
 
 def _parse_bytes(data: bytes):
-    """Node and triangle arrays of a plain ASCII file that starts with
-    its ``nodes`` header, one ``np.loadtxt`` over each block of rows; raises
+    """Node and triangle arrays of an ASCII file that starts with its
+    ``nodes`` header, one ``np.loadtxt`` over each block of rows; raises
     ``ValueError`` for any other file.
 
     No coordinate that ``np.loadtxt`` reads contains ``triangles``, so in
-    a file the line parser accepts the first line that does is the
-    triangle header.  ``np.loadtxt`` skips blank lines in a block as the
-    line parser does.  A block must start with a row, so that it is never
-    empty: ``np.loadtxt`` warns on that.  Triangle rows are read as int32;
-    an index past it raises, and the line parser then reports it as out of
-    range.
+    a well-formed file the first line after the header that does is the
+    triangle header.  ``np.loadtxt`` skips blank lines inside a block.  A
+    block must start with a row, or be empty and have count 0: it is never
+    handed to ``np.loadtxt`` without rows, on which that warns.  Triangle
+    rows are read as int32; an index past it raises, and the re-scan then
+    reports it as out of range.
     """
     rows = data.index(b"\n") + 1
     num_nodes = _header(data[:rows].decode().split(), "nodes", "node")
@@ -800,8 +809,10 @@ def _parse_bytes(data: bytes):
     tri_rows = data.index(b"\n", head) + 1
     num_tris = _header(data[head:tri_rows].decode().split(),
                        "triangles", "triangle")
-    for start, stop in ((rows, head), (tri_rows, len(data))):
-        if start == stop or chr(data[start]).isspace():
+    for start, stop, count in ((rows, head, num_nodes),
+                               (tri_rows, len(data), num_tris)):
+        if ((start == stop) != (count == 0)
+                or data[start:start + 1].decode().isspace()):
             raise ValueError("block does not start with a row")
     lines = io.BytesIO(data)  # shares the buffer of data
     lines.seek(rows)
@@ -809,35 +820,19 @@ def _parse_bytes(data: bytes):
                          float, 2, num_nodes)
     lines.seek(tri_rows)
     tris = _plain_block(lines, np.int32, 3, num_tris)
-    if tris.min() < 0 or tris.max() >= num_nodes:
+    if tris.size and (tris.min() < 0 or tris.max() >= num_nodes):
         raise ValueError("node index out of range")
     return nodes, tris
 
 
 def _plain_block(lines, dtype, width: int, count: int) -> np.ndarray:
     """The byte lines ``lines`` as ``count`` rows of ``width`` numbers."""
+    if not count:
+        return np.empty((0, width), dtype=dtype)
     block = np.loadtxt(lines, dtype=dtype, comments=None, ndmin=2)
     if block.shape != (count, width):
         raise ValueError(f"expected {count} rows of {width} fields")
     return block
-
-
-def _parse_lines(text: str):
-    """:func:`_parse_blocks` for any file, from one string per line."""
-    lines = text.splitlines()
-    if "#" in text:
-        lines = [raw.split("#", 1)[0] for raw in lines]
-    rows = [body for body in lines if body and not body.isspace()]
-    num_nodes = _count(rows[0].split(), "nodes", "node", len(rows) - 1)
-    num_tris = _count(rows[num_nodes + 1].split(), "triangles", "triangle",
-                      len(rows) - num_nodes - 2)
-    if len(rows) != num_nodes + num_tris + 2:
-        raise ValueError("trailing content")
-    nodes = _block(rows[1:num_nodes + 1], float, 2)
-    tris = _block(rows[num_nodes + 2:], np.int64, 3)
-    if tris.size and (tris.min() < 0 or tris.max() >= num_nodes):
-        raise ValueError("node index out of range")
-    return nodes, tris
 
 
 def _raise_first_error(text: str) -> NoReturn:
@@ -866,9 +861,13 @@ def _raise_first_error(text: str) -> NoReturn:
     def header(name, what):
         ln, fields = take("header")
         try:
-            return _count(fields, name, what, len(tokens) - pos)
+            count = _header(fields, name, what)
         except ValueError as exc:
             raise MeshError(f"line {ln}: {exc}") from None
+        if count > len(tokens) - pos:
+            raise MeshError(f"line {ln}: {what} count {count} exceeds the "
+                            f"{len(tokens) - pos} data lines that follow")
+        return count
 
     def numbers(ln, fields, kind, message):
         if not all(f.isascii() and "_" not in f for f in fields):

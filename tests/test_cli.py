@@ -5,11 +5,14 @@ import signal
 import subprocess
 import sys
 import time
+import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 
+import wgcutoff.mesh as mesh_module
 from wgcutoff.cli import CONFIG_SCHEMA, main
 from wgcutoff.eigensolve import SolveOptions
 from conftest import CORRIDOR_VERTICES
@@ -62,10 +65,14 @@ class TestMediumCheck:
 class TestMeshCommands:
     def test_gen_writes_importable_mesh(self, tmp_path, capsys):
         config = write_config(tmp_path)
-        assert main(["mesh", "gen", "--config", config,
-                     "--out", str(tmp_path)]) == 0
-        from wgcutoff import import_mesh
-        mesh = import_mesh((tmp_path / "mesh.txt").read_text())
+        # chunks of 7 rows: the file is written in several pieces
+        with mock.patch.object(mesh_module, "_CHUNK", 7):
+            assert main(["mesh", "gen", "--config", config,
+                         "--out", str(tmp_path)]) == 0
+        from wgcutoff import export_mesh, generate_rectangle, import_mesh
+        text = (tmp_path / "mesh.txt").read_bytes().decode()
+        assert text == export_mesh(generate_rectangle(1.2e-3, 1.0e-3, 6, 5))
+        mesh = import_mesh(text)
         assert mesh.num_nodes == 7 * 6
         stats = json.loads(capsys.readouterr().out)
         assert stats["boundary_components"] == 1
@@ -104,6 +111,16 @@ class TestMeshCommands:
         assert len(err) == 1 and err[0].startswith("error: ")
         assert "Euler deficit 2 " in err[0]
         assert not (out / "cutoffs.csv").exists()
+
+    def test_subnormal_polygon_h_exits_one(self, tmp_path, capsys):
+        config = write_config(tmp_path, geometry={
+            "kind": "polygon", "h": 5e-324, "vertices": CORRIDOR_VERTICES})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["mesh", "info", "--config", config]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "error: mesh has inf grid nodes, more than the int32 index limit "
+            "2147483647"]
 
     @pytest.mark.parametrize("header", ["nodes -1", "nodes 10000000000000"])
     def test_bad_node_count_exits_one(self, tmp_path, capsys, header):

@@ -343,6 +343,18 @@ class TestGenerateRectilinearPolygon:
         with pytest.raises(MeshError, match="h_target"):
             generate_rectilinear_polygon([(0, 0), (1, 0), (1, 1), (0, 1)], h)
 
+    @pytest.mark.parametrize("h, limit, grid", [(5e-324, 2**31 - 1, "inf"),
+                                                 (1 / 3, 15, "16")])
+    def test_grid_past_the_index_limit_rejected(self, h, limit, grid):
+        """A subnormal ``h_target`` makes the cell count infinite; the 3 x 3
+        grid of the unit square has 16 nodes."""
+        with mock.patch.object(mesh_module, "_INDEX_LIMIT", limit):
+            with pytest.raises(MeshError) as info:
+                generate_rectilinear_polygon([(0, 0), (1, 0), (1, 1), (0, 1)],
+                                             h)
+        assert str(info.value) == (f"mesh has {grid} grid nodes, more than "
+                                   f"the int32 index limit {limit}")
+
     def test_rejects_self_intersection(self):
         verts = [(0, 0), (3, 0), (3, 2), (1, 2), (1, -1), (0, -1)]
         with pytest.raises(MeshError, match="intersect"):
@@ -753,6 +765,11 @@ IMPORT_CASES = {
     SQUARE.replace("0 1 2\n", "0 1\x0b2\n"): "line 7: expected 'i j k'",
     SQUARE.replace("0 1\n", "0\xa01\n"): None,
     SQUARE.replace("1 1\n", "+1 1.\n").replace("0 0\n", "-0 -0.0\n"): None,
+    # indented first rows of both blocks in a file that is not plain
+    SQUARE.replace("\n", "\r\n").replace("\n0 0", "\n  0 0")
+    .replace("\n0 1 2", "\n\t0 1 2"): None,
+    "# empty\nnodes 0\ntriangles 0\n": None,
+    SQUARE.replace("1 1\n", "1\xa01 # x\n"): None,
     SQUARE + "7 8 9\n": "line 9: trailing content",
     SQUARE + "end\n": "line 9: trailing content",
     SQUARE.replace("1 0\n", "1 0 5\n"): "line 3: expected 'x y'",
@@ -812,6 +829,7 @@ class TestImportParity:
         if expected is None:
             nodes, tris = got
             ref_nodes, ref_tris = reference_parse(text)
+            assert nodes.shape == ref_nodes.shape
             assert nodes.tobytes() == ref_nodes.tobytes()
             assert np.array_equal(tris, ref_tris)
         else:
@@ -839,7 +857,7 @@ PLAIN_CASES = [
 
 
 class TestBytePath:
-    """The byte parser against the line parser, which has the final say."""
+    """The byte parser against the token-by-token reader and the re-scan."""
 
     @staticmethod
     def byte_parse(text):
@@ -849,7 +867,7 @@ class TestBytePath:
         except ValueError:
             return None
 
-    def test_accepted_files_parse_as_line_by_line(self):
+    def test_accepted_files_parse_as_token_by_token(self):
         texts = [*IMPORT_CASES, *PLAIN_CASES]
         for token in ODD_TOKENS:
             texts += [SQUARE.replace("1 1\n", f"{token} 1\n"),
@@ -864,7 +882,8 @@ class TestBytePath:
                 assert text not in PLAIN_CASES
                 continue
             accepted += 1
-            nodes, tris = mesh_module._parse_lines(text)
+            assert TestImportParity.rescan(text) is None, text
+            nodes, tris = reference_parse(text)
             assert got[0].tobytes() == nodes.tobytes(), text
             assert got[1].dtype == np.int32
             assert np.array_equal(got[1], tris), text
@@ -872,6 +891,7 @@ class TestBytePath:
 
     @pytest.mark.parametrize("text, message", [
         ("nodes 0\ntriangles 0\n", "mesh has no triangles"),
+        ("# empty\r\nnodes 0\r\ntriangles 0\r\n", "mesh has no triangles"),
         ("nodes 3\n\n \ntriangles 1\n0 1 2\n",
          "line 1: node count 3 exceeds the 2 data lines that follow"),
         ("nodes 3\n\x1f\ntriangles 1\n0 1 2\n",
@@ -880,8 +900,8 @@ class TestBytePath:
          "line 5: triangle count 1 exceeds the 0 data lines that follow"),
     ])
     def test_blank_blocks_raise_without_a_warning(self, text, message):
-        """``np.loadtxt`` warns on a block without rows; such a block
-        goes to the line parser instead."""
+        """``np.loadtxt`` warns on a block without rows, so it never
+        reads one."""
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(MeshError) as info:
@@ -895,18 +915,18 @@ class TestBytePath:
         text = export_mesh(mesh)
         commented = "# the same mesh\n" + text.replace("\n", "\r\n")
         meshes = []
-        for source, line_path in ((text, False), (commented, True)):
-            with mock.patch.object(mesh_module, "_parse_lines",
-                                   wraps=mesh_module._parse_lines) as lines:
+        for source, normalised in ((text, False), (commented, True)):
+            with mock.patch.object(mesh_module, "_normalised",
+                                   wraps=mesh_module._normalised) as normalise:
                 meshes.append(import_mesh(source))
-            assert lines.called == line_path
-        bytes_mesh, lines_mesh = meshes
+            assert normalise.called == normalised
+        exported_mesh, commented_mesh = meshes
         for attr in MESH_ARRAYS:
-            a, b = getattr(bytes_mesh, attr), getattr(lines_mesh, attr)
+            a, b = getattr(exported_mesh, attr), getattr(commented_mesh, attr)
             assert (a.dtype, a.shape) == (b.dtype, b.shape), attr
             assert a.tobytes() == b.tobytes(), attr
-        assert bytes_mesh.h == lines_mesh.h
-        assert mesh_digest(bytes_mesh) == mesh_digest(mesh)
+        assert exported_mesh.h == commented_mesh.h
+        assert mesh_digest(exported_mesh) == mesh_digest(mesh)
 
     @pytest.mark.parametrize("text, message", [
         (SQUARE.replace("0 2 3", f"0 {2**31} 3"),
