@@ -23,10 +23,11 @@ Subcommands
 Every command reads ``--config <file.json>`` (schema-validated, unknown keys
 rejected) and writes into ``--out <dir>`` (default: current directory).
 ``num_modes`` is the mode count of every solve, and the optional ``solver``
-object holds the fields of ``SolveOptions``.  The shift (``sigma =
--trace_scale``), the residual gate and the near-zero fraction are fixed,
-so a config that sets ``solver.shift``, ``solver.residual_tol`` or
-``solver.zero_frac`` is rejected as an unknown key.
+object holds ``seed``, ARPACK's start-vector seed.  The shift (``sigma =
+-trace_scale``), the residual gate, the near-zero fraction and the dense
+path's size bound are fixed, so a config that sets ``solver.shift``,
+``solver.residual_tol``, ``solver.zero_frac`` or ``solver.dense_cutoff``
+is rejected as an unknown key.
 Floats are printed with 17 significant digits so outputs are byte-stable.
 
 ``solve``, ``crossval`` and ``fields`` keep every solution they compute in
@@ -191,10 +192,7 @@ CONFIG_SCHEMA = {
         "solver": {
             "type": "object",
             "additionalProperties": False,
-            "properties": {
-                "dense_cutoff": _COUNT,
-                "seed": _COUNT,
-            },
+            "properties": {"seed": _COUNT},
         },
         "crossval": {
             "type": "object",

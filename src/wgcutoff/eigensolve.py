@@ -79,10 +79,10 @@ so SciPy never factors on its own.  Each part of its recipe is needed
   eigenvectors.
 
 Pencils whose matrices are real (scalar TM, any medium with alpha = 0) are
-stored in float64 by :mod:`wgcutoff.femcore`; they are factored in real
-arithmetic and run real symmetric Lanczos (``dsaupd``).  Complex Hermitian
-pencils still run SciPy's complex Arnoldi (``znaupd``).  Eigenvectors are
-returned complex either way.
+assembled in float64; they are factored in real arithmetic and run real
+symmetric Lanczos (``dsaupd``).  Complex Hermitian pencils still run
+SciPy's complex Arnoldi (``znaupd``).  Eigenvectors are returned complex
+either way.
 
 Results are deterministic: the ARPACK start vector is seeded.
 """
@@ -256,11 +256,12 @@ def residual_gate(pencil: HermitianPencil, w, vecs) -> np.ndarray:
     Every pair must pass ``|A x - lambda B x| / ((|A| + |lambda| |B|) |x|)
     <= RESIDUAL_TOL``, and no eigenvalue may be negative beyond rounding at
     the scale of ``w`` and of ``|A| / |B|``.  A gradient left in a vector
-    pair fails: its mass term ``lambda B G y`` has nothing to cancel it.
+    pair fails: its mass term ``lambda B G y`` has nothing to cancel it,
+    and so does a NaN residual (``0 / 0`` where A underflows to zero).
     """
     K, M = pencil.K, pencil.M
     residuals = _residuals(K, M, w, vecs)
-    if (residuals > RESIDUAL_TOL).any():
+    if not (residuals <= RESIDUAL_TOL).all():
         raise EigenSolveError(
             f"eigenpair residual {residuals.max():.3e} exceeds "
             f"{RESIDUAL_TOL:.1e}"

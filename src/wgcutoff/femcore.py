@@ -10,6 +10,11 @@ gradients lie in the edge space).  All integrands are polynomials of degree at m
 constant tensors, so every integral below is closed-form exact
 (``int lam_a lam_b = |T|/12 (1 + delta)``, ``int lam_a = |T|/3``).
 
+A pencil's arithmetic follows from its medium: it is assembled in float64
+where the tensor it integrates has ``alpha = 0``, and in complex128
+otherwise.  Scalar TM always integrates ``eps_t.d`` alone, so its pencil is
+real for every medium (see :func:`assemble_scalar_tm`).
+
 Conventions
 -----------
 * Sesquilinear forms conjugate the *test* function and matrix entry
@@ -149,11 +154,14 @@ def _edge_geometry(mesh: Mesh):
 def _tensor_gram(tensor: TransverseTensor, grads: np.ndarray) -> np.ndarray:
     """``G[t, i, j] = grad_i . (D grad_j)`` for D = [[d, ja], [-ja, d]].
 
-    With real gradients this is ``d * dot(g_i, g_j) + j*a * cross(g_i, g_j)``.
+    With real gradients this is ``d * dot(g_i, g_j) + j*a * cross(g_i, g_j)``:
+    a real array when ``alpha = 0``, complex otherwise.
     """
-    dots = grads @ np.swapaxes(grads, -1, -2)
-    cross = _cross(grads[:, :, None, :], grads[:, None, :, :])
-    return tensor.d * dots + 1j * tensor.alpha * cross
+    gram = tensor.d * (grads @ np.swapaxes(grads, -1, -2))
+    if tensor.alpha == 0:
+        return gram
+    return gram + 1j * tensor.alpha * _cross(grads[:, :, None, :],
+                                             grads[:, None, :, :])
 
 
 # ---------------------------------------------------------------------------
@@ -174,7 +182,8 @@ def _scalar_matrices(mesh: Mesh, tensor: TransverseTensor, coeff: float):
     cols = np.repeat(mesh.triangles[:, None, :], 3, axis=1)
     n = mesh.num_nodes
     stiffness = _assemble(rows, cols, s_vals, (n, n))
-    mass = _assemble(rows, cols, m_vals.astype(complex), (n, n))
+    mass = _assemble(rows, cols, m_vals.astype(gram.dtype, copy=False),
+                     (n, n))
     return stiffness, mass
 
 
@@ -202,37 +211,14 @@ def _vector_matrices(mesh: Mesh, tensor_inv: TransverseTensor, coeff_inv: float)
     e = mesh.num_edges
     erows = np.repeat(mesh.tri_edges[:, :, None], 3, axis=2)
     ecols = np.repeat(mesh.tri_edges[:, None, :], 3, axis=1)
-    curl = _assemble(erows, ecols, a_vals.astype(complex), (e, e))
+    curl = _assemble(erows, ecols, a_vals.astype(gram.dtype, copy=False),
+                     (e, e))
     mass = _assemble(erows, ecols, b_vals, (e, e))
     return curl, mass
 
 
 def _restrict(matrix: sp.csr_matrix, rows: np.ndarray, cols: np.ndarray):
     return matrix[rows][:, cols].tocsr()
-
-
-# Imaginary parts at or below this fraction of the largest entry are rounding
-# noise: scalar TM leaves about 3e-17 where the gyrotropic terms cancel.
-_REAL_RTOL = 1e-14
-
-
-def _is_real(matrix: sp.csr_matrix) -> bool:
-    if not matrix.nnz:
-        return True
-    data = matrix.data
-    return np.abs(data.imag).max() <= _REAL_RTOL * np.abs(data).max()
-
-
-def _pencil(K, M, primal_map, gradient=None) -> HermitianPencil:
-    """Build a pencil, stored in float64 when both matrices are real.
-
-    Scalar TM under Dirichlet conditions and every medium with alpha = 0
-    give real pencils, which the eigensolvers then treat in real
-    arithmetic.
-    """
-    if _is_real(K) and _is_real(M):
-        K, M = K.real.tocsr(), M.real.tocsr()
-    return HermitianPencil(K=K, M=M, primal_map=primal_map, gradient=gradient)
 
 
 def assemble_scalar_te(mesh: Mesh, spec: MediumSpec) -> HermitianPencil:
@@ -243,19 +229,23 @@ def assemble_scalar_te(mesh: Mesh, spec: MediumSpec) -> HermitianPencil:
     nullspace, so the smallest eigenvalue is a spurious zero.
     """
     stiffness, mass = _scalar_matrices(mesh, spec.mu_t, spec.mu_zz)
-    return _pencil(stiffness, mass, _identity_map(mesh.num_nodes))
+    return HermitianPencil(stiffness, mass, _identity_map(mesh.num_nodes))
 
 
 def assemble_scalar_tm(mesh: Mesh, spec: MediumSpec) -> HermitianPencil:
-    """Dirichlet scalar TM pencil over interior nodes only."""
+    """Dirichlet scalar TM pencil over interior nodes only, real for every
+    medium: its stiffness integrates ``eps_t.d`` alone."""
     interior = ~mesh.boundary_node
     if not interior.any():
         raise AssemblyError("no interior nodes: mesh too coarse for the "
                             "Dirichlet formulation")
-    stiffness, mass = _scalar_matrices(mesh, spec.eps_t, spec.eps_zz)
+    # j alpha int(grad phi_j x grad phi_i) is a boundary integral, zero
+    # between two nodes of the Dirichlet space
+    stiffness, mass = _scalar_matrices(
+        mesh, TransverseTensor(spec.eps, 0.0), spec.eps_zz)
     keep = np.flatnonzero(interior)
-    return _pencil(_restrict(stiffness, keep, keep), _restrict(mass, keep, keep),
-                   _subset_map(interior))
+    return HermitianPencil(_restrict(stiffness, keep, keep),
+                           _restrict(mass, keep, keep), _subset_map(interior))
 
 
 def _vector_pencil(mesh, curl, mass, primal_map, keep_nodes):
@@ -264,8 +254,8 @@ def _vector_pencil(mesh, curl, mass, primal_map, keep_nodes):
     ekeep = primal_map.retained
     gradient = _restrict(gradient_incidence(mesh), ekeep,
                          np.flatnonzero(keep_nodes))
-    return _pencil(_restrict(curl, ekeep, ekeep), _restrict(mass, ekeep, ekeep),
-                   primal_map, gradient)
+    return HermitianPencil(_restrict(curl, ekeep, ekeep),
+                           _restrict(mass, ekeep, ekeep), primal_map, gradient)
 
 
 def assemble_vector_te(mesh: Mesh, spec: MediumSpec) -> HermitianPencil:

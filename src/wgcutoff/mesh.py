@@ -166,18 +166,25 @@ _CHUNK = 1 << 16
 
 
 def _check_areas(nodes: np.ndarray, triangles: np.ndarray) -> float:
-    """Reject the first triangle whose signed area is at or below
+    """Reject the first triangle whose signed area or longest side squared
+    overflows, then the first whose signed area is at or below
     ``AREA_RTOL`` times its longest side squared; return the longest side
     of all, which is the longest edge ``h``."""
     longest_sq = 0.0
     for s in range(0, len(triangles), _CHUNK):
         tris = triangles[s:s + _CHUNK]
-        areas = signed_areas(nodes, tris)
         x, y = nodes[:, 0].take(tris), nodes[:, 1].take(tris)
         longest = np.zeros(tris.shape[0])
-        for a, b in ((0, 1), (1, 2), (2, 0)):
-            dx, dy = x[:, b] - x[:, a], y[:, b] - y[:, a]
-            np.maximum(longest, dx * dx + dy * dy, out=longest)
+        # sides past about 1e154 m overflow, and inf - inf is NaN
+        with np.errstate(over="ignore", invalid="ignore"):
+            areas = signed_areas(nodes, tris)
+            for a, b in ((0, 1), (1, 2), (2, 0)):
+                dx, dy = x[:, b] - x[:, a], y[:, b] - y[:, a]
+                np.maximum(longest, dx * dx + dy * dy, out=longest)
+        huge = np.flatnonzero(~(np.isfinite(areas) & np.isfinite(longest)))
+        if huge.size:
+            raise MeshError(f"triangle {s + huge[0]} is too large: its area "
+                            "or squared side overflows float64")
         bad = np.flatnonzero(areas <= AREA_RTOL * longest)
         if bad.size:
             raise MeshError(
@@ -532,10 +539,11 @@ def generate_rectilinear_polygon(vertices, h_target: float) -> Mesh:
 
     xmin, ymin = coords.min(axis=0)
     xmax, ymax = coords.max(axis=0)
-    # float cell counts, infinite where a subnormal h_target overflows them
+    # float cell counts and grid size, infinite where they overflow
     with np.errstate(over="ignore"):
         cells = np.maximum(np.ceil(np.ptp(coords, axis=0) / h_target - 1e-12), 1)
-    _check_index_limit(np.prod(cells + 1), "grid nodes")
+        grid_nodes = np.prod(cells + 1)
+    _check_index_limit(grid_nodes, "grid nodes")
     nx, ny = cells.astype(int)
     hx = (xmax - xmin) / nx
     hy = (ymax - ymin) / ny

@@ -67,16 +67,15 @@ class FieldFrame:
 
 @dataclass(frozen=True)
 class ModeSolution:
-    """Sorted cut-offs plus eigenvectors for one formulation on one mesh.
+    """Sorted eigenvalues plus eigenvectors for one formulation on one mesh.
 
-    ``cutoffs`` holds ``k_t = +sqrt(lambda)`` ascending; for vector
-    formulations the first ``tem_count`` entries are the near-zero (TEM)
-    modes.  ``dof_vectors`` columns align with ``cutoffs`` and live on the
-    formulation's retained dofs (see ``pencil.primal_map``).
+    ``eigenvalues`` ascend; for vector formulations the first ``tem_count``
+    entries are the near-zero (TEM) modes.  ``dof_vectors`` columns align
+    with them and live on the formulation's retained dofs (see
+    ``pencil.primal_map``).
     """
 
     formulation: Formulation
-    cutoffs: np.ndarray
     eigenvalues: np.ndarray
     tem_count: int
     dof_vectors: np.ndarray
@@ -84,6 +83,11 @@ class ModeSolution:
     mesh: Mesh
     medium: MediumSpec
     pencil: femcore.HermitianPencil
+
+    @cached_property
+    def cutoffs(self) -> np.ndarray:
+        """``k_t = +sqrt(lambda)``, a negative rounding residue read as 0."""
+        return np.sqrt(np.clip(self.eigenvalues, 0.0, None))
 
     @property
     def nonzero_cutoffs(self) -> np.ndarray:
@@ -184,10 +188,6 @@ def _require_independent(spec: MediumSpec) -> None:
         )
 
 
-def _cutoffs(eigenvalues: np.ndarray) -> np.ndarray:
-    return np.sqrt(np.clip(eigenvalues, 0.0, None))
-
-
 def _solve_formulation(mesh: Mesh, spec: MediumSpec, q: int,
                        formulation: Formulation,
                        options: SolveOptions | None) -> ModeSolution:
@@ -205,12 +205,7 @@ def _solve_formulation(mesh: Mesh, spec: MediumSpec, q: int,
     pencil = _ASSEMBLERS[formulation](mesh, spec)
     spectrum = eigensolve.solve(pencil, q + reserve, options)
 
-    if formulation is Formulation.SCALAR_TM:
-        zero_idx = np.array([], dtype=int)
-        nonzero_idx = np.arange(spectrum.eigenvalues.size)
-    else:
-        zero_idx, nonzero_idx = classify_near_zero(spectrum)
-
+    zero_idx, nonzero_idx = classify_near_zero(spectrum)
     nonzero_idx = nonzero_idx[:q]
     if formulation.is_vector:
         keep = np.concatenate([zero_idx, nonzero_idx])
@@ -223,7 +218,6 @@ def _solve_formulation(mesh: Mesh, spec: MediumSpec, q: int,
     vectors = spectrum.eigenvectors[:, keep]
     return ModeSolution(
         formulation=formulation,
-        cutoffs=_cutoffs(eigenvalues),
         eigenvalues=eigenvalues,
         tem_count=tem_count,
         dof_vectors=vectors * _phase(vectors),
@@ -292,7 +286,6 @@ def restore(formulation: Formulation, mesh: Mesh, spec: MediumSpec, q: int,
     residuals = eigensolve.residual_gate(pencil, eigenvalues, dof_vectors)
     return ModeSolution(
         formulation=formulation,
-        cutoffs=_cutoffs(eigenvalues),
         eigenvalues=eigenvalues,
         tem_count=tem_count,
         dof_vectors=dof_vectors,
@@ -319,7 +312,10 @@ def _apply_tensor(t: TransverseTensor, v: np.ndarray) -> np.ndarray:
 
 
 def _phase_constant(spec, omega, kt) -> complex:
-    k = bulk_wavenumber(spec, omega)
+    k = float(bulk_wavenumber(spec, omega))  # k * k overflows to inf quietly
+    if k * k == np.inf:
+        raise ValueError(f"omega {omega:.6e} rad/s is too large: the bulk "
+                         "wavenumber squared overflows float64")
     if k >= kt:
         return complex(np.sqrt(k * k - kt * kt))
     return -1j * np.sqrt(kt * kt - k * k)  # decay toward +z below cut-off

@@ -1,9 +1,13 @@
+import contextlib
 import dataclasses
+import io
 import json
+import math
 import os
 import signal
 import subprocess
 import sys
+import tempfile
 import time
 import warnings
 from pathlib import Path
@@ -11,10 +15,14 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import wgcutoff.mesh as mesh_module
+from wgcutoff import cli
 from wgcutoff.cli import CONFIG_SCHEMA, main
 from wgcutoff.eigensolve import SolveOptions
+from wgcutoff.modes import Formulation
 from conftest import CORRIDOR_VERTICES
 
 GYRO = {"eps": {"d": 2, "alpha": -1, "zz": 1},
@@ -265,11 +273,9 @@ class TestSolve:
         assert err == "error: Unable to allocate 7.28 TiB\n"
 
     @pytest.mark.parametrize("solver, key", [
-        ({"dense_cutoff": -1}, "dense_cutoff"),
-        ({"dense_cutoff": 2.5}, "dense_cutoff"),
         # a negative seed once reached ARPACK's start vector and failed
         # there without naming the key
-        ({"dense_cutoff": 0, "seed": -1}, "seed"),
+        ({"seed": -1}, "seed"),
         ({"seed": "1357"}, "seed"),
     ])
     def test_out_of_range_solver_option_exits_one(self, tmp_path, capsys,
@@ -282,11 +288,13 @@ class TestSolve:
         assert key in err
         assert not (tmp_path / "cutoffs.csv").exists()
 
-    @pytest.mark.parametrize("key", ["shift", "residual_tol", "zero_frac"])
+    @pytest.mark.parametrize("key", ["shift", "residual_tol", "zero_frac",
+                                     "dense_cutoff"])
     def test_removed_key_rejected(self, tmp_path, capsys, key):
-        # the shift is -trace_scale for every pencil, and the residual gate
-        # and the near-zero fraction are constants; a config that still
-        # sets one is an error, not silently ignored
+        # the shift is -trace_scale for every pencil, and the residual gate,
+        # the near-zero fraction and the dense path's size bound are not
+        # set from a config; a config that still sets one is an error, not
+        # silently ignored
         config = write_config(tmp_path, solver={key: 1e-3})
         assert main(["solve", "--config", config,
                      "--out", str(tmp_path)]) == 1
@@ -298,7 +306,7 @@ class TestSolve:
     def test_solver_schema_matches_solve_options(self):
         schema = set(CONFIG_SCHEMA["properties"]["solver"]["properties"])
         fields = {f.name for f in dataclasses.fields(SolveOptions)}
-        assert schema == fields
+        assert schema == {"seed"} and schema <= fields
 
 
 class TestCrossval:
@@ -430,6 +438,21 @@ class TestFields:
         assert not list(tmp_path.glob("*.vtk"))
         # rejected before anything is solved or stored
         assert not list(tmp_path.glob("solutions/*.npz"))
+
+    @pytest.mark.parametrize("omega", [1e300, 1.7e308])
+    def test_omega_past_the_float_range_exits_one(self, tmp_path, capsys,
+                                                  omega):
+        # the fields stay finite, but k^2 in k_z = sqrt(k^2 - k_t^2) does not
+        config = write_config(tmp_path, formulations=["scalar_te"],
+                              omega=omega)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["fields", "--config", config,
+                         "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: omega {omega:.6e} rad/s is too large: the bulk "
+            "wavenumber squared overflows float64\n")
+        assert not list(tmp_path.glob("*.vtk"))
 
 
 COAX = {"kind": "annulus", "r1": 1e-3, "r2": 2e-3, "nr": 2, "ntheta": 12}
@@ -781,3 +804,154 @@ class TestWorkers:
                               env=dict(os.environ, PYTHONPATH=str(src)),
                               capture_output=True, text=True)
         assert done.stdout == "[]\n"
+
+
+# ---------------------------------------------------------------------------
+# fuzzing: every failure of every command is one `error:` line
+
+#: Edges of the float range that a config may hold; JSON as Python writes
+#: and reads it carries the infinities and NaN too.
+_EDGES = (0.0, -1e-3, 5e-324, 1e-300, 1e300, 1.7e308, -1.7e308,
+          float("inf"), float("nan"))
+_L_SHAPE = ((0, 0), (3, 0), (3, 1), (1, 1), (1, 3), (0, 3))
+_FUZZ_COMMANDS = (["medium", "check"], ["mesh", "info"], ["solve"],
+                  ["crossval"], ["fields"])
+
+
+@st.composite
+def _number(draw, ordinary):
+    """Mostly a draw of ``ordinary``, one in eight an edge of the float
+    range."""
+    if draw(st.integers(0, 7)) < 7:
+        return draw(ordinary)
+    return draw(st.sampled_from(_EDGES))
+
+
+@st.composite
+def _count(draw, low, high):
+    """Mostly a count in ``[low, high]``, one in eight one below it."""
+    if draw(st.integers(0, 7)) < 7:
+        return draw(st.integers(low, max(high, low)))
+    return draw(st.integers(0, low - 1))
+
+
+@st.composite
+def _medium(draw):
+    """The reference medium, or (one in four) drawn numbers."""
+    if draw(st.integers(0, 3)) < 3:
+        return GYRO
+    value = _number(st.floats(-2.0, 4.0))
+    return {name: {key: draw(value) for key in ("d", "alpha", "zz")}
+            for name in ("eps", "mu")}
+
+
+@st.composite
+def _mesh_text(draw, nodes):
+    """Mesh-file text: an exported rectangle, perhaps with a wrong node
+    count, a comment or CR line ends; or rows of drawn numbers."""
+    if not draw(st.booleans()):
+        nx = draw(st.integers(1, max(nodes // 2 - 1, 1)))
+        mesh = mesh_module.generate_rectangle(
+            1.2e-3, 1e-3, nx, max(nodes // (nx + 1) - 1, 1))
+        text = mesh_module.export_mesh(mesh)
+        if draw(st.booleans()):
+            count = draw(st.integers(-1, 2 * mesh.num_nodes))
+            text = f"nodes {count}\n" + text.split("\n", 1)[1]
+        if draw(st.booleans()):
+            end = draw(st.sampled_from(["\r\n", "\r"]))
+            text = "# drawn\n" + text.replace("\n", end)
+        return text
+    count = draw(st.integers(0, nodes))
+    coordinate = _number(st.floats(0.0, 1e-3))
+    rows = [f"{draw(coordinate)!r} {draw(coordinate)!r}" for _ in range(count)]
+    index = st.integers(-1, count)
+    triangles = [" ".join(str(draw(index)) for _ in range(3))
+                 for _ in range(draw(st.integers(0, 2 * count)))]
+    return "\n".join([f"nodes {count}", *rows,
+                      f"triangles {len(triangles)}", *triangles]) + "\n"
+
+
+@st.composite
+def _geometry(draw, nodes, directory):
+    """A geometry of at most about ``nodes`` nodes, or one that the
+    generators or the import reject before they build anything larger."""
+    kind = draw(st.sampled_from(["rectangle", "annulus", "polygon", "file"]))
+    length = _number(st.floats(1e-4, 1e-2))
+    size = draw(length)
+    if kind == "rectangle":
+        nx = draw(_count(1, nodes // 2))
+        return {"kind": kind, "a": size, "b": draw(length), "nx": nx,
+                "ny": draw(_count(1, nodes // (nx + 1) - 1))}
+    if kind == "annulus":
+        ntheta = draw(_count(3, nodes // 2))
+        return {"kind": kind, "r1": draw(_number(st.floats(0.0, 1e-3))),
+                "r2": size, "ntheta": ntheta,
+                "nr": draw(_count(1, nodes // max(ntheta, 1) - 1))}
+    if kind == "polygon":
+        # outline coordinates of 0 to 3 units, cells of 1 / k units
+        if draw(st.integers(0, 3)) < 3:
+            outline = _L_SHAPE
+        else:
+            outline = draw(st.lists(st.tuples(st.integers(0, 3),
+                                              st.integers(0, 3)),
+                                    min_size=4, max_size=8))
+        k = draw(st.integers(1, max(math.isqrt(nodes) // 3, 1)))
+        return {"kind": kind, "h": draw(_number(st.just(size / k))),
+                "vertices": [[x * size, y * size] for x, y in outline]}
+    path = directory / "mesh.txt"
+    path.write_text(draw(_mesh_text(nodes)), encoding="utf-8")
+    return {"kind": kind, "path": str(path)}
+
+
+@st.composite
+def _config(draw, directory):
+    """A config within the schema whose meshes hold at most about 120
+    nodes: the node budget is drawn first, and every count within it."""
+    budget = draw(st.integers(16, 120))
+    refinements = draw(st.integers(0, 2))
+    config = {
+        "medium": draw(_medium()),
+        "geometry": draw(_geometry(max(budget // 4**refinements, 4),
+                                   directory)),
+        "refinements": refinements,
+        "num_modes": draw(st.integers(1, 12)),
+        "omega": draw(_number(st.floats(1e9, 1e12))),
+    }
+    if draw(st.booleans()):
+        config["formulations"] = draw(st.lists(
+            st.sampled_from([f.value for f in Formulation]),
+            min_size=1, max_size=4))
+    if draw(st.booleans()):
+        config["solver"] = {"seed": draw(st.integers(0, 2**64))}
+    if draw(st.booleans()):
+        config["crossval"] = {"rtol": draw(_number(st.floats(1e-6, 1.0))),
+                              "count": draw(st.integers(1, 12))}
+    return config
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+def test_fuzzed_configs_fail_with_one_error_line(data):
+    command = data.draw(st.sampled_from(_FUZZ_COMMANDS))
+    out, err = io.StringIO(), io.StringIO()
+    # one worker, so that no example forks
+    with (tempfile.TemporaryDirectory() as directory,
+          warnings.catch_warnings(record=True) as caught,
+          mock.patch.object(cli, "_worker_count", return_value=1),
+          contextlib.redirect_stdout(out), contextlib.redirect_stderr(err)):
+        warnings.simplefilter("always")
+        directory = Path(directory)
+        path = directory / "config.json"
+        path.write_text(json.dumps(data.draw(_config(directory))),
+                        encoding="utf-8")
+        code = main(command + ["--config", str(path),
+                               "--out", str(directory / "out")])
+    assert code in (0, 1, 2)
+    # a warning prints lines of its own on the command line
+    assert [str(warning.message) for warning in caught] == []
+    lines = err.getvalue().splitlines()
+    if code == 1:
+        assert len(lines) == 1 and lines[0].startswith("error: "), lines
+    else:
+        assert lines == []

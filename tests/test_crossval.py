@@ -26,8 +26,8 @@ from wgcutoff.modes import Formulation, ModeSolution
 def stub_solution(formulation, cutoffs, tem_count, mesh, medium):
     cutoffs = np.asarray(cutoffs, dtype=float)
     return ModeSolution(
-        formulation=formulation, cutoffs=cutoffs,
-        eigenvalues=cutoffs**2, tem_count=tem_count,
+        formulation=formulation, eigenvalues=cutoffs**2,
+        tem_count=tem_count,
         dof_vectors=np.zeros((1, cutoffs.size), dtype=complex),
         residuals=np.zeros(cutoffs.size),
         mesh=mesh, medium=medium, pencil=None,

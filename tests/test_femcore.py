@@ -13,7 +13,9 @@ from wgcutoff import (
     assemble_vector_te,
     assemble_vector_tm,
     build_topology,
+    generate_annulus,
     generate_rectangle,
+    refine_uniform,
 )
 from wgcutoff.femcore import (
     AssemblyError,
@@ -277,6 +279,51 @@ class TestAssemblyInvariance:
         wa = solve(assemble_vector_tm(mesh, gyro_medium), 3).eigenvalues
         wb = solve(assemble_vector_tm(renumbered, gyro_medium), 3).eigenvalues
         assert np.allclose(wa, wb, rtol=1e-9, atol=1e-6 * max(abs(wa).max(), 1))
+
+
+ASSEMBLERS = {"scalar_te": assemble_scalar_te, "scalar_tm": assemble_scalar_tm,
+              "vector_te": assemble_vector_te, "vector_tm": assemble_vector_tm}
+ARITHMETIC_MEDIA = {
+    "gyro": MediumSpec(TransverseTensor(2.0, -1.0), 1.0,
+                       TransverseTensor(1.0, 0.5), 2.0),
+    "alpha=0": MediumSpec(TransverseTensor(2.0, 0.0), 1.0,
+                          TransverseTensor(1.0, 0.0), 2.0),
+    "isotropic": MediumSpec.isotropic(),
+}
+
+
+class TestPencilArithmetic:
+    """A pencil is real exactly where its medium makes it real."""
+
+    @pytest.mark.parametrize("medium", ARITHMETIC_MEDIA)
+    @pytest.mark.parametrize("route", ASSEMBLERS)
+    def test_dtype_per_route_and_medium(self, small_rect_mesh, route, medium):
+        pencil = ASSEMBLERS[route](small_rect_mesh, ARITHMETIC_MEDIA[medium])
+        real = medium != "gyro" or route == "scalar_tm"
+        expected = np.float64 if real else np.complex128
+        assert pencil.K.dtype == pencil.M.dtype == expected
+
+    @pytest.mark.parametrize("mesh", [
+        lambda: generate_rectangle(1.2e-3, 1.0e-3, 24, 20),
+        lambda: generate_annulus(1e-3, 2e-3, 4, 48),
+        lambda: refine_uniform(generate_annulus(0.0, 1e-3, 4, 24)),
+    ], ids=["rectangle", "coax", "disc"])
+    def test_gyrotropic_tm_term_is_rounding(self, mesh, gyro_medium):
+        # with the full eps_t, the interior block of the scalar TM
+        # stiffness holds only rounding in its imaginary part, and its real
+        # part is the real pencil's K
+        mesh = mesh()
+        stiffness, _ = _scalar_matrices(mesh, gyro_medium.eps_t,
+                                        gyro_medium.eps_zz)
+        keep = np.flatnonzero(~mesh.boundary_node)
+        full = stiffness[keep][:, keep].tocsr()
+        assert stiffness.dtype == np.complex128
+        assert (np.abs(full.data.imag).max()
+                <= 1e-14 * np.abs(full.data).max())
+        K = assemble_scalar_tm(mesh, gyro_medium).K
+        for got, want in ((K.data, full.data.real), (K.indices, full.indices),
+                          (K.indptr, full.indptr)):
+            assert got.tobytes() == np.ascontiguousarray(want).tobytes()
 
 
 @given(st.integers(0, 10_000))

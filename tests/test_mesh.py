@@ -56,6 +56,19 @@ class TestBuildTopology:
         with pytest.raises(MeshError, match="degenerate|clockwise"):
             build_topology([(0, 0), (1, 0), (0, 1)], [(0, 2, 1)])
 
+    @pytest.mark.parametrize("nodes", [
+        [(0, 0), (1e300, 0), (0, 1e300)],       # the area overflows
+        [(0, 0), (1e300, 0), (1e300, 1e-3)],    # the longest side squared
+        [(0, 0), (1e300, 1e300), (1e300, 2e300)],   # inf - inf is NaN
+    ])
+    def test_overflowing_triangle_rejected_without_a_warning(self, nodes):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(MeshError) as info:
+                build_topology(nodes, [(0, 1, 2)])
+        assert str(info.value) == ("triangle 0 is too large: its area or "
+                                   "squared side overflows float64")
+
     @pytest.mark.parametrize("chunk", [2, 1 << 16])
     def test_first_bad_triangle_named_across_chunks(self, chunk):
         m = generate_rectangle(1.0, 1.0, 3, 3)
@@ -344,11 +357,15 @@ class TestGenerateRectilinearPolygon:
             generate_rectilinear_polygon([(0, 0), (1, 0), (1, 1), (0, 1)], h)
 
     @pytest.mark.parametrize("h, limit, grid", [(5e-324, 2**31 - 1, "inf"),
+                                                 (1e-300, 2**31 - 1, "inf"),
                                                  (1 / 3, 15, "16")])
     def test_grid_past_the_index_limit_rejected(self, h, limit, grid):
-        """A subnormal ``h_target`` makes the cell count infinite; the 3 x 3
-        grid of the unit square has 16 nodes."""
-        with mock.patch.object(mesh_module, "_INDEX_LIMIT", limit):
+        """A subnormal ``h_target`` makes the cell count infinite, and 1e-300
+        the grid's node count; the 3 x 3 grid of the unit square has 16
+        nodes."""
+        with (mock.patch.object(mesh_module, "_INDEX_LIMIT", limit),
+              warnings.catch_warnings()):
+            warnings.simplefilter("error")
             with pytest.raises(MeshError) as info:
                 generate_rectilinear_polygon([(0, 0), (1, 0), (1, 1), (0, 1)],
                                              h)

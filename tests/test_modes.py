@@ -118,7 +118,7 @@ def synthetic_scalar_tm(mesh, medium, nodal_values, kt):
     column = np.asarray(nodal_values, dtype=complex)[:, None]
     return ModeSolution(
         formulation=Formulation.SCALAR_TM,
-        cutoffs=np.array([kt]), eigenvalues=np.array([kt**2]),
+        eigenvalues=np.array([kt**2]),
         tem_count=0, dof_vectors=column, residuals=np.zeros(1),
         mesh=mesh, medium=medium, pencil=pencil,
     )
@@ -225,8 +225,9 @@ def synthetic_vector(mesh, medium, edge_values, kt, formulation):
     column = np.asarray(edge_values, dtype=complex)[:, None]
     return ModeSolution(
         formulation=formulation,
-        cutoffs=np.array([kt]), eigenvalues=np.array([kt**2]),
-        tem_count=0, dof_vectors=column, residuals=np.zeros(1), mesh=mesh, medium=medium, pencil=pencil,
+        eigenvalues=np.array([kt**2]),
+        tem_count=0, dof_vectors=column, residuals=np.zeros(1),
+        mesh=mesh, medium=medium, pencil=pencil,
     )
 
 
@@ -409,6 +410,15 @@ class TestRestore:
             restore(formulation, coax_mesh, gyro_medium, 3,
                     solution.eigenvalues * 1.01, solution.tem_count,
                     solution.dof_vectors)
+
+    def test_nan_eigenvalue_fails_the_gate(self, solutions, coax_mesh,
+                                           gyro_medium):
+        solution = solutions[Formulation.SCALAR_TM]
+        eigenvalues = solution.eigenvalues.copy()
+        eigenvalues[0] = np.nan
+        with pytest.raises(EigenSolveError, match="residual nan"):
+            restore(Formulation.SCALAR_TM, coax_mesh, gyro_medium, 3,
+                    eigenvalues, solution.tem_count, solution.dof_vectors)
 
     def test_arrays_of_another_mesh_rejected(self, solutions, rect_mesh,
                                              gyro_medium):

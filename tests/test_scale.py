@@ -11,6 +11,7 @@ import pytest
 from wgcutoff import SolveOptions, generate_annulus, generate_rectangle
 from wgcutoff.cli import main
 from wgcutoff.crossval import compare_spectra
+from wgcutoff.eigensolve import EigenSolveError
 from wgcutoff.modes import (
     SOLVERS,
     Formulation,
@@ -93,8 +94,20 @@ def test_coax_keeps_one_tem_mode(gyro_medium, path):
     check_scaling(solutions, tem_count=1)
 
 
+@pytest.mark.filterwarnings("ignore:invalid value encountered in divide")
+@pytest.mark.parametrize("formulation", [f for f in SOLVERS if f.is_vector])
+def test_underflowed_curl_fails_the_gate(gyro_medium, formulation):
+    # at L = 1e100 the products of two edge curls, of order L^-4, underflow
+    # to zero before the area scales them: the curl-curl matrix is zero,
+    # the residuals are 0 / 0, and its zero cut-offs must not pass
+    mesh = generate_rectangle(1.2e100, 1e100, 6, 5)
+    with pytest.raises(EigenSolveError, match="residual nan"):
+        SOLVERS[formulation](mesh, gyro_medium, 3)
+
+
 def test_cli_rung_writes_the_library_values(gyro_medium, tmp_path, capsys):
-    # the nanometre rung of the shift-invert rectangle, through `solve`
+    # the nanometre rung of the shift-invert rectangle, through `solve`;
+    # its pencils (p = 437 to 1,484) take shift-invert by default
     length = 1e-9
     config = {
         "medium": {"eps": {"d": 2, "alpha": -1, "zz": 1},
@@ -102,7 +115,6 @@ def test_cli_rung_writes_the_library_values(gyro_medium, tmp_path, capsys):
         "geometry": {"kind": "rectangle", "a": 1.2 * length, "b": length,
                      "nx": 24, "ny": 20},
         "num_modes": 3,
-        "solver": {"dense_cutoff": 0},
     }
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config), encoding="utf-8")
