@@ -1,4 +1,4 @@
-"""Forced shift-invert solves at length scales from 1e-12 to 1e12 m.
+"""Forced shift-invert solves at length scales from 1e-150 to 1e150 m.
 
 Every route solves 1, 4 and 8 modes at ARPACK seeds 1 and 2 on three
 meshes of side L: the 24 x 20 rectangle, the 4 x 48 coax and the disc
@@ -30,7 +30,8 @@ from wgcutoff.modes import (
 )
 
 REFERENCE = 1e-3
-SCALES = (1e-12, 1e-9, 1e-7, 1e-5, 1.0, 1e3, 1e9, 1e12)
+SCALES = (1e-150, 1e-100, 1e-12, 1e-9, 1e-7, 1e-5, 1.0, 1e3, 1e9, 1e12,
+          1e100, 1e150)
 MESHES = {
     "rectangle 24x20": lambda L: generate_rectangle(1.2 * L, L, 24, 20),
     "coax 4x48": lambda L: generate_annulus(L, 2 * L, 4, 48),

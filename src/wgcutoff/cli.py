@@ -547,9 +547,10 @@ def cmd_fields(config: dict, out_dir: Path) -> int:
     if "omega" not in config:
         raise ConfigError("field export requires 'omega' in the config")
     omega = config["omega"]
-    # the schema lets NaN and infinity through: reject them before solving
-    if not 0 < omega < float("inf"):
-        raise ConfigError("omega must be positive and finite")
+    # the medium with the solve's error, then omega (the schema lets NaN and
+    # infinity through), both before anything is solved or stored
+    modes.require_independent(spec)
+    modes.check_omega(spec, omega)
     q = config.get("num_modes", 4)
     opts = solver_options(config)
     mesh = mesh_family(config)[-1]

@@ -8,7 +8,7 @@ are removed by the B-orthogonal projector ``P = I - G S^{-1} C^H``,
 ``S = C^H G``.  This is the projected eigensolver of Arbenz & Geus (Appl.
 Numer. Math. 54, 2005) for Kikuchi's mixed formulation (Boffi, Acta
 Numerica 19, 2010).  No saddle pencil is formed, so results do not depend
-on the absolute length scale.
+on the absolute length scale (tested from L = 1e-150 to 1e150 m).
 
 Shift-invert ARPACK runs on ``P (A - sigma B)^{-1} B`` from a projected
 start vector, with ``sigma = -trace_scale`` and ``trace_scale = tr(A) /
@@ -16,12 +16,12 @@ tr(B) / p`` for every pencil: A is singular (scalar TE's constant,
 the gradients), but ``A - sigma B`` is positive definite for every
 ``sigma < 0``, so the shift is factored once; a SuperLU or ARPACK failure
 is an :class:`EigenSolveError` that names it.  Pencils with ``p`` at most
-``dense_cutoff`` run dense ``eigh`` instead; for a vector pencil, one
-``eigh`` of the lowest pairs of ``(A + tau C S^{-1} C^H, B)`` with the
-projector's factor of S (the penalty method of the same references): the
-penalty leaves the divergence-free pairs alone and sends the gradients to
-``tau = 10 tr(A) / tr(B)``, checked to lie clear of the returned pairs.
-The tests check every path against a dense QZ solve of the saddle pencil
+``dense_cutoff``, and requests beyond ARPACK's reach (``k > p - m - 2``),
+run dense ``eigh`` instead; a vector pencil is first reduced to the null
+space of ``C^H``: the last ``p - m`` columns ``Z`` of the full QR of ``C``
+are orthonormal with ``C^H Z = 0``, and ``(Z^H A Z, Z^H B Z)`` holds
+exactly the divergence-free pairs (Golub, SIAM Review 15, 1973).  The
+tests check every path against a dense QZ solve of the saddle pencil
 (``tests/saddle_oracle.py``).
 Every pair is gated by :func:`residual_gate` on ``|A x - lambda B x| /
 ((|A| + |lambda| |B|) |x|)``, whose terms all scale alike.  No multiplier
@@ -142,10 +142,21 @@ def _mat_norm(m: sp.spmatrix) -> float:
 
 
 def _residuals(K, M, w, vecs) -> np.ndarray:
-    """``|K x - lambda M x| / ((|K| + |lambda| |M|) |x|)`` per pair."""
-    r = np.linalg.norm(K @ vecs - (M @ vecs) * w, axis=0)
-    return r / ((_mat_norm(K) + np.abs(w) * _mat_norm(M))
-                * np.maximum(np.linalg.norm(vecs, axis=0), 1e-300))
+    """``|K x - lambda M x| / ((|K| + |lambda| |M|) |x|)`` per pair.
+
+    One pair at a time, ``x`` scaled by its largest entry and the residual
+    by its denominator before a norm squares them: nothing over- or
+    underflows, and no temporary holds every pair.  A ``0 / 0`` (all-zero
+    K) or a NaN eigenvalue reads NaN quietly; the gate rejects it.
+    """
+    k_norm, m_norm = _mat_norm(K), _mat_norm(M)
+    out = np.empty(len(w))
+    with np.errstate(invalid="ignore", divide="ignore"):
+        for j, x in enumerate(vecs.T):
+            x = x / np.abs(x).max()
+            r = (K @ x - w[j] * (M @ x)) / (k_norm + abs(w[j]) * m_norm)
+            out[j] = np.linalg.norm(r) / np.linalg.norm(x)
+    return out
 
 
 class HermitianLU:
@@ -206,12 +217,6 @@ class _GradientProjector:
         if self._lu is None:
             return x
         return x - self.gradient @ self._lu.solve(self.divergence @ x)
-
-    def penalty(self) -> np.ndarray:
-        """Dense ``C S^{-1} C^H``: zero on divergence-free fields, and ``B``
-        on the gradients (it maps ``G y`` to ``B G y``)."""
-        return self.divergence.conj().T @ self._lu.solve(
-            self.divergence.toarray())
 
     def __enter__(self) -> "_GradientProjector":
         return self
@@ -283,41 +288,19 @@ def _trace_scale(K, M) -> float:
     return trk / trm / K.shape[0]
 
 
-#: The penalty of the dense vector path in units of ``tr(A) / tr(B)``.  The
-#: largest divergence-free eigenvalue was 1.3 to 6.5 such units on 60 vector
-#: pencils (rectangles with cells of aspect ratio up to 100, discs, coax and
-#: thin annuli, both reference media), so the gradients land above them all.
-_PENALTY_FACTOR = 10.0
-
-
-def _dense(pencil: HermitianPencil, k: int, project: _GradientProjector):
-    """Dense ``eigh``; a vector pencil's gradients are penalized away.
-
-    A vector pencil is solved as ``(A + tau C S^{-1} C^H, B)``: the penalty
-    vanishes on divergence-free fields and moves the gradients to ``tau``,
-    above the ``k`` wanted pairs, which is checked.  The eigenvalues returned
-    are the Rayleigh quotients of ``(A, B)``, whose error is of second order
-    in that of the vectors, so they do not carry eigh's error of ``eps tau``.
-    """
+def _dense(pencil: HermitianPencil, k: int):
+    """Dense ``eigh`` of the ``k`` lowest pairs, for a vector pencil on the
+    null space ``Z`` of ``C^H`` (see the module notes), reduced through the
+    sparse products ``A Z`` and ``B Z``."""
     K, M = pencil.K, pencil.M
-    A, B = K.toarray(), M.toarray()
     if not pencil.multiplier_dim:
-        w, x = la.eigh(A, B)
+        w, x = la.eigh(K.toarray(), M.toarray())
         return w[:k], x[:, :k]
-    tau = _PENALTY_FACTOR * pencil.primal_dim * _trace_scale(K, M)
-    w, x = la.eigh(A + tau * project.penalty(), B, subset_by_index=[0, k - 1])
-    spread = (np.linalg.norm(project.divergence @ x, axis=0)
-              / (_mat_norm(project.divergence) * np.linalg.norm(x, axis=0)))
-    # a gradient comes back at tau with |C^H x| of order 1; rounding leaves
-    # the divergence-free pairs at about 1e-16
-    if (np.abs(w - tau) <= 1e-10 * tau).any() or (spread > 1e-10).any():
-        raise EigenSolveError(
-            f"dense penalty {tau:.6e} does not clear the wanted eigenvalues "
-            f"(largest {w.max():.6e}, |C^H x| {spread.max():.1e})")
-    w = (np.einsum("ij,ij->j", x.conj(), K @ x)
-         / np.einsum("ij,ij->j", x.conj(), M @ x)).real
-    order = np.argsort(w)
-    return w[order], x[:, order]
+    m = pencil.multiplier_dim
+    Z = la.qr(pencil.constraint_block().toarray())[0][:, m:]
+    Zh = Z.conj().T
+    w, y = la.eigh(Zh @ (K @ Z), Zh @ (M @ Z), subset_by_index=[0, k - 1])
+    return w, Z @ y
 
 
 def solve(pencil: HermitianPencil, k: int,
@@ -346,8 +329,7 @@ def solve(pencil: HermitianPencil, k: int,
     dense = p <= opts.dense_cutoff or k > p - m - 2
     want = min(k + 2, p - m if dense else p - m - 2)
     if dense:
-        with _GradientProjector(pencil) as project:
-            w, vecs = _dense(pencil, want, project)
+        w, vecs = _dense(pencil, want)
     else:
         # the Krylov space lies in range(P), of dimension p - m
         ncv = min(max(2 * want + 1, 20), p - m)

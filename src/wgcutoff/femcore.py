@@ -192,8 +192,10 @@ def _vector_matrices(mesh: Mesh, tensor_inv: TransverseTensor, coeff_inv: float)
     area, grads, lohi, _, curls = _edge_geometry(mesh)
     gram = _tensor_gram(tensor_inv, grads)        # (T, 3, 3)
     lo, hi = lohi[:, :, 0], lohi[:, :, 1]
-    a_vals = (coeff_inv * area)[:, None, None] * (curls[:, :, None]
-                                                  * curls[:, None, :])
+    # a curl is of order L^-2: scaled by sqrt(area) first, the product of
+    # two is of order L^-2 too and neither over- nor underflows
+    curls = curls * np.sqrt(area)[:, None]
+    a_vals = coeff_inv * (curls[:, :, None] * curls[:, None, :])
 
     lam = (np.ones((3, 3)) + np.eye(3)) / 12.0
     t3 = np.arange(mesh.num_triangles)[:, None, None]

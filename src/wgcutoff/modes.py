@@ -179,7 +179,9 @@ def _phase(columns: np.ndarray) -> np.ndarray:
     return np.where(size > 0, np.conj(pivot) / np.where(size > 0, size, 1.0), 1.0)
 
 
-def _require_independent(spec: MediumSpec) -> None:
+def require_independent(spec: MediumSpec) -> None:
+    """The ``MediumError`` of a solve for a medium whose TE and TM modes
+    are not guaranteed independent."""
     report = validate(spec)
     if report.verdict != VERDICT_INDEPENDENT:
         raise MediumError(
@@ -193,7 +195,7 @@ def _solve_formulation(mesh: Mesh, spec: MediumSpec, q: int,
                        options: SolveOptions | None) -> ModeSolution:
     if q < 1:
         raise ValueError("q must be at least 1")
-    _require_independent(spec)
+    require_independent(spec)
 
     if formulation is Formulation.SCALAR_TE:
         reserve = 1
@@ -264,7 +266,7 @@ def restore(formulation: Formulation, mesh: Mesh, spec: MediumSpec, q: int,
     Raises ``MediumError``, ``ValueError`` or ``EigenSolveError`` where a
     check fails.
     """
-    _require_independent(spec)
+    require_independent(spec)
     pencil = _ASSEMBLERS[formulation](mesh, spec)
     n = eigenvalues.shape[0] if eigenvalues.ndim == 1 else -1
     expected = (
@@ -311,14 +313,16 @@ def _apply_tensor(t: TransverseTensor, v: np.ndarray) -> np.ndarray:
                      -1j * t.alpha * vx + t.d * vy], axis=-1)
 
 
-def _phase_constant(spec, omega, kt) -> complex:
+def check_omega(spec: MediumSpec, omega: float) -> float:
+    """The bulk wavenumber ``k`` at ``omega``; a ``ValueError`` where
+    ``omega`` is not positive and finite or ``k^2`` overflows."""
+    if not 0 < omega < np.inf:
+        raise ValueError("omega must be positive and finite")
     k = float(bulk_wavenumber(spec, omega))  # k * k overflows to inf quietly
     if k * k == np.inf:
         raise ValueError(f"omega {omega:.6e} rad/s is too large: the bulk "
                          "wavenumber squared overflows float64")
-    if k >= kt:
-        return complex(np.sqrt(k * k - kt * kt))
-    return -1j * np.sqrt(kt * kt - k * k)  # decay toward +z below cut-off
+    return k
 
 
 class _Polarization(NamedTuple):
@@ -348,13 +352,15 @@ def _nodal_gradients(solution: ModeSolution, nodal: np.ndarray) -> np.ndarray:
 def _mode(solution: ModeSolution, mode_index: int, omega: float):
     """The polarization, ``k_t``, ``k_z`` and full field of a checked mode;
     only a TEM mode may have a zero cut-off."""
-    if not 0 < omega < np.inf:
-        raise ValueError("omega must be positive and finite")
+    k = check_omega(solution.medium, omega)
     kt = float(solution.cutoffs[mode_index])
     if kt <= 0 and mode_index >= solution.tem_count:
         raise ValueError("reconstruction needs a nonzero cut-off mode")
-    return (_polarization(solution), kt,
-            _phase_constant(solution.medium, omega, kt),
+    if k >= kt:
+        kz = complex(np.sqrt(k * k - kt * kt))
+    else:
+        kz = -1j * np.sqrt(kt * kt - k * k)  # decay toward +z below cut-off
+    return (_polarization(solution), kt, kz,
             solution.full_vectors[:, mode_index])
 
 

@@ -453,6 +453,21 @@ class TestFields:
             f"error: omega {omega:.6e} rad/s is too large: the bulk "
             "wavenumber squared overflows float64\n")
         assert not list(tmp_path.glob("*.vtk"))
+        # rejected before anything is solved or stored
+        assert not list(tmp_path.glob("solutions/*.npz"))
+
+    def test_coupled_medium_fails_with_the_solve_error_first(self, tmp_path,
+                                                             capsys):
+        # the medium is checked before omega, and with the solve's message
+        bad = dict(GYRO, mu={"d": 1, "alpha": 0.6, "zz": 2})
+        config = write_config(tmp_path, medium=bad, formulations=["scalar_te"],
+                              omega=1e300)
+        assert main(["fields", "--config", config,
+                     "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: medium does not guarantee independent "
+                              "TE/TM modes") and err.count("\n") == 1
+        assert not list(tmp_path.glob("solutions/*.npz"))
 
 
 COAX = {"kind": "annulus", "r1": 1e-3, "r2": 2e-3, "nr": 2, "ntheta": 12}

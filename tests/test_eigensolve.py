@@ -261,17 +261,6 @@ class TestSolveSaddle:
             assert np.allclose(brute, dense.eigenvalues,
                                rtol=1e-8, atol=1e-8 * scale)
 
-    def test_dense_penalty_below_the_wanted_pairs_rejected(
-            self, gyro_medium, monkeypatch):
-        # a penalty far below the wanted eigenvalues brings the gradients
-        # back among them; the dense path must refuse them
-        pencil = assemble_vector_te(generate_annulus(1e-3, 2e-3, 2, 12),
-                                    gyro_medium)
-        solve(pencil, 4)  # the default clears them
-        monkeypatch.setattr(eigensolve, "_PENALTY_FACTOR", 1e-6)
-        with pytest.raises(EigenSolveError, match="dense penalty"):
-            solve(pencil, 4)
-
     def test_real_saddle_shift_invert_matches_bruteforce(self,
                                                         isotropic_medium):
         mesh = generate_annulus(1e-3, 2e-3, 2, 12)
@@ -385,7 +374,8 @@ class TestResidualGate:
 
 
 class TestOracleEquivalence:
-    """Shift-invert must agree with the dense brute force on small pencils."""
+    """Shift-invert, and the dense path's whole finite spectrum, must agree
+    with the dense brute force on small pencils."""
 
     def coarse_pencils(self, gyro_medium):
         meshes = {
@@ -413,6 +403,20 @@ class TestOracleEquivalence:
                 ref = dense_saddle_bruteforce(pencil, k)
             scale = max(np.abs(ref).max(), 1.0)
             assert np.allclose(got, ref, rtol=1e-8, atol=1e-8 * scale)
+            if not pencil.multiplier_dim:
+                continue
+            # the default (dense) path at k = p - m: the whole finite
+            # spectrum, every pair divergence-free
+            k = pencil.primal_dim - pencil.multiplier_dim
+            spectrum = solve(pencil, k)
+            ref = dense_saddle_bruteforce(pencil, k)
+            scale = max(np.abs(ref).max(), 1.0)
+            assert np.allclose(spectrum.eigenvalues, ref, rtol=1e-8,
+                               atol=1e-8 * scale)
+            x = spectrum.eigenvectors
+            divergence = pencil.constraint_block().conj().T @ x
+            assert (np.linalg.norm(divergence, axis=0)
+                    <= 1e-12 * np.linalg.norm(x, axis=0)).all()
 
 
 class TestClassifyNearZero:

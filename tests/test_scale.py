@@ -11,7 +11,7 @@ import pytest
 from wgcutoff import SolveOptions, generate_annulus, generate_rectangle
 from wgcutoff.cli import main
 from wgcutoff.crossval import compare_spectra
-from wgcutoff.eigensolve import EigenSolveError
+from wgcutoff.eigensolve import EigenSolveError, residual_gate
 from wgcutoff.modes import (
     SOLVERS,
     Formulation,
@@ -29,10 +29,10 @@ PAIRS = ((Formulation.SCALAR_TE, Formulation.VECTOR_TE),
 CROSSVAL_RTOL = {(6, 5): 0.15, (24, 20): 0.01}
 
 
-def ladder(medium, mesh_at, options, formulations):
+def ladder(medium, mesh_at, options, formulations, scales=SCALES):
     """Solutions per (length, formulation) on the meshes ``mesh_at(L)``."""
     out = {}
-    for length in SCALES:
+    for length in scales:
         mesh = mesh_at(length)
         for formulation in formulations:
             out[length, formulation] = SOLVERS[formulation](
@@ -94,15 +94,31 @@ def test_coax_keeps_one_tem_mode(gyro_medium, path):
     check_scaling(solutions, tem_count=1)
 
 
-@pytest.mark.filterwarnings("ignore:invalid value encountered in divide")
-@pytest.mark.parametrize("formulation", [f for f in SOLVERS if f.is_vector])
-def test_underflowed_curl_fails_the_gate(gyro_medium, formulation):
-    # at L = 1e100 the products of two edge curls, of order L^-4, underflow
-    # to zero before the area scales them: the curl-curl matrix is zero,
-    # the residuals are 0 / 0, and its zero cut-offs must not pass
-    mesh = generate_rectangle(1.2e100, 1e100, 6, 5)
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("path", PATHS)
+def test_vector_routes_at_extreme_scales(gyro_medium, path):
+    # the product of two edge curls is of order L^-4, and a norm squares
+    # the residual's terms again: each is scaled first, so nothing over- or
+    # underflows
+    vector = [f for f in SOLVERS if f.is_vector]
+    scales = (1e-150, 1e-100, REFERENCE, 1e100, 1e150)
+    rectangle = ladder(gyro_medium, lambda length: generate_rectangle(
+        1.2 * length, length, 6, 5), PATHS[path], vector, scales)
+    check_scaling(rectangle, tem_count=0)
+    coax = ladder(gyro_medium, lambda length: generate_annulus(
+        length, 2 * length, 2, 16), PATHS[path], vector, scales)
+    check_scaling(coax, tem_count=1)
+
+
+@pytest.mark.filterwarnings("error")
+def test_all_zero_curl_fails_the_gate(gyro_medium):
+    # an all-zero K makes every residual 0 / 0: its zero eigenvalues must
+    # not pass, and the NaN is the gate's error, not a warning
+    solution = SOLVERS[Formulation.VECTOR_TE](
+        generate_rectangle(1.2e-3, 1e-3, 6, 5), gyro_medium, 3)
+    pencil = replace(solution.pencil, K=0 * solution.pencil.K)
     with pytest.raises(EigenSolveError, match="residual nan"):
-        SOLVERS[formulation](mesh, gyro_medium, 3)
+        residual_gate(pencil, np.zeros(3), solution.dof_vectors)
 
 
 def test_cli_rung_writes_the_library_values(gyro_medium, tmp_path, capsys):

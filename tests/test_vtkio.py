@@ -124,14 +124,13 @@ def test_wrong_shape_rejected(unit_square_mesh, argument, shape, message):
 # SHA-256 of the files that `wgcutoff fields` writes for this config.  They
 # read the same at one and two BLAS threads, and move with the last bits of a
 # solve or with its phase pivot, the first of the annulus's symmetric copies
-# of each mode's largest entry.  vector_tm is left out: on this annulus its
-# dense solve differs in the last bits with the BLAS thread count.
+# of each mode's largest entry.
 FIELDS_CONFIG = {
     "medium": {"eps": {"d": 2, "alpha": -1, "zz": 1},
                "mu": {"d": 1, "alpha": 0.5, "zz": 2}},
     "geometry": {"kind": "annulus", "r1": 1e-3, "r2": 2e-3,
                  "nr": 2, "ntheta": 12},
-    "formulations": ["scalar_te", "scalar_tm", "vector_te"],
+    "formulations": ["scalar_te", "scalar_tm", "vector_te", "vector_tm"],
     "num_modes": 2,
     "omega": 6.5e10,
 }
@@ -145,11 +144,17 @@ FIELDS_SHA256 = {
     "fields_scalar_tm_1.vtk":
         "94b707642ad293045634851a6482a020f839dbc9e5f6f4f8123bc5cd5eb4bff7",
     "fields_vector_te_0.vtk":
-        "dabb182c0c3ac0ccec3427eef9186bd610183dd0a876a26f4533ab644b6d2bdb",
+        "ad7e604b9d2f25fd79b683271b50df9d9710da87b9e186685f48e4da1e15498f",
     "fields_vector_te_1.vtk":
-        "0a819919cc761810d03d341e9ca7bb69207c03bfec4b811a1818897c967cbe61",
+        "581f0b210f8ea696fc7aa3cf3a7b8144b589d5165050c79a71ba15f9fa74444c",
     "fields_vector_te_2.vtk":
-        "12c92d71f1af790e9b545c8cd4c1c3f03fdff52a0b4d9af2797345b679913d86",
+        "474013f767fb11925fec63721aba4c63ff006f8ecf38229a40bd97c85535e58a",
+    "fields_vector_tm_0.vtk":
+        "b6f6858e0aeb754036ce11bd73a35d59144d25b4e323784968be693fae0d0c2c",
+    "fields_vector_tm_1.vtk":
+        "5d680f7913d9a47fb95bb9e72c90d31470b37d4687c0c22bc9abe8829432add2",
+    "fields_vector_tm_2.vtk":
+        "f64c6d26c88e9121603ab551889aa39394b51d8dc45d7f92045c246687cd833e",
 }
 
 
