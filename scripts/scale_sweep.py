@@ -5,8 +5,8 @@ meshes of side L: the 24 x 20 rectangle, the 4 x 48 coax and the disc
 refined once, all with ``dense_cutoff=0``.  A solve fails if it raises, if
 a vector solve's ``constraint_residuals`` exceed 1e-8 or its
 ``multiplier_diagnostics`` 1e-6 (both counted as errors), or if its
-``nonzero_cutoffs x L`` differ from the L = 1e-3 solve by more than 1e-9 of
-their largest entry (a spectrum that comes back short fails too).
+``nonzero_cutoffs x L`` differ from the L = 1e-3 solve by more than 1e-12
+of their largest entry (a spectrum that comes back short fails too).
 
 Run as ``PYTHONPATH=src python scripts/scale_sweep.py``; it prints one line
 per failure and the counts, and exits 1 if any solve failed.
@@ -79,7 +79,7 @@ def main() -> int:
                         elif (isinstance(reference, str)
                               or got.shape != reference.shape
                               or np.abs(got - reference).max()
-                              > 1e-9 * np.abs(reference).max()):
+                              > 1e-12 * np.abs(reference).max()):
                             wrong += 1
                             print(f"wrong  {case}: {got} against {reference}")
     print(f"{solves} solves, {errors} errors, {wrong} wrong spectra")

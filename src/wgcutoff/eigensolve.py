@@ -51,7 +51,13 @@ eigenvalues it returns are multiplied by ``s``.  The shifted matrix ``A -
 unchanged, while ``theta`` becomes ``s / (lambda - sigma)``, of order 1 at
 every L.  A power of four scales every product and square root ARPACK
 forms exactly, so where ``|theta|`` was already above ``eps^(2/3)`` (L =
-1e-3 m) the results are the unscaled ones bit for bit.  On the 128 x 128
+1e-3 m) the results are the unscaled ones bit for bit.  ``s B x`` is
+formed as ``r (B (r x))`` with ``r = sqrt(s)``, a power of two, so the
+split is exact.  Formed as ``s (B x)``, the product ``B x`` of a scalar
+pencil at L = 1e-150 m (mass entries near 1e-301) goes subnormal, and
+forced shift-invert scalar TM on the 2 x 16 coax was off by 4.6e-10 in
+``cut-off x L``; formed as ``B (s x)``, the same goes wrong at L = 1e150
+m.  On the 128 x 128
 rectangle (4 modes per route, seeds 1-3) a solve takes 30-42 operator
 applications instead of 40-53.  Two safeguards keep the early stop from
 losing eigenvalues.  One Krylov sequence sees the second copy of a
@@ -232,17 +238,22 @@ def _shift_invert(pencil, k, sigma, v0, ncv, tol):
     ARPACK sees the pencil ``(K, s M)`` with shift ``sigma / s``, where ``s``
     is the power of four nearest ``|sigma|``: the same shifted matrix and
     eigenvectors, eigenvalues divided by ``s``, and Ritz values of order 1
-    (see the module notes).  ``K - sigma M`` is factored before the
-    projector's ``S``, so that neither the factor of ``S`` nor the
-    divergence block is held while the larger factorization runs.
+    (see the module notes); ``s M x`` is formed as ``r (M (r x))``, ``r =
+    sqrt(s)``, so that no product goes subnormal.  ``K - sigma M`` is
+    factored before the projector's ``S``, so that neither the factor of
+    ``S`` nor the divergence block is held while the larger factorization
+    runs.
     """
     K, M = pencil.K, pencil.M
-    s = 4.0 ** round(np.log2(abs(sigma)) / 2)
+    r = 2.0 ** round(np.log2(abs(sigma)) / 2)
+    s = r * r
     with (HermitianLU(K - sigma * M) as lu,
           _GradientProjector(pencil) as project):
         op = spla.LinearOperator(
             K.shape, matvec=lambda b: project(lu.solve(b)), dtype=lu.dtype)
-        w, vecs = spla.eigsh(K, k=k, M=spla.aslinearoperator(M) * s,
+        mass = spla.LinearOperator(
+            M.shape, matvec=lambda x: r * (M @ (r * x)), dtype=M.dtype)
+        w, vecs = spla.eigsh(K, k=k, M=mass,
                              sigma=sigma / s, which="LM", v0=project(v0),
                              ncv=ncv, tol=tol, OPinv=op)
     # SciPy's complex ARPACK wrapper (_UnsymmetricArpackParams) keeps the

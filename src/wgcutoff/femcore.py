@@ -20,12 +20,20 @@ Conventions
 * Sesquilinear forms conjugate the *test* function and matrix entry
   ``(i, j)`` is ``form(basis_j, basis_i)``, which makes every assembled
   matrix Hermitian by construction.
-* The edge basis on the edge with endpoints ``(lo, hi)``, ``lo < hi``
-  globally, is ``N_e = lam_lo * grad(lam_hi) - lam_hi * grad(lam_lo)`` in
-  every incident triangle; its scalar curl is
-  ``2 * cross(grad(lam_lo), grad(lam_hi))``, constant per triangle.  Using
-  the global ``lo -> hi`` direction makes edge degrees of freedom
-  independent of triangle ordering.
+* Local edge j of a triangle runs from its vertex j to vertex j + 1 (mod
+  3), with basis ``lam_j grad(lam_{j+1}) - lam_{j+1} grad(lam_j)``.  The
+  global edge ``e`` with endpoints ``lo < hi`` carries
+  ``N_e = lam_lo * grad(lam_hi) - lam_hi * grad(lam_lo)`` in every incident
+  triangle: the local basis times the sign ``s = mesh.tri_edge_signs``,
+  +1 where local and global directions agree.  Curls and centroid values
+  are multiplied by ``s``, and an edge matrix is one fixed-pattern local
+  matrix times ``s_i s_j`` (Jin, The Finite Element Method in
+  Electromagnetics, 2014).  The global direction makes edge degrees of
+  freedom independent of triangle ordering.
+* Every local matrix reaches the global one through the (T, 3)
+  local-to-global array ``mesh.triangles`` or ``mesh.tri_edges``.  A pencil
+  keeps the bool mask ``retained`` of the nodes or edges that are its
+  degrees of freedom, in mesh order.
 """
 
 from __future__ import annotations
@@ -43,39 +51,12 @@ class AssemblyError(ValueError):
 
 
 @dataclass(frozen=True)
-class DofMap:
-    """Map mesh entities (nodes or edges) to retained global dof indices."""
-
-    index: np.ndarray  # (entities,) dof index, -1 where eliminated
-    count: int
-
-    @property
-    def retained(self) -> np.ndarray:
-        return np.flatnonzero(self.index >= 0)
-
-    def scatter(self, values: np.ndarray) -> np.ndarray:
-        """Expand dof values (one column per field) back onto all entities,
-        zero where eliminated."""
-        full = np.zeros(self.index.shape + values.shape[1:],
-                        dtype=np.result_type(values, complex))
-        full[self.index >= 0] = values
-        return full
-
-
-def _identity_map(n: int) -> DofMap:
-    return DofMap(np.arange(n, dtype=np.int64), n)
-
-
-def _subset_map(keep: np.ndarray) -> DofMap:
-    index = np.full(keep.shape[0], -1, dtype=np.int64)
-    index[keep] = np.arange(int(keep.sum()))
-    return DofMap(index, int(keep.sum()))
-
-
-@dataclass(frozen=True)
 class HermitianPencil:
     """Generalized eigenproblem ``K x = lambda M x``, K Hermitian, M definite.
 
+    ``retained`` is the bool mask over the mesh's nodes (scalar) or edges
+    (vector) of the ``primal_dim`` degrees of freedom, which keep the mesh
+    order; the others are eliminated by an essential boundary condition.
     A vector pencil also carries ``gradient``, the incidence G from the
     ``multiplier_dim`` retained multiplier nodes to the ``primal_dim``
     retained edges.  Its eigenpairs are those of ``(K, M)`` restricted to
@@ -86,12 +67,12 @@ class HermitianPencil:
 
     K: sp.csr_matrix
     M: sp.csr_matrix
-    primal_map: DofMap
+    retained: np.ndarray
     gradient: sp.csr_matrix | None = None
 
     @property
     def primal_dim(self) -> int:
-        return self.primal_map.count
+        return self.K.shape[0]
 
     @property
     def multiplier_dim(self) -> int:
@@ -108,7 +89,8 @@ class HermitianPencil:
 # element geometry
 
 
-_LOCAL_EDGES = np.array([[0, 1], [1, 2], [2, 0]])
+#: Local edge j runs from vertex j to vertex ``_NEXT[j]``.
+_NEXT = np.array([1, 2, 0])
 
 
 def triangle_geometry(mesh: Mesh):
@@ -135,20 +117,18 @@ def _cross(u: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 
 def _edge_geometry(mesh: Mesh):
-    """Per-triangle geometry of the local edge basis functions.
+    """Per-triangle geometry of the global edge basis functions.
 
-    Returns the areas (T,), the barycentric gradients (T, 3, 2), the local
-    ``(lo, hi)`` vertex indices of each local edge ordered by global node
-    index (T, 3, 2), ``grad(lam_hi) - grad(lam_lo)`` (T, 3, 2) and the
-    constant curl ``2 * cross(grad(lam_lo), grad(lam_hi))`` (T, 3).
+    Returns the areas (T,), the barycentric gradients (T, 3, 2), the value
+    of each ``N_e`` at the centroid, ``s (grad(lam_{j+1}) - grad(lam_j)) /
+    3`` (T, 3, 2), and its constant curl ``2 s cross(grad(lam_j),
+    grad(lam_{j+1}))`` (T, 3), with ``s = mesh.tri_edge_signs``.
     """
     area, grads = triangle_geometry(mesh)
-    lohi = np.broadcast_to(_LOCAL_EDGES, (mesh.num_triangles, 3, 2)).copy()
-    flip = mesh.tri_edge_signs < 0
-    lohi[flip] = lohi[flip][:, ::-1]
-    tidx = np.arange(mesh.num_triangles)[:, None]
-    g_lo, g_hi = grads[tidx, lohi[:, :, 0]], grads[tidx, lohi[:, :, 1]]
-    return area, grads, lohi, g_hi - g_lo, 2.0 * _cross(g_lo, g_hi)
+    s = mesh.tri_edge_signs
+    ends = grads[:, _NEXT]
+    centroid = s[:, :, None] * (ends - grads) / 3.0
+    return area, grads, centroid, s * (2.0 * _cross(grads, ends))
 
 
 def _tensor_gram(tensor: TransverseTensor, grads: np.ndarray) -> np.ndarray:
@@ -168,9 +148,13 @@ def _tensor_gram(tensor: TransverseTensor, grads: np.ndarray) -> np.ndarray:
 # global assembly
 
 
-def _assemble(rows, cols, vals, shape) -> sp.csr_matrix:
-    m = sp.coo_matrix((vals.ravel(), (rows.ravel(), cols.ravel())), shape=shape)
-    return m.tocsr()
+def _assemble(index: np.ndarray, vals: np.ndarray, n: int) -> sp.csr_matrix:
+    """Sum the local matrices ``vals`` (T, 3, 3) into an n x n matrix; local
+    row or column i of triangle t is global ``index[t, i]``."""
+    rows = np.repeat(index, 3, axis=1)
+    cols = np.tile(index, 3)
+    return sp.coo_matrix((vals.ravel(), (rows.ravel(), cols.ravel())),
+                         shape=(n, n)).tocsr()
 
 
 def _scalar_matrices(mesh: Mesh, tensor: TransverseTensor, coeff: float):
@@ -178,49 +162,42 @@ def _scalar_matrices(mesh: Mesh, tensor: TransverseTensor, coeff: float):
     gram = _tensor_gram(tensor, grads)            # (T, 3, 3)
     s_vals = area[:, None, None] * gram
     m_vals = (coeff / 12.0) * area[:, None, None] * (np.ones((3, 3)) + np.eye(3))
-    rows = np.repeat(mesh.triangles[:, :, None], 3, axis=2)
-    cols = np.repeat(mesh.triangles[:, None, :], 3, axis=1)
     n = mesh.num_nodes
-    stiffness = _assemble(rows, cols, s_vals, (n, n))
-    mass = _assemble(rows, cols, m_vals.astype(gram.dtype, copy=False),
-                     (n, n))
+    stiffness = _assemble(mesh.triangles, s_vals, n)
+    mass = _assemble(mesh.triangles, m_vals.astype(gram.dtype, copy=False), n)
     return stiffness, mass
 
 
 def _vector_matrices(mesh: Mesh, tensor_inv: TransverseTensor, coeff_inv: float):
     """Global curl-curl and edge mass matrices."""
-    area, grads, lohi, _, curls = _edge_geometry(mesh)
+    area, grads, _, curls = _edge_geometry(mesh)
+    s = mesh.tri_edge_signs
     gram = _tensor_gram(tensor_inv, grads)        # (T, 3, 3)
-    lo, hi = lohi[:, :, 0], lohi[:, :, 1]
+    # int N_i . D N_j over the triangle for the local edges i from vertex a
+    # to b and j from c to d, then times s_i s_j
+    lam = (np.ones((3, 3)) + np.eye(3)) / 12.0
+    a, b = np.arange(3)[:, None], _NEXT[:, None]
+    c, d = a.T, b.T
+    b_vals = (lam[a, c] * gram[:, b, d] - lam[a, d] * gram[:, b, c]
+              - lam[b, c] * gram[:, a, d] + lam[b, d] * gram[:, a, c])
+    b_vals *= area[:, None, None] * (s[:, :, None] * s[:, None, :])
+    # freed before the scatters, which set the peak memory of assembly
+    del gram
+
     # a curl is of order L^-2: scaled by sqrt(area) first, the product of
     # two is of order L^-2 too and neither over- nor underflows
     curls = curls * np.sqrt(area)[:, None]
     a_vals = coeff_inv * (curls[:, :, None] * curls[:, None, :])
-
-    lam = (np.ones((3, 3)) + np.eye(3)) / 12.0
-    t3 = np.arange(mesh.num_triangles)[:, None, None]
-    le = lo[:, :, None]
-    he = hi[:, :, None]
-    lf = lo[:, None, :]
-    hf = hi[:, None, :]
-    b_vals = area[:, None, None] * (
-        lam[le, lf] * gram[t3, he, hf]
-        - lam[le, hf] * gram[t3, he, lf]
-        - lam[he, lf] * gram[t3, le, hf]
-        + lam[he, hf] * gram[t3, le, lf]
-    )
-
     e = mesh.num_edges
-    erows = np.repeat(mesh.tri_edges[:, :, None], 3, axis=2)
-    ecols = np.repeat(mesh.tri_edges[:, None, :], 3, axis=1)
-    curl = _assemble(erows, ecols, a_vals.astype(gram.dtype, copy=False),
-                     (e, e))
-    mass = _assemble(erows, ecols, b_vals, (e, e))
-    return curl, mass
+    curl = _assemble(mesh.tri_edges,
+                     a_vals.astype(b_vals.dtype, copy=False), e)
+    del a_vals
+    return curl, _assemble(mesh.tri_edges, b_vals, e)
 
 
 def _restrict(matrix: sp.csr_matrix, rows: np.ndarray, cols: np.ndarray):
-    return matrix[rows][:, cols].tocsr()
+    """The block of ``matrix`` on the bool masks ``rows`` and ``cols``."""
+    return matrix[np.flatnonzero(rows)][:, np.flatnonzero(cols)].tocsr()
 
 
 def assemble_scalar_te(mesh: Mesh, spec: MediumSpec) -> HermitianPencil:
@@ -231,7 +208,8 @@ def assemble_scalar_te(mesh: Mesh, spec: MediumSpec) -> HermitianPencil:
     nullspace, so the smallest eigenvalue is a spurious zero.
     """
     stiffness, mass = _scalar_matrices(mesh, spec.mu_t, spec.mu_zz)
-    return HermitianPencil(stiffness, mass, _identity_map(mesh.num_nodes))
+    return HermitianPencil(stiffness, mass,
+                           np.ones(mesh.num_nodes, dtype=bool))
 
 
 def assemble_scalar_tm(mesh: Mesh, spec: MediumSpec) -> HermitianPencil:
@@ -245,19 +223,17 @@ def assemble_scalar_tm(mesh: Mesh, spec: MediumSpec) -> HermitianPencil:
     # between two nodes of the Dirichlet space
     stiffness, mass = _scalar_matrices(
         mesh, TransverseTensor(spec.eps, 0.0), spec.eps_zz)
-    keep = np.flatnonzero(interior)
-    return HermitianPencil(_restrict(stiffness, keep, keep),
-                           _restrict(mass, keep, keep), _subset_map(interior))
+    return HermitianPencil(_restrict(stiffness, interior, interior),
+                           _restrict(mass, interior, interior), interior)
 
 
-def _vector_pencil(mesh, curl, mass, primal_map, keep_nodes):
-    """Pencil on the retained edges, with the gradients of the multiplier
-    nodes ``keep_nodes``."""
-    ekeep = primal_map.retained
-    gradient = _restrict(gradient_incidence(mesh), ekeep,
-                         np.flatnonzero(keep_nodes))
-    return HermitianPencil(_restrict(curl, ekeep, ekeep),
-                           _restrict(mass, ekeep, ekeep), primal_map, gradient)
+def _vector_pencil(mesh, curl, mass, retained, keep_nodes):
+    """Pencil on the ``retained`` edges, with the gradients of the
+    multiplier nodes ``keep_nodes`` (both bool masks)."""
+    gradient = _restrict(gradient_incidence(mesh), retained, keep_nodes)
+    return HermitianPencil(_restrict(curl, retained, retained),
+                           _restrict(mass, retained, retained), retained,
+                           gradient)
 
 
 def assemble_vector_te(mesh: Mesh, spec: MediumSpec) -> HermitianPencil:
@@ -271,7 +247,7 @@ def assemble_vector_te(mesh: Mesh, spec: MediumSpec) -> HermitianPencil:
         raise AssemblyError("no interior edges: mesh too coarse for the "
                             "vector TE formulation")
     curl, mass = _vector_matrices(mesh, spec.mu_t.inverse(), 1.0 / spec.mu_zz)
-    return _vector_pencil(mesh, curl, mass, _subset_map(interior_edge),
+    return _vector_pencil(mesh, curl, mass, interior_edge,
                           ~mesh.boundary_node)
 
 
@@ -289,8 +265,8 @@ def assemble_vector_tm(mesh: Mesh, spec: MediumSpec) -> HermitianPencil:
                                   1.0 / spec.eps_zz)
     keep_nodes = np.ones(mesh.num_nodes, dtype=bool)
     keep_nodes[0] = False  # pin the multiplier constant
-    return _vector_pencil(mesh, curl, mass, _identity_map(mesh.num_edges),
-                          keep_nodes)
+    return _vector_pencil(mesh, curl, mass,
+                          np.ones(mesh.num_edges, dtype=bool), keep_nodes)
 
 
 # ---------------------------------------------------------------------------
@@ -298,17 +274,14 @@ def assemble_vector_tm(mesh: Mesh, spec: MediumSpec) -> HermitianPencil:
 
 
 def edge_curls(mesh: Mesh) -> np.ndarray:
-    """(T, 3) constant scalar curl of each local edge basis function."""
-    return _edge_geometry(mesh)[4]
+    """(T, 3) constant scalar curl of each edge basis function."""
+    return _edge_geometry(mesh)[3]
 
 
 def edge_basis_at_centroids(mesh: Mesh) -> np.ndarray:
-    """(T, 3, 2) value of each local edge basis at the triangle centroid.
-
-    All barycentric coordinates equal 1/3 there, so
-    ``N_e = (grad(lam_hi) - grad(lam_lo)) / 3``.
-    """
-    return _edge_geometry(mesh)[3] / 3.0
+    """(T, 3, 2) value of each edge basis at the triangle centroid, where
+    every barycentric coordinate is 1/3."""
+    return _edge_geometry(mesh)[2]
 
 
 def gradient_incidence(mesh: Mesh) -> sp.csr_matrix:

@@ -71,8 +71,8 @@ class ModeSolution:
 
     ``eigenvalues`` ascend; for vector formulations the first ``tem_count``
     entries are the near-zero (TEM) modes.  ``dof_vectors`` columns align
-    with them and live on the formulation's retained dofs (see
-    ``pencil.primal_map``).
+    with them and live on the formulation's retained dofs, the nodes or
+    edges where the bool mask ``pencil.retained`` is set.
     """
 
     formulation: Formulation
@@ -110,7 +110,10 @@ class ModeSolution:
     def full_vectors(self) -> np.ndarray:
         """``dof_vectors`` on every node (scalar) or edge (vector) of the
         mesh, zero where a dof was eliminated; scattered on first use."""
-        return self.pencil.primal_map.scatter(self.dof_vectors)
+        retained = self.pencil.retained
+        full = np.zeros((retained.size, self.dof_vectors.shape[1]), complex)
+        full[retained] = self.dof_vectors
+        return full
 
     @cached_property
     def edge_curls(self) -> np.ndarray:

@@ -25,15 +25,15 @@ from wgcutoff.eigensolve import (
     classify_near_zero,
     solve,
 )
-from wgcutoff.femcore import DofMap, HermitianPencil
+from wgcutoff.femcore import HermitianPencil
 from saddle_oracle import dense_saddle_bruteforce, with_gradient
 
 
 def plain_pencil(K, M):
     K = sp.csr_matrix(np.asarray(K, dtype=complex))
     M = sp.csr_matrix(np.asarray(M, dtype=complex))
-    n = K.shape[0]
-    return HermitianPencil(K=K, M=M, primal_map=DofMap(np.arange(n), n))
+    return HermitianPencil(K=K, M=M,
+                           retained=np.ones(K.shape[0], dtype=bool))
 
 
 def saddle_pencil(A, B, G):
@@ -41,9 +41,8 @@ def saddle_pencil(A, B, G):
     A = sp.csr_matrix(np.asarray(A, dtype=complex))
     B = sp.csr_matrix(np.asarray(B, dtype=complex))
     G = sp.csr_matrix(np.asarray(G, dtype=float))
-    p = G.shape[0]
     return HermitianPencil(K=A, M=B, gradient=G,
-                           primal_map=DofMap(np.arange(p), p))
+                           retained=np.ones(G.shape[0], dtype=bool))
 
 
 class TestHermitianLU:
@@ -278,7 +277,7 @@ class TestSolveSaddle:
         pencil = assemble_vector_tm(mesh, gyro_medium)
         scaled = HermitianPencil(
             K=(pencil.K * 7.5).tocsr(), M=(pencil.M * 7.5).tocsr(),
-            primal_map=pencil.primal_map, gradient=pencil.gradient,
+            retained=pencil.retained, gradient=pencil.gradient,
         )
         a = solve(pencil, 4).eigenvalues
         b = solve(scaled, 4).eigenvalues

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
@@ -96,6 +98,65 @@ class TestElementEdge:
                                TransverseTensor(2, -1), 1.0)
         assert np.allclose(mass, mass.conj().T, atol=1e-15)
         assert np.linalg.eigvalsh(mass).min() > 0
+
+    def test_matches_entrywise_oracle_for_every_sign_pattern(self):
+        # every numbering of the three nodes, with each of the three
+        # rotations of the triangle's row, gives all six orientation
+        # patterns that a triangle's edges can have
+        tensor = TransverseTensor(2.0, -0.7)
+        corners = 1e-3 * np.array([[0.1, -0.2], [1.3, 0.4], [0.2, 0.9]])
+        patterns = set()
+        for perm in itertools.permutations(range(3)):
+            nodes = np.empty((3, 2))
+            nodes[list(perm)] = corners
+            for shift in range(3):
+                mesh = build_topology(nodes, [np.roll(perm, -shift)])
+                patterns.add(tuple(mesh.tri_edge_signs[0]))
+                curl, mass = one_triangle(_vector_matrices, mesh, tensor, 3.0)
+                curl_ref, mass_ref = edge_matrices_reference(mesh, tensor,
+                                                             3.0)
+                for got, ref in ((curl, curl_ref), (mass, mass_ref)):
+                    assert (np.abs(got - ref).max()
+                            <= 1e-14 * np.abs(ref).max())
+        assert len(patterns) == 6
+
+
+def edge_matrices_reference(mesh, tensor, coeff):
+    """Curl-curl and edge mass of a one-triangle mesh, entry by entry.
+
+    ``lam_n(x, y) = (1, x, y) @ coef[:, n]`` with ``coef`` the inverse of
+    the vertex matrix, and ``N_e = lam_lo grad(lam_hi) - lam_hi
+    grad(lam_lo)`` for the global edge ``lo < hi``.  Both integrands are
+    polynomials of degree at most two, so the rule on the three edge
+    midpoints, weights ``|T| / 3``, is exact.
+    """
+    p = mesh.nodes
+    vertex_matrix = np.column_stack([np.ones(3), p])
+    coef = np.linalg.inv(vertex_matrix)
+    area = 0.5 * abs(np.linalg.det(vertex_matrix))
+    midpoints = 0.5 * (p + np.roll(p, -1, axis=0))
+    grad = coef[1:].T                                   # (3, 2)
+    d = tensor.as_matrix()
+
+    def basis(lo, hi, x):
+        lam = np.array([1.0, *x]) @ coef
+        return lam[lo] * grad[hi] - lam[hi] * grad[lo]
+
+    def curl(lo, hi):
+        # N_e is affine: jac[m, k] = dN_m / dx_k
+        jac = np.outer(grad[hi], grad[lo]) - np.outer(grad[lo], grad[hi])
+        return jac[1, 0] - jac[0, 1]
+
+    e = mesh.num_edges
+    curl_ref = np.zeros((e, e))
+    mass_ref = np.zeros((e, e), dtype=complex)
+    for i, (lo_i, hi_i) in enumerate(mesh.edges):
+        for j, (lo_j, hi_j) in enumerate(mesh.edges):
+            curl_ref[i, j] = coeff * area * curl(lo_i, hi_i) * curl(lo_j, hi_j)
+            mass_ref[i, j] = sum(
+                area / 3 * basis(lo_i, hi_i, x) @ d @ basis(lo_j, hi_j, x)
+                for x in midpoints)
+    return curl_ref, mass_ref
 
 
 

@@ -271,7 +271,7 @@ class TestReconstructLongitudinal:
         for _ in range(3):
             scalar = solve_te_scalar(mesh, gyro_medium, 1)
             vector = solve_te_vector(mesh, gyro_medium, 1)
-            nodal = scalar.pencil.primal_map.scatter(scalar.dof_vectors[:, 0])
+            nodal = scalar.full_vectors[:, 0]
             per_tri = nodal[mesh.triangles].mean(axis=1)
             recovered = reconstruct_longitudinal(vector, 0, omega).samples
             fit = np.vdot(per_tri, recovered) / np.vdot(per_tri, per_tri)

@@ -53,7 +53,7 @@ def check_scaling(solutions, tem_count):
                                       else 0)
         np.testing.assert_allclose(
             solution.nonzero_cutoffs * length,
-            reference.nonzero_cutoffs * REFERENCE, rtol=1e-9, atol=0,
+            reference.nonzero_cutoffs * REFERENCE, rtol=1e-12, atol=0,
             err_msg=f"{formulation.value} at L = {length:g}")
         if formulation.is_vector:
             assert (constraint_residuals(solution) <= 1e-8).all()
@@ -71,7 +71,7 @@ def check_crossval(solutions, rtol):
                                      solutions[length, vector], 3, rtol)
             assert report.all_passed, f"{vector.value} at L = {length:g}"
             np.testing.assert_allclose(report.rel_diffs, reference.rel_diffs,
-                                       rtol=0, atol=1e-9)
+                                       rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("path, cells", [("dense", (6, 5)),
@@ -96,17 +96,17 @@ def test_coax_keeps_one_tem_mode(gyro_medium, path):
 
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("path", PATHS)
-def test_vector_routes_at_extreme_scales(gyro_medium, path):
-    # the product of two edge curls is of order L^-4, and a norm squares
-    # the residual's terms again: each is scaled first, so nothing over- or
+def test_every_route_at_extreme_scales(gyro_medium, path):
+    # the product of two edge curls is of order L^-4, a norm squares the
+    # residual's terms again, and a scalar mass times a vector goes
+    # subnormal at L = 1e-150 m: each is scaled first, so nothing over- or
     # underflows
-    vector = [f for f in SOLVERS if f.is_vector]
     scales = (1e-150, 1e-100, REFERENCE, 1e100, 1e150)
     rectangle = ladder(gyro_medium, lambda length: generate_rectangle(
-        1.2 * length, length, 6, 5), PATHS[path], vector, scales)
+        1.2 * length, length, 6, 5), PATHS[path], SOLVERS, scales)
     check_scaling(rectangle, tem_count=0)
     coax = ladder(gyro_medium, lambda length: generate_annulus(
-        length, 2 * length, 2, 16), PATHS[path], vector, scales)
+        length, 2 * length, 2, 16), PATHS[path], SOLVERS, scales)
     check_scaling(coax, tem_count=1)
 
 

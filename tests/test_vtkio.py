@@ -144,17 +144,17 @@ FIELDS_SHA256 = {
     "fields_scalar_tm_1.vtk":
         "94b707642ad293045634851a6482a020f839dbc9e5f6f4f8123bc5cd5eb4bff7",
     "fields_vector_te_0.vtk":
-        "ad7e604b9d2f25fd79b683271b50df9d9710da87b9e186685f48e4da1e15498f",
+        "79244c307edc5495164457a6aec96b442d64260532b67aab03aeb649f60fb5c7",
     "fields_vector_te_1.vtk":
-        "581f0b210f8ea696fc7aa3cf3a7b8144b589d5165050c79a71ba15f9fa74444c",
+        "531bab4a0663e47e0ba790a51585a0c35a82bab4d1e15f40cd20b0b8e6bab8da",
     "fields_vector_te_2.vtk":
-        "474013f767fb11925fec63721aba4c63ff006f8ecf38229a40bd97c85535e58a",
+        "58fa272ad31ee8284c38e22104e690915dbe2985be960a2bea2154c848b2163c",
     "fields_vector_tm_0.vtk":
-        "b6f6858e0aeb754036ce11bd73a35d59144d25b4e323784968be693fae0d0c2c",
+        "587ce0739d77ef1042f439c6989fc748289e9df56efe500dcaf32de44833e67b",
     "fields_vector_tm_1.vtk":
-        "5d680f7913d9a47fb95bb9e72c90d31470b37d4687c0c22bc9abe8829432add2",
+        "40b7d347be35bd94db5a86a97277db62071d5c69d270896ec2bf8382a78d147c",
     "fields_vector_tm_2.vtk":
-        "f64c6d26c88e9121603ab551889aa39394b51d8dc45d7f92045c246687cd833e",
+        "a706d8aec95255366e9ab04294a2787900a4b6db0765585325e1f802d85be88d",
 }
 
 
