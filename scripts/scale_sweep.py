@@ -1,8 +1,8 @@
 """Forced shift-invert solves at length scales from 1e-150 to 1e150 m.
 
-Every route solves 1, 4 and 8 modes at ARPACK seeds 1 and 2 on three
-meshes of side L: the 24 x 20 rectangle, the 4 x 48 coax and the disc
-refined once, all with ``dense_cutoff=0``.  A solve fails if it raises, if
+Every route solves 1, 4 and 8 modes at ARPACK seeds 1 and 2 on four
+meshes of side L: the 24 x 20 rectangle, the 4 x 48 and 2 x 16 coaxes and
+the disc refined once, all with ``dense_cutoff=0``.  A solve fails if it raises, if
 a vector solve's ``constraint_residuals`` exceed 1e-8 or its
 ``multiplier_diagnostics`` 1e-6 (both counted as errors), or if its
 ``nonzero_cutoffs x L`` differ from the L = 1e-3 solve by more than 1e-12
@@ -35,6 +35,7 @@ SCALES = (1e-150, 1e-100, 1e-12, 1e-9, 1e-7, 1e-5, 1.0, 1e3, 1e9, 1e12,
 MESHES = {
     "rectangle 24x20": lambda L: generate_rectangle(1.2 * L, L, 24, 20),
     "coax 4x48": lambda L: generate_annulus(L, 2 * L, 4, 48),
+    "coax 2x16": lambda L: generate_annulus(L, 2 * L, 2, 16),
     "disc L1": lambda L: refine_uniform(generate_annulus(0.0, L, 4, 24)),
 }
 MEDIUM = MediumSpec(eps_t=TransverseTensor(2.0, -1.0), eps_zz=1.0,

@@ -5,8 +5,10 @@ Every route solves 4 modes on five meshes (the 24 x 20 and 7 x 5
 rectangles, the coax, the disc and the 2 x 12 annulus, the last three
 refined once), in three media (gyrotropic, anisotropic with ``alpha = 0``
 and isotropic), by the default solve path and by forced shift-invert: 120
-solves.  Each digest covers the cut-offs, the dof vectors and the dtype,
-data and sparsity of the pencil's K and M; the total covers every line.
+solves.  Each digest covers the cut-offs, the dof vectors, the dtype, data
+and sparsity of the pencil's K and M, and the mesh's edge geometry that
+field export reads (``edge_basis_at_centroids`` and ``edge_curls``); the
+total covers every line.
 
 Run as ``OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python
 scripts/solve_digests.py`` on two trees and compare the totals.  The dense
@@ -22,6 +24,7 @@ from wgcutoff import (
     generate_rectangle,
     refine_uniform,
 )
+from wgcutoff.femcore import edge_basis_at_centroids, edge_curls
 from wgcutoff.medium import MediumSpec, TransverseTensor
 from wgcutoff.modes import SOLVERS
 
@@ -47,7 +50,9 @@ MODES = 4
 
 def digest(solution) -> str:
     sha = hashlib.sha256()
-    for array in (solution.cutoffs, solution.dof_vectors):
+    for array in (solution.cutoffs, solution.dof_vectors,
+                  edge_basis_at_centroids(solution.mesh),
+                  edge_curls(solution.mesh)):
         sha.update(array.tobytes())
     for matrix in (solution.pencil.K, solution.pencil.M):
         sha.update(matrix.dtype.str.encode())

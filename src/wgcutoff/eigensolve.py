@@ -1,27 +1,45 @@
 """Generalized Hermitian eigensolver for the assembled pencils:
 ``solve(pencil, k, opts)`` returns the ``k`` lowest eigenpairs.
 
-Every pencil is a plain Hermitian pencil ``(A, B) = (K, M)``, B positive
-definite.  A vector pencil is constrained to ``C^H x = 0`` with ``C = B G``
-(see :class:`~wgcutoff.femcore.HermitianPencil`); its gradients ``range(G)``
-are removed by the B-orthogonal projector ``P = I - G S^{-1} C^H``,
-``S = C^H G``.  This is the projected eigensolver of Arbenz & Geus (Appl.
-Numer. Math. 54, 2005) for Kikuchi's mixed formulation (Boffi, Acta
-Numerica 19, 2010).  No saddle pencil is formed, so results do not depend
-on the absolute length scale (tested from L = 1e-150 to 1e150 m).
+Every pencil is a plain Hermitian pencil ``(A, B) = (K, M)``, M positive
+definite.  A vector pencil is constrained to ``C^H x = 0`` with ``C = M G``
+(Kikuchi's mixed formulation; Boffi, Acta Numerica 19, 2010), and its
+stiffness is ``K = R^H R``, ``R = pencil.curl`` (T x p) the triangles'
+constant edge curls.  Its nonzero pairs are those of the curl-space
+operator ``H = R M^{-1} R^H``: ``H y = lambda y`` for ``y = R x``, and
+``x = M^{-1} R^H y / lambda``.  As ``R G = 0`` exactly, ``C^H x = (R G)^H
+y / lambda = 0``: no projector is applied inside the iteration, and any
+gradient that rounding leaves in a solve, the next product with R
+annihilates (the vectors come back divergence-free to about 1e-12).  No
+saddle pencil is formed, so results do not depend on the absolute length
+scale (tested from L = 1e-150 to 1e150 m).
 
-Shift-invert ARPACK runs on ``P (A - sigma B)^{-1} B`` from a projected
-start vector, with ``sigma = -trace_scale`` and ``trace_scale = tr(A) /
-tr(B) / p`` for every pencil: A is singular (scalar TE's constant,
-the gradients), but ``A - sigma B`` is positive definite for every
-``sigma < 0``, so the shift is factored once; a SuperLU or ARPACK failure
-is an :class:`EigenSolveError` that names it.  Pencils with ``p`` at most
-``dense_cutoff``, and requests beyond ARPACK's reach (``k > p - m - 2``),
-run dense ``eigh`` instead; a vector pencil is first reduced to the null
-space of ``C^H``: the last ``p - m`` columns ``Z`` of the full QR of ``C``
-are orthonormal with ``C^H Z = 0``, and ``(Z^H A Z, Z^H B Z)`` holds
-exactly the divergence-free pairs (Golub, SIAM Review 15, 1973).  The
-tests check every path against a dense QZ solve of the saddle pencil
+Shift-invert ARPACK runs on ``(K - sigma M)^{-1} M`` for a scalar pencil
+and on ``(H - sigma I)^{-1} f = (R (K - sigma M)^{-1} R^H f - f) / sigma``
+for a vector one, one solve with the factor of ``K - sigma M`` per step
+(the projected operator of Arbenz & Geus, Appl. Numer. Math. 54, 2005,
+needed a second factorization and solve for ``P = I - G S^{-1} C^H``,
+``S = C^H G``).  The eigenvectors follow from one block solve with the
+same factor.  ``sigma = -trace_scale``, ``trace_scale = tr(K) / tr(M) /
+p``, for every pencil: K is singular (scalar TE's constant, the
+gradients), but ``K - sigma M`` is positive definite for every ``sigma <
+0``, so the shift is factored once; a SuperLU or ARPACK failure is an
+:class:`EigenSolveError` that names it.
+
+Two kernels never reach ARPACK.  On a TE pencil ``R^H`` has one kernel
+vector per piece of the triangle graph (``pencil.curl_kernel``; the curl of
+a field with zero tangential trace has zero mean), the dominant eigenvector
+of ``(H - sigma I)^{-1}``, so it is projected out of the start vector and
+of every step.  The B - 1 TEM modes are harmonic fields that H cannot see
+(``R h = 0``); ``femcore`` builds them (``pencil.harmonic``), and the solve
+makes them divergence-free with P, factoring S only after the shifted
+factor is freed and only where there is a hole, M-orthonormalizes them and
+returns them first, with eigenvalue exactly 0.
+
+Pencils with ``p`` at most ``dense_cutoff``, and requests beyond ARPACK's
+reach (``k > p - m - 2``), run dense ``eigh`` instead: of ``(K, M)``, or of
+the dense H past its kernel with the same TEM modes.  The tests check every
+path against a dense QZ solve of the saddle pencil
 (``tests/saddle_oracle.py``).
 Every pair is gated by :func:`residual_gate` on ``|A x - lambda B x| /
 ((|A| + |lambda| |B|) |x|)``, whose terms all scale alike.  No multiplier
@@ -33,10 +51,11 @@ left in it.
 
 ARPACK stops at ``tol = RESIDUAL_TOL / 100``, not at machine precision.
 It stops when ``|T x - theta x| <= tol max(eps^(2/3), |theta|)`` for ``T =
-P (A - sigma B)^{-1} B`` and ``theta = 1 / (lambda - sigma)`` (Lehoucq,
-Sorensen & Yang, ARPACK Users' Guide, 1998).  While ``|theta|`` exceeds
-``eps^(2/3)``, about 3.7e-11, the test is relative: since ``(A - lambda B)
-x = -(lambda - sigma) (A - sigma B) (T x - theta x)``, the gated residual
+(A - sigma B)^{-1} B`` or ``(H - sigma I)^{-1}`` and ``theta = 1 / (lambda -
+sigma)`` (Lehoucq, Sorensen & Yang, ARPACK Users' Guide, 1998).  While
+``|theta|`` exceeds ``eps^(2/3)``, about 3.7e-11, the test is relative:
+since ``(A - lambda B) x = -(lambda - sigma) (A - sigma B) (T x - theta
+x)`` (and the same for H), the gated residual
 is then at most about ``tol (|A| + |sigma| |B|) / (|A| + |lambda| |B|)``,
 which is about ``tol`` because ``|sigma|`` is far below ``|A| / |B|``, and
 the eigenvalue error is of the order of its square.  But ``theta`` scales
@@ -44,9 +63,10 @@ as ``L^2`` with the length scale L of the mesh: 4e-9 to 4e-6 on the test
 meshes at L = 1e-3 m and below ``eps^(2/3)`` from about L = 1e-5 m; run
 unscaled at L <= 1e-7 m, 55 of the 576 forced solves of
 ``scripts/scale_sweep.py`` fail the gate or come back short.  So ARPACK
-sees the pencil ``(A, s B)`` with
+sees the pencil ``(A, s B)``, or ``H / s``, with
 shift ``sigma / s``, ``s`` the power of four nearest ``|sigma|``, and the
-eigenvalues it returns are multiplied by ``s``.  The shifted matrix ``A -
+eigenvalues it returns are multiplied by ``s``; a vector step is ``(R (K -
+sigma M)^{-1} R^H f - f) s / sigma``, of order ``|f|`` at every L.  The shifted matrix ``A -
 (sigma / s)(s B) = A - sigma B``, its factor and the eigenvectors are
 unchanged, while ``theta`` becomes ``s / (lambda - sigma)``, of order 1 at
 every L.  A power of four scales every product and square root ARPACK
@@ -58,8 +78,8 @@ pencil at L = 1e-150 m (mass entries near 1e-301) goes subnormal, and
 forced shift-invert scalar TM on the 2 x 16 coax was off by 4.6e-10 in
 ``cut-off x L``; formed as ``B (s x)``, the same goes wrong at L = 1e150
 m.  On the 128 x 128
-rectangle (4 modes per route, seeds 1-3) a solve takes 30-42 operator
-applications instead of 40-53.  Two safeguards keep the early stop from
+rectangle (4 modes per route, seeds 1-3) a solve with the projected
+operator took 30-42 operator applications instead of 40-53.  Two safeguards keep the early stop from
 losing eigenvalues.  One Krylov sequence sees the second copy of a
 degenerate eigenvalue only through rounding, so an early stop can return
 one copy: on symmetric coax, disc and square meshes, 10 of 360 forced
@@ -68,7 +88,7 @@ machine precision.  Hence two pairs beyond the request are solved, gated
 and dropped (0 of 1,400 such solves came back short), and the stop is a
 hundredth of the gate: at ``tol = 1e-8``, 17 of the 1,400 came back short.
 
-Every sparse LU (the shift-invert operator and the gradient stiffness S)
+Every sparse LU (the shifted pencil and the gradient stiffness S)
 goes through :class:`HermitianLU`, which is handed to ARPACK as ``OPinv``
 so SciPy never factors on its own.  Each part of its recipe is needed
 (factor time and L+U nonzeros of the shifted pencil, one BLAS thread):
@@ -231,38 +251,75 @@ class _GradientProjector:
         self._lu = None
 
 
-def _shift_invert(pencil, k, sigma, v0, ncv, tol):
-    """ARPACK on ``P (K - sigma M)^{-1} M`` to relative accuracy ``tol``;
-    pairs come back ascending.
+def _never(x):
+    raise AssertionError("ARPACK's shift-invert mode never applies A")
 
-    ARPACK sees the pencil ``(K, s M)`` with shift ``sigma / s``, where ``s``
-    is the power of four nearest ``|sigma|``: the same shifted matrix and
-    eigenvectors, eigenvalues divided by ``s``, and Ritz values of order 1
-    (see the module notes); ``s M x`` is formed as ``r (M (r x))``, ``r =
-    sqrt(s)``, so that no product goes subnormal.  ``K - sigma M`` is
-    factored before the projector's ``S``, so that neither the factor of
-    ``S`` nor the divergence block is held while the larger factorization
-    runs.
-    """
-    K, M = pencil.K, pencil.M
-    r = 2.0 ** round(np.log2(abs(sigma)) / 2)
-    s = r * r
-    with (HermitianLU(K - sigma * M) as lu,
-          _GradientProjector(pencil) as project):
-        op = spla.LinearOperator(
-            K.shape, matvec=lambda b: project(lu.solve(b)), dtype=lu.dtype)
-        mass = spla.LinearOperator(
-            M.shape, matvec=lambda x: r * (M @ (r * x)), dtype=M.dtype)
-        w, vecs = spla.eigsh(K, k=k, M=mass,
-                             sigma=sigma / s, which="LM", v0=project(v0),
-                             ncv=ncv, tol=tol, OPinv=op)
+
+def _arpack(op, mass, k, sigma, v0, ncv, tol):
+    """ARPACK's shift-invert mode on ``op = (A - sigma B)^{-1}`` with the
+    mass product ``mass`` (None for ``B = I``); pairs come back ascending."""
+    n = v0.size
+    w, vecs = spla.eigsh(
+        spla.LinearOperator((n, n), matvec=_never, dtype=op.dtype), k=k,
+        M=mass, sigma=sigma, which="LM", v0=v0, ncv=ncv, tol=tol, OPinv=op)
     # SciPy's complex ARPACK wrapper (_UnsymmetricArpackParams) keeps the
     # operators and the ARPACK workspace in a reference cycle.  It is still
     # in the young generations here, so a cheap collection frees it now
     # rather than at the next full collection.
     gc.collect(1)
     order = np.argsort(w)
-    return w[order] * s, vecs[:, order]
+    return w[order], vecs[:, order]
+
+
+def _shift_invert(pencil, k, sigma, v0, ncv, tol):
+    """ARPACK on ``(K - sigma M)^{-1} M`` of a scalar pencil to relative
+    accuracy ``tol``; pairs come back ascending.
+
+    ARPACK sees the pencil ``(K, s M)`` with shift ``sigma / s``: the same
+    shifted matrix and eigenvectors, eigenvalues divided by ``s``, and
+    Ritz values of order 1 (see the module notes); ``s M x`` is formed as
+    ``r (M (r x))`` so that no product goes subnormal.
+    """
+    K, M = pencil.K, pencil.M
+    r = 2.0 ** round(np.log2(abs(sigma)) / 2)
+    s = r * r
+    with HermitianLU(K - sigma * M) as lu:
+        op = spla.LinearOperator(K.shape, matvec=lu.solve, dtype=lu.dtype)
+        mass = spla.LinearOperator(
+            M.shape, matvec=lambda x: r * (M @ (r * x)), dtype=M.dtype)
+        w, vecs = _arpack(op, mass, k, sigma / s, v0, ncv, tol)
+    return w * s, vecs
+
+
+def _curl_shift_invert(pencil, k, sigma, v0, ncv, tol):
+    """ARPACK on ``(H - sigma I)^{-1}`` of a vector pencil to relative
+    accuracy ``tol``, seen as ``H / s`` with shift ``sigma / s`` like
+    :func:`_shift_invert`; pairs ``(lambda, x)`` come back ascending, with
+    ``x = (K - sigma M)^{-1} R^H y (lambda - sigma) / sqrt(lambda)``
+    M-normalized."""
+    R, kernel = pencil.curl, pencil.curl_kernel
+    Rh = R.T.tocsr()
+    s = 4.0 ** round(np.log2(abs(sigma)) / 2)
+
+    def deflate(f):
+        return f - kernel @ (kernel.T @ f)
+
+    with HermitianLU(pencil.K - sigma * pencil.M) as lu:
+        op = spla.LinearOperator(
+            (R.shape[0],) * 2, dtype=lu.dtype,
+            matvec=lambda f: deflate((R @ lu.solve(Rh @ f) - f) * (s / sigma)))
+        w, y = _arpack(op, None, k, sigma / s, deflate(v0), ncv, tol)
+        w = w * s
+        return w, lu.solve(Rh @ y) * ((w - sigma) / np.sqrt(w))
+
+
+def _tem_modes(pencil):
+    """The harmonic fields made divergence-free by the gradient projector
+    and M-orthonormal by the Cholesky factor of their Gram matrix."""
+    with _GradientProjector(pencil) as project:
+        h = project(pencil.harmonic)
+    gram = h.conj().T @ (pencil.M @ h)
+    return la.solve_triangular(la.cholesky(gram), h.T, trans="T").T
 
 
 def residual_gate(pencil: HermitianPencil, w, vecs) -> np.ndarray:
@@ -300,18 +357,19 @@ def _trace_scale(K, M) -> float:
 
 
 def _dense(pencil: HermitianPencil, k: int):
-    """Dense ``eigh`` of the ``k`` lowest pairs, for a vector pencil on the
-    null space ``Z`` of ``C^H`` (see the module notes), reduced through the
-    sparse products ``A Z`` and ``B Z``."""
-    K, M = pencil.K, pencil.M
-    if not pencil.multiplier_dim:
-        w, x = la.eigh(K.toarray(), M.toarray())
+    """Dense ``eigh`` of the ``k`` lowest pairs; for a vector pencil, of
+    ``H = R M^{-1} R^H`` past its kernel, with the M-normalized
+    eigenvectors ``x = M^{-1} R^H y / sqrt(lambda)``."""
+    if pencil.curl is None:
+        w, x = la.eigh(pencil.K.toarray(), pencil.M.toarray())
         return w[:k], x[:, :k]
-    m = pencil.multiplier_dim
-    Z = la.qr(pencil.constraint_block().toarray())[0][:, m:]
-    Zh = Z.conj().T
-    w, y = la.eigh(Zh @ (K @ Z), Zh @ (M @ Z), subset_by_index=[0, k - 1])
-    return w, Z @ y
+    R, skip = pencil.curl, pencil.curl_kernel.shape[1]
+    # SuperLU, unlike a dense Cholesky factor, gives the same bits at every
+    # BLAS thread count
+    with HermitianLU(pencil.M) as mass:
+        w, y = la.eigh(R @ mass.solve(R.T.toarray()),
+                       subset_by_index=[skip, skip + k - 1])
+        return w, mass.solve(R.T @ (y / np.sqrt(w)))
 
 
 def solve(pencil: HermitianPencil, k: int,
@@ -321,6 +379,7 @@ def solve(pencil: HermitianPencil, k: int,
     Eigenvectors are normalized in the M-inner product; the returned pairs
     are checked via the pencil residual.  Two pairs beyond ``k`` (fewer on
     a pencil too small for them) are solved and checked too, then dropped.
+    A vector pencil's TEM modes come first, with eigenvalue exactly 0.
     ``opts`` defaults to ``SolveOptions()``.
     """
     if k < 1:
@@ -328,6 +387,8 @@ def solve(pencil: HermitianPencil, k: int,
     opts = opts if opts is not None else SolveOptions()
     K, M = pencil.K, pencil.M
     p, m = pencil.primal_dim, pencil.multiplier_dim
+    if m and pencil.curl is None:
+        raise EigenSolveError("a constrained pencil needs its curl matrix")
     if k > p - m:
         raise EigenSolveError(
             f"requested {k} modes but the pencil of dimension {p} has only "
@@ -338,21 +399,28 @@ def solve(pencil: HermitianPencil, k: int,
     # them a degenerate pair at the top of the request can come back as one
     # copy (see the module notes)
     dense = p <= opts.dense_cutoff or k > p - m - 2
-    want = min(k + 2, p - m if dense else p - m - 2)
+    tem = 0 if pencil.harmonic is None else pencil.harmonic.shape[1]
+    # the TEM modes are built, and at least one pair past them is solved
+    want = max(min(k + 2, p - m if dense else p - m - 2) - tem, 1)
     if dense:
         w, vecs = _dense(pencil, want)
     else:
-        # the Krylov space lies in range(P), of dimension p - m
-        ncv = min(max(2 * want + 1, 20), p - m)
+        # the operator's dimension less the kernels projected out of it
+        ncv = min(max(2 * want + 1, 20), p - m - tem)
         sigma = -_trace_scale(K, M)
+        vector = pencil.curl is not None
         try:
-            v0 = np.random.default_rng(opts.seed).standard_normal(p)
-            w, vecs = _shift_invert(pencil, want, sigma, v0, ncv,
-                                    RESIDUAL_TOL / 100)
+            v0 = np.random.default_rng(opts.seed).standard_normal(
+                pencil.curl.shape[0] if vector else p)
+            w, vecs = (_curl_shift_invert if vector else _shift_invert)(
+                pencil, want, sigma, v0, ncv, RESIDUAL_TOL / 100)
         except RuntimeError as exc:  # SuperLU or ARPACK
             raise EigenSolveError(
                 f"shift-invert failed at shift {sigma:.6e}: {exc}"
             ) from exc
+    if tem:
+        w = np.concatenate([np.zeros(tem), w])
+        vecs = np.hstack([_tem_modes(pencil), vecs])
 
     residuals = residual_gate(pencil, w, vecs)
     norms = np.sqrt(np.abs(np.einsum("ij,ij->j", vecs.conj(), M @ vecs)))

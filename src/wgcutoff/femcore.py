@@ -6,9 +6,11 @@ paired with P1 Lagrange multipliers that enforce the discrete divergence-free
 constraint.  Every pencil is a plain Hermitian pencil ``(A, B)``; a vector
 pencil also carries the gradient incidence ``G`` from its multiplier nodes
 to its edges, and its coupling block is ``C = B G`` exactly (the P1 hat
-gradients lie in the edge space).  All integrands are polynomials of degree at most two against
-constant tensors, so every integral below is closed-form exact
-(``int lam_a lam_b = |T|/12 (1 + delta)``, ``int lam_a = |T|/3``).
+gradients lie in the edge space).  Its stiffness is ``A = R^H R``, formed
+from the curl matrix ``R`` that the pencil keeps, and ``R G = 0``.  All
+integrands are polynomials of degree at most two against constant tensors,
+so every integral below is closed-form exact (``int lam_a lam_b = |T|/12
+(1 + delta)``, ``int lam_a = |T|/3``).
 
 A pencil's arithmetic follows from its medium: it is assembled in float64
 where the tensor it integrates has ``alpha = 0``, and in complex128
@@ -42,6 +44,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse.csgraph import breadth_first_order, connected_components
 
 from .medium import MediumSpec, TransverseTensor
 from .mesh import Mesh
@@ -63,12 +66,21 @@ class HermitianPencil:
     the discretely divergence-free fields, ``C^H x = 0`` with the coupling
     ``C = M G``; the gradients ``range(G)`` are the other eigenvectors of
     ``(K, M)``, all with eigenvalue zero (``K G = 0``).
+
+    ``curl`` is the real (T, p) matrix R of each triangle's constant edge
+    curls times ``sqrt(area coeff)``, so that ``K = R^H R`` and ``R G = 0``.
+    ``curl_kernel`` holds orthonormal columns spanning the kernel of
+    ``R^H``, and ``harmonic`` one closed field (``R h = 0``) per hole, B - 1
+    for B boundary components: with the gradients they span K's kernel.
     """
 
     K: sp.csr_matrix
     M: sp.csr_matrix
     retained: np.ndarray
     gradient: sp.csr_matrix | None = None
+    curl: sp.csr_matrix | None = None
+    curl_kernel: np.ndarray | None = None
+    harmonic: np.ndarray | None = None
 
     @property
     def primal_dim(self) -> int:
@@ -169,7 +181,8 @@ def _scalar_matrices(mesh: Mesh, tensor: TransverseTensor, coeff: float):
 
 
 def _vector_matrices(mesh: Mesh, tensor_inv: TransverseTensor, coeff_inv: float):
-    """Global curl-curl and edge mass matrices."""
+    """The (T, E) curl matrix R (see :class:`HermitianPencil`) and the
+    global edge mass matrix."""
     area, grads, _, curls = _edge_geometry(mesh)
     s = mesh.tri_edge_signs
     gram = _tensor_gram(tensor_inv, grads)        # (T, 3, 3)
@@ -181,17 +194,17 @@ def _vector_matrices(mesh: Mesh, tensor_inv: TransverseTensor, coeff_inv: float)
     b_vals = (lam[a, c] * gram[:, b, d] - lam[a, d] * gram[:, b, c]
               - lam[b, c] * gram[:, a, d] + lam[b, d] * gram[:, a, c])
     b_vals *= area[:, None, None] * (s[:, :, None] * s[:, None, :])
-    # freed before the scatters, which set the peak memory of assembly
+    # freed before the scatter, which sets the peak memory of assembly
     del gram
 
-    # a curl is of order L^-2: scaled by sqrt(area) first, the product of
-    # two is of order L^-2 too and neither over- nor underflows
-    curls = curls * np.sqrt(area)[:, None]
-    a_vals = coeff_inv * (curls[:, :, None] * curls[:, None, :])
-    e = mesh.num_edges
-    curl = _assemble(mesh.tri_edges,
-                     a_vals.astype(b_vals.dtype, copy=False), e)
-    del a_vals
+    # a curl is of order L^-2: scaled by sqrt(area) first, the entries of
+    # R and of K = R^H R are of order L^-1 and L^-2 and neither over- nor
+    # underflows
+    curls = curls * (np.sqrt(area) * np.sqrt(coeff_inv))[:, None]
+    t, e = mesh.num_triangles, mesh.num_edges
+    curl = sp.coo_matrix((curls.ravel(), (np.repeat(np.arange(t), 3),
+                                          mesh.tri_edges.ravel())),
+                         shape=(t, e)).tocsr()
     return curl, _assemble(mesh.tri_edges, b_vals, e)
 
 
@@ -227,13 +240,15 @@ def assemble_scalar_tm(mesh: Mesh, spec: MediumSpec) -> HermitianPencil:
                            _restrict(mass, interior, interior), interior)
 
 
-def _vector_pencil(mesh, curl, mass, retained, keep_nodes):
+def _vector_pencil(mesh, curl, mass, retained, keep_nodes, kernel, harmonic):
     """Pencil on the ``retained`` edges, with the gradients of the
-    multiplier nodes ``keep_nodes`` (both bool masks)."""
+    multiplier nodes ``keep_nodes`` (both bool masks); ``K = R^H R``."""
     gradient = _restrict(gradient_incidence(mesh), retained, keep_nodes)
-    return HermitianPencil(_restrict(curl, retained, retained),
-                           _restrict(mass, retained, retained), retained,
-                           gradient)
+    curl = curl[:, np.flatnonzero(retained)].tocsr()
+    mass = _restrict(mass, retained, retained)
+    K = (curl.T @ curl).astype(mass.dtype, copy=False).tocsr()
+    return HermitianPencil(K, mass, retained, gradient, curl, kernel,
+                           harmonic)
 
 
 def assemble_vector_te(mesh: Mesh, spec: MediumSpec) -> HermitianPencil:
@@ -241,14 +256,66 @@ def assemble_vector_te(mesh: Mesh, spec: MediumSpec) -> HermitianPencil:
 
     The tangential-trace boundary condition is essential, so boundary edge
     dofs are eliminated; the multiplier lives in the zero-trace nodal space.
+    ``R^H y = 0`` for ``y_t = 1 / c_t`` on each piece of the triangle graph
+    joined through interior edges, ``c_t`` the magnitude of row t of R: an
+    interior edge's curl is ``+c_t`` in one of its triangles and ``-c_t``
+    in the other.  The harmonic field of boundary component c >= 1 is
+    ``G chi_c`` on the interior edges, ``chi_c`` the indicator of c's nodes.
     """
     interior_edge = ~mesh.boundary_edge
     if not interior_edge.any():
         raise AssemblyError("no interior edges: mesh too coarse for the "
                             "vector TE formulation")
     curl, mass = _vector_matrices(mesh, spec.mu_t.inverse(), 1.0 / spec.mu_zz)
+    inner = curl[:, np.flatnonzero(interior_edge)]
+    pieces, label = connected_components(inner @ inner.T, directed=False)
+    kernel = np.zeros((mesh.num_triangles, pieces))
+    scale = abs(curl).max(axis=1).toarray()[:, 0]
+    kernel[np.arange(label.size), label] = 1.0 / scale
+    component = mesh.boundary_component
+    holes = component >= 1
+    chi = np.zeros((mesh.num_nodes, mesh.num_boundary_components - 1))
+    chi[mesh.edges[holes], component[holes, None] - 1] = 1.0
     return _vector_pencil(mesh, curl, mass, interior_edge,
-                          ~mesh.boundary_node)
+                          ~mesh.boundary_node,
+                          kernel / np.linalg.norm(kernel, axis=0),
+                          (gradient_incidence(mesh) @ chi)[interior_edge])
+
+
+def _cut_cochains(mesh: Mesh) -> np.ndarray:
+    """(E, B - 1) edge fields, one per boundary component c >= 1: +-1 on
+    each edge that a shortest path of the dual graph from c to component 0
+    crosses, signed so that every triangle's circulation is 0 in integers.
+
+    The path alternates edges and triangles (a breadth-first search over
+    their incidence, from c's boundary edges).  Leaving a triangle through
+    an edge gives the edge that triangle's sign, entering from c the
+    opposite sign, so each triangle on the path sees -1 and +1.
+    """
+    t, e = mesh.num_triangles, mesh.num_edges
+    tri = np.repeat(np.arange(t), 3)
+    edge = t + mesh.tri_edges.ravel()
+    cuts = np.zeros((e, mesh.num_boundary_components - 1))
+    for c in range(1, cuts.shape[1] + 1):
+        start = t + np.flatnonzero(mesh.boundary_component == c)
+        rows = np.concatenate([tri, edge, np.full(start.size, t + e)])
+        cols = np.concatenate([edge, tri, start])
+        graph = sp.csr_matrix((np.ones(rows.size), (rows, cols)),
+                              shape=(t + e + 1, t + e + 1))
+        order, before = breadth_first_order(graph, t + e,
+                                            return_predecessors=True)
+        reached = order[1:][order[1:] >= t] - t  # edges, nearest first
+        path = [t + reached[mesh.boundary_component[reached] == 0][0]]
+        while before[path[-1]] != t + e:
+            path.append(before[path[-1]])
+        path = path[::-1]  # edge, triangle, edge, ..., triangle, edge
+        crossed = np.array(path[::2]) - t
+        left = np.array(path[1:2] + path[1::2])
+        sign = (mesh.tri_edge_signs[left]
+                * (mesh.tri_edges[left] == crossed[:, None])).sum(axis=1)
+        sign[0] = -sign[0]
+        cuts[crossed, c - 1] = sign
+    return cuts
 
 
 def assemble_vector_tm(mesh: Mesh, spec: MediumSpec) -> HermitianPencil:
@@ -259,14 +326,17 @@ def assemble_vector_tm(mesh: Mesh, spec: MediumSpec) -> HermitianPencil:
     primal side.  The multiplier is only determined up to a constant (the
     gradient of a constant is zero), which would make ``G^H M G`` singular;
     the dof at the lowest-index node is pinned (removed), which fixes the
-    constant without changing the primal eigenpairs.
+    constant without changing the primal eigenpairs.  ``R^H`` has no kernel,
+    and the harmonic fields are the cut cochains of :func:`_cut_cochains`.
     """
     curl, mass = _vector_matrices(mesh, spec.eps_t.inverse(),
                                   1.0 / spec.eps_zz)
     keep_nodes = np.ones(mesh.num_nodes, dtype=bool)
     keep_nodes[0] = False  # pin the multiplier constant
     return _vector_pencil(mesh, curl, mass,
-                          np.ones(mesh.num_edges, dtype=bool), keep_nodes)
+                          np.ones(mesh.num_edges, dtype=bool), keep_nodes,
+                          np.zeros((mesh.num_triangles, 0)),
+                          _cut_cochains(mesh))
 
 
 # ---------------------------------------------------------------------------

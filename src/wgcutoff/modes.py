@@ -7,16 +7,16 @@ Four formulations compute cut-off wavenumbers of the same waveguide:
   reporting.
 * ``scalar_tm`` - longitudinal electric field, Dirichlet P1 problem.
 * ``vector_te`` / ``vector_tm`` - transverse field with edge elements and a
-  divergence multiplier.  These stimulate TEM modes too: on a cross-section
-  whose boundary has ``B`` connected components, exactly ``B - 1`` near-zero
-  cut-offs are expected, and they are reported (flagged by ``tem_count``)
-  ahead of the nonzero spectrum.
+  divergence multiplier.  These carry TEM modes too: on a cross-section
+  whose boundary has ``B`` connected components the solve constructs
+  ``B - 1`` of them, with cut-off exactly 0, and they are reported (flagged
+  by ``tem_count``) ahead of the nonzero spectrum.
 
 Transverse/longitudinal companions of a solved mode follow from the solved
 eigenfunction and the operating frequency; below cut-off the propagation
 constant takes the decaying branch ``k_z = -j sqrt(k_t^2 - k^2)``.  One
 path serves all four routes, TE and TM being duals.  The multiplier
-diagnostics measure the gradient left in each vector mode with the solve's
+diagnostics measure the gradient left in each vector mode with the gradient
 projector.
 """
 
@@ -70,7 +70,7 @@ class ModeSolution:
     """Sorted eigenvalues plus eigenvectors for one formulation on one mesh.
 
     ``eigenvalues`` ascend; for vector formulations the first ``tem_count``
-    entries are the near-zero (TEM) modes.  ``dof_vectors`` columns align
+    entries are the TEM modes, eigenvalue 0.  ``dof_vectors`` columns align
     with them and live on the formulation's retained dofs, the nodes or
     edges where the bool mask ``pencil.retained`` is set.
     """
@@ -140,10 +140,10 @@ class MultiplierReport:
     enters its equation ``A xi + C zeta = lambda B xi`` only through its
     gradient, and for an exact divergence-free mode that term vanishes
     (TE: the multiplier is zero; TM: it is constant, and pinned to zero).
-    Values are ``|B (xi - P xi)| / |B xi|`` with the solve's projector ``P``:
-    as ``C zeta = lambda B (xi - P xi)``, the multiplier term against the
-    mass term of the same equation.  They are dimensionless, so they read
-    the same at every absolute length scale.
+    Values are ``|B (xi - P xi)| / |B xi|`` with the gradient projector
+    ``P = I - G S^{-1} C^H``: as ``C zeta = lambda B (xi - P xi)``, the
+    multiplier term against the mass term of the same equation.  They are
+    dimensionless, so they read the same at every absolute length scale.
     """
 
     formulation: Formulation

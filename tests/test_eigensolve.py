@@ -1,14 +1,17 @@
 import gc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from wgcutoff import (
     assemble_scalar_te,
     assemble_scalar_tm,
     assemble_vector_te,
     assemble_vector_tm,
+    build_topology,
     generate_annulus,
     generate_rectangle,
     refine_uniform,
@@ -36,12 +39,16 @@ def plain_pencil(K, M):
                            retained=np.ones(K.shape[0], dtype=bool))
 
 
-def saddle_pencil(A, B, G):
-    """Pencil ``(A, B)`` constrained to ``C^H x = 0`` with ``C = B G``."""
-    A = sp.csr_matrix(np.asarray(A, dtype=complex))
+def saddle_pencil(curl, B, G):
+    """Pencil ``(curl^H curl, B)`` constrained to ``C^H x = 0`` with ``C =
+    B G``, for a real ``curl`` with ``curl G = 0`` and no harmonic field."""
+    curl = sp.csr_matrix(np.asarray(curl, dtype=float))
     B = sp.csr_matrix(np.asarray(B, dtype=complex))
     G = sp.csr_matrix(np.asarray(G, dtype=float))
-    return HermitianPencil(K=A, M=B, gradient=G,
+    return HermitianPencil(K=(curl.T @ curl).astype(complex).tocsr(), M=B,
+                           gradient=G, curl=curl,
+                           curl_kernel=np.zeros((curl.shape[0], 0)),
+                           harmonic=np.zeros((G.shape[0], 0)),
                            retained=np.ones(G.shape[0], dtype=bool))
 
 
@@ -190,21 +197,69 @@ class TestSolveDefinite:
             solve(pencil, 3, SolveOptions(dense_cutoff=0))
         assert len(built) == 1
 
-    def test_shifted_pencil_factored_before_the_projector(self, gyro_medium,
-                                                          monkeypatch):
-        # the factor of S is not held while the larger one is computed
-        sizes = []
-        hermitian_lu = eigensolve.HermitianLU
+    @pytest.mark.parametrize("mesh, holes", [
+        (lambda: generate_rectangle(1.2e-3, 1e-3, 6, 5), 0),
+        (lambda: generate_annulus(1e-3, 2e-3, 4, 12), 1)],
+        ids=["rectangle", "coax"])
+    @pytest.mark.parametrize("assemble", [assemble_vector_te,
+                                          assemble_vector_tm])
+    def test_factor_sequence(self, gyro_medium, monkeypatch, mesh, holes,
+                             assemble):
+        # a simply connected vector solve factors the shifted pencil alone;
+        # on the coax the projector's S is factored for the TEM mode, after
+        # the shifted factor is freed
+        events = []
 
-        def recording_lu(matrix):
-            sizes.append(matrix.shape[0])
-            return hermitian_lu(matrix)
+        class RecordingLU(eigensolve.HermitianLU):
+            def __init__(self, matrix):
+                self.size = matrix.shape[0]
+                events.append(("factor", self.size))
+                super().__init__(matrix)
 
-        monkeypatch.setattr(eigensolve, "HermitianLU", recording_lu)
-        pencil = assemble_vector_te(generate_rectangle(1.2e-3, 1e-3, 6, 5),
-                                    gyro_medium)
+            def __exit__(self, *exc_info):
+                events.append(("free", self.size))
+                super().__exit__(*exc_info)
+
+        monkeypatch.setattr(eigensolve, "HermitianLU", RecordingLU)
+        pencil = assemble(mesh(), gyro_medium)
         solve(pencil, 3, SolveOptions(dense_cutoff=0))
-        assert sizes == [pencil.primal_dim, pencil.multiplier_dim]
+        p, m = pencil.primal_dim, pencil.multiplier_dim
+        assert events == [("factor", p), ("free", p)] + [("factor", m)] * holes
+
+    @pytest.mark.parametrize("mesh", [
+        lambda: generate_rectangle(1.2e-3, 1e-3, 24, 20),
+        lambda: generate_annulus(1e-3, 2e-3, 4, 48)],
+        ids=["rectangle", "coax"])
+    @pytest.mark.parametrize("assemble", [assemble_vector_te,
+                                          assemble_vector_tm])
+    def test_one_sparse_solve_per_arpack_step(self, gyro_medium, monkeypatch,
+                                              mesh, assemble):
+        # each operator application is one solve with the shifted factor,
+        # and the eigenvectors come from one block solve after ARPACK
+        solves, steps = [], []
+
+        class CountingLU(eigensolve.HermitianLU):
+            def solve(self, b):
+                solves.append(np.ndim(b))
+                return super().solve(b)
+
+        eigsh = spla.eigsh
+
+        def counting_eigsh(A, *args, OPinv, **kwargs):
+            def step(f):
+                steps.append(len(solves))
+                return OPinv.matvec(f)
+
+            return eigsh(A, *args, OPinv=spla.LinearOperator(
+                OPinv.shape, matvec=step, dtype=OPinv.dtype), **kwargs)
+
+        monkeypatch.setattr(eigensolve, "HermitianLU", CountingLU)
+        monkeypatch.setattr(spla, "eigsh", counting_eigsh)
+        pencil = assemble(mesh(), gyro_medium)
+        solve(pencil, 4, SolveOptions(dense_cutoff=0))
+        assert len(steps) > 10
+        assert steps == list(range(len(steps)))
+        assert solves[:len(steps) + 1] == [1] * len(steps) + [2]
 
     @pytest.mark.parametrize("length", [1e-3, 1e-9])
     def test_early_stop_keeps_both_copies_of_a_degenerate_pair(
@@ -226,7 +281,7 @@ class TestSolveDefinite:
 
 class TestSolveSaddle:
     def test_toy_pencil_single_finite_eigenvalue(self):
-        pencil = saddle_pencil(np.diag([2.0, 3.0]), np.eye(2), [[1.0], [0.0]])
+        pencil = saddle_pencil([[0.0, 3.0 ** 0.5]], np.eye(2), [[1.0], [0.0]])
         spectrum = solve(pencil, 1)
         assert np.allclose(spectrum.eigenvalues, [3.0], atol=1e-10)
         # the constraint row x1 = 0 holds for the returned pair
@@ -234,8 +289,15 @@ class TestSolveSaddle:
         brute = dense_saddle_bruteforce(pencil, 1)
         assert np.allclose(brute, [3.0], atol=1e-10)
 
+    def test_constraint_without_curl_rejected(self):
+        # the constraint is only enforced through the curl space
+        pencil = replace(saddle_pencil([[0.0, 3.0 ** 0.5]], np.eye(2),
+                                       [[1.0], [0.0]]), curl=None)
+        with pytest.raises(EigenSolveError, match="curl"):
+            solve(pencil, 1)
+
     def test_requesting_more_than_finite_count_rejected(self):
-        pencil = saddle_pencil(np.diag([2.0, 3.0]), np.eye(2), [[1.0], [0.0]])
+        pencil = saddle_pencil([[0.0, 3.0 ** 0.5]], np.eye(2), [[1.0], [0.0]])
         with pytest.raises(EigenSolveError, match="finite"):
             solve(pencil, 3)
 
@@ -275,9 +337,9 @@ class TestSolveSaddle:
     def test_scaling_invariance(self, gyro_medium):
         mesh = generate_annulus(1e-3, 2e-3, 2, 12)
         pencil = assemble_vector_tm(mesh, gyro_medium)
-        scaled = HermitianPencil(
-            K=(pencil.K * 7.5).tocsr(), M=(pencil.M * 7.5).tocsr(),
-            retained=pencil.retained, gradient=pencil.gradient,
+        scaled = replace(
+            pencil, K=(pencil.K * 7.5).tocsr(), M=(pencil.M * 7.5).tocsr(),
+            curl=(pencil.curl * 7.5 ** 0.5).tocsr(),
         )
         a = solve(pencil, 4).eigenvalues
         b = solve(scaled, 4).eigenvalues
@@ -361,13 +423,13 @@ class TestResidualGate:
         # the gate must see the gradient
         pencil = assemble(generate_rectangle(1.2e-3, 1e-3, 24, 20),
                           gyro_medium)
-        shift_invert = eigensolve._shift_invert
+        shift_invert = eigensolve._curl_shift_invert
 
         def polluted(*args):
             w, vecs = shift_invert(*args)
             return w, with_gradient(pencil, vecs, 0.1)
 
-        monkeypatch.setattr(eigensolve, "_shift_invert", polluted)
+        monkeypatch.setattr(eigensolve, "_curl_shift_invert", polluted)
         with pytest.raises(EigenSolveError, match="eigenpair residual"):
             solve(pencil, 3, SolveOptions(dense_cutoff=0))
 
@@ -448,3 +510,57 @@ class TestClassifyNearZero:
             self.fake_spectrum([0.0, 1e-30, 2e-30, 3e-30]))
         assert list(zero) == [0]
         assert list(nonzero) == [1, 2, 3]
+
+
+def two_hole_mesh():
+    """The 12 x 10 rectangle grid without an L-shaped block of five cells,
+    whose nodes' mean lies outside it, and a separate 2 x 2 block."""
+    base = generate_rectangle(1.2e-3, 1e-3, 12, 10)
+    l_shape = [(2, 2), (2, 3), (2, 4), (3, 2), (4, 2)]
+    square = [(8, 5), (9, 5), (8, 6), (9, 6)]
+    keep = np.ones(base.num_triangles, dtype=bool)
+    for col, row in l_shape + square:
+        keep[2 * (row * 12 + col) + np.arange(2)] = False
+    # the square's centre node goes with it
+    used, triangles = np.unique(base.triangles[keep], return_inverse=True)
+    mesh = build_topology(base.nodes[used], triangles.reshape(-1, 3))
+    # the mean of the L's nodes, in cells, is at neither of its arms
+    corners = np.array(l_shape)[:, None, :] + [[0, 0], [1, 0], [0, 1], [1, 1]]
+    mean = np.unique(corners.reshape(-1, 2), axis=0).mean(axis=0)
+    assert not any((c <= mean).all() and (mean <= c + 1).all()
+                   for c in np.array(l_shape))
+    return mesh
+
+
+class TestTwoHoles:
+    """Two holes, one of them non-convex: the TEM modes are constructed,
+    and the rest of the spectrum is the saddle pencil's."""
+
+    @pytest.fixture(scope="class")
+    def mesh(self):
+        mesh = two_hole_mesh()
+        assert mesh.num_boundary_components == 3
+        return mesh
+
+    @pytest.mark.parametrize("assemble", [assemble_vector_te,
+                                          assemble_vector_tm])
+    def test_tem_modes_and_cutoffs(self, gyro_medium, mesh, assemble):
+        pencil = assemble(mesh, gyro_medium)
+        K, M = pencil.K, pencil.M
+        k_norm = abs(K).sum(axis=1).max()
+        divergence = pencil.constraint_block().conj().T
+        brute = dense_saddle_bruteforce(pencil, 6)
+        assert np.abs(brute[:2]).max() <= 1e-8 * brute[2]
+        for opts in (SolveOptions(), SolveOptions(dense_cutoff=0)):
+            spectrum = solve(pencil, 6, opts)
+            w, x = spectrum.eigenvalues, spectrum.eigenvectors
+            assert (w[:2] == 0).all() and (w[2:] > 0).all()
+            tem = x[:, :2]
+            norms = np.linalg.norm(tem, axis=0)
+            assert (np.linalg.norm(K @ tem, axis=0)
+                    <= 1e-14 * k_norm * norms).all()
+            assert (np.abs(tem.conj().T @ (M @ tem) - np.eye(2)).max()
+                    <= 1e-12)
+            assert (np.linalg.norm(divergence @ tem, axis=0)
+                    <= 1e-12 * norms).all()
+            np.testing.assert_allclose(w[2:], brute[2:], rtol=1e-8)

@@ -90,8 +90,10 @@ class TestElementEdge:
     def test_unit_triangle_curl_matrix(self, unit_triangle_mesh):
         curl, _ = one_triangle(_vector_matrices, unit_triangle_mesh,
                                   TransverseTensor(1, 0), 3.0)
-        # every basis curl is +-2, area 1/2: all entries magnitude 2 * coeff
-        assert np.allclose(np.abs(curl), 2.0 * 3.0, atol=1e-13)
+        # every basis curl is +-2, area 1/2: B's entries have magnitude
+        # 2 sqrt(area * coeff), and K = B^H B's entries 2 * coeff
+        assert np.allclose(np.abs(curl), 2.0 * np.sqrt(1.5), atol=1e-13)
+        assert np.allclose(np.abs(curl.T @ curl), 2.0 * 3.0, atol=1e-13)
 
     def test_edge_mass_positive_definite(self, unit_triangle_mesh):
         _, mass = one_triangle(_vector_matrices, unit_triangle_mesh,
@@ -115,7 +117,8 @@ class TestElementEdge:
                 curl, mass = one_triangle(_vector_matrices, mesh, tensor, 3.0)
                 curl_ref, mass_ref = edge_matrices_reference(mesh, tensor,
                                                              3.0)
-                for got, ref in ((curl, curl_ref), (mass, mass_ref)):
+                for got, ref in ((curl.T @ curl, curl_ref),
+                                 (mass, mass_ref)):
                     assert (np.abs(got - ref).max()
                             <= 1e-14 * np.abs(ref).max())
         assert len(patterns) == 6
@@ -265,6 +268,29 @@ class TestVectorAssembly:
             pencil = assemble(small_rect_mesh, gyro_medium)
             residual = abs(pencil.K @ pencil.gradient).max()
             assert residual <= 1e-12 * abs(pencil.K).max()
+
+    @pytest.mark.parametrize("mesh", [
+        lambda: generate_rectangle(1.2e-3, 1.0e-3, 4, 4),
+        lambda: generate_annulus(1e-3, 2e-3, 2, 12),
+    ], ids=["rectangle", "coax"])
+    def test_stiffness_is_the_curl_gram_matrix(self, mesh, gyro_medium):
+        # K = B^H B bit for bit, and B^H and B annihilate the kernel and
+        # the harmonic fields that the solve builds on
+        mesh = mesh()
+        for assemble in (assemble_vector_te, assemble_vector_tm):
+            pencil = assemble(mesh, gyro_medium)
+            B = pencil.curl
+            assert B.dtype == np.float64
+            assert B.shape == (mesh.num_triangles, pencil.primal_dim)
+            gram = (B.T @ B).astype(pencil.M.dtype)
+            assert (pencil.K != gram).nnz == 0
+            scale = abs(B).max()
+            kernel, harmonic = pencil.curl_kernel, pencil.harmonic
+            assert abs(B.T @ kernel).max(initial=0) <= 1e-15 * scale
+            assert np.allclose(kernel.T @ kernel, np.eye(kernel.shape[1]))
+            assert abs(B @ harmonic).max(initial=0) <= 1e-15 * scale
+            assert harmonic.shape[1] == mesh.num_boundary_components - 1
+        assert pencil.curl_kernel.shape[1] == 0  # TM: B^H is one to one
 
     def test_tm_pin_leaves_no_zero_multiplier_column(self, small_rect_mesh,
                                                      gyro_medium):

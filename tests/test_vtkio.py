@@ -144,17 +144,17 @@ FIELDS_SHA256 = {
     "fields_scalar_tm_1.vtk":
         "94b707642ad293045634851a6482a020f839dbc9e5f6f4f8123bc5cd5eb4bff7",
     "fields_vector_te_0.vtk":
-        "79244c307edc5495164457a6aec96b442d64260532b67aab03aeb649f60fb5c7",
+        "3ea4a6bab6d3cfddb94e118ee6174d3c68a7fca42389f49103fa672c7cfba6f7",
     "fields_vector_te_1.vtk":
-        "531bab4a0663e47e0ba790a51585a0c35a82bab4d1e15f40cd20b0b8e6bab8da",
+        "1bfc9ce12a70fbbe7ce0babc7f762306d0a4deed187bdeaa2af9ed88ac57f30b",
     "fields_vector_te_2.vtk":
-        "58fa272ad31ee8284c38e22104e690915dbe2985be960a2bea2154c848b2163c",
+        "047f112d53c9388e0b3f97beb71af71e7e0b4fef22586ce736ba9ffe60ce2f3d",
     "fields_vector_tm_0.vtk":
-        "587ce0739d77ef1042f439c6989fc748289e9df56efe500dcaf32de44833e67b",
+        "a68783525e420030fe985ddb00e312bf9d128f6faf54642a6b4143f745175ebc",
     "fields_vector_tm_1.vtk":
-        "40b7d347be35bd94db5a86a97277db62071d5c69d270896ec2bf8382a78d147c",
+        "8745c5839eeb14a673b34fde48d7927616cfe3fd46fd96acb9898a7effc628d8",
     "fields_vector_tm_2.vtk":
-        "a706d8aec95255366e9ab04294a2787900a4b6db0765585325e1f802d85be88d",
+        "49e28d73d8bae776d49ce1fee1b688388efd609c48668d169757b866688c62c5",
 }
 
 
