@@ -88,10 +88,11 @@ machine precision.  Hence two pairs beyond the request are solved, gated
 and dropped (0 of 1,400 such solves came back short), and the stop is a
 hundredth of the gate: at ``tol = 1e-8``, 17 of the 1,400 came back short.
 
-Every sparse LU (the shifted pencil and the gradient stiffness S)
-goes through :class:`HermitianLU`, which is handed to ARPACK as ``OPinv``
-so SciPy never factors on its own.  Each part of its recipe is needed
-(factor time and L+U nonzeros of the shifted pencil, one BLAS thread):
+Every sparse LU (the shifted pencil, the gradient stiffness S and the
+dense path's M) goes through :class:`HermitianLU`, which is handed to
+ARPACK as ``OPinv`` so SciPy never factors on its own.  Each part of its
+recipe is needed (factor time and L+U nonzeros of the shifted pencil, one
+BLAS thread):
 
 * minimum degree on ``A^T + A`` with symmetric-mode pivoting instead of
   SciPy's default COLAMD: 128 x 128 rectangle vector TE 0.49 s / 4.1 M
@@ -102,7 +103,17 @@ so SciPy never factors on its own.  Each part of its recipe is needed
 * the 0.1 diagonal pivot threshold: with SuperLU's default of 1.0 the
   vector cut-offs of the coax refined two and three times move in their
   last bits (up to 1.6e-15 relative, seeds 1-2), and so do their
-  eigenvectors.
+  eigenvectors;
+* no panel blocking (``panel_size=1``): SciPy's default panel makes
+  SuperLU allocate zeroed work arrays of about ``panel_size x n`` entries
+  that these pencils do not repay.  The L+U nonzeros and the time per
+  solve stay the same, and the resident-set growth of a factorization falls
+  by about 0.3-0.5 KB per unknown: 128 x 128 rectangle vector TE 78.9 to
+  56.7 MB, vector TM 65.5 to 43.2 MB.  The factor time (median of 8
+  alternating factorizations) falls from 0.26 to 0.20 s and from 0.19 to
+  0.12 s there, and from 0.10 to 0.07 s for both vector routes on the coax
+  refined three times; the gain shrinks with size, and the 256 x 256
+  rectangle's vector TE takes 1.22 s instead of 1.19 s.
 
 Pencils whose matrices are real (scalar TM, any medium with alpha = 0) are
 assembled in float64; they are factored in real arithmetic and run real
@@ -191,7 +202,9 @@ class HermitianLU:
     Use as ``with HermitianLU(A) as lu: x = lu.solve(b)``.  The rows and
     columns are pre-permuted by reverse Cuthill-McKee, then SuperLU orders
     ``A^T + A`` by minimum degree with symmetric-mode pivoting (diagonal
-    pivots kept down to a 0.1 ratio).  The factor is dropped when the block
+    pivots kept down to a 0.1 ratio) and without panel blocking, which
+    cuts the resident-set growth of a vector pencil's factorization by
+    about 30% (see the module notes).  The factor is dropped when the block
     exits, so memory is returned at once even where ``solve`` is still
     referenced (ARPACK keeps its operator in a reference cycle).
     """
@@ -203,7 +216,7 @@ class HermitianLU:
         self._lu = spla.splu(
             matrix[self._perm][:, self._perm].tocsc(),
             permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.1,
-            options=dict(SymmetricMode=True),
+            panel_size=1, options=dict(SymmetricMode=True),
         )
 
     def solve(self, b: np.ndarray) -> np.ndarray:

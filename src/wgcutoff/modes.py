@@ -200,24 +200,16 @@ def _solve_formulation(mesh: Mesh, spec: MediumSpec, q: int,
         raise ValueError("q must be at least 1")
     require_independent(spec)
 
-    if formulation is Formulation.SCALAR_TE:
-        reserve = 1
-    elif formulation is Formulation.SCALAR_TM:
-        reserve = 0
-    else:
-        reserve = max(mesh.num_boundary_components - 1, 0)
-
     pencil = _ASSEMBLERS[formulation](mesh, spec)
-    spectrum = eigensolve.solve(pencil, q + reserve, options)
-
-    zero_idx, nonzero_idx = classify_near_zero(spectrum)
-    nonzero_idx = nonzero_idx[:q]
-    if formulation.is_vector:
-        keep = np.concatenate([zero_idx, nonzero_idx])
-        tem_count = zero_idx.size
+    # a vector solve returns its pencil's harmonic fields first, with
+    # eigenvalue exactly 0; scalar TE's constant is told by its tiny root
+    tem_count = 0 if pencil.harmonic is None else pencil.harmonic.shape[1]
+    if formulation is Formulation.SCALAR_TE:
+        spectrum = eigensolve.solve(pencil, q + 1, options)
+        keep = classify_near_zero(spectrum)[1][:q]
     else:
-        keep = nonzero_idx
-        tem_count = 0
+        spectrum = eigensolve.solve(pencil, q + tem_count, options)
+        keep = slice(None)
 
     eigenvalues = spectrum.eigenvalues[keep]
     vectors = spectrum.eigenvectors[:, keep]

@@ -17,8 +17,10 @@ from wgcutoff import (
     solve_tm_scalar,
     solve_tm_vector,
 )
+from wgcutoff import eigensolve
 from wgcutoff.eigensolve import (
     RESIDUAL_TOL,
+    ZERO_FRAC,
     EigenSolveError,
     _GradientProjector,
     residual_gate,
@@ -66,6 +68,26 @@ class TestSolvers:
             assert solution.tem_count == 1
             assert solution.cutoffs[0] <= 1e-3 * solution.cutoffs[1]
             assert solution.nonzero_cutoffs.size == 3
+
+    @pytest.mark.parametrize("solver", [solve_te_vector, solve_tm_vector])
+    def test_tem_count_is_the_pencils(self, coax_mesh, gyro_medium,
+                                      monkeypatch, solver):
+        # the TEM modes are the pencil's harmonic fields: a nonzero mode
+        # whose root falls below ZERO_FRAC of the others is still nonzero
+        real_solve = eigensolve.solve
+
+        def shrunk(pencil, k, options=None):
+            spectrum = real_solve(pencil, k, options)
+            w = spectrum.eigenvalues.copy()
+            w[1] *= 1e-8
+            return dataclasses.replace(spectrum, eigenvalues=w)
+
+        monkeypatch.setattr(eigensolve, "solve", shrunk)
+        solution = solver(coax_mesh, gyro_medium, 3)
+        assert solution.tem_count == 1
+        assert solution.nonzero_cutoffs.size == 3
+        assert (solution.nonzero_cutoffs[0]
+                < ZERO_FRAC * solution.nonzero_cutoffs[1])
 
     def test_vector_te_without_interior_nodes(self, unit_square_mesh,
                                               gyro_medium):

@@ -146,15 +146,15 @@ FIELDS_SHA256 = {
     "fields_vector_te_0.vtk":
         "3ea4a6bab6d3cfddb94e118ee6174d3c68a7fca42389f49103fa672c7cfba6f7",
     "fields_vector_te_1.vtk":
-        "1bfc9ce12a70fbbe7ce0babc7f762306d0a4deed187bdeaa2af9ed88ac57f30b",
+        "c78f89ac7562e8cd831df7065e67de5ad9522d5c7b29af022a63ef9e759e46ce",
     "fields_vector_te_2.vtk":
-        "047f112d53c9388e0b3f97beb71af71e7e0b4fef22586ce736ba9ffe60ce2f3d",
+        "836d0d91d3362f397984d035e80fd7cf7b2f606eff616bf96988387c160f9e8b",
     "fields_vector_tm_0.vtk":
-        "a68783525e420030fe985ddb00e312bf9d128f6faf54642a6b4143f745175ebc",
+        "a25386e6cf71c5de9c88082b53e3e0b9528ffc8653e4f8c3dd0e126db7c0db4d",
     "fields_vector_tm_1.vtk":
-        "8745c5839eeb14a673b34fde48d7927616cfe3fd46fd96acb9898a7effc628d8",
+        "26f84063131dd18e4b06ab12d91d679373ec7f052cd11b5a7a097e63fa6ad9f7",
     "fields_vector_tm_2.vtk":
-        "49e28d73d8bae776d49ce1fee1b688388efd609c48668d169757b866688c62c5",
+        "33662226e14b9ed19385d1d3e31c673666abbd13250914f1abda0127a5044e62",
 }
 
 
