@@ -38,7 +38,7 @@ from .femcore import (
     assemble_vector_te,
     assemble_vector_tm,
 )
-from .eigensolve import SolveOptions, Spectrum, classify_near_zero, solve
+from .eigensolve import SolveOptions, Spectrum, solve
 from .modes import (
     FieldFrame,
     Formulation,

@@ -24,10 +24,10 @@ Every command reads ``--config <file.json>`` (schema-validated, unknown keys
 rejected) and writes into ``--out <dir>`` (default: current directory).
 ``num_modes`` is the mode count of every solve, and the optional ``solver``
 object holds ``seed``, ARPACK's start-vector seed.  The shift (``sigma =
--trace_scale``), the residual gate, the near-zero fraction and the dense
-path's size bound are fixed, so a config that sets ``solver.shift``,
-``solver.residual_tol``, ``solver.zero_frac`` or ``solver.dense_cutoff``
-is rejected as an unknown key.
+-trace_scale``), the residual gate and the dense path's size bound are
+fixed, and no near-zero fraction exists, so a config that sets
+``solver.shift``, ``solver.residual_tol``, ``solver.zero_frac`` or
+``solver.dense_cutoff`` is rejected as an unknown key.
 Floats are printed with 17 significant digits so outputs are byte-stable.
 
 ``solve``, ``crossval`` and ``fields`` keep every solution they compute in

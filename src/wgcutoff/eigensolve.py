@@ -26,20 +26,22 @@ gradients), but ``K - sigma M`` is positive definite for every ``sigma <
 0``, so the shift is factored once; a SuperLU or ARPACK failure is an
 :class:`EigenSolveError` that names it.
 
-Two kernels never reach ARPACK.  On a TE pencil ``R^H`` has one kernel
-vector per piece of the triangle graph (``pencil.curl_kernel``; the curl of
-a field with zero tangential trace has zero mean), the dominant eigenvector
-of ``(H - sigma I)^{-1}``, so it is projected out of the start vector and
-of every step.  The B - 1 TEM modes are harmonic fields that H cannot see
-(``R h = 0``); ``femcore`` builds them (``pencil.harmonic``), and the solve
-makes them divergence-free with P, factoring S only after the shifted
-factor is freed and only where there is a hole, M-orthonormalizes them and
-returns them first, with eigenvalue exactly 0.
+Three kernels never reach ARPACK.  Two are ``pencil.kernel``, known null
+vectors that would dominate the operator, so they are projected out of
+the start vector and of every step: on a TE pencil the kernel of ``R^H``,
+one vector per piece of the triangle graph (the curl of a field with zero
+tangential trace has zero mean), and scalar TE's constant, no mode,
+M-orthogonally (``p`` nodes carry ``p - 1`` modes).  The B - 1 TEM modes
+are harmonic fields that H cannot see (``R h = 0``); ``femcore`` builds
+them (``pencil.harmonic``), and the solve makes them divergence-free with
+P, factoring S only after the shifted factor is freed and only where there
+is a hole, M-orthonormalizes them and returns them first, with eigenvalue
+exactly 0.
 
 Pencils with ``p`` at most ``dense_cutoff``, and requests beyond ARPACK's
-reach (``k > p - m - 2``), run dense ``eigh`` instead: of ``(K, M)``, or of
-the dense H past its kernel with the same TEM modes.  The tests check every
-path against a dense QZ solve of the saddle pencil
+reach (two short of all pairs past the kernel), run dense ``eigh``
+instead: of ``(K, M)``, or of the dense H, past the kernel.  The tests
+check every path against a dense QZ solve of the saddle pencil
 (``tests/saddle_oracle.py``).
 Every pair is gated by :func:`residual_gate` on ``|A x - lambda B x| /
 ((|A| + |lambda| |B|) |x|)``, whose terms all scale alike.  No multiplier
@@ -145,10 +147,6 @@ class EigenSolveError(RuntimeError):
 #: The gate on the relative residual of every returned pair; ARPACK stops
 #: at a hundredth of it, relative at every length scale.
 RESIDUAL_TOL = 1e-8
-
-#: The fraction of the reference cut-off below which a mode counts as near
-#: zero (a TEM mode or scalar TE's constant).
-ZERO_FRAC = 1e-3
 
 
 @dataclass(frozen=True)
@@ -284,23 +282,34 @@ def _arpack(op, mass, k, sigma, v0, ncv, tol):
     return w[order], vecs[:, order]
 
 
+def _deflation(kernel, dual):
+    """``f - kernel dual^H f``: ``f`` without its component along the
+    columns of ``kernel``; ``dual`` is ``kernel`` for orthonormal columns
+    and ``M kernel`` for M-orthonormal ones."""
+    dual_h = dual.conj().T
+    return lambda f: f - kernel @ (dual_h @ f)
+
+
 def _shift_invert(pencil, k, sigma, v0, ncv, tol):
-    """ARPACK on ``(K - sigma M)^{-1} M`` of a scalar pencil to relative
-    accuracy ``tol``; pairs come back ascending.
+    """ARPACK on ``(K - sigma M)^{-1} M`` of a scalar pencil, without its
+    known kernel, to relative accuracy ``tol``; pairs come back ascending.
 
     ARPACK sees the pencil ``(K, s M)`` with shift ``sigma / s``: the same
     shifted matrix and eigenvectors, eigenvalues divided by ``s``, and
     Ritz values of order 1 (see the module notes); ``s M x`` is formed as
     ``r (M (r x))`` so that no product goes subnormal.
     """
-    K, M = pencil.K, pencil.M
+    K, M, kernel = pencil.K, pencil.M, pencil.kernel
+    deflate = (lambda f: f) if kernel is None else _deflation(
+        kernel, M @ kernel)
     r = 2.0 ** round(np.log2(abs(sigma)) / 2)
     s = r * r
     with HermitianLU(K - sigma * M) as lu:
-        op = spla.LinearOperator(K.shape, matvec=lu.solve, dtype=lu.dtype)
+        op = spla.LinearOperator(K.shape, dtype=lu.dtype,
+                                 matvec=lambda b: deflate(lu.solve(b)))
         mass = spla.LinearOperator(
             M.shape, matvec=lambda x: r * (M @ (r * x)), dtype=M.dtype)
-        w, vecs = _arpack(op, mass, k, sigma / s, v0, ncv, tol)
+        w, vecs = _arpack(op, mass, k, sigma / s, deflate(v0), ncv, tol)
     return w * s, vecs
 
 
@@ -310,13 +319,9 @@ def _curl_shift_invert(pencil, k, sigma, v0, ncv, tol):
     :func:`_shift_invert`; pairs ``(lambda, x)`` come back ascending, with
     ``x = (K - sigma M)^{-1} R^H y (lambda - sigma) / sqrt(lambda)``
     M-normalized."""
-    R, kernel = pencil.curl, pencil.curl_kernel
+    R, deflate = pencil.curl, _deflation(pencil.kernel, pencil.kernel)
     Rh = R.T.tocsr()
     s = 4.0 ** round(np.log2(abs(sigma)) / 2)
-
-    def deflate(f):
-        return f - kernel @ (kernel.T @ f)
-
     with HermitianLU(pencil.K - sigma * pencil.M) as lu:
         op = spla.LinearOperator(
             (R.shape[0],) * 2, dtype=lu.dtype,
@@ -370,13 +375,14 @@ def _trace_scale(K, M) -> float:
 
 
 def _dense(pencil: HermitianPencil, k: int):
-    """Dense ``eigh`` of the ``k`` lowest pairs; for a vector pencil, of
-    ``H = R M^{-1} R^H`` past its kernel, with the M-normalized
-    eigenvectors ``x = M^{-1} R^H y / sqrt(lambda)``."""
+    """Dense ``eigh`` of the ``k`` lowest pairs past the pencil's known
+    kernel; for a vector pencil, of ``H = R M^{-1} R^H``, with the
+    M-normalized eigenvectors ``x = M^{-1} R^H y / sqrt(lambda)``."""
+    skip = 0 if pencil.kernel is None else pencil.kernel.shape[1]
     if pencil.curl is None:
         w, x = la.eigh(pencil.K.toarray(), pencil.M.toarray())
-        return w[:k], x[:, :k]
-    R, skip = pencil.curl, pencil.curl_kernel.shape[1]
+        return w[skip:skip + k], x[:, skip:skip + k]
+    R = pencil.curl
     # SuperLU, unlike a dense Cholesky factor, gives the same bits at every
     # BLAS thread count
     with HermitianLU(pencil.M) as mass:
@@ -392,7 +398,8 @@ def solve(pencil: HermitianPencil, k: int,
     Eigenvectors are normalized in the M-inner product; the returned pairs
     are checked via the pencil residual.  Two pairs beyond ``k`` (fewer on
     a pencil too small for them) are solved and checked too, then dropped.
-    A vector pencil's TEM modes come first, with eigenvalue exactly 0.
+    A vector pencil's TEM modes come first, with eigenvalue exactly 0; a
+    scalar pencil's known kernel (scalar TE's constant) is never returned.
     ``opts`` defaults to ``SolveOptions()``.
     """
     if k < 1:
@@ -402,24 +409,29 @@ def solve(pencil: HermitianPencil, k: int,
     p, m = pencil.primal_dim, pencil.multiplier_dim
     if m and pencil.curl is None:
         raise EigenSolveError("a constrained pencil needs its curl matrix")
-    if k > p - m:
+    # a scalar pencil's kernel columns are eigenvectors with eigenvalue 0
+    # (a vector pencil's live on the triangles)
+    zeros = (0 if pencil.curl is not None or pencil.kernel is None
+             else pencil.kernel.shape[1])
+    n = p - m - zeros
+    if k > n:
         raise EigenSolveError(
             f"requested {k} modes but the pencil of dimension {p} has only "
-            f"{p - m} finite eigenvalues"
+            f"{n} finite eigenvalues outside its known kernel"
         )
 
     # two pairs beyond the request are solved, gated and dropped: without
     # them a degenerate pair at the top of the request can come back as one
     # copy (see the module notes)
-    dense = p <= opts.dense_cutoff or k > p - m - 2
+    dense = p <= opts.dense_cutoff or k > n - 2
     tem = 0 if pencil.harmonic is None else pencil.harmonic.shape[1]
     # the TEM modes are built, and at least one pair past them is solved
-    want = max(min(k + 2, p - m if dense else p - m - 2) - tem, 1)
+    want = max(min(k + 2, n if dense else n - 2) - tem, 1)
     if dense:
         w, vecs = _dense(pencil, want)
     else:
         # the operator's dimension less the kernels projected out of it
-        ncv = min(max(2 * want + 1, 20), p - m - tem)
+        ncv = min(max(2 * want + 1, 20), n - tem)
         sigma = -_trace_scale(K, M)
         vector = pencil.curl is not None
         try:
@@ -443,16 +455,3 @@ def solve(pencil: HermitianPencil, k: int,
                     eigenvectors=vecs[:, :k].astype(complex, copy=False),
                     residuals=residuals[:k])
 
-
-def classify_near_zero(spectrum: Spectrum):
-    """Split mode indices into (near-zero, nonzero) on the ``sqrt(lambda)`` scale.
-
-    A root is near zero below ``ZERO_FRAC`` times the median of the top
-    half of the returned square roots, so the largest root never is.
-    """
-    lam = spectrum.eigenvalues
-    if lam.size == 0:
-        raise ValueError("empty spectrum")
-    roots = np.sqrt(np.clip(lam, 0.0, None))
-    near_zero = roots < ZERO_FRAC * float(np.median(roots[roots.size // 2:]))
-    return np.flatnonzero(near_zero), np.flatnonzero(~near_zero)

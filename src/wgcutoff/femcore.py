@@ -69,9 +69,10 @@ class HermitianPencil:
 
     ``curl`` is the real (T, p) matrix R of each triangle's constant edge
     curls times ``sqrt(area coeff)``, so that ``K = R^H R`` and ``R G = 0``.
-    ``curl_kernel`` holds orthonormal columns spanning the kernel of
-    ``R^H``, and ``harmonic`` one closed field (``R h = 0``) per hole, B - 1
-    for B boundary components: with the gradients they span K's kernel.
+    ``kernel`` is an orthonormal basis of a null space the solve never
+    computes: of ``R^H`` for vector TE, scalar TE's M-normalized constant.
+    ``harmonic`` holds one closed field (``R h = 0``) per hole, B - 1 for B
+    boundary components: with the gradients they span K's kernel.
     """
 
     K: sp.csr_matrix
@@ -79,7 +80,7 @@ class HermitianPencil:
     retained: np.ndarray
     gradient: sp.csr_matrix | None = None
     curl: sp.csr_matrix | None = None
-    curl_kernel: np.ndarray | None = None
+    kernel: np.ndarray | None = None
     harmonic: np.ndarray | None = None
 
     @property
@@ -217,12 +218,13 @@ def assemble_scalar_te(mesh: Mesh, spec: MediumSpec) -> HermitianPencil:
     """Neumann-natural scalar TE pencil over all nodes.
 
     The stiffness uses the transverse permeability block and the mass the
-    longitudinal permeability; the constant vector spans the stiffness
-    nullspace, so the smallest eigenvalue is a spurious zero.
+    longitudinal permeability.  The constant spans the stiffness nullspace,
+    no mode: it is the pencil's M-normalized ``kernel``, never computed.
     """
     stiffness, mass = _scalar_matrices(mesh, spec.mu_t, spec.mu_zz)
-    return HermitianPencil(stiffness, mass,
-                           np.ones(mesh.num_nodes, dtype=bool))
+    return HermitianPencil(
+        stiffness, mass, np.ones(mesh.num_nodes, dtype=bool),
+        kernel=np.ones((mesh.num_nodes, 1)) / np.sqrt(mass.sum().real))
 
 
 def assemble_scalar_tm(mesh: Mesh, spec: MediumSpec) -> HermitianPencil:

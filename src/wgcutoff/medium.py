@@ -24,8 +24,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.constants import epsilon_0 as VACUUM_PERMITTIVITY
-from scipy.constants import mu_0 as VACUUM_PERMEABILITY
+
+#: CODATA 2022, as ``scipy.constants`` gives them (tested), without its import
+VACUUM_PERMITTIVITY = 8.8541878188e-12
+VACUUM_PERMEABILITY = 1.25663706127e-06
 
 #: Relative tolerance on the decoupling residual |b*eps + a*mu|.
 DECOUPLING_TOL = 1e-12

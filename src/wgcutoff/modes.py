@@ -3,8 +3,8 @@
 Four formulations compute cut-off wavenumbers of the same waveguide:
 
 * ``scalar_te`` - longitudinal magnetic field, Neumann-natural P1 problem.
-  Its constant eigenfunction (a spurious zero) is discarded before
-  reporting.
+  Its constant null vector (no mode) is the pencil's known kernel and is
+  never computed.
 * ``scalar_tm`` - longitudinal electric field, Dirichlet P1 problem.
 * ``vector_te`` / ``vector_tm`` - transverse field with edge elements and a
   divergence multiplier.  These carry TEM modes too: on a cross-section
@@ -30,7 +30,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import eigensolve, femcore
-from .eigensolve import SolveOptions, classify_near_zero
+from .eigensolve import SolveOptions
 from .medium import (
     VACUUM_PERMEABILITY,
     VACUUM_PERMITTIVITY,
@@ -202,23 +202,16 @@ def _solve_formulation(mesh: Mesh, spec: MediumSpec, q: int,
 
     pencil = _ASSEMBLERS[formulation](mesh, spec)
     # a vector solve returns its pencil's harmonic fields first, with
-    # eigenvalue exactly 0; scalar TE's constant is told by its tiny root
+    # eigenvalue exactly 0; scalar TE's constant is never computed
     tem_count = 0 if pencil.harmonic is None else pencil.harmonic.shape[1]
-    if formulation is Formulation.SCALAR_TE:
-        spectrum = eigensolve.solve(pencil, q + 1, options)
-        keep = classify_near_zero(spectrum)[1][:q]
-    else:
-        spectrum = eigensolve.solve(pencil, q + tem_count, options)
-        keep = slice(None)
-
-    eigenvalues = spectrum.eigenvalues[keep]
-    vectors = spectrum.eigenvectors[:, keep]
+    spectrum = eigensolve.solve(pencil, q + tem_count, options)
+    vectors = spectrum.eigenvectors
     return ModeSolution(
         formulation=formulation,
-        eigenvalues=eigenvalues,
+        eigenvalues=spectrum.eigenvalues,
         tem_count=tem_count,
         dof_vectors=vectors * _phase(vectors),
-        residuals=spectrum.residuals[keep],
+        residuals=spectrum.residuals,
         mesh=mesh,
         medium=spec,
         pencil=pencil,

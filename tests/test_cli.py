@@ -291,10 +291,11 @@ class TestSolve:
     @pytest.mark.parametrize("key", ["shift", "residual_tol", "zero_frac",
                                      "dense_cutoff"])
     def test_removed_key_rejected(self, tmp_path, capsys, key):
-        # the shift is -trace_scale for every pencil, and the residual gate,
-        # the near-zero fraction and the dense path's size bound are not
-        # set from a config; a config that still sets one is an error, not
-        # silently ignored
+        # the shift is -trace_scale for every pencil, and the residual gate
+        # and the dense path's size bound are not set from a config; no
+        # near-zero fraction exists, as no mode is told from a zero by its
+        # size; a config that still sets one is an error, not silently
+        # ignored
         config = write_config(tmp_path, solver={key: 1e-3})
         assert main(["solve", "--config", config,
                      "--out", str(tmp_path)]) == 1

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg as la
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
@@ -18,6 +19,7 @@ from wgcutoff import (
     build_topology,
     generate_annulus,
     generate_rectangle,
+    generate_rectilinear_polygon,
     refine_uniform,
 )
 from wgcutoff import eigensolve
@@ -26,13 +28,12 @@ from wgcutoff.eigensolve import (
     EigenSolveError,
     HermitianLU,
     SolveOptions,
-    Spectrum,
     _GradientProjector,
     _residuals,
-    classify_near_zero,
     solve,
 )
 from wgcutoff.femcore import HermitianPencil
+from conftest import RIDGE_VERTICES
 from saddle_oracle import dense_saddle_bruteforce, with_gradient
 
 
@@ -72,7 +73,7 @@ def saddle_pencil(curl, B, G):
     G = sp.csr_matrix(np.asarray(G, dtype=float))
     return HermitianPencil(K=(curl.T @ curl).astype(complex).tocsr(), M=B,
                            gradient=G, curl=curl,
-                           curl_kernel=np.zeros((curl.shape[0], 0)),
+                           kernel=np.zeros((curl.shape[0], 0)),
                            harmonic=np.zeros((G.shape[0], 0)),
                            retained=np.ones(G.shape[0], dtype=bool))
 
@@ -185,13 +186,31 @@ class TestSolveDefinite:
         assert np.allclose(spectrum.eigenvalues, [1.0, 3.0], atol=1e-12)
 
     def test_laplacian_smallest_mode_is_constant(self, gyro_medium):
+        # the constant is the pencil's known kernel, M-normalized, and the
+        # solve returns only the pairs past it
         mesh = generate_rectangle(1.0, 1.0, 4, 4)
         pencil = assemble_scalar_te(mesh, gyro_medium)
-        spectrum = solve(pencil, 3)
-        lam = spectrum.eigenvalues
-        assert abs(lam[0]) <= 1e-9 * lam[-1]
-        vec = spectrum.eigenvectors[:, 0]
-        assert np.abs(vec - vec.mean()).max() <= 1e-6 * np.abs(vec).max()
+        c = pencil.kernel
+        assert c.shape == (pencil.primal_dim, 1)
+        assert np.abs(c - c.mean()).max() <= 1e-15 * np.abs(c).max()
+        assert abs(c.T @ (pencil.M @ c) - 1).max() <= 1e-14
+        assert np.abs(pencil.K @ c).max() <= 1e-15 * abs(pencil.K).max()
+        brute = la.eigh(pencil.K.toarray(), pencil.M.toarray(),
+                        eigvals_only=True)
+        for opts in (SolveOptions(), SolveOptions(dense_cutoff=0)):
+            lam = solve(pencil, 3, opts).eigenvalues
+            assert (lam > 1e-3 * lam[-1]).all()
+            np.testing.assert_allclose(lam, brute[1:4], rtol=1e-8)
+
+    def test_scalar_te_capacity_excludes_the_constant(self, gyro_medium):
+        # p nodes carry p - 1 modes past the constant
+        pencil = assemble_scalar_te(generate_rectangle(1.0, 1.0, 3, 3),
+                                    gyro_medium)
+        p = pencil.primal_dim
+        lam = solve(pencil, p - 1).eigenvalues
+        assert lam.size == p - 1 and (lam > 0).all()
+        with pytest.raises(EigenSolveError, match="dimension"):
+            solve(pencil, p)
 
     def test_m_orthonormal(self, gyro_medium):
         mesh = generate_rectangle(1.0, 0.8, 4, 3)
@@ -516,14 +535,16 @@ class TestOracleEquivalence:
             yield assemble_vector_tm(mesh, gyro_medium)
 
     def test_all_small_pencils(self, gyro_medium):
-        import scipy.linalg as la
         for pencil in self.coarse_pencils(gyro_medium):
             assert pencil.primal_dim <= 200
-            k = min(4, pencil.primal_dim - pencil.multiplier_dim)
+            # scalar TE's constant is a known zero, never returned
+            known = 0 if pencil.curl is not None or pencil.kernel is None \
+                else pencil.kernel.shape[1]
+            k = min(4, pencil.primal_dim - pencil.multiplier_dim - known)
             got = solve(pencil, k, SolveOptions(dense_cutoff=0)).eigenvalues
             if not pencil.multiplier_dim:
                 ref = la.eigh(pencil.K.toarray(), pencil.M.toarray(),
-                              eigvals_only=True)[:k]
+                              eigvals_only=True)[known:known + k]
             else:
                 ref = dense_saddle_bruteforce(pencil, k)
             scale = max(np.abs(ref).max(), 1.0)
@@ -542,38 +563,6 @@ class TestOracleEquivalence:
             divergence = pencil.constraint_block().conj().T @ x
             assert (np.linalg.norm(divergence, axis=0)
                     <= 1e-12 * np.linalg.norm(x, axis=0)).all()
-
-
-class TestClassifyNearZero:
-    def fake_spectrum(self, eigenvalues):
-        lam = np.asarray(eigenvalues, dtype=float)
-        return Spectrum(eigenvalues=lam,
-                        eigenvectors=np.zeros((2, lam.size), dtype=complex),
-                        residuals=np.zeros(lam.size))
-
-    def test_coax_vector_pattern(self):
-        zero, nonzero = classify_near_zero(
-            self.fake_spectrum([1e-12, 2e7, 2.2e7, 2.5e7]))
-        assert list(zero) == [0]
-        assert list(nonzero) == [1, 2, 3]
-
-    def test_rectangle_pattern(self):
-        zero, nonzero = classify_near_zero(
-            self.fake_spectrum([3e7, 7e7, 9e7, 1.3e8]))
-        assert zero.size == 0
-
-    def test_scalar_te_pattern(self):
-        zero, _ = classify_near_zero(
-            self.fake_spectrum([-1e-9, 2.1e6, 5.6e6, 5.9e6, 1.2e7]))
-        assert list(zero) == [0]
-
-    def test_largest_root_is_never_near_zero(self):
-        # the reference is a median of the top half, so a spectrum of tiny
-        # eigenvalues still keeps its largest root
-        zero, nonzero = classify_near_zero(
-            self.fake_spectrum([0.0, 1e-30, 2e-30, 3e-30]))
-        assert list(zero) == [0]
-        assert list(nonzero) == [1, 2, 3]
 
 
 def two_hole_mesh():
@@ -628,3 +617,21 @@ class TestTwoHoles:
             assert (np.linalg.norm(divergence @ tem, axis=0)
                     <= 1e-12 * norms).all()
             np.testing.assert_allclose(w[2:], brute[2:], rtol=1e-8)
+
+
+class TestScalarTeConstant:
+    """Scalar TE's constant never reaches the solve: every returned mode is
+    M-orthogonal to it, on both paths."""
+
+    @pytest.mark.parametrize("mesh", [
+        pytest.param(lambda: generate_annulus(1e-3, 2e-3, 4, 48), id="coax"),
+        pytest.param(lambda: generate_annulus(0.0, 2e-3, 4, 24), id="disc"),
+        pytest.param(lambda: generate_rectilinear_polygon(RIDGE_VERTICES,
+                                                          1e-4), id="ridge"),
+        pytest.param(two_hole_mesh, id="two holes")])
+    def test_modes_are_m_orthogonal_to_the_constant(self, gyro_medium, mesh):
+        pencil = assemble_scalar_te(mesh(), gyro_medium)
+        mc = pencil.M @ pencil.kernel
+        for opts in (SolveOptions(), SolveOptions(dense_cutoff=0)):
+            x = solve(pencil, 6, opts).eigenvectors
+            assert np.abs(mc.conj().T @ x).max() <= 1e-12

@@ -285,12 +285,12 @@ class TestVectorAssembly:
             gram = (B.T @ B).astype(pencil.M.dtype)
             assert (pencil.K != gram).nnz == 0
             scale = abs(B).max()
-            kernel, harmonic = pencil.curl_kernel, pencil.harmonic
+            kernel, harmonic = pencil.kernel, pencil.harmonic
             assert abs(B.T @ kernel).max(initial=0) <= 1e-15 * scale
             assert np.allclose(kernel.T @ kernel, np.eye(kernel.shape[1]))
             assert abs(B @ harmonic).max(initial=0) <= 1e-15 * scale
             assert harmonic.shape[1] == mesh.num_boundary_components - 1
-        assert pencil.curl_kernel.shape[1] == 0  # TM: B^H is one to one
+        assert pencil.kernel.shape[1] == 0  # TM: B^H is one to one
 
     def test_tm_pin_leaves_no_zero_multiplier_column(self, small_rect_mesh,
                                                      gyro_medium):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.constants import speed_of_light
+from scipy.constants import epsilon_0, mu_0, speed_of_light
 
 from wgcutoff import (
     MediumSpec,
@@ -13,6 +13,8 @@ from wgcutoff import (
     validate,
 )
 from wgcutoff.medium import (
+    VACUUM_PERMEABILITY,
+    VACUUM_PERMITTIVITY,
     VERDICT_INDEPENDENT,
     VERDICT_NOT_GUARANTEED,
     MediumError,
@@ -178,6 +180,12 @@ class TestInverse:
 
 
 class TestWavenumber:
+    def test_vacuum_constants_are_scipys(self):
+        # written as literals; a CODATA update in SciPy fails here instead
+        # of moving every field magnitude quietly
+        assert VACUUM_PERMITTIVITY == epsilon_0
+        assert VACUUM_PERMEABILITY == mu_0
+
     def test_vacuum_at_omega_c_is_one(self, isotropic_medium):
         assert bulk_wavenumber(isotropic_medium, speed_of_light) == \
             pytest.approx(1.0, rel=1e-9)

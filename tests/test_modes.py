@@ -20,7 +20,6 @@ from wgcutoff import (
 from wgcutoff import eigensolve
 from wgcutoff.eigensolve import (
     RESIDUAL_TOL,
-    ZERO_FRAC,
     EigenSolveError,
     _GradientProjector,
     residual_gate,
@@ -73,7 +72,7 @@ class TestSolvers:
     def test_tem_count_is_the_pencils(self, coax_mesh, gyro_medium,
                                       monkeypatch, solver):
         # the TEM modes are the pencil's harmonic fields: a nonzero mode
-        # whose root falls below ZERO_FRAC of the others is still nonzero
+        # whose root falls below 1e-3 of the others is still nonzero
         real_solve = eigensolve.solve
 
         def shrunk(pencil, k, options=None):
@@ -87,7 +86,24 @@ class TestSolvers:
         assert solution.tem_count == 1
         assert solution.nonzero_cutoffs.size == 3
         assert (solution.nonzero_cutoffs[0]
-                < ZERO_FRAC * solution.nonzero_cutoffs[1])
+                < 1e-3 * solution.nonzero_cutoffs[1])
+
+    def test_scalar_te_small_root_is_a_mode(self, rect_mesh, gyro_medium,
+                                            monkeypatch):
+        # the constant never comes back from the solve, so a mode whose root
+        # falls below 1e-3 of the others is still reported
+        real_solve = eigensolve.solve
+
+        def shrunk(pencil, k, options=None):
+            spectrum = real_solve(pencil, k, options)
+            w = spectrum.eigenvalues.copy()
+            w[0] *= 1e-8
+            return dataclasses.replace(spectrum, eigenvalues=w)
+
+        monkeypatch.setattr(eigensolve, "solve", shrunk)
+        solution = solve_te_scalar(rect_mesh, gyro_medium, 3)
+        assert solution.cutoffs.size == 3
+        assert solution.cutoffs[0] < 1e-3 * solution.cutoffs[1]
 
     def test_vector_te_without_interior_nodes(self, unit_square_mesh,
                                               gyro_medium):
@@ -124,14 +140,18 @@ class TestSolvers:
 
     def test_scalar_te_drops_exactly_one_near_zero(self, rect_mesh,
                                                    gyro_medium):
-        from wgcutoff.eigensolve import classify_near_zero, solve
+        # q modes, none of them near zero: the pencil's eigenvalues past
+        # its one zero, the constant
+        import scipy.linalg as la
         solution = solve_te_scalar(rect_mesh, gyro_medium, 4)
-        raw = solve(solution.pencil, 7)
-        zero, _ = classify_near_zero(raw)
-        assert zero.size == 1
+        pencil = solution.pencil
+        brute = la.eigh(pencil.K.toarray(), pencil.M.toarray(),
+                        eigvals_only=True)
+        assert abs(brute[0]) <= 1e-9 * brute[1]
         assert solution.cutoffs.size == 4
-        assert solution.cutoffs[0] == pytest.approx(
-            np.sqrt(raw.eigenvalues[1]), rel=1e-12)
+        assert (solution.cutoffs > 1e-3 * solution.cutoffs[-1]).all()
+        np.testing.assert_allclose(solution.eigenvalues, brute[1:5],
+                                   rtol=1e-12)
 
 
 def synthetic_scalar_tm(mesh, medium, nodal_values, kt):
