@@ -394,7 +394,7 @@ def _solution_key(formulation, mesh, spec, q, opts) -> str:
 
 
 #: The arrays of a stored solution, the arguments of ``modes.restore``.
-_STORED = ("eigenvalues", "tem_count", "dof_vectors")
+_STORED = ("eigenvalues", "dof_vectors")
 
 #: What a failed read of a stored solution raises: a missing, truncated or
 #: damaged file (a member's CRC-32 catches changed bytes), one that is not

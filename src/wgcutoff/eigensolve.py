@@ -33,10 +33,11 @@ one vector per piece of the triangle graph (the curl of a field with zero
 tangential trace has zero mean), and scalar TE's constant, no mode,
 M-orthogonally (``p`` nodes carry ``p - 1`` modes).  The B - 1 TEM modes
 are harmonic fields that H cannot see (``R h = 0``); ``femcore`` builds
-them (``pencil.harmonic``), and the solve makes them divergence-free with
-P, factoring S only after the shifted factor is freed and only where there
-is a hole, M-orthonormalizes them and returns them first, with eigenvalue
-exactly 0.
+them (``pencil.harmonic``, ``pencil.tem_count`` of them), and the solve
+makes them divergence-free by subtracting their :func:`gradient_part`,
+which factors S only after the shifted factor is freed and only where
+there is a hole, M-orthonormalizes them and returns them first, with
+eigenvalue exactly 0.
 
 Pencils with ``p`` at most ``dense_cutoff``, and requests beyond ARPACK's
 reach (two short of all pairs past the kernel), run dense ``eigh``
@@ -79,9 +80,9 @@ split is exact.  Formed as ``s (B x)``, the product ``B x`` of a scalar
 pencil at L = 1e-150 m (mass entries near 1e-301) goes subnormal, and
 forced shift-invert scalar TM on the 2 x 16 coax was off by 4.6e-10 in
 ``cut-off x L``; formed as ``B (s x)``, the same goes wrong at L = 1e150
-m.  On the 128 x 128
-rectangle (4 modes per route, seeds 1-3) a solve with the projected
-operator took 30-42 operator applications instead of 40-53.  Two safeguards keep the early stop from
+m.  On the 128 x 128 rectangle (4 modes per route, seeds 1-3, one BLAS
+thread) a solve takes 32-42 operator applications against 43-53 at a
+machine-precision stop.  Two safeguards keep the early stop from
 losing eigenvalues.  One Krylov sequence sees the second copy of a
 degenerate eigenvalue only through rounding, so an early stop can return
 one copy: on symmetric coax, disc and square meshes, 10 of 360 forced
@@ -235,31 +236,16 @@ class HermitianLU:
         self._lu = None
 
 
-class _GradientProjector:
-    """``P = I - G S^{-1} C^H`` of a vector pencil.
-
-    ``S = C^H G`` is factored once, on entry, and freed when the block
-    exits.  For a pencil without multipliers P is the identity (it returns
-    its argument itself).
-    """
-
-    def __init__(self, pencil: HermitianPencil):
-        self.gradient = pencil.gradient if pencil.multiplier_dim else None
-        self._lu = None
-        if self.gradient is not None:
-            self.divergence = pencil.constraint_block().conj().T.tocsr()
-            self._lu = HermitianLU(self.divergence @ self.gradient)
-
-    def __call__(self, x: np.ndarray) -> np.ndarray:
-        if self._lu is None:
-            return x
-        return x - self.gradient @ self._lu.solve(self.divergence @ x)
-
-    def __enter__(self) -> "_GradientProjector":
-        return self
-
-    def __exit__(self, *exc_info):
-        self._lu = None
+def gradient_part(pencil: HermitianPencil, x: np.ndarray) -> np.ndarray:
+    """``G S^{-1} C^H x``, the part of a vector pencil's fields ``x`` that
+    the gradient projector ``P = I - G S^{-1} C^H`` removes; ``S = C^H G``
+    is factored here and freed on return.  Zeros where the pencil has no
+    multipliers."""
+    if not pencil.multiplier_dim:
+        return np.zeros_like(x)
+    divergence = pencil.constraint_block().conj().T.tocsr()
+    with HermitianLU(divergence @ pencil.gradient) as lu:
+        return pencil.gradient @ lu.solve(divergence @ x)
 
 
 def _never(x):
@@ -334,8 +320,7 @@ def _curl_shift_invert(pencil, k, sigma, v0, ncv, tol):
 def _tem_modes(pencil):
     """The harmonic fields made divergence-free by the gradient projector
     and M-orthonormal by the Cholesky factor of their Gram matrix."""
-    with _GradientProjector(pencil) as project:
-        h = project(pencil.harmonic)
+    h = pencil.harmonic - gradient_part(pencil, pencil.harmonic)
     gram = h.conj().T @ (pencil.M @ h)
     return la.solve_triangular(la.cholesky(gram), h.T, trans="T").T
 
@@ -424,7 +409,7 @@ def solve(pencil: HermitianPencil, k: int,
     # them a degenerate pair at the top of the request can come back as one
     # copy (see the module notes)
     dense = p <= opts.dense_cutoff or k > n - 2
-    tem = 0 if pencil.harmonic is None else pencil.harmonic.shape[1]
+    tem = pencil.tem_count
     # the TEM modes are built, and at least one pair past them is solved
     want = max(min(k + 2, n if dense else n - 2) - tem, 1)
     if dense:

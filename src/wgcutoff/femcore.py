@@ -72,7 +72,9 @@ class HermitianPencil:
     ``kernel`` is an orthonormal basis of a null space the solve never
     computes: of ``R^H`` for vector TE, scalar TE's M-normalized constant.
     ``harmonic`` holds one closed field (``R h = 0``) per hole, B - 1 for B
-    boundary components: with the gradients they span K's kernel.
+    boundary components: with the gradients they span K's kernel.  Their
+    number is the pencil's ``tem_count``, the TEM modes that a vector solve
+    returns first (0 for a scalar or simply connected pencil).
     """
 
     K: sp.csr_matrix
@@ -90,6 +92,10 @@ class HermitianPencil:
     @property
     def multiplier_dim(self) -> int:
         return 0 if self.gradient is None else self.gradient.shape[1]
+
+    @property
+    def tem_count(self) -> int:
+        return 0 if self.harmonic is None else self.harmonic.shape[1]
 
     def constraint_block(self) -> sp.csr_matrix:
         """Coupling ``C = M G`` (primal x multiplier) of a vector pencil."""

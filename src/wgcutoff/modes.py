@@ -9,15 +9,15 @@ Four formulations compute cut-off wavenumbers of the same waveguide:
 * ``vector_te`` / ``vector_tm`` - transverse field with edge elements and a
   divergence multiplier.  These carry TEM modes too: on a cross-section
   whose boundary has ``B`` connected components the solve constructs
-  ``B - 1`` of them, with cut-off exactly 0, and they are reported (flagged
-  by ``tem_count``) ahead of the nonzero spectrum.
+  ``B - 1`` of them (the pencil's ``tem_count``), with cut-off exactly 0,
+  and they are reported ahead of the nonzero spectrum.
 
 Transverse/longitudinal companions of a solved mode follow from the solved
 eigenfunction and the operating frequency; below cut-off the propagation
 constant takes the decaying branch ``k_z = -j sqrt(k_t^2 - k^2)``.  One
 path serves all four routes, TE and TM being duals.  The multiplier
-diagnostics measure the gradient left in each vector mode with the gradient
-projector.
+diagnostics measure the gradient left in each vector mode with
+``eigensolve.gradient_part``.
 """
 
 from __future__ import annotations
@@ -141,9 +141,10 @@ class MultiplierReport:
     gradient, and for an exact divergence-free mode that term vanishes
     (TE: the multiplier is zero; TM: it is constant, and pinned to zero).
     Values are ``|B (xi - P xi)| / |B xi|`` with the gradient projector
-    ``P = I - G S^{-1} C^H``: as ``C zeta = lambda B (xi - P xi)``, the
-    multiplier term against the mass term of the same equation.  They are
-    dimensionless, so they read the same at every absolute length scale.
+    ``P = I - G S^{-1} C^H``, formed as ``xi - P xi = G S^{-1} C^H xi``:
+    as ``C zeta = lambda B (xi - P xi)``, the multiplier term against the
+    mass term of the same equation.  They are dimensionless, so they read
+    the same at every absolute length scale.
     """
 
     formulation: Formulation
@@ -193,23 +194,27 @@ def require_independent(spec: MediumSpec) -> None:
         )
 
 
+def _pencil(formulation: Formulation, mesh: Mesh,
+            spec: MediumSpec) -> femcore.HermitianPencil:
+    """The formulation's pencil, assembled once the medium verdict holds."""
+    require_independent(spec)
+    return _ASSEMBLERS[formulation](mesh, spec)
+
+
 def _solve_formulation(mesh: Mesh, spec: MediumSpec, q: int,
                        formulation: Formulation,
                        options: SolveOptions | None) -> ModeSolution:
     if q < 1:
         raise ValueError("q must be at least 1")
-    require_independent(spec)
-
-    pencil = _ASSEMBLERS[formulation](mesh, spec)
-    # a vector solve returns its pencil's harmonic fields first, with
-    # eigenvalue exactly 0; scalar TE's constant is never computed
-    tem_count = 0 if pencil.harmonic is None else pencil.harmonic.shape[1]
-    spectrum = eigensolve.solve(pencil, q + tem_count, options)
+    pencil = _pencil(formulation, mesh, spec)
+    # a vector solve returns its pencil's TEM modes first, with eigenvalue
+    # exactly 0; scalar TE's constant is never computed
+    spectrum = eigensolve.solve(pencil, q + pencil.tem_count, options)
     vectors = spectrum.eigenvectors
     return ModeSolution(
         formulation=formulation,
         eigenvalues=spectrum.eigenvalues,
-        tem_count=tem_count,
+        tem_count=pencil.tem_count,
         dof_vectors=vectors * _phase(vectors),
         residuals=spectrum.residuals,
         mesh=mesh,
@@ -243,19 +248,19 @@ SOLVERS = {
 
 
 def restore(formulation: Formulation, mesh: Mesh, spec: MediumSpec, q: int,
-            eigenvalues: np.ndarray, tem_count,
-            dof_vectors: np.ndarray) -> ModeSolution:
+            eigenvalues: np.ndarray, dof_vectors: np.ndarray) -> ModeSolution:
     """The solution that ``SOLVERS[formulation]`` returned for ``q`` modes,
-    rebuilt from its arrays after every check the solve runs on it.
+    rebuilt from its eigenvalues and eigenvectors after every check the
+    solve runs on it.
 
     The medium verdict is checked, the pencil assembled again, the arrays
     checked for dtype and shape against it, and the eigenpairs gated on
     the pencil residual, whose values become the solution's residuals.
-    Raises ``MediumError``, ``ValueError`` or ``EigenSolveError`` where a
-    check fails.
+    The TEM count is the pencil's, never stored, and ``q`` modes must
+    follow the TEM modes, as the solve returns them.  Raises ``MediumError``, ``ValueError`` or
+    ``EigenSolveError`` where a check fails.
     """
-    require_independent(spec)
-    pencil = _ASSEMBLERS[formulation](mesh, spec)
+    pencil = _pencil(formulation, mesh, spec)
     n = eigenvalues.shape[0] if eigenvalues.ndim == 1 else -1
     expected = (
         (eigenvalues, np.float64, (n,)),
@@ -265,19 +270,14 @@ def restore(formulation: Formulation, mesh: Mesh, spec: MediumSpec, q: int,
         if array.dtype != dtype or array.shape != shape:
             raise ValueError(f"stored {array.dtype} {array.shape} array, "
                              f"expected {np.dtype(dtype)} {shape}")
-    tem_count = np.asarray(tem_count)
-    if tem_count.shape or tem_count.dtype.kind not in "iu":
-        raise ValueError("stored tem_count is not an integer")
-    tem_count = int(tem_count)
-    most = n if formulation.is_vector else 0
-    nonzero = n - tem_count
-    if not 0 <= tem_count <= most or not 1 <= nonzero <= q:
-        raise ValueError(f"stored {n} modes with {tem_count} TEM modes")
+    if n != q + pencil.tem_count:
+        raise ValueError(f"stored {n} modes, expected {q} past "
+                         f"{pencil.tem_count} TEM modes")
     residuals = eigensolve.residual_gate(pencil, eigenvalues, dof_vectors)
     return ModeSolution(
         formulation=formulation,
         eigenvalues=eigenvalues,
-        tem_count=tem_count,
+        tem_count=pencil.tem_count,
         dof_vectors=dof_vectors,
         residuals=residuals,
         mesh=mesh,
@@ -454,8 +454,7 @@ def multiplier_diagnostics(solution: ModeSolution) -> MultiplierReport:
     if not solution.formulation.is_vector:
         raise ValueError("multiplier diagnostics apply to vector formulations")
     x, M = solution.dof_vectors, solution.pencil.M
-    with eigensolve._GradientProjector(solution.pencil) as project:
-        gradient = x - project(x)
+    gradient = eigensolve.gradient_part(solution.pencil, x)
     return MultiplierReport(
         formulation=solution.formulation,
         values=(np.linalg.norm(M @ gradient, axis=0)

@@ -554,8 +554,7 @@ class TestSolutionStore:
         assert len(store_files(tmp_path / "shared")) == 4
         for path in store_files(tmp_path / "shared"):
             with np.load(path) as stored:
-                assert sorted(stored) == sorted(
-                    ["eigenvalues", "tem_count", "dof_vectors"])
+                assert sorted(stored) == ["dof_vectors", "eigenvalues"]
 
     def test_crossval_reads_solve_at_a_smaller_count(self, tmp_path, capsys,
                                                       solver_pids):
@@ -579,7 +578,7 @@ class TestSolutionStore:
         # the mode count is part of the key: crossval at count 3 after solve
         # at num_modes 2 solves again instead of reading 2 modes for 3
         from wgcutoff import cli
-        from wgcutoff.modes import Formulation
+        from wgcutoff.modes import Formulation, _pencil
         formulations = ["scalar_tm", "vector_tm"]
         config = write_config(tmp_path, geometry=COAX,
                               formulations=formulations, num_modes=2,
@@ -595,11 +594,11 @@ class TestSolutionStore:
         # two files per formulation, each holding the count it is keyed by
         assert len(store_files(tmp_path)) == 2 * len(formulations)
         for name in formulations:
+            tem_count = _pencil(Formulation(name), mesh, spec).tem_count
             for q in (2, 3):
                 key = cli._solution_key(Formulation(name), mesh, spec, q, opts)
                 with np.load(tmp_path / "solutions" / f"{key}.npz") as stored:
-                    nonzero = stored["eigenvalues"].size - stored["tem_count"]
-                assert nonzero == q
+                    assert stored["eigenvalues"].size - tem_count == q
 
     @pytest.mark.parametrize("change, misses", [
         ({}, 0),
@@ -628,7 +627,8 @@ class TestSolutionStore:
         assert ((out / "cutoffs.csv").read_bytes()
                 == (fresh / "cutoffs.csv").read_bytes())
 
-    @pytest.mark.parametrize("damage", ["truncate", "shape", "eigenvalue"])
+    @pytest.mark.parametrize("damage", ["truncate", "shape", "eigenvalue",
+                                        "mode"])
     def test_damaged_file_is_solved_again(self, tmp_path, capsys,
                                           solver_pids, damage):
         config = write_config(tmp_path)
@@ -647,9 +647,13 @@ class TestSolutionStore:
                 # gate, which reads one column per eigenvalue, passes it
                 vectors = arrays["dof_vectors"]
                 arrays["dof_vectors"] = np.hstack([vectors, vectors[:, :1]])
-            else:
+            elif damage == "eigenvalue":
                 # fails the re-gate: its residual becomes about 7e-8
                 arrays["eigenvalues"][0] *= 1 + 1e-6
+            else:
+                # the last pair dropped: the others still pass the gate
+                arrays["eigenvalues"] = arrays["eigenvalues"][:-1]
+                arrays["dof_vectors"] = arrays["dof_vectors"][:, :-1]
             with open(path, "wb") as handle:
                 np.savez(handle, **arrays)
         for solves in (1, 0):  # solved again and stored again
@@ -659,6 +663,25 @@ class TestSolutionStore:
             assert len(solver_pids()) == solves
             assert (out / "cutoffs.csv").read_bytes() == first
             assert store_files(out) == [path]
+
+    def test_stored_tem_count_is_not_read(self, tmp_path, capsys,
+                                          solver_pids):
+        # the TEM count comes from the assembled pencil: a store file that
+        # carries a wrong one changes no output
+        config = write_config(tmp_path, geometry=COAX,
+                              formulations=["vector_tm"])
+        out = tmp_path / "out"
+        assert main(["solve", "--config", config, "--out", str(out)]) == 0
+        assert len(solver_pids()) == 1
+        first = (out / "cutoffs.csv").read_bytes()
+        [path] = store_files(out)
+        with np.load(path) as stored:
+            arrays = dict(stored, tem_count=np.array(2))
+        with open(path, "wb") as handle:
+            np.savez(handle, **arrays)
+        assert main(["solve", "--config", config, "--out", str(out)]) == 0
+        assert len(solver_pids()) == 0  # its eigenpairs are still read
+        assert (out / "cutoffs.csv").read_bytes() == first
 
     def test_failed_solve_leaves_no_file(self, tmp_path, capsys, monkeypatch,
                                          solver_pids):

@@ -28,7 +28,6 @@ from wgcutoff.eigensolve import (
     EigenSolveError,
     HermitianLU,
     SolveOptions,
-    _GradientProjector,
     _residuals,
     solve,
 )
@@ -289,8 +288,8 @@ class TestSolveDefinite:
     def test_factor_sequence(self, gyro_medium, monkeypatch, mesh, holes,
                              assemble):
         # a simply connected vector solve factors the shifted pencil alone;
-        # on the coax the projector's S is factored for the TEM mode, after
-        # the shifted factor is freed
+        # on the coax S is factored for the TEM mode after the shifted
+        # factor is freed, and freed before the solve returns
         events = []
 
         class RecordingLU(eigensolve.HermitianLU):
@@ -307,7 +306,8 @@ class TestSolveDefinite:
         pencil = assemble(mesh(), gyro_medium)
         solve(pencil, 3, SolveOptions(dense_cutoff=0))
         p, m = pencil.primal_dim, pencil.multiplier_dim
-        assert events == [("factor", p), ("free", p)] + [("factor", m)] * holes
+        assert events == ([("factor", p), ("free", p)]
+                          + [("factor", m), ("free", m)] * holes)
 
     @pytest.mark.parametrize("mesh", [
         lambda: generate_rectangle(1.2e-3, 1e-3, 24, 20),
@@ -485,8 +485,9 @@ class TestResidualGate:
             # the saddle pencil [[A, C], [C^H, 0]] normalised by its own
             # norm, with the multiplier zeta = lambda S^-1 C^H x: its h^0
             # coupling hides the h^-2 curl-curl block at 1e9
-            with _GradientProjector(pencil) as project:
-                zeta = project._lu.solve(project.divergence @ x) * lam
+            divergence = pencil.constraint_block().conj().T
+            with HermitianLU(divergence @ pencil.gradient) as lu:
+                zeta = lu.solve(divergence @ x) * lam
             c = pencil.constraint_block()
             m = pencil.multiplier_dim
             K = sp.bmat([[pencil.K, c], [c.conj().T, None]]).tocsr()

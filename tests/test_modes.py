@@ -21,7 +21,7 @@ from wgcutoff import eigensolve
 from wgcutoff.eigensolve import (
     RESIDUAL_TOL,
     EigenSolveError,
-    _GradientProjector,
+    gradient_part,
     residual_gate,
 )
 from wgcutoff.femcore import assemble_scalar_te, assemble_vector_tm
@@ -417,9 +417,9 @@ class TestTemVerification:
 
 
 class TestRestore:
-    """``restore`` rebuilds a solution from the three stored arrays and
-    takes its residuals from the residual gate, as ``cutoffs`` are
-    recomputed rather than stored."""
+    """``restore`` rebuilds a solution from the two stored arrays and takes
+    its residuals from the residual gate and its TEM count from the pencil,
+    as ``cutoffs`` are recomputed rather than stored."""
 
     @pytest.fixture(scope="class")
     def solutions(self, coax_mesh, gyro_medium):
@@ -432,8 +432,7 @@ class TestRestore:
                                                    gyro_medium, formulation):
         solution = solutions[formulation]
         restored = restore(formulation, coax_mesh, gyro_medium, 3,
-                           solution.eigenvalues, solution.tem_count,
-                           solution.dof_vectors)
+                           solution.eigenvalues, solution.dof_vectors)
         assert restored.tem_count == solution.tem_count
         assert np.array_equal(restored.eigenvalues, solution.eigenvalues)
         assert np.array_equal(restored.cutoffs, solution.cutoffs)
@@ -450,8 +449,7 @@ class TestRestore:
         solution = solutions[formulation]
         with pytest.raises(EigenSolveError, match="residual"):
             restore(formulation, coax_mesh, gyro_medium, 3,
-                    solution.eigenvalues * 1.01, solution.tem_count,
-                    solution.dof_vectors)
+                    solution.eigenvalues * 1.01, solution.dof_vectors)
 
     def test_nan_eigenvalue_fails_the_gate(self, solutions, coax_mesh,
                                            gyro_medium):
@@ -460,15 +458,14 @@ class TestRestore:
         eigenvalues[0] = np.nan
         with pytest.raises(EigenSolveError, match="residual nan"):
             restore(Formulation.SCALAR_TM, coax_mesh, gyro_medium, 3,
-                    eigenvalues, solution.tem_count, solution.dof_vectors)
+                    eigenvalues, solution.dof_vectors)
 
     def test_arrays_of_another_mesh_rejected(self, solutions, rect_mesh,
                                              gyro_medium):
         solution = solutions[Formulation.VECTOR_TE]
         with pytest.raises(ValueError, match="stored complex128"):
             restore(Formulation.VECTOR_TE, rect_mesh, gyro_medium, 3,
-                    solution.eigenvalues, solution.tem_count,
-                    solution.dof_vectors)
+                    solution.eigenvalues, solution.dof_vectors)
 
 class TestConstraintResiduals:
     def test_matches_the_formula_mode_by_mode(self, coax_mesh, gyro_medium):
@@ -509,13 +506,23 @@ class TestMultiplierDiagnostics:
             solution = solver(coax_mesh, gyro_medium, 2)
             x = with_gradient(solution.pencil, solution.dof_vectors, 0.01)
             M = solution.pencil.M
-            with _GradientProjector(solution.pencil) as project:
-                expected = [np.linalg.norm(M @ (x[:, i] - project(x[:, i])))
-                            / np.linalg.norm(M @ x[:, i])
-                            for i in range(x.shape[1])]
+            expected = [np.linalg.norm(M @ gradient_part(solution.pencil,
+                                                         x[:, i]))
+                        / np.linalg.norm(M @ x[:, i])
+                        for i in range(x.shape[1])]
             got = multiplier_diagnostics(
                 dataclasses.replace(solution, dof_vectors=x)).values
             np.testing.assert_allclose(got, expected, rtol=1e-12)
+
+    def test_multiplier_free_pencil_reads_zero(self, medium):
+        # one cell: vector TE keeps the diagonal edge alone and no node
+        solution = solve_te_vector(generate_rectangle(1.2e-3, 1e-3, 1, 1),
+                                   medium, 1)
+        pencil, x = solution.pencil, solution.dof_vectors
+        assert (pencil.primal_dim, pencil.multiplier_dim) == (1, 0)
+        assert np.array_equal(multiplier_diagnostics(solution).values, [0.0])
+        gradient = gradient_part(pencil, x)
+        assert gradient.shape == x.shape and not gradient.any()
 
     def test_scalar_solution_rejected(self, rect_mesh, gyro_medium):
         with pytest.raises(ValueError, match="vector"):
