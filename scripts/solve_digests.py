@@ -7,8 +7,8 @@ refined once), in three media (gyrotropic, anisotropic with ``alpha = 0``
 and isotropic), by the default solve path and by forced shift-invert: 120
 solves.  Each digest covers the cut-offs, the dof vectors, the dtype, data
 and sparsity of the pencil's K and M, and the mesh's edge geometry that
-field export reads (``edge_basis_at_centroids`` and ``edge_curls``); the
-total covers every line.
+field export reads (the centroid basis and the curls that
+``femcore.edge_geometry`` returns); the total covers every line.
 
 Run as ``OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python
 scripts/solve_digests.py`` on two trees and compare the totals.  The dense
@@ -24,7 +24,7 @@ from wgcutoff import (
     generate_rectangle,
     refine_uniform,
 )
-from wgcutoff.femcore import edge_basis_at_centroids, edge_curls
+from wgcutoff.femcore import edge_geometry
 from wgcutoff.medium import MediumSpec, TransverseTensor
 from wgcutoff.modes import SOLVERS
 
@@ -51,8 +51,7 @@ MODES = 4
 def digest(solution) -> str:
     sha = hashlib.sha256()
     for array in (solution.cutoffs, solution.dof_vectors,
-                  edge_basis_at_centroids(solution.mesh),
-                  edge_curls(solution.mesh)):
+                  *edge_geometry(solution.mesh)[2:]):
         sha.update(array.tobytes())
     for matrix in (solution.pencil.K, solution.pencil.M):
         sha.update(matrix.dtype.str.encode())

@@ -91,6 +91,7 @@ from .medium import (
     VERDICT_INDEPENDENT,
     MediumError,
     MediumSpec,
+    bulk_wavenumber,
     validate as validate_medium,
 )
 from .mesh import (
@@ -550,7 +551,7 @@ def cmd_fields(config: dict, out_dir: Path) -> int:
     # the medium with the solve's error, then omega (the schema lets NaN and
     # infinity through), both before anything is solved or stored
     modes.require_independent(spec)
-    modes.check_omega(spec, omega)
+    bulk_wavenumber(spec, omega)
     q = config.get("num_modes", 4)
     opts = solver_options(config)
     mesh = mesh_family(config)[-1]

@@ -135,7 +135,7 @@ def _cross(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     return u[..., 0] * v[..., 1] - u[..., 1] * v[..., 0]
 
 
-def _edge_geometry(mesh: Mesh):
+def edge_geometry(mesh: Mesh):
     """Per-triangle geometry of the global edge basis functions.
 
     Returns the areas (T,), the barycentric gradients (T, 3, 2), the value
@@ -190,7 +190,7 @@ def _scalar_matrices(mesh: Mesh, tensor: TransverseTensor, coeff: float):
 def _vector_matrices(mesh: Mesh, tensor_inv: TransverseTensor, coeff_inv: float):
     """The (T, E) curl matrix R (see :class:`HermitianPencil`) and the
     global edge mass matrix."""
-    area, grads, _, curls = _edge_geometry(mesh)
+    area, grads, _, curls = edge_geometry(mesh)
     s = mesh.tri_edge_signs
     gram = _tensor_gram(tensor_inv, grads)        # (T, 3, 3)
     # int N_i . D N_j over the triangle for the local edges i from vertex a
@@ -349,17 +349,6 @@ def assemble_vector_tm(mesh: Mesh, spec: MediumSpec) -> HermitianPencil:
 
 # ---------------------------------------------------------------------------
 # helpers used by field reconstruction
-
-
-def edge_curls(mesh: Mesh) -> np.ndarray:
-    """(T, 3) constant scalar curl of each edge basis function."""
-    return _edge_geometry(mesh)[3]
-
-
-def edge_basis_at_centroids(mesh: Mesh) -> np.ndarray:
-    """(T, 3, 2) value of each edge basis at the triangle centroid, where
-    every barycentric coordinate is 1/3."""
-    return _edge_geometry(mesh)[2]
 
 
 def gradient_incidence(mesh: Mesh) -> sp.csr_matrix:

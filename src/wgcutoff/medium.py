@@ -21,6 +21,7 @@ depend only on these ratios, so absolute scaling enters solely through
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -219,10 +220,17 @@ def product_scalar(spec: MediumSpec) -> float:
 
 
 def bulk_wavenumber(spec: MediumSpec, omega: float) -> float:
-    """``k = omega * sqrt(eps0*mu0*(eps*mu + a*b))`` in rad/m."""
-    if omega <= 0:
-        raise MediumError("omega must be positive")
+    """``k = omega * sqrt(eps0*mu0*(eps*mu + a*b))`` in rad/m.  Rejects an
+    ``omega`` outside ``(0, inf)`` and a ``k`` whose square overflows."""
+    if not 0 < omega < math.inf:
+        raise MediumError("omega must be positive and finite")
     product = product_scalar(spec)
     if product <= 0:
         raise MediumError(f"eps*mu + a*b = {product} is not positive")
-    return omega * np.sqrt(VACUUM_PERMITTIVITY * VACUUM_PERMEABILITY * product)
+    # Python floats, which overflow to inf without a RuntimeWarning
+    k = float(omega) * math.sqrt(
+        VACUUM_PERMITTIVITY * VACUUM_PERMEABILITY * product)
+    if k * k == math.inf:
+        raise MediumError(f"omega {omega:.6e} rad/s is too large: the bulk "
+                          "wavenumber squared overflows float64")
+    return k

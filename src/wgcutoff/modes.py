@@ -69,20 +69,23 @@ class FieldFrame:
 class ModeSolution:
     """Sorted eigenvalues plus eigenvectors for one formulation on one mesh.
 
-    ``eigenvalues`` ascend; for vector formulations the first ``tem_count``
-    entries are the TEM modes, eigenvalue 0.  ``dof_vectors`` columns align
-    with them and live on the formulation's retained dofs, the nodes or
-    edges where the bool mask ``pencil.retained`` is set.
+    ``eigenvalues`` ascend; the first ``tem_count`` (the pencil's) entries
+    are the TEM modes, eigenvalue 0.  ``dof_vectors`` columns align with
+    them and live on the formulation's retained dofs, the nodes or edges
+    where the bool mask ``pencil.retained`` is set.
     """
 
     formulation: Formulation
     eigenvalues: np.ndarray
-    tem_count: int
     dof_vectors: np.ndarray
     residuals: np.ndarray
     mesh: Mesh
     medium: MediumSpec
     pencil: femcore.HermitianPencil
+
+    @property
+    def tem_count(self) -> int:
+        return self.pencil.tem_count
 
     @cached_property
     def cutoffs(self) -> np.ndarray:
@@ -94,17 +97,24 @@ class ModeSolution:
         return self.cutoffs[self.tem_count:]
 
     @cached_property
-    def centroid_basis(self) -> np.ndarray:
-        """(T, 3, 2) basis values that turn a mode into per-triangle vectors.
-
-        The P1 hat gradients for scalar formulations (giving the gradient
-        of the solved field) and the edge basis at the centroids for vector
-        ones (giving the field itself).  Computed on first use and kept, so
-        the fields of every mode of a solution need one geometry pass.
-        """
+    def _geometry(self) -> tuple:
+        """What the fields of every mode read of the element geometry, from
+        one pass on first use: the hat gradients of a scalar solution, the
+        centroid edge basis and the edge curls of a vector one."""
         if self.formulation.is_vector:
-            return femcore.edge_basis_at_centroids(self.mesh)
-        return femcore.triangle_geometry(self.mesh)[1]
+            return femcore.edge_geometry(self.mesh)[2:]
+        return femcore.triangle_geometry(self.mesh)[1:]
+
+    @property
+    def centroid_basis(self) -> np.ndarray:
+        """(T, 3, 2) basis values that turn a mode into per-triangle vectors:
+        the field of a vector mode, the gradient of a scalar one."""
+        return self._geometry[0]
+
+    @property
+    def edge_curls(self) -> np.ndarray:
+        """(T, 3) scalar curls of the local edge basis of a vector solution."""
+        return self._geometry[1]
 
     @cached_property
     def full_vectors(self) -> np.ndarray:
@@ -114,12 +124,6 @@ class ModeSolution:
         full = np.zeros((retained.size, self.dof_vectors.shape[1]), complex)
         full[retained] = self.dof_vectors
         return full
-
-    @cached_property
-    def edge_curls(self) -> np.ndarray:
-        """(T, 3) scalar curls of the local edge basis functions of a vector
-        solution, computed on first use and kept like ``centroid_basis``."""
-        return femcore.edge_curls(self.mesh)
 
 
 @dataclass(frozen=True)
@@ -214,7 +218,6 @@ def _solve_formulation(mesh: Mesh, spec: MediumSpec, q: int,
     return ModeSolution(
         formulation=formulation,
         eigenvalues=spectrum.eigenvalues,
-        tem_count=pencil.tem_count,
         dof_vectors=vectors * _phase(vectors),
         residuals=spectrum.residuals,
         mesh=mesh,
@@ -257,8 +260,9 @@ def restore(formulation: Formulation, mesh: Mesh, spec: MediumSpec, q: int,
     checked for dtype and shape against it, and the eigenpairs gated on
     the pencil residual, whose values become the solution's residuals.
     The TEM count is the pencil's, never stored, and ``q`` modes must
-    follow the TEM modes, as the solve returns them.  Raises ``MediumError``, ``ValueError`` or
-    ``EigenSolveError`` where a check fails.
+    follow the TEM modes, as the solve returns them: ascending from TEM
+    eigenvalues of exactly 0, with M-orthonormal vectors.  Raises
+    ``MediumError``, ``ValueError`` or ``EigenSolveError`` where a check fails.
     """
     pencil = _pencil(formulation, mesh, spec)
     n = eigenvalues.shape[0] if eigenvalues.ndim == 1 else -1
@@ -273,11 +277,17 @@ def restore(formulation: Formulation, mesh: Mesh, spec: MediumSpec, q: int,
     if n != q + pencil.tem_count:
         raise ValueError(f"stored {n} modes, expected {q} past "
                          f"{pencil.tem_count} TEM modes")
+    if (np.diff(eigenvalues) < 0).any():
+        raise ValueError("stored eigenvalues do not ascend")
+    if eigenvalues[:pencil.tem_count].any():
+        raise ValueError("stored TEM eigenvalues are not 0")
+    gram = dof_vectors.conj().T @ (pencil.M @ dof_vectors)
+    if not np.abs(gram - np.eye(n)).max() <= eigensolve.RESIDUAL_TOL:
+        raise ValueError("stored vectors are not M-orthonormal")
     residuals = eigensolve.residual_gate(pencil, eigenvalues, dof_vectors)
     return ModeSolution(
         formulation=formulation,
         eigenvalues=eigenvalues,
-        tem_count=pencil.tem_count,
         dof_vectors=dof_vectors,
         residuals=residuals,
         mesh=mesh,
@@ -299,18 +309,6 @@ def _apply_tensor(t: TransverseTensor, v: np.ndarray) -> np.ndarray:
     vx, vy = v[..., 0], v[..., 1]
     return np.stack([t.d * vx + 1j * t.alpha * vy,
                      -1j * t.alpha * vx + t.d * vy], axis=-1)
-
-
-def check_omega(spec: MediumSpec, omega: float) -> float:
-    """The bulk wavenumber ``k`` at ``omega``; a ``ValueError`` where
-    ``omega`` is not positive and finite or ``k^2`` overflows."""
-    if not 0 < omega < np.inf:
-        raise ValueError("omega must be positive and finite")
-    k = float(bulk_wavenumber(spec, omega))  # k * k overflows to inf quietly
-    if k * k == np.inf:
-        raise ValueError(f"omega {omega:.6e} rad/s is too large: the bulk "
-                         "wavenumber squared overflows float64")
-    return k
 
 
 class _Polarization(NamedTuple):
@@ -340,7 +338,7 @@ def _nodal_gradients(solution: ModeSolution, nodal: np.ndarray) -> np.ndarray:
 def _mode(solution: ModeSolution, mode_index: int, omega: float):
     """The polarization, ``k_t``, ``k_z`` and full field of a checked mode;
     only a TEM mode may have a zero cut-off."""
-    k = check_omega(solution.medium, omega)
+    k = bulk_wavenumber(solution.medium, omega)
     kt = float(solution.cutoffs[mode_index])
     if kt <= 0 and mode_index >= solution.tem_count:
         raise ValueError("reconstruction needs a nonzero cut-off mode")
@@ -442,7 +440,9 @@ def reconstruct_longitudinal(solution: ModeSolution, mode_index: int,
 
 
 def verify_tem(solution: ModeSolution) -> TemReport:
-    """TEM count must equal boundary components minus one."""
+    """TEM count must equal boundary components minus one.  ``actual`` is
+    the pencil's harmonic-field count, ``B - 1`` by construction, so the
+    check is independent only with ROADMAP item 3 (c)'s inertia count."""
     if not solution.formulation.is_vector:
         raise ValueError("TEM verification applies to vector formulations")
     return TemReport(expected=solution.mesh.num_boundary_components - 1,

@@ -628,7 +628,7 @@ class TestSolutionStore:
                 == (fresh / "cutoffs.csv").read_bytes())
 
     @pytest.mark.parametrize("damage", ["truncate", "shape", "eigenvalue",
-                                        "mode"])
+                                        "mode", "swapped", "duplicated"])
     def test_damaged_file_is_solved_again(self, tmp_path, capsys,
                                           solver_pids, damage):
         config = write_config(tmp_path)
@@ -650,10 +650,19 @@ class TestSolutionStore:
             elif damage == "eigenvalue":
                 # fails the re-gate: its residual becomes about 7e-8
                 arrays["eigenvalues"][0] *= 1 + 1e-6
-            else:
+            elif damage == "mode":
                 # the last pair dropped: the others still pass the gate
                 arrays["eigenvalues"] = arrays["eigenvalues"][:-1]
                 arrays["dof_vectors"] = arrays["dof_vectors"][:, :-1]
+            else:
+                # pairs 0 and 1 swapped, or pair 1 replaced by a copy of
+                # pair 0: each pair still passes the gate
+                eigenvalues = arrays["eigenvalues"]
+                vectors = arrays["dof_vectors"]
+                assert eigenvalues[0] < eigenvalues[1]  # not degenerate
+                order = [1, 0] if damage == "swapped" else [0, 0]
+                eigenvalues[:2] = eigenvalues[order]
+                vectors[:, :2] = vectors[:, order]
             with open(path, "wb") as handle:
                 np.savez(handle, **arrays)
         for solves in (1, 0):  # solved again and stored again

@@ -1,3 +1,5 @@
+import types
+
 import numpy as np
 import pytest
 from scipy.special import jv, yv
@@ -27,10 +29,10 @@ def stub_solution(formulation, cutoffs, tem_count, mesh, medium):
     cutoffs = np.asarray(cutoffs, dtype=float)
     return ModeSolution(
         formulation=formulation, eigenvalues=cutoffs**2,
-        tem_count=tem_count,
         dof_vectors=np.zeros((1, cutoffs.size), dtype=complex),
         residuals=np.zeros(cutoffs.size),
-        mesh=mesh, medium=medium, pencil=None,
+        mesh=mesh, medium=medium,
+        pencil=types.SimpleNamespace(tem_count=tem_count),
     )
 
 

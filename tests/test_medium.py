@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -209,9 +211,21 @@ class TestWavenumber:
         with pytest.raises(MediumError, match="not positive"):
             bulk_wavenumber(spec, 1e9)
 
-    def test_nonpositive_omega_rejected(self, gyro_medium):
-        with pytest.raises(MediumError):
-            bulk_wavenumber(gyro_medium, 0.0)
+    @pytest.mark.parametrize("omega", [0.0, -1.0, np.inf, np.nan])
+    def test_nonpositive_omega_rejected(self, gyro_medium, omega):
+        with pytest.raises(MediumError, match="^omega must be positive and "
+                                              "finite$"):
+            bulk_wavenumber(gyro_medium, omega)
+
+    def test_omega_whose_k_squared_overflows_rejected(self, gyro_medium):
+        # k = 4.1e291 rad/m is finite, but k_z needs k^2
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(MediumError) as info:
+                bulk_wavenumber(gyro_medium, 1e300)
+        assert str(info.value) == ("omega 1.000000e+300 rad/s is too large: "
+                                   "the bulk wavenumber squared overflows "
+                                   "float64")
 
 
 def test_json_roundtrip(gyro_medium):

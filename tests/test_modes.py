@@ -161,7 +161,7 @@ def synthetic_scalar_tm(mesh, medium, nodal_values, kt):
     return ModeSolution(
         formulation=Formulation.SCALAR_TM,
         eigenvalues=np.array([kt**2]),
-        tem_count=0, dof_vectors=column, residuals=np.zeros(1),
+        dof_vectors=column, residuals=np.zeros(1),
         mesh=mesh, medium=medium, pencil=pencil,
     )
 
@@ -268,7 +268,7 @@ def synthetic_vector(mesh, medium, edge_values, kt, formulation):
     return ModeSolution(
         formulation=formulation,
         eigenvalues=np.array([kt**2]),
-        tem_count=0, dof_vectors=column, residuals=np.zeros(1),
+        dof_vectors=column, residuals=np.zeros(1),
         mesh=mesh, medium=medium, pencil=pencil,
     )
 
@@ -294,7 +294,9 @@ class TestReconstructLongitudinal:
         geometry = femcore.triangle_geometry
         monkeypatch.setattr(femcore, "triangle_geometry",
                             lambda mesh: calls.append(1) or geometry(mesh))
+        # the transverse and the longitudinal fields share one pass
         for index in range(3):
+            transverse_companion(solution, index, 2e12)
             reconstruct_longitudinal(solution, index, 2e12)
         assert len(calls) == 1
 
@@ -459,6 +461,42 @@ class TestRestore:
         with pytest.raises(EigenSolveError, match="residual nan"):
             restore(Formulation.SCALAR_TM, coax_mesh, gyro_medium, 3,
                     eigenvalues, solution.dof_vectors)
+
+    @pytest.mark.parametrize("formulation", list(Formulation),
+                             ids=lambda f: f.value)
+    @pytest.mark.parametrize("damage, match", [
+        ("swapped", "do not ascend"),
+        ("duplicated", "not M-orthonormal"),
+        ("scaled", "not M-orthonormal"),
+    ])
+    def test_pairs_the_solve_cannot_return_rejected(
+            self, solutions, coax_mesh, gyro_medium, formulation, damage,
+            match):
+        # each damage passes the residual gate
+        solution = solutions[formulation]
+        t = solution.tem_count
+        w, x = solution.eigenvalues.copy(), solution.dof_vectors.copy()
+        if damage == "scaled":
+            x[:, -1] *= 2
+        else:
+            assert w[t] < w[t + 1]
+            order = [t + 1, t] if damage == "swapped" else [t, t]
+            w[t:t + 2], x[:, t:t + 2] = w[order], x[:, order]
+        with pytest.raises(ValueError, match=match):
+            restore(formulation, coax_mesh, gyro_medium, 3, w, x)
+
+    @pytest.mark.parametrize("formulation", [Formulation.VECTOR_TE,
+                                             Formulation.VECTOR_TM],
+                             ids=lambda f: f.value)
+    def test_nonzero_tem_eigenvalue_rejected(self, solutions, coax_mesh,
+                                             gyro_medium, formulation):
+        # passes the residual gate, and would print a cut-off of 1e-15
+        solution = solutions[formulation]
+        w = solution.eigenvalues.copy()
+        w[0] = 1e-30
+        with pytest.raises(ValueError, match="TEM eigenvalues are not 0"):
+            restore(formulation, coax_mesh, gyro_medium, 3, w,
+                    solution.dof_vectors)
 
     def test_arrays_of_another_mesh_rejected(self, solutions, rect_mesh,
                                              gyro_medium):
