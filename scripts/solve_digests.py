@@ -4,10 +4,10 @@ every solve's bits.
 Every route solves 4 modes on five meshes (the 24 x 20 and 7 x 5
 rectangles, the coax, the disc and the 2 x 12 annulus, the last three
 refined once), in three media (gyrotropic, anisotropic with ``alpha = 0``
-and isotropic), by the default solve path and by forced shift-invert: 120
-solves.  Each digest covers the cut-offs, the dof vectors, the dtype, data
-and sparsity of the pencil's K and M, and the mesh's edge geometry that
-field export reads (the centroid basis and the curls that
+and isotropic), by the default path (shift-invert) and by forced dense
+``eigh``: 120 solves.  Each digest covers the cut-offs, the dof vectors,
+the dtype, data and sparsity of the pencil's K and M, and the mesh's edge
+geometry that field export reads (the centroid basis and the curls that
 ``femcore.edge_geometry`` returns); the total covers every line.
 
 Run as ``OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python
@@ -17,6 +17,7 @@ same count.
 """
 
 import hashlib
+import sys
 
 from wgcutoff import (
     SolveOptions,
@@ -43,8 +44,8 @@ MEDIA = {
                           TransverseTensor(1.0, 0.0), 2.0),
     "isotropic": MediumSpec.isotropic(),
 }
-PATHS = {"default": SolveOptions(),
-         "shift-invert": SolveOptions(dense_cutoff=0)}
+PATHS = {"shift-invert": SolveOptions(),
+         "dense": SolveOptions(dense_cutoff=sys.maxsize)}
 MODES = 4
 
 

@@ -24,8 +24,8 @@ Every command reads ``--config <file.json>`` (schema-validated, unknown keys
 rejected) and writes into ``--out <dir>`` (default: current directory).
 ``num_modes`` is the mode count of every solve, and the optional ``solver``
 object holds ``seed``, ARPACK's start-vector seed.  The shift (``sigma =
--trace_scale``), the residual gate and the dense path's size bound are
-fixed, and no near-zero fraction exists, so a config that sets
+-trace_scale``) and the residual gate are fixed, the dense path runs only
+past ARPACK's reach, and no near-zero fraction exists, so a config that sets
 ``solver.shift``, ``solver.residual_tol``, ``solver.zero_frac`` or
 ``solver.dense_cutoff`` is rejected as an unknown key.
 Floats are printed with 17 significant digits so outputs are byte-stable.

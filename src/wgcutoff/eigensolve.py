@@ -39,11 +39,10 @@ which factors S only after the shifted factor is freed and only where
 there is a hole, M-orthonormalizes them and returns them first, with
 eigenvalue exactly 0.
 
-Pencils with ``p`` at most ``dense_cutoff``, and requests beyond ARPACK's
-reach (two short of all pairs past the kernel), run dense ``eigh``
-instead: of ``(K, M)``, or of the dense H, past the kernel.  The tests
-check every path against a dense QZ solve of the saddle pencil
-(``tests/saddle_oracle.py``).
+Only requests beyond ARPACK's reach (two short of all pairs past the
+kernel) run dense ``eigh`` instead: of ``(K, M)``, or of the dense H, past
+the kernel.  The tests check both paths against a dense QZ solve of the
+saddle pencil (``tests/saddle_oracle.py``).
 Every pair is gated by :func:`residual_gate` on ``|A x - lambda B x| /
 ((|A| + |lambda| |B|) |x|)``, whose terms all scale alike.  No multiplier
 is computed: ``G^H A = 0`` (the gradients are in A's kernel), so the
@@ -156,11 +155,11 @@ class SolveOptions:
     :func:`solve`, and the shift is ``sigma = -trace_scale``.
 
     ``dense_cutoff`` is the field dimension at or below which the dense
-    path runs; set it to 0 to force shift-invert.  ``seed`` seeds ARPACK's
-    start vector.
+    path runs too; the default 0 leaves it to requests beyond ARPACK's
+    reach.  ``seed`` seeds ARPACK's start vector.
     """
 
-    dense_cutoff: int = 400
+    dense_cutoff: int = 0
     seed: int = 1357
 
 

@@ -196,7 +196,8 @@ class TestSolveDefinite:
         assert np.abs(pencil.K @ c).max() <= 1e-15 * abs(pencil.K).max()
         brute = la.eigh(pencil.K.toarray(), pencil.M.toarray(),
                         eigvals_only=True)
-        for opts in (SolveOptions(), SolveOptions(dense_cutoff=0)):
+        for opts in (SolveOptions(dense_cutoff=pencil.primal_dim),
+                     SolveOptions(dense_cutoff=0)):
             lam = solve(pencil, 3, opts).eigenvalues
             assert (lam > 1e-3 * lam[-1]).all()
             np.testing.assert_allclose(lam, brute[1:4], rtol=1e-8)
@@ -231,7 +232,7 @@ class TestSolveDefinite:
     def test_sparse_path_matches_dense(self, gyro_medium):
         mesh = generate_rectangle(1.1e-3, 0.9e-3, 5, 5)
         pencil = assemble_scalar_tm(mesh, gyro_medium)
-        dense = solve(pencil, 4)
+        dense = solve(pencil, 4, SolveOptions(dense_cutoff=pencil.primal_dim))
         sparse = solve(pencil, 4, SolveOptions(dense_cutoff=0))
         assert np.allclose(sparse.eigenvalues, dense.eigenvalues, rtol=1e-10)
 
@@ -396,7 +397,8 @@ class TestSolveSaddle:
         mesh = generate_annulus(1e-3, 2e-3, 2, 12)
         for assemble in (assemble_vector_te, assemble_vector_tm):
             pencil = assemble(mesh, gyro_medium)
-            dense = solve(pencil, 4)
+            dense = solve(pencil, 4, SolveOptions(
+                dense_cutoff=pencil.primal_dim))
             sparse = solve(pencil, 4, SolveOptions(dense_cutoff=0))
             brute = dense_saddle_bruteforce(pencil, 4)
             scale = max(abs(dense.eigenvalues).max(), 1.0)
@@ -518,6 +520,43 @@ class TestResidualGate:
             solve(pencil, 3, SolveOptions(dense_cutoff=0))
 
 
+class TestPathSelection:
+    """Shift-invert solves every pencil ARPACK can take, however small;
+    only a request past its reach runs dense."""
+
+    @pytest.mark.parametrize("assemble", [
+        assemble_scalar_te, assemble_scalar_tm, assemble_vector_te,
+        assemble_vector_tm], ids=lambda f: f.__name__[len("assemble_"):])
+    def test_small_pencil_takes_shift_invert(self, gyro_medium, monkeypatch,
+                                             assemble):
+        def refuse(pencil, k):
+            raise AssertionError("the dense path ran")
+
+        pencil = assemble(generate_annulus(1e-3, 2e-3, 2, 16), gyro_medium)
+        assert pencil.primal_dim <= 400
+        monkeypatch.setattr(eigensolve, "_dense", refuse)
+        solve(pencil, 4)
+
+    def test_request_past_arpack_reaches_dense(self, gyro_medium,
+                                               monkeypatch):
+        calls = []
+        dense = eigensolve._dense
+
+        def spy(pencil, k):
+            calls.append(k)
+            return dense(pencil, k)
+
+        pencil = assemble_scalar_tm(generate_annulus(1e-3, 2e-3, 4, 48),
+                                    gyro_medium)
+        assert pencil.primal_dim == 144
+        monkeypatch.setattr(eigensolve, "_dense", spy)
+        lam = solve(pencil, 143).eigenvalues
+        assert len(calls) == 1
+        brute = la.eigh(pencil.K.toarray(), pencil.M.toarray(),
+                        eigvals_only=True)
+        np.testing.assert_allclose(lam, brute[:143], rtol=1e-8)
+
+
 class TestOracleEquivalence:
     """Shift-invert, and the dense path's whole finite spectrum, must agree
     with the dense brute force on small pencils."""
@@ -552,8 +591,8 @@ class TestOracleEquivalence:
             assert np.allclose(got, ref, rtol=1e-8, atol=1e-8 * scale)
             if not pencil.multiplier_dim:
                 continue
-            # the default (dense) path at k = p - m: the whole finite
-            # spectrum, every pair divergence-free
+            # k = p - m is past ARPACK's reach and takes the dense path:
+            # the whole finite spectrum, every pair divergence-free
             k = pencil.primal_dim - pencil.multiplier_dim
             spectrum = solve(pencil, k)
             ref = dense_saddle_bruteforce(pencil, k)
@@ -605,7 +644,8 @@ class TestTwoHoles:
         divergence = pencil.constraint_block().conj().T
         brute = dense_saddle_bruteforce(pencil, 6)
         assert np.abs(brute[:2]).max() <= 1e-8 * brute[2]
-        for opts in (SolveOptions(), SolveOptions(dense_cutoff=0)):
+        for opts in (SolveOptions(dense_cutoff=pencil.primal_dim),
+                     SolveOptions(dense_cutoff=0)):
             spectrum = solve(pencil, 6, opts)
             w, x = spectrum.eigenvalues, spectrum.eigenvectors
             assert (w[:2] == 0).all() and (w[2:] > 0).all()
@@ -633,6 +673,7 @@ class TestScalarTeConstant:
     def test_modes_are_m_orthogonal_to_the_constant(self, gyro_medium, mesh):
         pencil = assemble_scalar_te(mesh(), gyro_medium)
         mc = pencil.M @ pencil.kernel
-        for opts in (SolveOptions(), SolveOptions(dense_cutoff=0)):
+        for opts in (SolveOptions(dense_cutoff=pencil.primal_dim),
+                     SolveOptions(dense_cutoff=0)):
             x = solve(pencil, 6, opts).eigenvectors
             assert np.abs(mc.conj().T @ x).max() <= 1e-12

@@ -3,6 +3,7 @@ every absolute length scale, on the dense and on the shift-invert path, and
 the scale-free diagnostics read the same at every rung."""
 
 import json
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -22,7 +23,8 @@ from saddle_oracle import with_gradient
 
 SCALES = (1e-9, 1e-7, 1e-3, 1.0, 1e3, 1e9)
 REFERENCE = 1e-3
-PATHS = {"dense": SolveOptions(), "shift-invert": SolveOptions(dense_cutoff=0)}
+PATHS = {"dense": SolveOptions(dense_cutoff=sys.maxsize),
+         "shift-invert": SolveOptions(dense_cutoff=0)}
 PAIRS = ((Formulation.SCALAR_TE, Formulation.VECTOR_TE),
          (Formulation.SCALAR_TM, Formulation.VECTOR_TM))
 #: Largest scalar/vector gap of each rectangle at L = 1e-3, rounded up.
@@ -122,8 +124,8 @@ def test_all_zero_curl_fails_the_gate(gyro_medium):
 
 
 def test_cli_rung_writes_the_library_values(gyro_medium, tmp_path, capsys):
-    # the nanometre rung of the shift-invert rectangle, through `solve`;
-    # its pencils (p = 437 to 1,484) take shift-invert by default
+    # the nanometre rung of the shift-invert rectangle, through `solve`,
+    # whose pencils take shift-invert like every one ARPACK can take
     length = 1e-9
     config = {
         "medium": {"eps": {"d": 2, "alpha": -1, "zz": 1},
