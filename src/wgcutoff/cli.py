@@ -239,10 +239,13 @@ def build_mesh(config: dict) -> Mesh:
     except KeyError:
         raise ConfigError("config has no geometry section") from None
     kind = geo["kind"]
+    # the schema's integers include 4.0, which the generators refuse
     if kind == "rectangle":
-        return generate_rectangle(geo["a"], geo["b"], geo["nx"], geo["ny"])
+        return generate_rectangle(geo["a"], geo["b"], int(geo["nx"]),
+                                  int(geo["ny"]))
     if kind == "annulus":
-        return generate_annulus(geo["r1"], geo["r2"], geo["nr"], geo["ntheta"])
+        return generate_annulus(geo["r1"], geo["r2"], int(geo["nr"]),
+                                int(geo["ntheta"]))
     if kind == "polygon":
         return generate_rectilinear_polygon(geo["vertices"], geo["h"])
     with open(geo["path"], "r", encoding="utf-8") as handle:
@@ -515,7 +518,7 @@ def _frames(solution, index, omega):
     if solution.formulation.is_vector:
         return et.samples, ht.samples, {}
     label = "h_z" if solution.formulation is Formulation.SCALAR_TE else "e_z"
-    nodal = solution.full_vectors[:, index]
+    nodal = solution.full_vector(index)
     return et.samples, ht.samples, {f"Re_{label}": np.real(nodal),
                                     f"Im_{label}": np.imag(nodal)}
 
@@ -550,7 +553,6 @@ def cmd_fields(config: dict, out_dir: Path) -> int:
     omega = config["omega"]
     # the medium with the solve's error, then omega (the schema lets NaN and
     # infinity through), both before anything is solved or stored
-    modes.require_independent(spec)
     bulk_wavenumber(spec, omega)
     q = config.get("num_modes", 4)
     opts = solver_options(config)

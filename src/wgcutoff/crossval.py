@@ -93,6 +93,8 @@ def compare_spectra(a: ModeSolution, b: ModeSolution, count: int,
     """
     if not 0 < rtol < np.inf:
         raise CrossValError(f"rtol must be positive and finite, got {rtol}")
+    if count < 1:
+        raise CrossValError(f"count must be at least 1, got {count}")
     if {a.formulation, b.formulation} not in map(set, PAIRS):
         raise CrossValError(
             f"formulations {a.formulation.value} and {b.formulation.value} "

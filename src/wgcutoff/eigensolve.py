@@ -40,9 +40,9 @@ there is a hole, M-orthonormalizes them and returns them first, with
 eigenvalue exactly 0.
 
 Only requests beyond ARPACK's reach (two short of all pairs past the
-kernel) run dense ``eigh`` instead: of ``(K, M)``, or of the dense H, past
-the kernel.  The tests check both paths against a dense QZ solve of the
-saddle pencil (``tests/saddle_oracle.py``).
+kernel, ``pencil.finite_count``) run dense ``eigh`` instead: of ``(K,
+M)``, or of the dense H, past the kernel.  The tests check both paths
+against a dense QZ solve of the saddle pencil (``tests/saddle_oracle.py``).
 Every pair is gated by :func:`residual_gate` on ``|A x - lambda B x| /
 ((|A| + |lambda| |B|) |x|)``, whose terms all scale alike.  No multiplier
 is computed: ``G^H A = 0`` (the gradients are in A's kernel), so the
@@ -384,20 +384,16 @@ def solve(pencil: HermitianPencil, k: int,
     a pencil too small for them) are solved and checked too, then dropped.
     A vector pencil's TEM modes come first, with eigenvalue exactly 0; a
     scalar pencil's known kernel (scalar TE's constant) is never returned.
-    ``opts`` defaults to ``SolveOptions()``.
+    ``k`` may be at most ``pencil.finite_count``; past ``finite_count - 2``
+    the request runs dense.  ``opts`` defaults to ``SolveOptions()``.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
     opts = opts if opts is not None else SolveOptions()
     K, M = pencil.K, pencil.M
-    p, m = pencil.primal_dim, pencil.multiplier_dim
-    if m and pencil.curl is None:
+    p, n = pencil.primal_dim, pencil.finite_count
+    if pencil.multiplier_dim and pencil.curl is None:
         raise EigenSolveError("a constrained pencil needs its curl matrix")
-    # a scalar pencil's kernel columns are eigenvectors with eigenvalue 0
-    # (a vector pencil's live on the triangles)
-    zeros = (0 if pencil.curl is not None or pencil.kernel is None
-             else pencil.kernel.shape[1])
-    n = p - m - zeros
     if k > n:
         raise EigenSolveError(
             f"requested {k} modes but the pencil of dimension {p} has only "

@@ -75,6 +75,7 @@ class HermitianPencil:
     boundary components: with the gradients they span K's kernel.  Their
     number is the pencil's ``tem_count``, the TEM modes that a vector solve
     returns first (0 for a scalar or simply connected pencil).
+    ``finite_count`` is the number of modes a solve can return.
     """
 
     K: sp.csr_matrix
@@ -96,6 +97,15 @@ class HermitianPencil:
     @property
     def tem_count(self) -> int:
         return 0 if self.harmonic is None else self.harmonic.shape[1]
+
+    @property
+    def finite_count(self) -> int:
+        """Finite eigenvalues outside the known kernel, TEM modes included:
+        ``p - m`` for a vector pencil, ``p`` less the ``kernel`` columns
+        for a scalar one (a vector pencil's kernel lives on the triangles)."""
+        known = (0 if self.curl is not None or self.kernel is None
+                 else self.kernel.shape[1])
+        return self.primal_dim - self.multiplier_dim - known
 
     def constraint_block(self) -> sp.csr_matrix:
         """Coupling ``C = M G`` (primal x multiplier) of a vector pencil."""

@@ -10,6 +10,8 @@ admit fully decoupled TE and TM mode families precisely when
 * the decoupling constraint ``b*eps + a*mu == 0`` holds, where ``(eps, a)``
   and ``(mu, b)`` are the electric and magnetic ``(d, alpha)`` pairs.
 
+:func:`require_independent` is the one gate that admits such a medium.
+
 Under that constraint the two transverse blocks are inverses of each other up
 to the scalar ``eps*mu + a*b``, which also sets the bulk dispersion
 ``k = omega * sqrt(eps0*mu0*(eps*mu + a*b))``.
@@ -204,29 +206,32 @@ def validate(spec: MediumSpec) -> ValidationReport:
     )
 
 
-def _require_decoupled(spec: MediumSpec):
+def require_independent(spec: MediumSpec) -> None:
+    """The one admission gate: ``MediumError`` unless :func:`validate`
+    finds the TE and TM modes of ``spec`` guaranteed independent."""
     report = validate(spec)
-    if report.decoupling_residual > DECOUPLING_TOL:
+    if report.verdict != VERDICT_INDEPENDENT:
         raise MediumError(
-            f"decoupling constraint violated: b*eps + a*mu = "
-            f"{report.decoupling_raw:.6g}"
+            "medium does not guarantee independent TE/TM modes; "
+            f"decoupling residual {report.decoupling_residual:.3e}"
         )
 
 
 def product_scalar(spec: MediumSpec) -> float:
-    """The scalar ``eps*mu + a*b``: eps_t @ mu_t equals this times identity."""
-    _require_decoupled(spec)
+    """The scalar ``eps*mu + a*b`` of an admitted medium: eps_t @ mu_t
+    equals this times identity.  It is positive, as positive definite
+    blocks give ``|a*b| < eps*mu``."""
+    require_independent(spec)
     return spec.eps * spec.mu + spec.a * spec.b
 
 
 def bulk_wavenumber(spec: MediumSpec, omega: float) -> float:
-    """``k = omega * sqrt(eps0*mu0*(eps*mu + a*b))`` in rad/m.  Rejects an
-    ``omega`` outside ``(0, inf)`` and a ``k`` whose square overflows."""
+    """``k = omega * sqrt(eps0*mu0*(eps*mu + a*b))`` in rad/m.  Rejects a
+    medium :func:`require_independent` rejects, then an ``omega`` outside
+    ``(0, inf)`` and a ``k`` whose square overflows."""
+    product = product_scalar(spec)
     if not 0 < omega < math.inf:
         raise MediumError("omega must be positive and finite")
-    product = product_scalar(spec)
-    if product <= 0:
-        raise MediumError(f"eps*mu + a*b = {product} is not positive")
     # Python floats, which overflow to inf without a RuntimeWarning
     k = float(omega) * math.sqrt(
         VACUUM_PERMITTIVITY * VACUUM_PERMEABILITY * product)

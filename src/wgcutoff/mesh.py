@@ -23,6 +23,7 @@ from __future__ import annotations
 import io
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from typing import NoReturn
 
@@ -115,9 +116,12 @@ def _check_index_limit(count: float, what: str) -> None:
                         f"index limit {_INDEX_LIMIT}")
 
 
-def _signs(forward: np.ndarray) -> np.ndarray:
-    """int8 ``+1`` where ``forward``, ``-1`` elsewhere."""
-    return np.where(forward, np.int8(1), np.int8(-1))
+def _tri_edge_signs(t: np.ndarray) -> np.ndarray:
+    """``tri_edge_signs`` of the triangles ``t``: int8 ``+1`` where local
+    edge j runs from ``t[:, j]`` up to ``t[:, j + 1]`` (mod 3), else ``-1``.
+    Formed as ``2 b - 1`` on the bytes of the bool ``b``: ``np.where`` took
+    four times as long on the 393k children of the coax refined five times."""
+    return (t < t[:, [1, 2, 0]]).view(np.int8) * np.int8(2) - np.int8(1)
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -354,14 +358,9 @@ def build_topology(nodes, triangles) -> Mesh:
         raise MeshError("triangle node index out of range")
     _check_index_limit(num_nodes, "nodes")
     tris = np.ascontiguousarray(tris, dtype=np.int32)
-    # local edge j runs from tris[:, j] to ends[:, j]: (0,1), (1,2), (2,0)
-    ends = np.roll(tris, -1, axis=1)
-    if (tris == ends).any():
-        raise MeshError("triangle with repeated node")
-    tri_edge_signs = _signs(tris < ends)
-    del ends
-
+    # a triangle with a repeated node has area 0 and fails here
     h = _check_areas(nodes, tris)
+    tri_edge_signs = _tri_edge_signs(tris)
 
     # global edges are stored lo < hi, keyed lo * V + hi
     uniq_keys, tri_edges = _unique_inverse(_cyclic_pair_keys(tris, num_nodes))
@@ -424,6 +423,14 @@ def build_topology(nodes, triangles) -> Mesh:
     return mesh
 
 
+def _cell_count(value, name: str) -> int:
+    """``value`` as an ``int`` (NumPy integers too), else ``MeshError``."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise MeshError(f"{name} must be an integer, got {value!r}") from None
+
+
 def _split_cells(corner: np.ndarray) -> np.ndarray:
     """The counter-clockwise triangles ``[ll, lr, ur]`` and ``[ll, ur, ul]``
     of each cell of the node-id grid ``corner[row, col]`` (rows upwards), as
@@ -443,6 +450,7 @@ def generate_rectangle(a: float, b: float, nx: int, ny: int) -> Mesh:
     if not (a > 0 and b > 0 and np.isfinite([a, b]).all()):
         raise MeshError(f"rectangle sides must be positive and finite, got "
                         f"{a!r} x {b!r}")
+    nx, ny = _cell_count(nx, "nx"), _cell_count(ny, "ny")
     if nx < 1 or ny < 1:
         raise MeshError("nx and ny must be at least 1")
     gx, gy = np.meshgrid(np.linspace(0.0, a, nx + 1), np.linspace(0.0, b, ny + 1))
@@ -461,6 +469,7 @@ def generate_annulus(r_inner: float, r_outer: float, n_r: int, n_theta: int) -> 
     if not (0 <= r_inner < r_outer and np.isfinite(r_outer)):
         raise MeshError(f"need finite radii 0 <= r_inner < r_outer, got "
                         f"{r_inner!r}, {r_outer!r}")
+    n_r, n_theta = _cell_count(n_r, "n_r"), _cell_count(n_theta, "n_theta")
     if n_theta < 3:
         raise MeshError("n_theta must be at least 3")
     if n_r < 1:
@@ -626,6 +635,9 @@ def refine_uniform(mesh: Mesh) -> Mesh:
     del m
     h = _check_areas(nodes, children)
     _check_distinct_nodes(nodes)
+    # formed before the edge arrays: formed last, its temporaries raised the
+    # traced peak of the coax refined from four to five times by 3.6 MB
+    signs = _tri_edge_signs(children)
 
     # halves: half[2e + k] is the child edge from edges[e, k] to node V + e;
     # a stable sort by end node keeps parent edge order among equal ends
@@ -653,12 +665,6 @@ def refine_uniform(mesh: Mesh) -> Mesh:
     tri_edges[:, :3, 2] = half[2 * te + starts_lo][:, prev]
     tri_edges[:, 3] = pair
     del half, pair
-    # every parent node is below every midpoint
-    signs = np.empty((T, 4, 3), dtype=np.int8)
-    signs[:, :3, 0] = 1
-    signs[:, :3, 1] = _signs(te < te[:, prev])
-    signs[:, :3, 2] = -1
-    signs[:, 3] = _signs(te < np.roll(te, -1, axis=1))
 
     boundary_edge = np.zeros(child_edges.shape[0], dtype=bool)
     boundary_edge[:2 * E] = mesh.boundary_edge[parent_of]
@@ -669,7 +675,7 @@ def refine_uniform(mesh: Mesh) -> Mesh:
         triangles=_freeze(children),
         edges=_freeze(child_edges),
         tri_edges=_freeze(tri_edges.reshape(T * 4, 3)),
-        tri_edge_signs=_freeze(signs.reshape(T * 4, 3)),
+        tri_edge_signs=_freeze(signs),
         boundary_node=_freeze(np.concatenate([mesh.boundary_node,
                                               mesh.boundary_edge])),
         boundary_edge=_freeze(boundary_edge),

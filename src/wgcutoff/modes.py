@@ -34,12 +34,10 @@ from .eigensolve import SolveOptions
 from .medium import (
     VACUUM_PERMEABILITY,
     VACUUM_PERMITTIVITY,
-    VERDICT_INDEPENDENT,
-    MediumError,
     MediumSpec,
     TransverseTensor,
     bulk_wavenumber,
-    validate,
+    require_independent,
 )
 from .mesh import Mesh
 
@@ -125,6 +123,14 @@ class ModeSolution:
         full[retained] = self.dof_vectors
         return full
 
+    def full_vector(self, index: int) -> np.ndarray:
+        """Column ``index`` of ``full_vectors``; an ``IndexError`` outside
+        ``range(n)`` of the modes, where -1 would pick the last one."""
+        n = self.cutoffs.size
+        if not 0 <= index < n:
+            raise IndexError(f"mode index {index} outside range({n})")
+        return self.full_vectors[:, index]
+
 
 @dataclass(frozen=True)
 class TemReport:
@@ -185,17 +191,6 @@ def _phase(columns: np.ndarray) -> np.ndarray:
     pivot = columns[first, np.arange(columns.shape[1])]
     size = np.abs(pivot)
     return np.where(size > 0, np.conj(pivot) / np.where(size > 0, size, 1.0), 1.0)
-
-
-def require_independent(spec: MediumSpec) -> None:
-    """The ``MediumError`` of a solve for a medium whose TE and TM modes
-    are not guaranteed independent."""
-    report = validate(spec)
-    if report.verdict != VERDICT_INDEPENDENT:
-        raise MediumError(
-            "medium does not guarantee independent TE/TM modes; "
-            f"decoupling residual {report.decoupling_residual:.3e}"
-        )
 
 
 def _pencil(formulation: Formulation, mesh: Mesh,
@@ -338,6 +333,7 @@ def _nodal_gradients(solution: ModeSolution, nodal: np.ndarray) -> np.ndarray:
 def _mode(solution: ModeSolution, mode_index: int, omega: float):
     """The polarization, ``k_t``, ``k_z`` and full field of a checked mode;
     only a TEM mode may have a zero cut-off."""
+    full = solution.full_vector(mode_index)
     k = bulk_wavenumber(solution.medium, omega)
     kt = float(solution.cutoffs[mode_index])
     if kt <= 0 and mode_index >= solution.tem_count:
@@ -346,8 +342,7 @@ def _mode(solution: ModeSolution, mode_index: int, omega: float):
         kz = complex(np.sqrt(k * k - kt * kt))
     else:
         kz = -1j * np.sqrt(kt * kt - k * k)  # decay toward +z below cut-off
-    return (_polarization(solution), kt, kz,
-            solution.full_vectors[:, mode_index])
+    return _polarization(solution), kt, kz, full
 
 
 def _transverse(solution: ModeSolution, mode_index: int, omega: float):
@@ -397,7 +392,7 @@ def transverse_field(solution: ModeSolution, mode_index: int) -> np.ndarray:
     if not solution.formulation.is_vector:
         raise ValueError("expected a vector-formulation solution")
     return np.einsum("tl,tlk->tk",
-                     solution.full_vectors[solution.mesh.tri_edges, mode_index],
+                     solution.full_vector(mode_index)[solution.mesh.tri_edges],
                      solution.centroid_basis)
 
 

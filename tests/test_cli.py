@@ -99,6 +99,21 @@ class TestMeshCommands:
         assert main(["mesh", "info", "--config", config]) == 0
         assert json.loads(capsys.readouterr().out)["boundary_components"] == 2
 
+    @pytest.mark.parametrize("geometry", [
+        {"kind": "rectangle", "a": 1.2e-3, "b": 1e-3, "nx": 6, "ny": 5},
+        {"kind": "annulus", "r1": 1e-3, "r2": 2e-3, "nr": 2, "ntheta": 12}],
+        ids=["rectangle", "annulus"])
+    def test_integral_float_counts_build_the_same_mesh(self, tmp_path,
+                                                       geometry):
+        # JSON Schema's "integer" admits 4.0
+        floats = {key: float(value) if key[0] == "n" else value
+                  for key, value in geometry.items()}
+        meshes = [cli.build_mesh(cli.load_config(write_config(
+            tmp_path, geometry=g))) for g in (geometry, floats)]
+        assert all(np.array_equal(getattr(meshes[0], name),
+                                  getattr(meshes[1], name))
+                   for name in ("nodes", "triangles"))
+
     def test_file_geometry_roundtrip(self, tmp_path, capsys):
         config = write_config(tmp_path)
         main(["mesh", "gen", "--config", config, "--out", str(tmp_path)])

@@ -57,6 +57,18 @@ class TestCompareSpectra:
         with pytest.raises(CrossValError, match="rtol"):
             compare_spectra(a, b, 1, rtol)
 
+    @pytest.mark.parametrize("count", [0, -1])
+    def test_empty_comparison_rejected(self, small_rect_mesh, gyro_medium,
+                                       count):
+        # a report over no modes would pass while checking nothing
+        a = stub_solution(Formulation.SCALAR_TM, [100.0], 0,
+                          small_rect_mesh, gyro_medium)
+        b = stub_solution(Formulation.VECTOR_TM, [100.0], 0,
+                          small_rect_mesh, gyro_medium)
+        with pytest.raises(CrossValError,
+                           match=f"^count must be at least 1, got {count}$"):
+            compare_spectra(a, b, count, 1e-3)
+
     def test_identical_solutions_have_zero_diff(self, small_rect_mesh,
                                                 gyro_medium):
         values = [100.0, 200.0, 300.0]

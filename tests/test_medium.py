@@ -133,6 +133,14 @@ class TestProductScalar:
         with pytest.raises(MediumError):
             product_scalar(spec)
 
+    def test_rejects_indefinite_decoupled_medium(self):
+        # b*eps + a*mu = 0, but neither block is positive definite
+        spec = MediumSpec(TransverseTensor(1.0, 2.0), 1.0,
+                          TransverseTensor(1.0, -2.0), 1.0)
+        assert spec.decoupling_raw() == 0.0
+        with pytest.raises(MediumError, match="does not guarantee"):
+            product_scalar(spec)
+
     @given(st.integers(0, 10_000))
     @settings(max_examples=100, deadline=None)
     def test_commuting_identities(self, seed):
@@ -205,11 +213,21 @@ class TestWavenumber:
         assert k2 == pytest.approx(2 * k1, rel=1e-14)
 
     def test_nonpositive_product_rejected(self):
-        # decoupled but indefinite: eps*mu + a*b = 1 - 4 < 0
+        # decoupled but indefinite, eps*mu + a*b = 1 - 4 < 0: the admission
+        # gate refuses it, as it refuses every medium whose blocks are not
+        # positive definite
         spec = MediumSpec(TransverseTensor(1.0, 2.0), 1.0,
                           TransverseTensor(1.0, -2.0), 1.0)
-        with pytest.raises(MediumError, match="not positive"):
+        with pytest.raises(MediumError, match="does not guarantee "
+                                              "independent"):
             bulk_wavenumber(spec, 1e9)
+
+    @pytest.mark.parametrize("omega", [1e9, 0.0, np.nan])
+    def test_medium_is_checked_before_omega(self, omega):
+        spec = MediumSpec(TransverseTensor(2.0, -1.0), 1.0,
+                          TransverseTensor(1.0, 1.0), 1.0)
+        with pytest.raises(MediumError, match="does not guarantee"):
+            bulk_wavenumber(spec, omega)
 
     @pytest.mark.parametrize("omega", [0.0, -1.0, np.inf, np.nan])
     def test_nonpositive_omega_rejected(self, gyro_medium, omega):

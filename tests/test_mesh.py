@@ -52,6 +52,12 @@ class TestBuildTopology:
         with pytest.raises(MeshError, match="degenerate"):
             build_topology([(0, 0), (1, 0), (2, 0)], [(0, 1, 2)])
 
+    @pytest.mark.parametrize("triangle", [(0, 0, 1), (0, 1, 1), (1, 2, 1)])
+    def test_triangle_with_repeated_node_rejected(self, triangle):
+        message = r"^degenerate or clockwise triangle 1 \(signed area -?0\.0"
+        with pytest.raises(MeshError, match=message):
+            build_topology([(0, 0), (1, 0), (0, 1)], [(0, 1, 2), triangle])
+
     def test_clockwise_triangle_rejected(self):
         with pytest.raises(MeshError, match="degenerate|clockwise"):
             build_topology([(0, 0), (1, 0), (0, 1)], [(0, 2, 1)])
@@ -185,6 +191,16 @@ class TestGenerateRectangle:
         with pytest.raises(MeshError, match="positive and finite"):
             generate_rectangle(a, b, 2, 2)
 
+    @pytest.mark.parametrize("nx, ny, name", [(2.5, 3, "nx"), (2, 3.0, "ny"),
+                                              ("2", 3, "nx")])
+    def test_rejects_non_integer_cell_counts(self, nx, ny, name):
+        with pytest.raises(MeshError, match=f"^{name} must be an integer"):
+            generate_rectangle(1.0, 1.0, nx, ny)
+
+    def test_numpy_integer_cell_counts_accepted(self):
+        m = generate_rectangle(1.0, 1.0, np.int64(2), np.int32(3))
+        assert m.num_triangles == 12
+
 
 class TestGenerateAnnulus:
     def test_annulus_counts_and_components(self):
@@ -216,6 +232,17 @@ class TestGenerateAnnulus:
     def test_rejects_non_finite_or_negative_radii(self, r1, r2):
         with pytest.raises(MeshError, match="finite radii"):
             generate_annulus(r1, r2, 2, 8)
+
+    @pytest.mark.parametrize("nr, ntheta, name", [(2, 16.5, "n_theta"),
+                                                  (2, 16.0, "n_theta"),
+                                                  (2.0, 16, "n_r")])
+    def test_rejects_non_integer_cell_counts(self, nr, ntheta, name):
+        with pytest.raises(MeshError, match=f"^{name} must be an integer"):
+            generate_annulus(1e-3, 2e-3, nr, ntheta)
+
+    def test_numpy_integer_cell_counts_accepted(self):
+        m = generate_annulus(1e-3, 2e-3, np.int64(2), np.uint8(16))
+        assert m.num_nodes == 3 * 16
 
 
 def polygon_reference(verts, h_target):

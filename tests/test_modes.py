@@ -39,6 +39,7 @@ from wgcutoff.modes import (
     reconstruct_longitudinal,
     restore,
     transverse_companion,
+    transverse_field,
     verify_tem,
 )
 from saddle_oracle import with_gradient
@@ -397,6 +398,38 @@ class TestTransverseCompanion:
         et, _ = transverse_companion(solution, 0, omega)
         assert et.k_z == pytest.approx(bulk_wavenumber(gyro_medium, omega),
                                        rel=1e-9)
+
+
+class TestModeIndex:
+    """Every field function rejects an index outside ``range(n)``: -1 would
+    otherwise pick the last mode."""
+
+    CALLS = {
+        "reconstruct_from_hz": (Formulation.SCALAR_TE, reconstruct_from_hz),
+        "reconstruct_from_ez": (Formulation.SCALAR_TM, reconstruct_from_ez),
+        "transverse_companion": (Formulation.VECTOR_TE, transverse_companion),
+        "transverse_field": (Formulation.VECTOR_TE,
+                             lambda solution, index, omega:
+                             transverse_field(solution, index)),
+        "reconstruct_longitudinal": (Formulation.VECTOR_TM,
+                                     reconstruct_longitudinal),
+    }
+
+    @pytest.fixture(scope="class")
+    def solutions(self, rect_mesh, gyro_medium):
+        return {formulation: SOLVERS[formulation](rect_mesh, gyro_medium, 2)
+                for formulation in Formulation}
+
+    @pytest.mark.parametrize("name", CALLS)
+    @pytest.mark.parametrize("end", ["-1", "n"])
+    def test_index_outside_the_modes_rejected(self, solutions, name, end):
+        formulation, call = self.CALLS[name]
+        solution = solutions[formulation]
+        n = solution.cutoffs.size
+        index = -1 if end == "-1" else n
+        with pytest.raises(IndexError, match=rf"^mode index {index} "
+                                             rf"outside range\({n}\)$"):
+            call(solution, index, 1e11)
 
 
 class TestTemVerification:

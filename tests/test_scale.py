@@ -11,7 +11,7 @@ import pytest
 
 from wgcutoff import SolveOptions, generate_annulus, generate_rectangle
 from wgcutoff.cli import main
-from wgcutoff.crossval import compare_spectra
+from wgcutoff.crossval import PAIRS, compare_spectra
 from wgcutoff.eigensolve import EigenSolveError, residual_gate
 from wgcutoff.modes import (
     SOLVERS,
@@ -25,8 +25,6 @@ SCALES = (1e-9, 1e-7, 1e-3, 1.0, 1e3, 1e9)
 REFERENCE = 1e-3
 PATHS = {"dense": SolveOptions(dense_cutoff=sys.maxsize),
          "shift-invert": SolveOptions(dense_cutoff=0)}
-PAIRS = ((Formulation.SCALAR_TE, Formulation.VECTOR_TE),
-         (Formulation.SCALAR_TM, Formulation.VECTOR_TM))
 #: Largest scalar/vector gap of each rectangle at L = 1e-3, rounded up.
 CROSSVAL_RTOL = {(6, 5): 0.15, (24, 20): 0.01}
 
