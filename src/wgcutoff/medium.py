@@ -69,16 +69,22 @@ class TransverseTensor:
 
     @property
     def is_positive_definite(self) -> bool:
-        return self.d > abs(self.alpha)
+        """``d > |alpha|`` with a determinant that :meth:`inverse` accepts,
+        so an admitted block is never numerically singular."""
+        return self.d > abs(self.alpha) and self._is_well_conditioned()
 
     def determinant(self) -> float:
         return self.d * self.d - self.alpha * self.alpha
 
+    def _is_well_conditioned(self) -> bool:
+        """The one conditioning test: ``|det| > 1e-15 max(d^2, alpha^2)``."""
+        scale = max(self.d * self.d, self.alpha * self.alpha, 1e-300)
+        return abs(self.determinant()) > 1e-15 * scale
+
     def inverse(self) -> "TransverseTensor":
-        det = self.determinant()
-        scale = max(self.d * self.d, self.alpha * self.alpha)
-        if abs(det) <= 1e-15 * max(scale, 1e-300):
+        if not self._is_well_conditioned():
             raise MediumError(f"singular transverse tensor (d={self.d}, alpha={self.alpha})")
+        det = self.determinant()
         return TransverseTensor(self.d / det, -self.alpha / det)
 
     @classmethod
@@ -210,11 +216,16 @@ def require_independent(spec: MediumSpec) -> None:
     """The one admission gate: ``MediumError`` unless :func:`validate`
     finds the TE and TM modes of ``spec`` guaranteed independent."""
     report = validate(spec)
-    if report.verdict != VERDICT_INDEPENDENT:
-        raise MediumError(
-            "medium does not guarantee independent TE/TM modes; "
-            f"decoupling residual {report.decoupling_residual:.3e}"
-        )
+    if report.verdict == VERDICT_INDEPENDENT:
+        return
+    # "eps_t_positive_definite" -> "eps_t is not positive definite"
+    reasons = [name.replace("_positive", " is not positive").replace("_definite", " definite")
+               for name, ok in report.checks.items() if not ok]
+    if not report.decoupling_residual <= DECOUPLING_TOL:
+        reasons.append(f"decoupling residual {report.decoupling_residual:.3e} "
+                       f"exceeds {DECOUPLING_TOL:.0e}")
+    raise MediumError("medium does not guarantee independent TE/TM modes; "
+                      + " and ".join(reasons))
 
 
 def product_scalar(spec: MediumSpec) -> float:

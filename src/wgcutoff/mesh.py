@@ -16,6 +16,10 @@ runs again only the checks that its new midpoint coordinates can fail.
 
 Meshes are immutable after construction (arrays are write-protected), so they
 can be shared freely across threads.
+
+The module needs NumPy and the standard library only, so mesh-only work
+(``import wgcutoff`` then generate, refine, export, import) never loads
+SciPy.
 """
 
 from __future__ import annotations
@@ -28,8 +32,6 @@ from dataclasses import dataclass
 from typing import NoReturn
 
 import numpy as np
-from scipy.sparse import coo_matrix
-from scipy.sparse.csgraph import connected_components
 
 #: A triangle whose signed area is at or below this fraction of its longest
 #: side squared is rejected.  The test is relative, so it holds at every
@@ -142,23 +144,40 @@ def signed_areas(nodes: np.ndarray, triangles: np.ndarray) -> np.ndarray:
                   - (p[:, 2, 0] - p[:, 0, 0]) * (p[:, 1, 1] - p[:, 0, 1]))
 
 
-def _boundary_components(edges, boundary_edge, num_nodes) -> np.ndarray:
-    """Label boundary edges by connectivity through shared nodes."""
+def _boundary_components(edges, boundary_edge) -> np.ndarray:
+    """Label boundary edges by connectivity through shared nodes.
+
+    Union-find over the boundary nodes: each edge hooks the larger of its
+    two roots under the smaller, then pointers jump until every node points
+    at its root.  Each round merges roots, and a boundary made of closed
+    loops needs a few rounds.  Components are numbered by the first edge,
+    in edge order, that reaches them, so the ids are deterministic.
+    """
     component = np.full(edges.shape[0], -1, dtype=np.int32)
     bidx = np.flatnonzero(boundary_edge)
     if bidx.size == 0:
         return component
-    be = edges[bidx]
-    graph = coo_matrix(
-        (np.ones(be.shape[0]), (be[:, 0], be[:, 1])),
-        shape=(num_nodes, num_nodes),
-    )
-    _, node_label = connected_components(graph, directed=False)
-    raw = node_label[be[:, 0]]
-    # relabel by first appearance in edge order so ids are deterministic
-    _, first = np.unique(raw, return_index=True)
-    order = {raw[i]: rank for rank, i in enumerate(np.sort(first))}
-    component[bidx] = [order[r] for r in raw]
+    # boundary nodes renumbered 0.. in increasing id, two columns per edge
+    _, ends = np.unique(edges[bidx], return_inverse=True)
+    ends = ends.reshape(-1, 2)
+    parent = np.arange(ends.max() + 1)
+    while True:
+        roots = parent[ends]
+        lo, hi = roots.min(axis=1), roots.max(axis=1)
+        merge = lo != hi
+        if not merge.any():
+            break
+        np.minimum.at(parent, hi[merge], lo[merge])
+        while True:
+            up = parent[parent]
+            if np.array_equal(up, parent):
+                break
+            parent = up
+    label = roots[:, 0]
+    _, first, inverse = np.unique(label, return_index=True, return_inverse=True)
+    rank = np.empty(first.size, dtype=np.int32)
+    rank[np.argsort(first)] = np.arange(first.size, dtype=np.int32)
+    component[bidx] = rank[inverse]
     return component
 
 
@@ -402,7 +421,7 @@ def build_topology(nodes, triangles) -> Mesh:
     boundary_node = np.zeros(num_nodes, dtype=bool)
     boundary_node[edges[boundary_edge].ravel()] = True
     _check_hanging_nodes(nodes, edges, boundary_edge, boundary_node)
-    component = _boundary_components(edges, boundary_edge, num_nodes)
+    component = _boundary_components(edges, boundary_edge)
 
     mesh = Mesh(
         nodes=_freeze(nodes),

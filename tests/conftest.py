@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from wgcutoff import MediumSpec, TransverseTensor, generate_rectangle
+from wgcutoff import MediumSpec, TransverseTensor, build_topology, generate_rectangle
 
 # double-ridge cross-section (meters): 2.4 x 1.0 outer, two shallow ridges
 RIDGE_VERTICES = [
@@ -16,6 +16,26 @@ CORRIDOR_VERTICES = [
     (2.0e-3, 0.0), (3.0e-3, 0.0), (3.0e-3, 1.0e-3), (2.0e-3, 1.0e-3),
     (2.0e-3, 0.6e-3), (1.0e-3, 0.6e-3), (1.0e-3, 1.0e-3), (0.0, 1.0e-3),
 ]
+
+
+def two_hole_mesh():
+    """The 12 x 10 rectangle grid without an L-shaped block of five cells,
+    whose nodes' mean lies outside it, and a separate 2 x 2 block."""
+    base = generate_rectangle(1.2e-3, 1e-3, 12, 10)
+    l_shape = [(2, 2), (2, 3), (2, 4), (3, 2), (4, 2)]
+    square = [(8, 5), (9, 5), (8, 6), (9, 6)]
+    keep = np.ones(base.num_triangles, dtype=bool)
+    for col, row in l_shape + square:
+        keep[2 * (row * 12 + col) + np.arange(2)] = False
+    # the square's centre node goes with it
+    used, triangles = np.unique(base.triangles[keep], return_inverse=True)
+    mesh = build_topology(base.nodes[used], triangles.reshape(-1, 3))
+    # the mean of the L's nodes, in cells, is at neither of its arms
+    corners = np.array(l_shape)[:, None, :] + [[0, 0], [1, 0], [0, 1], [1, 1]]
+    mean = np.unique(corners.reshape(-1, 2), axis=0).mean(axis=0)
+    assert not any((c <= mean).all() and (mean <= c + 1).all()
+                   for c in np.array(l_shape))
+    return mesh
 
 
 def hermiticity_defect(matrix) -> float:

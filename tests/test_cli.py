@@ -59,6 +59,17 @@ class TestMediumCheck:
         report = json.loads(capsys.readouterr().out)
         assert report["decoupling_residual"] > 0
 
+    def test_nearly_singular_medium_exits_two(self, tmp_path, capsys):
+        # decoupled, d > |alpha|, but neither block has an inverse
+        bad = {"eps": {"d": 1, "alpha": 0.9999999999999999, "zz": 1},
+               "mu": {"d": 1, "alpha": -0.9999999999999999, "zz": 1}}
+        config = write_config(tmp_path, medium=bad)
+        assert main(["medium", "check", "--config", config]) == 2
+        report = json.loads(capsys.readouterr().out)
+        assert report["decoupling_residual"] == 0.0
+        assert not report["checks"]["eps_t_positive_definite"]
+        assert not report["checks"]["mu_t_positive_definite"]
+
     def test_unknown_key_exits_one(self, tmp_path, capsys):
         path = tmp_path / "config.json"
         path.write_text(json.dumps({"medium": GYRO, "surprise": 1}))

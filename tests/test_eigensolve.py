@@ -16,7 +16,6 @@ from wgcutoff import (
     assemble_scalar_tm,
     assemble_vector_te,
     assemble_vector_tm,
-    build_topology,
     generate_annulus,
     generate_rectangle,
     generate_rectilinear_polygon,
@@ -32,7 +31,7 @@ from wgcutoff.eigensolve import (
     solve,
 )
 from wgcutoff.femcore import HermitianPencil
-from conftest import RIDGE_VERTICES
+from conftest import RIDGE_VERTICES, two_hole_mesh
 from saddle_oracle import dense_saddle_bruteforce, with_gradient
 
 
@@ -590,26 +589,6 @@ class TestOracleEquivalence:
             divergence = pencil.constraint_block().conj().T @ x
             assert (np.linalg.norm(divergence, axis=0)
                     <= 1e-12 * np.linalg.norm(x, axis=0)).all()
-
-
-def two_hole_mesh():
-    """The 12 x 10 rectangle grid without an L-shaped block of five cells,
-    whose nodes' mean lies outside it, and a separate 2 x 2 block."""
-    base = generate_rectangle(1.2e-3, 1e-3, 12, 10)
-    l_shape = [(2, 2), (2, 3), (2, 4), (3, 2), (4, 2)]
-    square = [(8, 5), (9, 5), (8, 6), (9, 6)]
-    keep = np.ones(base.num_triangles, dtype=bool)
-    for col, row in l_shape + square:
-        keep[2 * (row * 12 + col) + np.arange(2)] = False
-    # the square's centre node goes with it
-    used, triangles = np.unique(base.triangles[keep], return_inverse=True)
-    mesh = build_topology(base.nodes[used], triangles.reshape(-1, 3))
-    # the mean of the L's nodes, in cells, is at neither of its arms
-    corners = np.array(l_shape)[:, None, :] + [[0, 0], [1, 0], [0, 1], [1, 1]]
-    mean = np.unique(corners.reshape(-1, 2), axis=0).mean(axis=0)
-    assert not any((c <= mean).all() and (mean <= c + 1).all()
-                   for c in np.array(l_shape))
-    return mesh
 
 
 class TestTwoHoles:

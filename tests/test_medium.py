@@ -1,3 +1,4 @@
+import dataclasses
 import warnings
 
 import numpy as np
@@ -64,6 +65,27 @@ class TestTransverseTensor:
         assert TransverseTensor(2.0, -1.0).is_positive_definite
         assert not TransverseTensor(1.0, 1.0).is_positive_definite
 
+    def test_nearly_singular_block_is_not_positive_definite(self):
+        # d > |alpha| holds, but det = 2.2e-16 is below the conditioning
+        # floor that inverse() applies
+        t = TransverseTensor(1.0, -0.9999999999999999)
+        assert t.d > abs(t.alpha)
+        assert not t.is_positive_definite
+        with pytest.raises(MediumError, match="singular"):
+            t.inverse()
+        assert TransverseTensor(1.0, -0.999999999999999).is_positive_definite
+
+    @given(d=st.floats(1e-3, 1e3), gap=st.floats(0.0, 1e-13))
+    @settings(max_examples=200, deadline=None)
+    def test_positive_definite_blocks_invert(self, d, gap):
+        # one conditioning test: every admitted block has an inverse
+        t = TransverseTensor(d, d * (1.0 - gap))
+        if t.is_positive_definite:
+            t.inverse()
+        else:
+            with pytest.raises(MediumError, match="singular"):
+                t.inverse()
+
     def test_from_matrix_roundtrip(self):
         t = TransverseTensor(2.0, -1.0)
         assert TransverseTensor.from_matrix(t.as_matrix()) == t
@@ -95,6 +117,17 @@ class TestValidate:
                           TransverseTensor(1.0, -0.5), 1.0)
         report = validate(spec)
         assert not report.checks["eps_t_positive_definite"]
+        assert report.verdict == VERDICT_NOT_GUARANTEED
+
+    def test_nearly_singular_blocks_flagged(self):
+        # decoupled exactly, and d > |alpha| in both blocks, but neither
+        # block can be inverted
+        spec = MediumSpec(TransverseTensor(1.0, 0.9999999999999999), 1.0,
+                          TransverseTensor(1.0, -0.9999999999999999), 1.0)
+        report = validate(spec)
+        assert report.decoupling_residual == 0.0
+        assert not report.checks["eps_t_positive_definite"]
+        assert not report.checks["mu_t_positive_definite"]
         assert report.verdict == VERDICT_NOT_GUARANTEED
 
     @given(s=st.floats(0.1, 10), t=st.floats(0.1, 10))
@@ -134,11 +167,29 @@ class TestProductScalar:
             product_scalar(spec)
 
     def test_rejects_indefinite_decoupled_medium(self):
-        # b*eps + a*mu = 0, but neither block is positive definite
+        # b*eps + a*mu = 0, but neither block is positive definite; the
+        # message names the blocks and not the (zero) residual
         spec = MediumSpec(TransverseTensor(1.0, 2.0), 1.0,
                           TransverseTensor(1.0, -2.0), 1.0)
         assert spec.decoupling_raw() == 0.0
-        with pytest.raises(MediumError, match="does not guarantee"):
+        with pytest.raises(MediumError) as info:
+            product_scalar(spec)
+        assert str(info.value) == (
+            "medium does not guarantee independent TE/TM modes; eps_t is not "
+            "positive definite and mu_t is not positive definite")
+
+    def test_rejection_names_the_decoupling_residual(self):
+        spec = MediumSpec(TransverseTensor(2.0, -1.0), 1.0,
+                          TransverseTensor(1.0, 0.6), 1.0)
+        with pytest.raises(MediumError) as info:
+            product_scalar(spec)
+        assert str(info.value) == (
+            "medium does not guarantee independent TE/TM modes; decoupling "
+            "residual 1.667e-01 exceeds 1e-12")
+
+    def test_rejection_names_a_nonpositive_zz_entry(self, gyro_medium):
+        spec = dataclasses.replace(gyro_medium, mu_zz=0.0)
+        with pytest.raises(MediumError, match="; mu_zz is not positive$"):
             product_scalar(spec)
 
     @given(st.integers(0, 10_000))

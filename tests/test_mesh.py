@@ -1,9 +1,13 @@
 import functools
 import hashlib
 import math
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
 import warnings
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -23,7 +27,25 @@ from wgcutoff import (
 )
 from wgcutoff import mesh as mesh_module
 from wgcutoff.mesh import signed_areas
-from conftest import CORRIDOR_VERTICES, RIDGE_VERTICES
+from conftest import CORRIDOR_VERTICES, RIDGE_VERTICES, two_hole_mesh
+
+
+def scipy_boundary_components(mesh):
+    """``boundary_component`` as SciPy's ``connected_components`` labels
+    the boundary graph, renumbered by first appearance in edge order."""
+    from scipy.sparse import coo_matrix
+    from scipy.sparse.csgraph import connected_components
+    bidx = np.flatnonzero(mesh.boundary_edge)
+    ends = mesh.edges[bidx]
+    graph = coo_matrix((np.ones(bidx.size), (ends[:, 0], ends[:, 1])),
+                       shape=(mesh.num_nodes, mesh.num_nodes))
+    _, node_label = connected_components(graph, directed=False)
+    raw = node_label[ends[:, 0]]
+    _, first = np.unique(raw, return_index=True)
+    rank = {raw[i]: r for r, i in enumerate(np.sort(first))}
+    expected = np.full(mesh.num_edges, -1, dtype=np.int32)
+    expected[bidx] = [rank[r] for r in raw]
+    return expected
 
 
 def euler_ok(mesh):
@@ -113,6 +135,18 @@ class TestBuildTopology:
     def test_unused_node_rejected(self):
         with pytest.raises(MeshError, match="not used"):
             build_topology([(0, 0), (1, 0), (0, 1), (5, 5)], [(0, 1, 2)])
+
+    @pytest.mark.parametrize("removed", [[(1, 1), (2, 2)], [(0, 1), (1, 2)]])
+    def test_holes_touching_at_a_vertex_rejected(self, removed):
+        """Two cells of a 4 x 4 grid removed, touching at one vertex: two
+        boundary loops meet there and count as one component."""
+        base = generate_rectangle(1.0, 1.0, 4, 4)
+        keep = np.ones(base.num_triangles, dtype=bool)
+        for col, row in removed:
+            keep[2 * (row * 4 + col) + np.arange(2)] = False
+        with pytest.raises(MeshError, match=r"^mesh is not one connected "
+                                            r"piece: Euler deficit -1 "):
+            build_topology(base.nodes, base.triangles[keep])
 
     @pytest.mark.parametrize("pieces", [2, 3])
     def test_mesh_in_pieces_rejected(self, pieces):
@@ -464,15 +498,17 @@ class TestRefineUniform:
         ("annulus 12x144", lambda: generate_annulus(1e-3, 2e-3, 12, 144)),
         ("ridge h=0.1mm",
          lambda: generate_rectilinear_polygon(RIDGE_VERTICES, 0.1e-3)),
+        ("two holes", two_hole_mesh),
     ])
     @pytest.mark.parametrize("renumber", [False, True])
     def test_matches_build_topology(self, name, mesh, renumber):
         """Refinement derives its topology and skips the checks the parent
         passed, so it must give what building the child from scratch
-        gives."""
+        gives; the boundary labels are SciPy's at every level."""
         m = mesh()
         if renumber:
             m = self.renumbered(m, seed=len(name))
+        assert np.array_equal(m.boundary_component, scipy_boundary_components(m))
         components = m.num_boundary_components
         for level in range(1, 4):
             fine = refine_uniform(m)
@@ -483,6 +519,8 @@ class TestRefineUniform:
                     (b.dtype, b.shape, b.flags.writeable), (level, attr)
                 assert a.tobytes() == b.tobytes(), (level, attr)
             assert fine.h == built.h
+            assert np.array_equal(built.boundary_component,
+                                  scipy_boundary_components(built))
             assert fine.euler_deficit() == 0
             assert fine.num_boundary_components == components
             m = fine
@@ -1181,3 +1219,68 @@ class TestMeshLayerScaling:
         mib = {stage: peak / 2**20 for stage, peak in peaks.items()}
         assert all(mib[stage] < bound
                    for stage, bound in self.PEAK_MIB.items()), mib
+
+
+#: ``wgcutoff.__all__`` as it was when every submodule loaded at import.
+PUBLIC_NAMES = (
+    "ComparisonReport", "ConvergenceReport", "FieldFrame", "Formulation",
+    "HermitianPencil", "MediumSpec", "Mesh", "MeshError", "ModeSolution",
+    "SolveOptions", "Spectrum", "TransverseTensor", "ValidationReport",
+    "assemble_scalar_te", "assemble_scalar_tm", "assemble_vector_te",
+    "assemble_vector_tm", "build_topology", "bulk_wavenumber",
+    "commutes_with_rotation", "compare_spectra", "constraint_residuals",
+    "convergence_trend", "crossval", "eigensolve", "export_mesh", "femcore",
+    "generate_annulus", "generate_rectangle", "generate_rectilinear_polygon",
+    "import_mesh", "medium", "mesh", "modes", "multiplier_diagnostics",
+    "oracle_tm_annulus", "oracle_tm_disc", "oracle_tm_rectangle",
+    "product_scalar", "reconstruct_from_ez", "reconstruct_from_hz",
+    "reconstruct_longitudinal", "refine_uniform", "solve", "solve_te_scalar",
+    "solve_te_vector", "solve_tm_scalar", "solve_tm_vector",
+    "transverse_companion", "transverse_field", "validate", "verify_tem",
+)
+
+
+class TestImportSurface:
+    """``import wgcutoff`` loads the mesh and medium layers, which need
+    only NumPy; the solver stack and SciPy load on first use."""
+
+    def test_mesh_work_loads_no_scipy(self):
+        import wgcutoff
+        src = Path(wgcutoff.__file__).resolve().parents[1]
+        code = "\n".join([
+            "import sys, wgcutoff as wg",
+            "meshes = [wg.generate_rectangle(1.2e-3, 1e-3, 6, 5),",
+            "          wg.generate_annulus(1e-3, 2e-3, 2, 12),",
+            f"          wg.generate_rectilinear_polygon({RIDGE_VERTICES!r}, 0.2e-3)]",
+            "for m in meshes:",
+            "    wg.import_mesh(wg.export_mesh(wg.refine_uniform(m)))",
+            "wg.validate(wg.MediumSpec.isotropic())",
+            "def loaded():",
+            "    return sorted({m.split('.')[0] for m in sys.modules} & {'scipy', 'jsonschema'})",
+            "print(loaded())",
+            "wg.solve_te_scalar",
+            "print(loaded(), 'wgcutoff.modes' in sys.modules)",
+        ])
+        done = subprocess.run([sys.executable, "-c", code], check=True,
+                              env=dict(os.environ, PYTHONPATH=str(src)),
+                              capture_output=True, text=True)
+        assert done.stdout == "[]\n['scipy'] True\n"
+
+    def test_public_names_unchanged(self):
+        import wgcutoff
+        assert wgcutoff.__all__ == list(PUBLIC_NAMES)
+        assert set(PUBLIC_NAMES) <= set(dir(wgcutoff))
+        namespace = {}
+        exec("from wgcutoff import *", namespace)
+        assert set(namespace) - {"__builtins__"} == set(PUBLIC_NAMES)
+
+    def test_submodules_and_names_resolve(self):
+        import wgcutoff
+        from wgcutoff import crossval, eigensolve, femcore, modes
+        assert wgcutoff.modes is modes and wgcutoff.femcore is femcore
+        assert wgcutoff.eigensolve is eigensolve
+        assert wgcutoff.crossval is crossval
+        assert wgcutoff.solve_te_scalar is modes.solve_te_scalar
+        assert wgcutoff.solve is eigensolve.solve
+        with pytest.raises(AttributeError, match="no attribute 'nonexistent'"):
+            wgcutoff.nonexistent

@@ -120,6 +120,17 @@ class TestSolvers:
         with pytest.raises(MediumError):
             solve_te_scalar(rect_mesh, bad, 2)
 
+    @pytest.mark.parametrize("formulation", list(Formulation))
+    def test_nearly_singular_medium_rejected_by_the_gate(self, formulation):
+        # d > |alpha| in both blocks, but neither has an inverse: every
+        # route refuses it at the admission gate, before any assembly
+        bad = MediumSpec(TransverseTensor(1.0, 0.9999999999999999), 1.0,
+                         TransverseTensor(1.0, -0.9999999999999999), 1.0)
+        mesh = generate_rectangle(1.2e-3, 1.0e-3, 6, 5)
+        with pytest.raises(MediumError, match="^medium does not guarantee "
+                                              "independent TE/TM modes; eps_t"):
+            SOLVERS[formulation](mesh, bad, 2)
+
     def test_cutoffs_sorted_nonnegative_reproducible(self, rect_mesh,
                                                      gyro_medium):
         a = solve_tm_vector(rect_mesh, gyro_medium, 4)
