@@ -110,6 +110,9 @@ EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_CHECK_FAILED = 2
 
+#: The mode count of every solve whose config sets no ``num_modes``.
+DEFAULT_NUM_MODES = 4
+
 _NUMBER = {"type": "number"}
 _COUNT = {"type": "integer", "minimum": 0}
 _TENSOR = {
@@ -287,12 +290,19 @@ def cmd_medium_check(config: dict, out_dir: Path) -> int:
     return EXIT_OK if report.verdict == VERDICT_INDEPENDENT else EXIT_CHECK_FAILED
 
 
-def cmd_mesh_gen(config: dict, out_dir: Path, refine: bool = False) -> int:
-    mesh = mesh_family(config)[-1] if refine else build_mesh(config)
+def _write_mesh(mesh: Mesh, out_dir: Path) -> int:
     with open(out_dir / "mesh.txt", "w", encoding="utf-8") as handle:
         handle.writelines(export_chunks(mesh))
     print(json.dumps(_mesh_stats(mesh), indent=2))
     return EXIT_OK
+
+
+def cmd_mesh_gen(config: dict, out_dir: Path) -> int:
+    return _write_mesh(build_mesh(config), out_dir)
+
+
+def cmd_mesh_refine(config: dict, out_dir: Path) -> int:
+    return _write_mesh(mesh_family(config)[-1], out_dir)
 
 
 def cmd_mesh_info(config: dict, out_dir: Path) -> int:
@@ -460,7 +470,7 @@ def _solve_rows(formulation, mesh, spec, q, opts, out_dir):
 
 def cmd_solve(config: dict, out_dir: Path) -> int:
     spec = _medium(config)
-    q = config.get("num_modes", 4)
+    q = config.get("num_modes", DEFAULT_NUM_MODES)
     opts = solver_options(config)
     meshes = mesh_family(config)
     tasks = [(formulation, mesh, spec, q, opts, out_dir)
@@ -485,7 +495,7 @@ def _compare_pair(scalar, vector, mesh, spec, q, opts, count, rtol,
 def cmd_crossval(config: dict, out_dir: Path) -> int:
     spec = _medium(config)
     cv = config.get("crossval", {})
-    num_modes = config.get("num_modes", 4)
+    num_modes = config.get("num_modes", DEFAULT_NUM_MODES)
     count = cv.get("count", num_modes)
     rtol = cv.get("rtol", 1e-3)
     requested = set(_formulations(config))
@@ -554,7 +564,7 @@ def cmd_fields(config: dict, out_dir: Path) -> int:
     # the medium with the solve's error, then omega (the schema lets NaN and
     # infinity through), both before anything is solved or stored
     bulk_wavenumber(spec, omega)
-    q = config.get("num_modes", 4)
+    q = config.get("num_modes", DEFAULT_NUM_MODES)
     opts = solver_options(config)
     mesh = mesh_family(config)[-1]
     grid = vtkio.grid_blocks(mesh)
@@ -572,6 +582,10 @@ def main(argv=None) -> int:
     common.add_argument("--config", required=True, help="JSON run configuration")
     common.add_argument("--out", default=".", help="output directory")
 
+    # each command's parser carries its handler, which main calls as args.run
+    def command(group, name, run, **kwargs):
+        group.add_parser(name, parents=[common], **kwargs).set_defaults(run=run)
+
     parser = argparse.ArgumentParser(
         prog="wgcutoff",
         description="Waveguide cut-off modes for media with decoupled "
@@ -581,39 +595,25 @@ def main(argv=None) -> int:
 
     medium = sub.add_parser("medium", help="material parameter checks")
     medium_sub = medium.add_subparsers(dest="subcommand", required=True)
-    medium_sub.add_parser("check", parents=[common])
+    command(medium_sub, "check", cmd_medium_check)
 
     mesh = sub.add_parser("mesh", help="mesh generation and inspection")
     mesh_sub = mesh.add_subparsers(dest="subcommand", required=True)
-    mesh_sub.add_parser("gen", parents=[common])
-    mesh_sub.add_parser("refine", parents=[common])
-    mesh_sub.add_parser("info", parents=[common])
+    command(mesh_sub, "gen", cmd_mesh_gen)
+    command(mesh_sub, "refine", cmd_mesh_refine)
+    command(mesh_sub, "info", cmd_mesh_info)
 
-    sub.add_parser("solve", parents=[common],
-                   help="cut-off wavenumbers as CSV")
-    sub.add_parser("crossval", parents=[common],
-                   help="scalar vs vector agreement report")
-    sub.add_parser("fields", parents=[common],
-                   help="per-mode VTK field export")
+    command(sub, "solve", cmd_solve, help="cut-off wavenumbers as CSV")
+    command(sub, "crossval", cmd_crossval,
+            help="scalar vs vector agreement report")
+    command(sub, "fields", cmd_fields, help="per-mode VTK field export")
     args = parser.parse_args(argv)
 
     try:
         config = load_config(args.config)
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
-        if args.command == "medium":
-            return cmd_medium_check(config, out_dir)
-        if args.command == "mesh":
-            if args.subcommand == "gen":
-                return cmd_mesh_gen(config, out_dir)
-            if args.subcommand == "refine":
-                return cmd_mesh_gen(config, out_dir, refine=True)
-            return cmd_mesh_info(config, out_dir)
-        if args.command == "solve":
-            return cmd_solve(config, out_dir)
-        if args.command == "crossval":
-            return cmd_crossval(config, out_dir)
-        return cmd_fields(config, out_dir)
+        return args.run(config, out_dir)
     except (ConfigError, MeshError, MediumError, EigenSolveError, ValueError,
             OSError, MemoryError, BrokenExecutor) as exc:
         print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)

@@ -11,9 +11,15 @@ permittivity drops out of the interior operator and the Dirichlet boundary
 condition is tensor-free, so the exact spectrum is that of
 ``-(eps/eps_zz) * Laplace`` with Dirichlet data.  That yields closed-form
 oracles: sine modes on a rectangle, Bessel zeros on a disc, Bessel
-cross-product zeros on an annulus.  No analogous TE oracle exists for
-``b != 0`` (the Neumann-type condition couples the tensor), so TE
-correctness rests on the scalar/vector agreement plus the isotropic case.
+cross-product zeros on an annulus.  For TE the gyrotropic part ``b`` of
+the transverse permeability also drops out of the interior operator
+(``div(mu_t grad h) = mu Laplace h``) but enters the natural boundary
+condition as the oblique derivative ``mu d_n h + j b d_t h = 0``.  On a
+rectangle that condition does not separate, so no closed form exists for
+``b != 0``; on discs and annuli ``h = Z_m(kappa r) exp(j m theta)``
+separates it, and the cut-offs are roots of Bessel determinants.  Those TE
+oracles are not implemented here, so TE correctness rests on the
+scalar/vector agreement plus the isotropic case.
 
 The Bessel zeros and cross-product roots come from ``scipy.special`` and
 ``scipy.optimize``, imported inside the oracles so that no command line

@@ -55,12 +55,12 @@ class Formulation(str, enum.Enum):
 
 @dataclass(frozen=True)
 class FieldFrame:
-    """Cross-sectional field samples: per-triangle values."""
+    """Per-triangle samples of one field of a mode, with the propagation
+    constant ``k_z`` at the operating frequency they were formed at."""
 
     label: str  # 'e_z', 'h_z', 'e_t' or 'h_t'
     samples: np.ndarray  # (T,) complex or (T, 2) complex
-    omega: float | None = None
-    k_z: complex | None = None
+    k_z: complex
 
 
 @dataclass(frozen=True)
@@ -358,10 +358,7 @@ def _transverse(solution: ModeSolution, mode_index: int, omega: float):
         solved = (pol.sign * 1j * omega / kt**2) * _zcross(
             pol.vacuum * _apply_tensor(pol.tensor, grad))
     et, ht = (solved, companion) if pol.sign > 0 else (companion, solved)
-    return (
-        FieldFrame("e_t", et, omega, kz),
-        FieldFrame("h_t", ht, omega, kz),
-    )
+    return FieldFrame("e_t", et, kz), FieldFrame("h_t", ht, kz)
 
 
 def reconstruct_from_hz(solution: ModeSolution, mode_index: int, omega: float):
@@ -427,7 +424,7 @@ def reconstruct_longitudinal(solution: ModeSolution, mode_index: int,
     curl = np.einsum("tl,tl->t", full[solution.mesh.tri_edges],
                      solution.edge_curls)
     samples = pol.sign * 1j * curl / (omega * pol.vacuum * pol.zz)
-    return FieldFrame("h_z" if pol.sign > 0 else "e_z", samples, omega, kz)
+    return FieldFrame("h_z" if pol.sign > 0 else "e_z", samples, kz)
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,11 @@ from wgcutoff.eigensolve import (
     gradient_part,
     residual_gate,
 )
-from wgcutoff.femcore import assemble_scalar_te, assemble_vector_tm
+from wgcutoff.femcore import (
+    assemble_scalar_te,
+    assemble_vector_tm,
+    triangle_geometry,
+)
 from wgcutoff.medium import MediumError
 from wgcutoff.modes import (
     SOLVERS,
@@ -409,6 +413,116 @@ class TestTransverseCompanion:
         et, _ = transverse_companion(solution, 0, omega)
         assert et.k_z == pytest.approx(bulk_wavenumber(gyro_medium, omega),
                                        rel=1e-9)
+
+
+def _zcross(v):
+    """z x v for per-triangle transverse vectors (T, 2)."""
+    return np.stack([-v[:, 1], v[:, 0]], axis=-1)
+
+
+def _times(tensor, v):
+    """``tensor`` (a ``TransverseTensor``) times per-triangle vectors."""
+    return v @ tensor.as_matrix().T
+
+
+@pytest.fixture(scope="module", params=["rect 24x20", "coax L1"])
+def maxwell_mesh(request):
+    if request.param == "rect 24x20":
+        return generate_rectangle(1.2e-3, 1.0e-3, 24, 20)
+    return refine_uniform(generate_annulus(1e-3, 2e-3, 4, 48))
+
+
+class TestScalarFieldsSolveMaxwell:
+    """The fields a scalar route exports satisfy both transverse Maxwell
+    equations on every triangle, with d/dz -> -j k_z:
+    ``-z x grad E_z - j k_z z x e_t = -j w mu0 mu_t h_t`` and
+    ``-z x grad H_z - j k_z z x h_t = j w eps0 eps_t e_t``.
+    The P1 gradient and both companions are constant per triangle, so the
+    equations hold to rounding.  The second holds only because
+    ``eps_t mu_t = (eps mu + a b) I`` under the decoupling condition, so
+    this checks the paper's theorem on the exported fields.  The tensors
+    are applied here from ``as_matrix``, not with the package's own
+    product."""
+
+    @pytest.mark.parametrize("medium", ["reference", "isotropic"])
+    @pytest.mark.parametrize("solver", [solve_te_scalar, solve_tm_scalar])
+    def test_transverse_equations_hold_per_triangle(self, maxwell_mesh,
+                                                    gyro_medium, solver,
+                                                    medium):
+        spec = (gyro_medium if medium == "reference"
+                else MediumSpec.isotropic(2.0, 1.0))
+        mesh = maxwell_mesh
+        solution = solver(mesh, spec, 4)
+        grads = triangle_geometry(mesh)[1]
+        k_per_omega = bulk_wavenumber(spec, 1.0)
+        first_kz = []
+        for factor in (0.5, 3.0):
+            omega = factor * solution.nonzero_cutoffs[0] / k_per_omega
+            for index in range(4):
+                et, ht = transverse_companion(solution, index, omega)
+                kz = et.k_z
+                if index == 0:
+                    first_kz.append(kz)
+                grad = np.einsum("tl,tlk->tk",
+                                 solution.full_vector(index)[mesh.triangles],
+                                 grads)
+                zero = np.zeros_like(grad)
+                grad_ez, grad_hz = ((zero, grad) if solver is solve_te_scalar
+                                    else (grad, zero))
+                faraday = (-_zcross(grad_ez), -1j * kz * _zcross(et.samples),
+                           1j * omega * mu_0 * _times(spec.mu_t, ht.samples))
+                ampere = (-_zcross(grad_hz), -1j * kz * _zcross(ht.samples),
+                          -1j * omega * epsilon_0
+                          * _times(spec.eps_t, et.samples))
+                for terms in (faraday, ampere):
+                    residual = np.abs(sum(terms)).max()
+                    assert residual <= 1e-14 * sum(map(np.abs, terms)).max()
+        # both branches of k_z: the first mode decays at k = k_t / 2 and
+        # propagates at k = 3 k_t
+        decaying, propagating = first_kz
+        assert decaying.real == 0 and decaying.imag < 0
+        assert propagating.imag == 0 and propagating.real > 0
+
+
+def _distance(field, reference, area):
+    """Area-weighted relative L2 distance from ``field`` to the nearest
+    complex multiple of ``reference``, both per-triangle (T, 2)."""
+    weight = area[:, None]
+    fit = (np.sum(weight * reference.conj() * field)
+           / np.sum(weight * np.abs(reference) ** 2))
+    return np.sqrt(np.sum(weight * np.abs(field - fit * reference) ** 2)
+                   / np.sum(weight * np.abs(field) ** 2))
+
+
+class TestCoaxTemField:
+    """Mode 0 of a vector route on the coax is its TEM mode: vector TE's
+    ``e_t`` is a multiple of ``r^ / r``, and vector TM's ``h_t`` of
+    ``mu_t^-1 phi^ / r``, which has a radial part in a gyrotropic medium.
+    Coax L0-L2 measured TE 3.74e-2, 2.30e-2, 1.46e-2 and TM 6.92e-2,
+    3.48e-2, 1.78e-2; both stall near 1e-2 at L3, the polygonal
+    boundary's floor.  Against ``phi^ / r`` the TM field stays at 0.45."""
+
+    def test_fields_approach_the_analytic_tem_field(self, gyro_medium):
+        mesh = generate_annulus(1e-3, 2e-3, 4, 48)
+        mu_inverse = np.linalg.inv(gyro_medium.mu_t.as_matrix())
+        errors = []
+        for _ in range(3):
+            area = triangle_geometry(mesh)[0]
+            centroids = mesh.nodes[mesh.triangles].mean(axis=1)
+            radial = centroids / (centroids ** 2).sum(axis=1)[:, None]
+            azimuthal = _zcross(radial)
+            te = solve_te_vector(mesh, gyro_medium, 1)
+            tm = solve_tm_vector(mesh, gyro_medium, 1)
+            assert te.tem_count == tm.tem_count == 1
+            et, ht = transverse_field(te, 0), transverse_field(tm, 0)
+            errors.append((_distance(et, radial, area),
+                           _distance(ht, azimuthal @ mu_inverse.T, area),
+                           _distance(ht, azimuthal, area)))
+            mesh = refine_uniform(mesh)
+        te_error, tm_error, control = np.array(errors).T
+        assert np.all(np.diff(te_error) < 0) and np.all(np.diff(tm_error) < 0)
+        assert te_error[-1] <= 2e-2 and tm_error[-1] <= 2e-2
+        assert control.min() >= 0.4
 
 
 class TestModeIndex:
